@@ -797,6 +797,15 @@ fn merge_reports(cells: Vec<Cell>, fleet_log: FleetLog, telemetry: bool) -> Scen
     }
     merged.events.extend(fleet_log.events);
     merged.devices = rows.into_values().collect();
+    // Gauges merge by addition, which suits the additive ones (energy,
+    // false-dead seconds, in-flight heartbeats) but not a ratio: the
+    // fleet's delivery ratio comes from the fleet's merged ledger.
+    if let (Some(d), Some(ratio)) = (
+        &merged.delivery,
+        merged.metrics.gauges.get_mut("hbr_delivery_ratio"),
+    ) {
+        *ratio = d.ratio();
+    }
 
     // Stable sorts: equal timestamps keep cell order, so the merged
     // timeline is a pure function of the scenario. (Devices come out of

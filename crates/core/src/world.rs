@@ -2075,28 +2075,25 @@ impl Scenario {
 
         // Discover devices in radio range through the field's spatial
         // index — O(local density), not a scan over the whole world —
-        // then build adverts from the live relays among them whose
-        // aggregation window fits the message's slack (the delegation
-        // policy). Ascending-id order matches the retired full-scan
-        // path, so the detector's RNG draw order (and with it every
-        // seeded experiment) is unchanged.
-        let mut in_range: Vec<usize> = self
-            .detector
-            .discover_in_range(&self.field, self.devices[device].id)
-            .into_iter()
-            .map(|(id, _)| id.index() as usize)
-            .collect();
-        in_range.sort_unstable();
-        // A handover must avoid the relay that just failed this
-        // heartbeat. `None` retains everything, so the legacy call sites
-        // see an unchanged candidate list and RNG draw order.
-        in_range.retain(|&i| Some(i) != handover_from);
-        let adverts: Vec<RelayAdvert> = in_range
+        // keeping only the relays, then build adverts from the live ones
+        // whose aggregation window fits the message's slack (the
+        // delegation policy). Only the kept relays are sorted: adverts
+        // reach the detector in ascending id order, which fixes its RNG
+        // draw order (and with it every seeded experiment). A handover
+        // must avoid the relay that just failed this heartbeat.
+        let mut relays: Vec<usize> = Vec::new();
+        self.detector
+            .visit_in_range(&self.field, self.devices[device].id, |id, _| {
+                let i = id.index() as usize;
+                if self.devices[i].role == Role::Relay && Some(i) != handover_from {
+                    relays.push(i);
+                }
+            });
+        relays.sort_unstable();
+        let adverts: Vec<RelayAdvert> = relays
             .into_iter()
             .map(|i| &self.devices[i])
-            .filter(|d| {
-                d.role == Role::Relay && d.is_alive() && !d.departed && now >= d.d2d_down_until
-            })
+            .filter(|d| d.is_alive() && !d.departed && now >= d.d2d_down_until)
             .filter_map(|d| {
                 let scheduler = d.scheduler.as_ref()?;
                 let position = self.field.position(d.id)?;

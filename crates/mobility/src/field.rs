@@ -6,15 +6,18 @@ use std::collections::BTreeMap;
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{DeviceId, SimRng, SimTime};
 
-use crate::grid::SpatialGrid;
+use crate::grid::{sort_nearest_first, SpatialGrid};
 use crate::model::Mobility;
 use crate::position::Position;
 
 /// Tracks the mobility model of every device and answers position,
 /// distance and neighbourhood queries at the current simulation time.
 ///
-/// Devices are stored in a `BTreeMap` so iteration order (and therefore
-/// any randomness consumed while advancing models) is deterministic.
+/// Devices are stored in a `BTreeMap` so iteration order is
+/// deterministic. Advancing touches only the *movers* — the tracks that
+/// are not [`stationary`](Mobility::is_stationary) — in ascending id
+/// order. Stationary models draw no randomness, so the shared RNG sees
+/// exactly the draws, in exactly the order, of advancing every track.
 ///
 /// # Examples
 ///
@@ -33,10 +36,14 @@ use crate::position::Position;
 #[derive(Debug, Clone, Default)]
 pub struct Field {
     tracks: BTreeMap<DeviceId, Mobility>,
+    /// Ids of the non-stationary tracks, ascending: the only ones
+    /// [`advance_to`](Field::advance_to) visits.
+    movers: Vec<DeviceId>,
     now: SimTime,
     /// Spatial index over current positions, built lazily on the first
-    /// neighbourhood query and kept until a position changes. Interior
-    /// mutability lets read-only queries populate the cache.
+    /// neighbourhood query and from then on patched in place as devices
+    /// move, arrive and leave. Interior mutability lets read-only
+    /// queries populate the cache.
     grid: RefCell<Option<SpatialGrid>>,
 }
 
@@ -47,18 +54,49 @@ impl Field {
     }
 
     /// Registers (or replaces) the mobility model for `device`.
+    ///
+    /// The field never advances a stationary track: it reports the
+    /// track's clock (in snapshots and from [`remove`](Field::remove)) as
+    /// the later of its own and the field's. That is what advancing it
+    /// would give, provided the model is not behind the field's clock
+    /// when inserted — mark one built mid-run with
+    /// [`Mobility::started_at`].
     pub fn insert(&mut self, device: DeviceId, mobility: Mobility) {
-        self.tracks.insert(device, mobility);
-        *self.grid.get_mut() = None;
+        let to = mobility.position();
+        let moves = !mobility.is_stationary();
+        let replaced = self.tracks.insert(device, mobility);
+        match (self.movers.binary_search(&device), moves) {
+            (Err(slot), true) => self.movers.insert(slot, device),
+            (Ok(slot), false) => {
+                self.movers.remove(slot);
+            }
+            _ => {}
+        }
+        if let Some(grid) = self.grid.get_mut() {
+            match replaced {
+                Some(old) => grid.relocate(device, old.position(), to),
+                None => grid.insert(device, to),
+            }
+        }
     }
 
-    /// Removes a device's track, returning it if present.
+    /// Removes a device's track, returning it if present. A stationary
+    /// track comes back with its clock caught up to the field's, as if
+    /// it had been advanced along with the movers.
     pub fn remove(&mut self, device: DeviceId) -> Option<Mobility> {
-        let removed = self.tracks.remove(&device);
-        if removed.is_some() {
-            *self.grid.get_mut() = None;
+        let removed = self.tracks.remove(&device)?;
+        if let Ok(slot) = self.movers.binary_search(&device) {
+            self.movers.remove(slot);
         }
-        removed
+        if let Some(grid) = self.grid.get_mut() {
+            grid.remove(device, removed.position());
+        }
+        Some(if removed.is_stationary() {
+            let clock = removed.updated_at().max(self.now);
+            removed.started_at(clock)
+        } else {
+            removed
+        })
     }
 
     /// Number of tracked devices.
@@ -78,24 +116,27 @@ impl Field {
 
     /// Advances every device's mobility model to `now`. Instants at or
     /// before the current field time are no-ops — the field never rewinds.
+    ///
+    /// Only the movers are visited, in ascending id order, and each one
+    /// that changed position is moved within the cached spatial index,
+    /// so the cost scales with the moving devices, not the field.
     pub fn advance_to(&mut self, now: SimTime, rng: &mut SimRng) {
         if now <= self.now {
             return;
         }
-        for mobility in self.tracks.values_mut() {
+        let grid = self.grid.get_mut();
+        for id in &self.movers {
+            let mobility = self.tracks.get_mut(id).expect("every mover is tracked");
+            let from = mobility.position();
             mobility.advance_to(now, rng);
+            let to = mobility.position();
+            if to != from {
+                if let Some(grid) = grid.as_mut() {
+                    grid.relocate(*id, from, to);
+                }
+            }
         }
         self.now = now;
-        // Positions moved: rebuild the spatial index in place if a query
-        // already established one (keeping its cell size), otherwise let
-        // the next query size it to its radius.
-        let grid = self.grid.get_mut();
-        if let Some(cell_m) = grid.as_ref().map(SpatialGrid::cell_m) {
-            *grid = Some(SpatialGrid::build(
-                cell_m,
-                self.tracks.iter().map(|(id, m)| (*id, m.position())),
-            ));
-        }
     }
 
     /// The position of `device` as of the last advance, if it is tracked.
@@ -108,46 +149,68 @@ impl Field {
         Some(self.position(a)?.distance_to(self.position(b)?))
     }
 
-    /// All other devices within `radius` metres of `device`, sorted by
-    /// ascending distance (ties broken by device id for determinism).
-    /// Returns an empty vector if `device` is not tracked.
+    /// Calls `visit(id, distance)` for every other device within
+    /// `radius` metres of `device`, in no particular order. Visits
+    /// nothing if `device` is not tracked or the radius is NaN or
+    /// negative.
     ///
     /// Answered from a uniform-grid [`SpatialGrid`] index built lazily
-    /// over the current positions and cached until the next
-    /// [`advance_to`](Field::advance_to) / [`insert`](Field::insert) /
+    /// over the current positions and kept current in place by
+    /// [`advance_to`](Field::advance_to), [`insert`](Field::insert) and
     /// [`remove`](Field::remove), so a detection sweep over the whole
-    /// field costs O(n · local density) instead of O(n²). The result is
-    /// identical to [`neighbours_within_scan`](Field::neighbours_within_scan).
-    pub fn neighbours_within(&self, device: DeviceId, radius: f64) -> Vec<(DeviceId, f64)> {
+    /// field costs O(n · local density) instead of O(n²). A caller that
+    /// keeps only some of the neighbours filters here and sorts only
+    /// what it kept.
+    pub fn visit_within(
+        &self,
+        device: DeviceId,
+        radius: f64,
+        mut visit: impl FnMut(DeviceId, f64),
+    ) {
         let Some(centre) = self.position(device) else {
-            return Vec::new();
+            return;
         };
         if radius.is_nan() || radius < 0.0 {
-            return Vec::new();
+            return;
         }
         if radius.is_infinite() {
             // An unbounded query touches everything anyway; the grid
             // cannot help.
-            return self.neighbours_within_scan(device, radius);
+            for (id, pos) in self.iter().filter(|(id, _)| *id != device) {
+                visit(id, centre.distance_to(pos));
+            }
+            return;
         }
-        let mut cache = self.grid.borrow_mut();
-        // Cells far narrower or wider than the query radius degrade the
-        // scan back towards O(n); resize when out of proportion. The
-        // steady state — the world querying one discovery radius — never
-        // rebuilds here.
-        let unsuitable = |g: &SpatialGrid| {
-            radius > 0.0 && (g.cell_m() < radius / 8.0 || g.cell_m() > radius * 8.0)
-        };
-        if cache.as_ref().is_none_or(unsuitable) {
-            *cache = Some(SpatialGrid::build(
-                radius.max(1.0),
-                self.tracks.iter().map(|(id, m)| (*id, m.position())),
-            ));
+        {
+            let mut cache = self.grid.borrow_mut();
+            // Cells far narrower or wider than the query radius degrade
+            // the scan back towards O(n); resize when out of proportion.
+            // The steady state — the world querying one discovery radius
+            // — never rebuilds here.
+            let unsuitable = |g: &SpatialGrid| {
+                radius > 0.0 && (g.cell_m() < radius / 8.0 || g.cell_m() > radius * 8.0)
+            };
+            if cache.as_ref().is_none_or(unsuitable) {
+                *cache = Some(SpatialGrid::build(radius.max(1.0), self.iter()));
+            }
         }
-        cache
+        self.grid
+            .borrow()
             .as_ref()
             .expect("grid cache was just populated")
-            .neighbours_within(device, centre, radius)
+            .visit_within(device, centre, radius, visit);
+    }
+
+    /// All other devices within `radius` metres of `device`, sorted by
+    /// ascending distance (ties broken by device id for determinism):
+    /// [`visit_within`](Field::visit_within), collected and sorted.
+    /// Returns an empty vector if `device` is not tracked. The result is
+    /// identical to [`neighbours_within_scan`](Field::neighbours_within_scan).
+    pub fn neighbours_within(&self, device: DeviceId, radius: f64) -> Vec<(DeviceId, f64)> {
+        let mut out = Vec::new();
+        self.visit_within(device, radius, |id, d| out.push((id, d)));
+        sort_nearest_first(&mut out);
+        out
     }
 
     /// Reference implementation of [`neighbours_within`](Field::neighbours_within)
@@ -164,7 +227,7 @@ impl Field {
             .map(|(id, m)| (*id, centre.distance_to(m.position())))
             .filter(|(_, d)| *d <= radius)
             .collect();
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        sort_nearest_first(&mut out);
         out
     }
 
@@ -175,15 +238,29 @@ impl Field {
 }
 
 impl Snap for Field {
-    /// The spatial-grid cache is derived state: it is not serialised, and
-    /// a restored field rebuilds it on the first neighbourhood query.
+    /// The movers list and the spatial-grid cache are derived state: they
+    /// are not serialised, and a restored field rebuilds the list at once
+    /// and the grid on the first neighbourhood query. Tracks are written
+    /// in the layout of a `BTreeMap<DeviceId, Mobility>`, each stationary
+    /// one with its clock caught up to the field's.
     fn snap(&self, w: &mut SnapshotWriter) {
-        self.tracks.snap(w);
+        w.put_usize(self.tracks.len());
+        for (id, mobility) in &self.tracks {
+            id.snap(w);
+            mobility.snap_at(self.now, w);
+        }
         self.now.snap(w);
     }
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let tracks: BTreeMap<DeviceId, Mobility> = BTreeMap::unsnap(r)?;
+        let movers = tracks
+            .iter()
+            .filter(|(_, m)| !m.is_stationary())
+            .map(|(id, _)| *id)
+            .collect();
         Ok(Field {
-            tracks: BTreeMap::unsnap(r)?,
+            tracks,
+            movers,
             now: SimTime::unsnap(r)?,
             grid: RefCell::new(None),
         })
@@ -286,7 +363,7 @@ mod tests {
                 "radius {radius} before advancing"
             );
         }
-        // Moving devices must invalidate (and rebuild) the cached index.
+        // Moving devices must be moved within the cached index.
         let mut rng = SimRng::seed_from(4);
         field.advance_to(SimTime::from_secs(15), &mut rng);
         assert_eq!(
@@ -303,6 +380,27 @@ mod tests {
             field.neighbours_within(dev(0), 10.0),
             field.neighbours_within_scan(dev(0), 10.0),
         );
+    }
+
+    #[test]
+    fn stationary_clocks_catch_up_and_restored_movers_move() {
+        let mut field = static_field(&[(0, 0.0, 0.0)]);
+        field.insert(dev(1), Mobility::linear(Position::ORIGIN, (1.0, 0.0)));
+        let mut rng = SimRng::seed_from(1);
+        field.advance_to(SimTime::from_secs(40), &mut rng);
+
+        let mut w = SnapshotWriter::new();
+        field.snap(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Field::unsnap(&mut SnapshotReader::new(&bytes)).unwrap();
+        restored.advance_to(SimTime::from_secs(45), &mut rng);
+        assert_eq!(restored.position(dev(1)), Some(Position::new(45.0, 0.0)));
+
+        // Never advanced, the stationary track leaves exactly as an
+        // eagerly advanced one would.
+        let mut eager = Mobility::stationary(Position::ORIGIN);
+        eager.advance_to(SimTime::from_secs(40), &mut rng);
+        assert_eq!(field.remove(dev(0)), Some(eager));
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! neighbourhood around the querying device: O(local density) instead
 //! of O(n).
 //!
-//! The index is a *snapshot* of device positions; [`Field`](crate::Field)
-//! owns one as a cache, rebuilding it whenever positions change. Queries
-//! with a radius other than the cell side stay correct — the scan just
-//! widens to however many cell rings the radius needs.
+//! [`Field`](crate::Field) owns one as a cache and keeps it current in
+//! place, patching single entries as devices arrive, leave and move, so
+//! a device that moves costs one bucket update, not a rebuild. Queries
+//! with a radius
+//! other than the cell side stay correct — the scan just widens to
+//! however many cell rings the radius needs.
 
 use std::collections::HashMap;
 
@@ -56,16 +58,61 @@ impl SpatialGrid {
         } else {
             1.0
         };
-        let mut cells: HashMap<(i64, i64), Vec<(DeviceId, Position)>> = HashMap::new();
-        let mut len = 0;
+        let mut grid = SpatialGrid {
+            cell_m,
+            cells: HashMap::new(),
+            len: 0,
+        };
         for (id, pos) in points {
-            cells
-                .entry(Self::key_for(cell_m, pos))
-                .or_default()
-                .push((id, pos));
-            len += 1;
+            grid.insert(id, pos);
         }
-        SpatialGrid { cell_m, cells, len }
+        grid
+    }
+
+    /// Indexes `id` at `pos`. The caller keeps ids unique: inserting an
+    /// id that is already indexed leaves two entries for it.
+    pub(crate) fn insert(&mut self, id: DeviceId, pos: Position) {
+        self.cells
+            .entry(Self::key_for(self.cell_m, pos))
+            .or_default()
+            .push((id, pos));
+        self.len += 1;
+    }
+
+    /// Drops `id`, which was indexed at `pos`. Returns `false` (and
+    /// changes nothing) if it is not in that position's bucket.
+    pub(crate) fn remove(&mut self, id: DeviceId, pos: Position) -> bool {
+        let key = Self::key_for(self.cell_m, pos);
+        let Some(bucket) = self.cells.get_mut(&key) else {
+            return false;
+        };
+        let Some(slot) = bucket.iter().position(|&(other, _)| other == id) else {
+            return false;
+        };
+        bucket.swap_remove(slot);
+        if bucket.is_empty() {
+            self.cells.remove(&key);
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// Moves `id` from `from` to `to`: an update inside its bucket while
+    /// it stays in the same cell, a move between buckets when it crosses
+    /// into another. Does nothing if `id` is not indexed at `from`.
+    pub(crate) fn relocate(&mut self, id: DeviceId, from: Position, to: Position) {
+        let key = Self::key_for(self.cell_m, from);
+        if key != Self::key_for(self.cell_m, to) {
+            if self.remove(id, from) {
+                self.insert(id, to);
+            }
+        } else if let Some(entry) = self
+            .cells
+            .get_mut(&key)
+            .and_then(|bucket| bucket.iter_mut().find(|(other, _)| *other == id))
+        {
+            entry.1 = to;
+        }
     }
 
     /// The cell side in metres.
@@ -93,26 +140,25 @@ impl SpatialGrid {
         )
     }
 
-    /// All indexed devices other than `centre_id` within `radius` metres
-    /// of `centre`, sorted by ascending distance with ties broken by
-    /// device id — the same contract as
-    /// [`Field::neighbours_within`](crate::Field::neighbours_within).
+    /// Calls `visit(id, distance)` for every indexed device other than
+    /// `centre_id` within `radius` metres of `centre`, in no particular
+    /// order. A non-finite or negative radius visits nothing.
     ///
     /// Only the cells overlapping the query disc are scanned: for the
     /// canonical `radius == cell_m` query that is the 3×3 neighbourhood
     /// around the centre's cell.
-    pub fn neighbours_within(
+    pub(crate) fn visit_within(
         &self,
         centre_id: DeviceId,
         centre: Position,
         radius: f64,
-    ) -> Vec<(DeviceId, f64)> {
+        mut visit: impl FnMut(DeviceId, f64),
+    ) {
         if !radius.is_finite() || radius < 0.0 {
-            return Vec::new();
+            return;
         }
         let (cx, cy) = Self::key_for(self.cell_m, centre);
         let reach = (radius / self.cell_m).ceil() as i64;
-        let mut out: Vec<(DeviceId, f64)> = Vec::new();
         for gx in (cx - reach)..=(cx + reach) {
             for gy in (cy - reach)..=(cy + reach) {
                 let Some(bucket) = self.cells.get(&(gx, gy)) else {
@@ -124,14 +170,33 @@ impl SpatialGrid {
                     }
                     let d = centre.distance_to(pos);
                     if d <= radius {
-                        out.push((id, d));
+                        visit(id, d);
                     }
                 }
             }
         }
-        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    }
+
+    /// All indexed devices other than `centre_id` within `radius` metres
+    /// of `centre`, sorted by ascending distance with ties broken by
+    /// device id — the same contract as
+    /// [`Field::neighbours_within`](crate::Field::neighbours_within).
+    pub fn neighbours_within(
+        &self,
+        centre_id: DeviceId,
+        centre: Position,
+        radius: f64,
+    ) -> Vec<(DeviceId, f64)> {
+        let mut out = Vec::new();
+        self.visit_within(centre_id, centre, radius, |id, d| out.push((id, d)));
+        sort_nearest_first(&mut out);
         out
     }
+}
+
+/// Orders a neighbour list by ascending distance, ties by device id.
+pub(crate) fn sort_nearest_first(neighbours: &mut [(DeviceId, f64)]) {
+    neighbours.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 }
 
 #[cfg(test)]
@@ -208,6 +273,26 @@ mod tests {
         let grid = grid_of(1.0, &[(0, 2.0, 2.0), (1, 2.0, 2.0), (2, 2.1, 2.0)]);
         let n = grid.neighbours_within(dev(0), Position::new(2.0, 2.0), 0.0);
         assert_eq!(n, vec![(dev(1), 0.0)]);
+    }
+
+    #[test]
+    fn patched_grid_answers_like_a_fresh_build() {
+        let mut grid = grid_of(10.0, &[(0, 0.0, 0.0), (1, 5.0, 0.0), (2, 25.0, 0.0)]);
+        // A move within a cell, one across cells, a departure, an arrival.
+        grid.relocate(dev(1), Position::new(5.0, 0.0), Position::new(6.0, 0.0));
+        grid.relocate(dev(2), Position::new(25.0, 0.0), Position::new(-8.0, 0.0));
+        assert!(grid.remove(dev(0), Position::ORIGIN));
+        assert!(!grid.remove(dev(0), Position::ORIGIN), "already gone");
+        grid.insert(dev(3), Position::new(1.0, 1.0));
+        assert_eq!(grid.len(), 3);
+        let fresh = grid_of(10.0, &[(1, 6.0, 0.0), (2, -8.0, 0.0), (3, 1.0, 1.0)]);
+        for radius in [0.0, 5.0, 10.0, 40.0] {
+            assert_eq!(
+                grid.neighbours_within(dev(9), Position::ORIGIN, radius),
+                fresh.neighbours_within(dev(9), Position::ORIGIN, radius),
+                "radius {radius}"
+            );
+        }
     }
 
     #[test]

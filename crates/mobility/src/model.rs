@@ -355,6 +355,28 @@ impl Mobility {
         self.updated_at
     }
 
+    /// `true` for a [`Mobility::stationary`] model: advancing it moves
+    /// only its clock, never its position, and draws no randomness.
+    pub fn is_stationary(&self) -> bool {
+        matches!(self.kind, Kind::Stationary)
+    }
+
+    /// Writes the model as an advance to `clock` would leave a
+    /// stationary one: its clock catches up, nothing else can change.
+    /// Other kinds are written as they are. [`Field`](crate::Field)
+    /// never advances its stationary tracks and snapshots them through
+    /// this, so the bytes match those of advancing every track.
+    pub(crate) fn snap_at(&self, clock: SimTime, w: &mut SnapshotWriter) {
+        let updated_at = if self.is_stationary() {
+            self.updated_at.max(clock)
+        } else {
+            self.updated_at
+        };
+        self.position.snap(w);
+        updated_at.snap(w);
+        self.kind.snap(w);
+    }
+
     /// Moves the model forward to `now`. Earlier instants are ignored (the
     /// model never rewinds), so callers may advance opportunistically.
     pub fn advance_to(&mut self, now: SimTime, rng: &mut SimRng) {
@@ -468,9 +490,7 @@ impl Mobility {
 
 impl Snap for Mobility {
     fn snap(&self, w: &mut SnapshotWriter) {
-        self.position.snap(w);
-        self.updated_at.snap(w);
-        self.kind.snap(w);
+        self.snap_at(self.updated_at, w);
     }
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(Mobility {

@@ -1,9 +1,94 @@
 //! Property tests for mobility invariants.
 
+use std::collections::BTreeMap;
+
 use hbr_mobility::model::Bounds;
 use hbr_mobility::{Field, Mobility, PathLoss, Position};
-use hbr_sim::{DeviceId, SimRng, SimTime};
+use hbr_sim::snapshot::{Snap, SnapshotWriter};
+use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+
+/// A stationary cloud with ids `0..points.len()`.
+fn cloud(points: &[(f64, f64)]) -> Field {
+    points
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, y))| {
+            (
+                DeviceId::new(i as u32),
+                Mobility::stationary(Position::new(x, y)),
+            )
+        })
+        .collect()
+}
+
+/// Every tracked device's grid answer equals the brute-force scan.
+fn assert_grid_matches_scan(field: &Field, radius: f64, step: &str) {
+    for (id, _) in field.iter() {
+        assert_eq!(
+            field.neighbours_within(id, radius),
+            field.neighbours_within_scan(id, radius),
+            "{id} at radius {radius}, {step}"
+        );
+    }
+}
+
+/// A walker for the 200 m square the field tests use, up to date at `t`.
+fn walker_at(x: f64, y: f64, t: SimTime) -> Mobility {
+    Mobility::random_waypoint(Position::new(x, y), Bounds::square(200.0), 0.5, 1.5, 5.0)
+        .started_at(t)
+}
+
+/// One mutation round after an advance: `newcomer` arrives at `(x, y)`
+/// (a walker or a stationary phone, by `pick`), one tracked device picked
+/// by `pick` leaves, and another swaps between standing still and
+/// walking, in place or (as the boundary-churn fault may) from a new
+/// start. `moving` mirrors which tracks move. Returns the round as
+/// `(device, Some(model))` inserts and `(device, None)` removals, in the
+/// order they were applied, so a reference can replay it.
+fn mutate(
+    field: &mut Field,
+    moving: &mut BTreeMap<DeviceId, bool>,
+    newcomer: DeviceId,
+    (pick, x, y): (u64, f64, f64),
+    t: SimTime,
+) -> Vec<(DeviceId, Option<Mobility>)> {
+    let mut round = Vec::new();
+    let walks = pick % 2 == 0;
+    let arrival = if walks {
+        walker_at(x, y, t)
+    } else {
+        Mobility::stationary(Position::new(x, y)).started_at(t)
+    };
+    field.insert(newcomer, arrival.clone());
+    moving.insert(newcomer, walks);
+    round.push((newcomer, Some(arrival)));
+
+    let ids: Vec<DeviceId> = moving.keys().copied().collect();
+    let leaver = ids[(pick / 2) as usize % ids.len()];
+    assert!(field.remove(leaver).is_some());
+    moving.remove(&leaver);
+    round.push((leaver, None));
+
+    let ids: Vec<DeviceId> = moving.keys().copied().collect();
+    if let Some(&swapped) = ids.get((pick / 7) as usize % ids.len().max(1)) {
+        let at = if pick % 3 == 0 {
+            Position::new(y, x)
+        } else {
+            field.position(swapped).expect("tracked device")
+        };
+        let now_moves = !moving[&swapped];
+        let swap = if now_moves {
+            Mobility::linear(at, (0.9, -0.4)).started_at(t)
+        } else {
+            Mobility::stationary(at).started_at(t)
+        };
+        field.insert(swapped, swap.clone());
+        moving.insert(swapped, now_moves);
+        round.push((swapped, Some(swap)));
+    }
+    round
+}
 
 proptest! {
     /// Random-waypoint devices never leave their bounds, whatever the
@@ -69,48 +154,110 @@ proptest! {
     }
 
     /// The grid-indexed `neighbours_within` is exactly the brute-force
-    /// scan for any random cloud, query radius and centre — including
-    /// after `advance_to` moves walkers (which rebuilds the cached
-    /// index), and for untracked devices (both return nothing).
+    /// scan for any random cloud, query radius and centre, and for
+    /// untracked devices (both return nothing). The cached index is
+    /// queried first and then carried through a sequence of advances,
+    /// each followed by an arrival, a departure and a stationary↔moving
+    /// model swap — the field patches the index in place through all of
+    /// them, never rebuilding it.
     #[test]
     fn grid_equals_scan(
         points in proptest::collection::vec((0.0f64..200.0, 0.0f64..200.0), 1..60),
         radius in 0.0f64..90.0,
         seed in any::<u64>(),
-        advance_secs in 0u64..180,
+        steps in proptest::collection::vec((0u64..180, any::<u64>(), 0.0f64..200.0, 0.0f64..200.0), 0..6),
     ) {
-        let mut field: Field = points
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (DeviceId::new(i as u32), Mobility::stationary(Position::new(x, y))))
-            .collect();
+        let mut field = cloud(&points);
+        let mut moving: BTreeMap<DeviceId, bool> =
+            field.iter().map(|(id, _)| (id, false)).collect();
         // A walker and a drifting device so advancing genuinely moves
-        // positions (stationary clouds would never exercise the rebuild).
+        // positions (stationary clouds would never exercise the patching).
         let walker = DeviceId::new(10_000);
-        field.insert(
-            walker,
-            Mobility::random_waypoint(Position::new(100.0, 100.0), Bounds::square(200.0), 0.5, 1.5, 5.0),
-        );
+        field.insert(walker, walker_at(100.0, 100.0, SimTime::ZERO));
         field.insert(DeviceId::new(10_001), Mobility::linear(Position::new(0.0, 0.0), (1.3, 0.7)));
-        if advance_secs > 0 {
-            let mut rng = SimRng::seed_from(seed);
-            field.advance_to(SimTime::from_secs(advance_secs), &mut rng);
+        moving.insert(walker, true);
+        moving.insert(DeviceId::new(10_001), true);
+        assert_grid_matches_scan(&field, radius, "before any advance");
+
+        let mut rng = SimRng::seed_from(seed);
+        let mut t = SimTime::ZERO;
+        for (k, &(secs, pick, x, y)) in steps.iter().enumerate() {
+            t += SimDuration::from_secs(secs);
+            field.advance_to(t, &mut rng);
+            assert_grid_matches_scan(&field, radius, &format!("after advance {k}"));
+            mutate(&mut field, &mut moving, DeviceId::new(20_000 + k as u32), (pick, x, y), t);
+            assert_grid_matches_scan(&field, radius, &format!("after mutation {k}"));
         }
-        for i in 0..points.len() {
-            let id = DeviceId::new(i as u32);
-            prop_assert_eq!(
-                field.neighbours_within(id, radius),
-                field.neighbours_within_scan(id, radius)
-            );
-        }
-        prop_assert_eq!(
-            field.neighbours_within(walker, radius),
-            field.neighbours_within_scan(walker, radius)
-        );
         // Untracked devices: both paths agree on "no neighbours".
         let untracked = DeviceId::new(99_999);
         prop_assert!(field.neighbours_within(untracked, radius).is_empty());
         prop_assert!(field.neighbours_within_scan(untracked, radius).is_empty());
+    }
+
+    /// Advancing only the movers is indistinguishable from advancing
+    /// every track in id order: after any sequence of advances, arrivals,
+    /// departures and model swaps over a mixed population, the field
+    /// holds the same positions, its snapshot has the same bytes, and the
+    /// shared RNG yields the same next draw as a reference that steps
+    /// every model.
+    #[test]
+    fn movers_only_advance_matches_advancing_every_track(
+        points in proptest::collection::vec((0.0f64..200.0, 0.0f64..200.0, 0u8..4), 1..40),
+        seed in any::<u64>(),
+        steps in proptest::collection::vec((1u64..600, any::<u64>(), 0.0f64..200.0, 0.0f64..200.0), 1..8),
+    ) {
+        let model = |i: usize, x: f64, y: f64, kind: u8| match kind {
+            0 | 1 => Mobility::stationary(Position::new(x, y)),
+            2 => walker_at(x, y, SimTime::ZERO),
+            _ => Mobility::waypoint_path(
+                Position::new(x, y),
+                vec![(Position::new(y, x), 1.0 + i as f64 % 3.0, 20.0)],
+            ),
+        };
+        let mut field: Field = points
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, kind))| (DeviceId::new(i as u32), model(i, x, y, kind)))
+            .collect();
+        let mut reference: BTreeMap<DeviceId, Mobility> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, kind))| (DeviceId::new(i as u32), model(i, x, y, kind)))
+            .collect();
+        let mut moving: BTreeMap<DeviceId, bool> = reference
+            .iter()
+            .map(|(id, m)| (*id, !m.is_stationary()))
+            .collect();
+        // The index exists from the start, so every advance patches it.
+        let _ = field.neighbours_within(DeviceId::new(0), 30.0);
+
+        let mut rng = SimRng::seed_from(seed);
+        let mut reference_rng = SimRng::seed_from(seed);
+        let mut t = SimTime::ZERO;
+        for (k, &(secs, pick, x, y)) in steps.iter().enumerate() {
+            t += SimDuration::from_secs(secs);
+            field.advance_to(t, &mut rng);
+            for m in reference.values_mut() {
+                m.advance_to(t, &mut reference_rng);
+            }
+            let newcomer = DeviceId::new(20_000 + k as u32);
+            for (id, change) in mutate(&mut field, &mut moving, newcomer, (pick, x, y), t) {
+                match change {
+                    Some(m) => reference.insert(id, m),
+                    None => reference.remove(&id),
+                };
+            }
+            for (id, m) in &reference {
+                prop_assert_eq!(field.position(*id), Some(m.position()), "step {}", k);
+            }
+            let mut ours = SnapshotWriter::new();
+            field.snap(&mut ours);
+            let mut theirs = SnapshotWriter::new();
+            reference.snap(&mut theirs);
+            t.snap(&mut theirs);
+            prop_assert_eq!(ours.into_bytes(), theirs.into_bytes(), "snapshot, step {}", k);
+        }
+        prop_assert_eq!(rng.unit(), reference_rng.unit());
     }
 
     /// Exact-tie distances (lattice clouds put many devices at equal

@@ -3,17 +3,21 @@
 //! JSON and JSONL — across runs *and* across sweep thread counts,
 //! pinned to a committed hash, mirroring `golden_trace.rs`.
 //!
+//! A second pin covers a walker-dense roaming crowd hour through the
+//! sharded engine: dozens of moving devices sharing each cell's RNG
+//! stream and a spatial index carried across advances.
+//!
 //! If an intentional engine or telemetry change shifts the output,
 //! re-run with `HBR_PRINT_GOLDEN=1 cargo test --test golden_telemetry
-//! -- --nocapture` and update the constant below.
+//! -- --nocapture` and update the constants below.
 
 use d2d_heartbeat::apps::AppProfile;
-use d2d_heartbeat::bench::run_sweep_with_threads;
+use d2d_heartbeat::bench::{run_crowd, run_sweep_with_threads, CrowdConfig};
 use d2d_heartbeat::core::world::{
     DeviceSpec, Mode, Role, Scenario, ScenarioConfig, ScenarioReport,
 };
 use d2d_heartbeat::mobility::{Mobility, Position};
-use d2d_heartbeat::sim::fault::FaultKind;
+use d2d_heartbeat::sim::fault::{FaultKind, FaultPlan};
 use d2d_heartbeat::sim::TelemetryEvent;
 use d2d_heartbeat::sim::{DeviceId, SimDuration, SimTime};
 
@@ -27,6 +31,10 @@ fn fnv1a(s: &str) -> u64 {
 /// The committed fingerprint of the telemetry sweep below: every
 /// point's metrics JSON plus its full JSONL event stream.
 const GOLDEN_TELEMETRY_HASH: u64 = 0xbe99_77e6_695b_f60e;
+
+/// The committed fingerprint of the walker-dense crowd hour below: its
+/// rendered report, delivery SLO, event stream and span stream.
+const GOLDEN_CROWD_HASH: u64 = 0x28b8_8d4f_1396_9731;
 
 /// The same faulted scenario as `golden_trace.rs`, with telemetry on.
 fn faulted_config(seed: u64) -> ScenarioConfig {
@@ -132,6 +140,56 @@ fn telemetry_is_byte_reproducible_across_thread_counts() {
         "the golden telemetry drifted; if the engine change is \
          intentional, re-run with HBR_PRINT_GOLDEN=1 and update \
          GOLDEN_TELEMETRY_HASH"
+    );
+}
+
+/// About 75 phones per 100 m cell (1 200 phones on 350 m, a 4×4 grid),
+/// a tenth of them random-waypoint walkers: every match and forward
+/// advances several walkers on one cell stream and queries a spatial
+/// index that earlier advances left in place, and roaming moves
+/// walkers between cells at the barriers.
+fn walker_dense_crowd() -> String {
+    let report = run_crowd(&CrowdConfig {
+        phones: 1_200,
+        relays: 120,
+        hours: 1,
+        area_side_m: 350.0,
+        seed: 7,
+        push_mins: 0,
+        mode: Mode::D2dFramework,
+        faults: FaultPlan::new(),
+        trace_capacity: 0,
+        telemetry: true,
+        reliable: true,
+        spans: true,
+        shards: Some(2),
+        roam: true,
+    });
+    let mut out = report.render();
+    out.push_str(&format!(
+        "{:?} migrations={} lte_handovers={}\n",
+        report.delivery, report.migrations, report.lte_handovers
+    ));
+    for record in &report.events {
+        out.push_str(&record.to_jsonl());
+        out.push('\n');
+    }
+    out.push_str(&report.spans.to_jsonl());
+    out
+}
+
+#[test]
+fn walker_dense_crowd_hour_is_pinned() {
+    let text = walker_dense_crowd();
+    if std::env::var("HBR_PRINT_GOLDEN").is_ok() {
+        println!("golden crowd hash: {:#018x}", fnv1a(&text));
+    }
+    assert_eq!(
+        fnv1a(&text),
+        GOLDEN_CROWD_HASH,
+        "the walker-dense crowd hour drifted; if the engine change is \
+         intentional, re-run with HBR_PRINT_GOLDEN=1 and update \
+         GOLDEN_CROWD_HASH"
     );
 }
 

@@ -146,6 +146,12 @@ fn roaming_fleet_migrates_and_conserves_delivery() {
         "delivery SLO under roaming churn: {:.6} < 0.995 ({d:?})",
         d.ratio()
     );
+    // The merged gauge is the fleet's ratio, not a sum of per-cell ones.
+    assert_eq!(
+        report.metrics.gauges.get("hbr_delivery_ratio"),
+        Some(&d.ratio()),
+        "merged delivery-ratio gauge"
+    );
 }
 
 /// Pin of a *known, deliberate* limitation quantified in DESIGN.md
