@@ -2,7 +2,6 @@
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::message::{Heartbeat, MessageIdGen};
 use crate::profile::AppProfile;
@@ -139,7 +138,7 @@ impl Snap for HeartbeatSchedule {
 }
 
 /// One event in a mixed traffic trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TrafficEvent {
     /// A keep-alive heartbeat.
     Heartbeat(Heartbeat),

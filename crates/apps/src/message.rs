@@ -4,14 +4,11 @@ use std::fmt;
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{DeviceId, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::AppId;
 
 /// Globally unique message identifier.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MessageId(u64);
 
 impl MessageId {
@@ -81,7 +78,7 @@ impl Snap for MessageIdGen {
 /// Everything the scheduling algorithm of §III-C needs travels with the
 /// message: its creation instant (the `t_k` of Table II once it reaches a
 /// relay) and its expiration deadline (`T_k`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Heartbeat {
     /// Unique id, used for delivery feedback.
     pub id: MessageId,

@@ -12,12 +12,9 @@ use std::fmt;
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Identifies an application across the simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AppId(u32);
 
 impl AppId {
@@ -58,7 +55,7 @@ impl fmt::Display for AppId {
 ///     assert!(app.heartbeat_share > 0.4, "{} share", app.name);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Stable identifier.
     pub id: AppId,

@@ -180,15 +180,6 @@ impl ImServer {
         slot.extend(local);
     }
 
-    /// The accepted-refresh instants recorded for one session, in
-    /// arrival order. Diagnostic surface for liveness audits.
-    pub fn refresh_history(&self, device: DeviceId, app: AppId) -> &[SimTime] {
-        self.history
-            .get(&(device, app))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Total accepted heartbeats.
     pub fn delivered(&self) -> u64 {
         self.delivered

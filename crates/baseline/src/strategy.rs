@@ -5,7 +5,6 @@ use hbr_cellular::{CellularRadio, RrcConfig};
 use hbr_d2d::{D2dRole, TechProfile};
 use hbr_energy::EnergyMeter;
 use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A reproducible single-device workload: one app's heartbeat stream,
 /// optionally mixed with its foreground traffic.
@@ -57,7 +56,7 @@ impl Workload {
 }
 
 /// What one strategy did to one device over one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrategyOutcome {
     /// Strategy name for report rows.
     pub name: String,

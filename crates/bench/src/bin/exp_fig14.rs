@@ -12,7 +12,7 @@ use hbr_cellular::{BaseStation, CellularRadio, L3Message, RrcConfig};
 use hbr_sim::{DeviceId, SimDuration, SimTime};
 
 fn capture_one_cycle(bytes: usize) -> BaseStation {
-    let mut bs = BaseStation::new(1e9);
+    let mut bs = BaseStation::new();
     let mut radio = CellularRadio::new(RrcConfig::wcdma_galaxy_s4());
     let out = radio.transmit(SimTime::from_secs(1), bytes);
     bs.record(DeviceId::new(0), &out.activity, out.rrc_connections);

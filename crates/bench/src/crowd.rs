@@ -44,8 +44,8 @@ use std::thread;
 
 use hbr_core::fleet::FleetBuilder;
 use hbr_core::world::{
-    CellTopology, DeviceReport, DeviceSpec, EpochPulse, Migrant, Mode, Scenario, ScenarioConfig,
-    ScenarioReport,
+    cell_at, CellTopology, DeviceReport, DeviceSpec, EpochPulse, Migrant, Mode, Scenario,
+    ScenarioConfig, ScenarioReport,
 };
 use hbr_sim::fault::FaultPlan;
 use hbr_sim::signal;
@@ -118,13 +118,6 @@ pub struct CrowdConfig {
 /// Cells per axis for a deployment area.
 pub fn cell_grid(area_side_m: f64) -> usize {
     ((area_side_m / NOMINAL_CELL_SIDE_M).ceil() as usize).max(1)
-}
-
-/// The cell a position belongs to on a `k`×`k` grid over the area.
-fn cell_of(x: f64, y: f64, area_side_m: f64, k: usize) -> usize {
-    let tile = area_side_m / k as f64;
-    let clamp = |v: f64| ((v / tile) as usize).min(k - 1);
-    clamp(y) * k + clamp(x)
 }
 
 /// The shard count an unspecified `--shards` resolves to: the sweep
@@ -212,13 +205,15 @@ pub struct CrowdOutcome {
 /// function of the config — the shard count only chooses how many
 /// threads carry the cells.
 pub fn run_crowd(config: &CrowdConfig) -> ScenarioReport {
-    run_crowd_inner(config, None, &RunControls::default(), None).report
+    run_crowd_inner(config, None, &RunControls::default(), None)
+        .0
+        .report
 }
 
 /// [`run_crowd`] under explicit [`RunControls`]: checkpointing, crash
 /// injection, graceful-interrupt handling and per-epoch emission.
 pub fn run_crowd_controlled(config: &CrowdConfig, controls: &RunControls<'_>) -> CrowdOutcome {
-    run_crowd_inner(config, None, controls, None)
+    run_crowd_inner(config, None, controls, None).0
 }
 
 /// [`run_crowd`] with the wall-clock shard profiler attached: same
@@ -226,35 +221,9 @@ pub fn run_crowd_controlled(config: &CrowdConfig, controls: &RunControls<'_>) ->
 /// costs, barrier stalls and queue depths. The profile is host-time
 /// and **not** deterministic — keep it out of anything golden-pinned.
 pub fn run_crowd_profiled(config: &CrowdConfig) -> (ScenarioReport, CrowdProfile) {
-    let profiler = Profiler::new();
-    let report = run_crowd_inner(config, Some(&profiler), &RunControls::default(), None).report;
-    let cells = report_cells(config);
-    let shards = config
-        .shards
-        .unwrap_or_else(|| auto_shards(cells))
-        .clamp(1, cells.max(1));
-    let profile = profiler.finish(config.phones, cells, shards, EPOCHS);
-    (report, profile)
-}
-
-/// Populated-cell count for a config (the profiler reports it without
-/// re-deriving the partition at every sample).
-fn report_cells(config: &CrowdConfig) -> usize {
-    let k = cell_grid(config.area_side_m);
-    if config.roam {
-        // Roaming materialises the whole grid: empty cells are
-        // legitimate migration targets.
-        return k * k;
-    }
-    let fleet = FleetBuilder::new(config.phones, config.relays)
-        .area_side_m(config.area_side_m)
-        .build(config.seed);
-    let mut populated = std::collections::BTreeSet::new();
-    for spec in fleet.iter() {
-        let p = spec.mobility.position();
-        populated.insert(cell_of(p.x, p.y, config.area_side_m, k));
-    }
-    populated.len()
+    let (outcome, profile) =
+        run_crowd_inner(config, Some(Profiler::new()), &RunControls::default(), None);
+    (outcome.report, profile.expect("the run carried a profiler"))
 }
 
 /// One cell's blueprint: the scenario config the cell engine is (or
@@ -275,7 +244,7 @@ fn cell_setups(config: &CrowdConfig, duration: SimDuration) -> Vec<(ScenarioConf
         .iter()
         .map(|spec| {
             let p = spec.mobility.position();
-            cell_of(p.x, p.y, config.area_side_m, k)
+            cell_at(config.area_side_m, k, p.x, p.y)
         })
         .collect();
     let mut members: BTreeMap<usize, Vec<(usize, &DeviceSpec)>> = BTreeMap::new();
@@ -357,12 +326,16 @@ struct ResumeState {
     fleet: FleetLog,
 }
 
+/// The sharded run behind every public entry point. With a profiler
+/// attached, also returns the finished profile, whose cell and shard
+/// counts are the ones this run actually used.
 fn run_crowd_inner(
     config: &CrowdConfig,
-    profiler: Option<&Profiler>,
+    profiler: Option<Profiler>,
     controls: &RunControls<'_>,
     resume: Option<ResumeState>,
-) -> CrowdOutcome {
+) -> (CrowdOutcome, Option<CrowdProfile>) {
+    let profiling = profiler.as_ref();
     let duration = SimDuration::from_secs(config.hours * 3600);
     let (start_epoch, mut cells, fleet_init) = match resume {
         Some(state) => (state.epochs_done, state.cells, state.fleet),
@@ -446,9 +419,9 @@ fn run_crowd_inner(
                 for (epoch, &limit) in boundaries.iter().enumerate().skip(start_epoch as usize) {
                     for (offset, cell) in worker_cells.iter_mut().enumerate() {
                         let scenario = cell.scenario.as_mut().expect("cell still running");
-                        let step_start = profiler.map(|p| p.elapsed_us());
+                        let step_start = profiling.map(|p| p.elapsed_us());
                         scenario.run_until(limit);
-                        if let (Some(p), Some(start)) = (profiler, step_start) {
+                        if let (Some(p), Some(start)) = (profiling, step_start) {
                             let total = scenario.events_scheduled();
                             let delta = total - last_events[offset];
                             last_events[offset] = total;
@@ -474,9 +447,9 @@ fn run_crowd_inner(
                         }
                         pulses.lock().expect("pulse lock")[base + offset] = scenario.pulse();
                     }
-                    let stall_start = profiler.map(|p| p.elapsed_us());
+                    let stall_start = profiling.map(|p| p.elapsed_us());
                     let folded = barrier.wait().is_leader();
-                    if let (Some(p), Some(start)) = (profiler, stall_start) {
+                    if let (Some(p), Some(start)) = (profiling, stall_start) {
                         p.record_stall(
                             epoch as u32,
                             chunk_index,
@@ -651,11 +624,13 @@ fn run_crowd_inner(
     });
 
     let fleet_log = fleet_log.into_inner().expect("fleet lock");
-    CrowdOutcome {
+    let outcome = CrowdOutcome {
         report: merge_reports(cells, fleet_log, config.telemetry),
         epochs_done: completed.load(Ordering::SeqCst),
         truncated: stop.load(Ordering::SeqCst),
-    }
+    };
+    let profile = profiler.map(|p| p.finish(config.phones, cell_count, shards, EPOCHS));
+    (outcome, profile)
 }
 
 /// Retargets a device-scoped fault at a cell-local id.
@@ -871,18 +846,31 @@ fn snap_crowd_config(config: &CrowdConfig, w: &mut SnapshotWriter) {
 fn unsnap_crowd_config(r: &mut SnapshotReader<'_>) -> Result<CrowdConfig, SnapshotError> {
     let phones = r.take_usize()?;
     let relays = r.take_usize()?;
+    if phones == 0 || relays > phones {
+        return Err(SnapshotError::Corrupt(format!(
+            "{relays} relays among {phones} phones"
+        )));
+    }
     let hours = r.take_u64()?;
     let area_side_m = r.take_f64()?;
     if !(area_side_m.is_finite() && area_side_m > 0.0) {
         return Err(SnapshotError::Corrupt(format!("area side {area_side_m}")));
+    }
+    let seed = r.take_u64()?;
+    let push_mins = r.take_u64()?;
+    // Both become `SimDuration`s, which count microseconds in a u64.
+    if hours.checked_mul(3_600_000_000).is_none() || push_mins.checked_mul(60_000_000).is_none() {
+        return Err(SnapshotError::Corrupt(format!(
+            "{hours} h horizon or {push_mins} min push interval overflows the clock"
+        )));
     }
     Ok(CrowdConfig {
         phones,
         relays,
         hours,
         area_side_m,
-        seed: r.take_u64()?,
-        push_mins: r.take_u64()?,
+        seed,
+        push_mins,
         mode: Mode::unsnap(r)?,
         faults: FaultPlan::unsnap(r)?,
         trace_capacity: r.take_usize()?,
@@ -1054,5 +1042,5 @@ pub fn resume_crowd(
             events: checkpoint.events,
         },
     };
-    Ok(run_crowd_inner(&config, None, controls, Some(resume)))
+    Ok(run_crowd_inner(&config, None, controls, Some(resume)).0)
 }

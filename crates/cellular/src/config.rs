@@ -26,12 +26,11 @@
 
 use hbr_energy::MilliAmps;
 use hbr_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::l3::L3Message;
 
 /// Full parameter set for a [`CellularRadio`](crate::CellularRadio).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RrcConfig {
     /// Time to promote IDLE → CELL_DCH (RRC connection establishment).
     pub promotion_delay: SimDuration,

@@ -9,10 +9,9 @@ use std::fmt;
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{DeviceId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A layer-3 RRC control message, as NetOptiMaster would label it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum L3Message {
     /// UE → network: asks for an RRC connection.
     RrcConnectionRequest,
@@ -96,7 +95,7 @@ impl fmt::Display for L3Message {
 }
 
 /// One captured entry: which device exchanged which message, when.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapturedMessage {
     /// Capture timestamp.
     pub time: SimTime,
@@ -134,7 +133,7 @@ impl Snap for CapturedMessage {
 /// assert_eq!(capture.total(), 1);
 /// assert_eq!(capture.count_for(DeviceId::new(0)), 1);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SignalingCapture {
     entries: Vec<CapturedMessage>,
     counted: u64,
@@ -197,19 +196,6 @@ impl SignalingCapture {
     /// Messages attributed to one device.
     pub fn count_for(&self, device: DeviceId) -> u64 {
         self.entries.iter().filter(|e| e.device == device).count() as u64
-    }
-
-    /// Messages captured in the half-open window `[from, to)`.
-    pub fn count_between(&self, from: SimTime, to: SimTime) -> u64 {
-        self.entries
-            .iter()
-            .filter(|e| e.time >= from && e.time < to)
-            .count() as u64
-    }
-
-    /// Count of a specific message type.
-    pub fn count_of(&self, message: L3Message) -> u64 {
-        self.entries.iter().filter(|e| e.message == message).count() as u64
     }
 
     /// Merges another capture into this one, keeping time order stable by
@@ -282,20 +268,6 @@ mod tests {
         assert_eq!(c.total(), 3);
         assert_eq!(c.count_for(dev(0)), 2);
         assert_eq!(c.count_for(dev(9)), 0);
-        assert_eq!(c.count_of(L3Message::RrcConnectionSetup), 1);
-    }
-
-    #[test]
-    fn window_is_half_open() {
-        let mut c = SignalingCapture::new();
-        for s in 1..=5 {
-            c.record(SimTime::from_secs(s), dev(0), L3Message::CellUpdate);
-        }
-        assert_eq!(
-            c.count_between(SimTime::from_secs(2), SimTime::from_secs(4)),
-            2
-        );
-        assert_eq!(c.count_between(SimTime::ZERO, SimTime::from_secs(100)), 5);
     }
 
     #[test]

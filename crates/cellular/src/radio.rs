@@ -14,13 +14,12 @@
 use hbr_energy::{MilliAmps, Phase, Segment};
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::config::RrcConfig;
 use crate::l3::L3Message;
 
 /// The RRC protocol state of a radio (§II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RrcState {
     /// No RRC connection; the radio only listens to paging.
     Idle,
@@ -219,8 +218,6 @@ pub struct CellularRadio {
     /// Occupancy energy has been recorded up to this instant.
     accounted_until: SimTime,
     total_connections: u64,
-    total_transmissions: u64,
-    total_bytes: u64,
     occupancy: StateOccupancy,
 }
 
@@ -234,8 +231,6 @@ impl CellularRadio {
             entered_at: SimTime::ZERO,
             accounted_until: SimTime::ZERO,
             total_connections: 0,
-            total_transmissions: 0,
-            total_bytes: 0,
             occupancy: StateOccupancy::default(),
         }
     }
@@ -253,16 +248,6 @@ impl CellularRadio {
     /// Total RRC connections established so far.
     pub fn connections(&self) -> u64 {
         self.total_connections
-    }
-
-    /// Total transmissions performed so far.
-    pub fn transmissions(&self) -> u64 {
-        self.total_transmissions
-    }
-
-    /// Total payload bytes sent so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.total_bytes
     }
 
     /// The protocol state the radio would be in at `at` (assuming no
@@ -465,8 +450,6 @@ impl CellularRadio {
         }
         self.state_since = delivered_at; // tail timer restarts after activity
         self.accounted_until = delivered_at;
-        self.total_transmissions += 1;
-        self.total_bytes += bytes as u64;
 
         TransmitOutcome {
             activity,
@@ -483,8 +466,6 @@ impl CellularRadio {
         self.entered_at.snap(w);
         self.accounted_until.snap(w);
         w.put_u64(self.total_connections);
-        w.put_u64(self.total_transmissions);
-        w.put_u64(self.total_bytes);
         self.occupancy.snap(w);
     }
 
@@ -498,8 +479,6 @@ impl CellularRadio {
             entered_at: SimTime::unsnap(r)?,
             accounted_until: SimTime::unsnap(r)?,
             total_connections: r.take_u64()?,
-            total_transmissions: r.take_u64()?,
-            total_bytes: r.take_u64()?,
             occupancy: StateOccupancy::unsnap(r)?,
         })
     }
@@ -714,8 +693,6 @@ mod tests {
             out.delivered_at,
             SimTime::ZERO + cfg.promotion_delay + cfg.min_active
         );
-        assert_eq!(r.transmissions(), 1);
-        assert_eq!(r.bytes_sent(), 74);
     }
 
     #[test]

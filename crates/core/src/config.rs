@@ -3,7 +3,6 @@
 use hbr_cellular::RrcConfig;
 use hbr_d2d::TechProfile;
 use hbr_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the relaying framework (§III).
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.relay_capacity, 7);
 /// assert!(cfg.max_match_distance_m > 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameworkConfig {
     /// `M` of Table II: the maximum number of heartbeats a relay collects
     /// per period. The paper provides "a default value based on the
@@ -90,7 +89,7 @@ impl FrameworkConfig {
 
 /// The technology/radio stack a scenario runs on: one D2D technique plus
 /// one cellular configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioStack {
     /// The D2D technique used for forwarding (the prototype: Wi-Fi Direct).
     pub d2d: TechProfile,

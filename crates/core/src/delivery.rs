@@ -238,7 +238,7 @@ impl DeliveryLedger {
 
     /// Decides whether another D2D attempt is worth scheduling at `now`:
     /// the attempt budget must allow it and the backed-off retry time
-    /// must still leave [`margin`] before the heartbeat expires. On yes,
+    /// must still leave `margin` before the heartbeat expires. On yes,
     /// bumps the attempt count, records the retry time and draws the
     /// jitter from `rng` (the dedicated retry stream). On no, the caller
     /// must degrade to the cellular fallback.

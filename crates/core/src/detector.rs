@@ -20,12 +20,11 @@ use hbr_d2d::{GoIntent, TechProfile};
 use hbr_energy::MicroAmpHours;
 use hbr_mobility::{Field, PathLoss, Position};
 use hbr_sim::{DeviceId, SimRng};
-use serde::{Deserialize, Serialize};
 
 use crate::config::FrameworkConfig;
 
 /// What a relay advertises in its discovery beacon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelayAdvert {
     /// The advertising relay.
     pub device: DeviceId,
@@ -40,7 +39,7 @@ pub struct RelayAdvert {
 }
 
 /// The detector's verdict for one heartbeat (or one matching round).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MatchDecision {
     /// Forward via this relay, estimated to be this far away.
     UseRelay {
@@ -54,7 +53,7 @@ pub enum MatchDecision {
 }
 
 /// Why the detector fell back to cellular.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoMatchReason {
     /// Discovery returned no beacons at all.
     NoRelaysDiscovered,

@@ -155,7 +155,7 @@ impl ControlledExperiment {
         let mut ue_fallback_radios: Vec<CellularRadio> = (0..cfg.ue_count)
             .map(|_| CellularRadio::new(cfg.stack.cellular.clone()))
             .collect();
-        let mut bs = BaseStation::new(1e9);
+        let mut bs = BaseStation::new();
         let mut d2d_failures = 0u64;
         let mut forwarded = 0u64;
 
@@ -331,7 +331,7 @@ impl ControlledExperiment {
         // independent full RRC cycle, so one device is representative.
         let mut original_device_meter = EnergyMeter::new();
         let mut original_radio = CellularRadio::new(cfg.stack.cellular.clone());
-        let mut original_bs = BaseStation::new(1e9);
+        let mut original_bs = BaseStation::new();
         let mut t = SimTime::ZERO;
         for _ in 0..cfg.transmissions {
             let out = original_radio.transmit(t, cfg.message_size);

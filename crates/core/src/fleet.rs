@@ -36,8 +36,6 @@ pub struct FleetBuilder {
     relays: usize,
     area_side_m: f64,
     walker_share: f64,
-    battery_mah: Option<f64>,
-    apps: Vec<Vec<AppProfile>>,
 }
 
 impl FleetBuilder {
@@ -55,12 +53,6 @@ impl FleetBuilder {
             relays,
             area_side_m: 40.0,
             walker_share: 0.1,
-            battery_mah: None,
-            apps: vec![
-                vec![AppProfile::wechat()],
-                vec![AppProfile::whatsapp()],
-                vec![AppProfile::wechat(), AppProfile::qq()],
-            ],
         }
     }
 
@@ -79,27 +71,6 @@ impl FleetBuilder {
     /// standing still. Clamped to `[0, 1]`.
     pub fn walker_share(mut self, share: f64) -> Self {
         self.walker_share = share.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Gives every device a finite battery of this many mAh.
-    pub fn battery_mah(mut self, mah: f64) -> Self {
-        self.battery_mah = Some(mah);
-        self
-    }
-
-    /// Replaces the rotation of app bundles devices cycle through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mixes` is empty or contains an empty bundle.
-    pub fn app_mixes(mut self, mixes: Vec<Vec<AppProfile>>) -> Self {
-        assert!(!mixes.is_empty(), "need at least one app mix");
-        assert!(
-            mixes.iter().all(|m| !m.is_empty()),
-            "every app mix needs at least one app"
-        );
-        self.apps = mixes;
         self
     }
 
@@ -126,12 +97,22 @@ impl FleetBuilder {
                     } else {
                         Role::Ue
                     },
-                    apps: self.apps[i % self.apps.len()].clone(),
+                    apps: app_mix(i),
                     mobility,
-                    battery_mah: self.battery_mah,
+                    battery_mah: None,
                 }
             })
             .collect()
+    }
+}
+
+/// The app bundle of the `index`-th device: fleets cycle through WeChat,
+/// WhatsApp, and WeChat plus QQ.
+fn app_mix(index: usize) -> Vec<AppProfile> {
+    match index % 3 {
+        0 => vec![AppProfile::wechat()],
+        1 => vec![AppProfile::whatsapp()],
+        _ => vec![AppProfile::wechat(), AppProfile::qq()],
     }
 }
 
@@ -186,12 +167,6 @@ mod tests {
             m.advance_to(hbr_sim::SimTime::from_secs(600), &mut rng);
             assert_eq!(m.position(), before);
         }
-    }
-
-    #[test]
-    fn batteries_apply_to_all() {
-        let fleet = FleetBuilder::new(5, 1).battery_mah(1000.0).build(2);
-        assert!(fleet.iter().all(|d| d.battery_mah == Some(1000.0)));
     }
 
     #[test]

@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::DeviceId;
-use serde::{Deserialize, Serialize};
 
 /// Operator-side reward accounting for every relay.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ledger.balance(DeviceId::new(0)), 7);
 /// assert_eq!(ledger.total_paid(), 7);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RewardLedger {
     reward_per_heartbeat: u64,
     balances: BTreeMap<DeviceId, u64>,
@@ -61,16 +60,7 @@ impl RewardLedger {
         self.forwards.get(&relay).copied().unwrap_or(0)
     }
 
-    /// Redeems up to `amount` credits from a relay's balance (exchanging
-    /// for free data, §III-D UI). Returns the amount actually redeemed.
-    pub fn redeem(&mut self, relay: DeviceId, amount: u64) -> u64 {
-        let balance = self.balances.entry(relay).or_insert(0);
-        let redeemed = amount.min(*balance);
-        *balance -= redeemed;
-        redeemed
-    }
-
-    /// Total credits the operator has paid out (including redeemed ones).
+    /// Total credits the operator has paid out.
     pub fn total_paid(&self) -> u64 {
         self.forwards.values().sum::<u64>() * self.reward_per_heartbeat
     }
@@ -113,18 +103,6 @@ mod tests {
         assert_eq!(l.balance(DeviceId::new(1)), 2);
         assert_eq!(l.total_paid(), 16);
         assert_eq!(l.balance(DeviceId::new(9)), 0);
-    }
-
-    #[test]
-    fn redeem_clamps_to_balance() {
-        let mut l = RewardLedger::new(1);
-        l.credit_forwards(DeviceId::new(0), 5);
-        assert_eq!(l.redeem(DeviceId::new(0), 3), 3);
-        assert_eq!(l.balance(DeviceId::new(0)), 2);
-        assert_eq!(l.redeem(DeviceId::new(0), 10), 2);
-        assert_eq!(l.balance(DeviceId::new(0)), 0);
-        // total_paid is historic, not reduced by redemption.
-        assert_eq!(l.total_paid(), 5);
     }
 
     #[test]

@@ -32,8 +32,6 @@ use hbr_sim::SimDuration;
 #[derive(Debug, Clone, Default)]
 pub struct MessageMonitor {
     apps: BTreeMap<AppId, AppProfile>,
-    intercepted: u64,
-    passed_through: u64,
 }
 
 /// An intercepted heartbeat plus the metadata the scheduler consumes.
@@ -66,11 +64,6 @@ impl MessageMonitor {
         self.apps.insert(app.id, app);
     }
 
-    /// Removes an app from the framework.
-    pub fn unregister(&mut self, app: AppId) -> Option<AppProfile> {
-        self.apps.remove(&app)
-    }
-
     /// `true` if the app has opted in.
     pub fn is_registered(&self, app: AppId) -> bool {
         self.apps.contains_key(&app)
@@ -84,45 +77,23 @@ impl MessageMonitor {
     /// Attempts to intercept a heartbeat. Returns the enriched form for
     /// registered apps, or [`None`] — meaning the heartbeat must take the
     /// plain cellular path — for apps that never opted in.
-    pub fn intercept(&mut self, heartbeat: Heartbeat) -> Option<InterceptedHeartbeat> {
-        match self.apps.get(&heartbeat.app) {
-            Some(profile) => {
-                self.intercepted += 1;
-                Some(InterceptedHeartbeat {
-                    period: profile.heartbeat_period,
-                    expiration: profile.expiration,
-                    heartbeat,
-                })
-            }
-            None => {
-                self.passed_through += 1;
-                None
-            }
-        }
-    }
-
-    /// Heartbeats intercepted so far.
-    pub fn intercepted_count(&self) -> u64 {
-        self.intercepted
-    }
-
-    /// Heartbeats that bypassed the framework (unregistered apps).
-    pub fn passed_through_count(&self) -> u64 {
-        self.passed_through
+    pub fn intercept(&self, heartbeat: Heartbeat) -> Option<InterceptedHeartbeat> {
+        let profile = self.apps.get(&heartbeat.app)?;
+        Some(InterceptedHeartbeat {
+            period: profile.heartbeat_period,
+            expiration: profile.expiration,
+            heartbeat,
+        })
     }
 }
 
 impl Snap for MessageMonitor {
     fn snap(&self, w: &mut SnapshotWriter) {
         self.apps.snap(w);
-        w.put_u64(self.intercepted);
-        w.put_u64(self.passed_through);
     }
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(MessageMonitor {
             apps: BTreeMap::unsnap(r)?,
-            intercepted: r.take_u64()?,
-            passed_through: r.take_u64()?,
         })
     }
 }
@@ -160,21 +131,6 @@ mod tests {
         assert_eq!(caught.expiration, wechat.expiration);
 
         assert!(monitor.intercept(heartbeat_for(&qq, &mut ids)).is_none());
-        assert_eq!(monitor.intercepted_count(), 1);
-        assert_eq!(monitor.passed_through_count(), 1);
-    }
-
-    #[test]
-    fn unregister_restores_passthrough() {
-        let mut monitor = MessageMonitor::new();
-        let wechat = AppProfile::wechat();
-        monitor.register(wechat.clone());
-        assert!(monitor.unregister(wechat.id).is_some());
-        assert!(monitor.unregister(wechat.id).is_none());
-        let mut ids = MessageIdGen::new();
-        assert!(monitor
-            .intercept(heartbeat_for(&wechat, &mut ids))
-            .is_none());
     }
 
     #[test]

@@ -28,10 +28,9 @@ use hbr_apps::Heartbeat;
 use hbr_d2d::GoIntent;
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{SimDuration, SimTime, Summary};
-use serde::{Deserialize, Serialize};
 
 /// Why a batch was (or must be) flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlushReason {
     /// The buffer reached the relay capacity `M`.
     CapacityReached,
@@ -54,7 +53,7 @@ impl FlushReason {
 }
 
 /// The scheduler's verdict when a forwarded heartbeat arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleDecision {
     /// Keep buffering; a deadline event will trigger the flush.
     Pend,
@@ -156,11 +155,6 @@ impl MessageScheduler {
     pub fn without_expiry_guard(mut self) -> Self {
         self.honor_expirations = false;
         self
-    }
-
-    /// `true` when the `t − t_k < T_k` clause is active (the default).
-    pub fn honors_expirations(&self) -> bool {
-        self.honor_expirations
     }
 
     /// The capacity `M`.
@@ -530,7 +524,6 @@ mod tests {
     #[test]
     fn without_expiry_guard_holds_to_period_end() {
         let mut s = scheduler(10).without_expiry_guard();
-        assert!(!s.honors_expirations());
         let mut ids = MessageIdGen::new();
         // A message that expires at t=100 would normally force a flush at
         // 95; the ablated scheduler ignores it.

@@ -154,13 +154,25 @@ pub struct ScenarioConfig {
     pub devices: Vec<DeviceSpec>,
 }
 
+/// The cell a position belongs to on a `grid × grid` tiling of
+/// `[0, area_side_m]²`, as `row * grid + col`. This is the one partition
+/// rule: the sharded crowd engine places devices in their initial cell
+/// with it and roaming migration finds a device's new cell with it, so
+/// the two never disagree. Out-of-field positions clamp into the border
+/// cells — roaming mobility models reflect at the field edge
+/// ([`Mobility::linear_bounded`]), so the clamp is a last-resort guard,
+/// not a steady state.
+pub fn cell_at(area_side_m: f64, grid: usize, x: f64, y: f64) -> usize {
+    let tile = area_side_m / grid as f64;
+    let clamp = |v: f64| ((v / tile) as usize).min(grid - 1);
+    clamp(y) * grid + clamp(x)
+}
+
 /// Where one cell sits in the fleet-wide grid — the geometry a scenario
 /// needs to decide when a device has walked out of its cell and which
-/// cell it walked into. The grid is `grid × grid` square tiles over
-/// `[0, area_side_m]²`, exactly the partition the sharded crowd engine
-/// uses to assign devices to cells (the grid depends only on the area,
-/// never on the shard count, so migration schedules are identical at
-/// any thread count).
+/// cell it walked into ([`cell_at`]). The grid depends only on the
+/// area, never on the shard count, so migration schedules are identical
+/// at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellTopology {
     /// Side length of the whole deployment area, metres.
@@ -172,16 +184,6 @@ pub struct CellTopology {
 }
 
 impl CellTopology {
-    /// The cell index a position belongs to. Out-of-field positions
-    /// clamp into the border cells — roaming mobility models reflect at
-    /// the field edge ([`Mobility::linear_bounded`]), so the clamp is a
-    /// last-resort guard, not a steady state.
-    pub fn locate(&self, x: f64, y: f64) -> usize {
-        let tile = self.area_side_m / self.grid as f64;
-        let clamp = |v: f64| ((v / tile) as usize).min(self.grid - 1);
-        clamp(y) * self.grid + clamp(x)
-    }
-
     /// The x-coordinate of the vertical cell boundary nearest to `x`,
     /// or [`None`] when the grid has no interior boundaries. The
     /// boundary-churn fault anchors its shuttle corridor here.
@@ -471,15 +473,6 @@ impl DeliveryReport {
 }
 
 impl ScenarioReport {
-    /// Energy of all devices with the given role, µAh.
-    pub fn energy_for_role(&self, role: Role) -> f64 {
-        self.devices
-            .iter()
-            .filter(|d| d.role == role)
-            .map(|d| d.energy_uah)
-            .sum()
-    }
-
     /// Renders the operator-console view of the run: aggregate counters
     /// plus the per-relay ledger (the §III-D UI's information, as text).
     pub fn render(&self) -> String {
@@ -921,7 +914,7 @@ impl Scenario {
             servers,
             // Counters only — the report reads total_l3/rrc, never the
             // per-message capture log (exp_fig14 builds its own).
-            bs: BaseStation::compact(1e9),
+            bs: BaseStation::compact(),
             ledger: RewardLedger::new(reward),
             ids: MessageIdGen::new(),
             rng,
@@ -1084,7 +1077,7 @@ impl Scenario {
         }
         let id = self.devices[i].id;
         let pos = self.field.position(id)?;
-        let to_cell = topology.locate(pos.x, pos.y);
+        let to_cell = cell_at(topology.area_side_m, topology.grid, pos.x, pos.y);
         if to_cell == topology.cell {
             return None;
         }
@@ -1385,11 +1378,6 @@ impl Scenario {
     /// is disabled).
     pub fn events_so_far(&self) -> &[EventRecord] {
         self.telemetry.events.records()
-    }
-
-    /// Lifecycle spans recorded so far (empty when spans are disabled).
-    pub fn spans_so_far(&self) -> &SpanRecorder {
-        &self.spans
     }
 
     /// Events currently pending in the engine queue — the backlog the

@@ -1,4 +1,4 @@
-//! Wi-Fi Direct group-owner negotiation.
+//! Wi-Fi Direct group-owner intent.
 //!
 //! §IV-C: the prototype sets `groupOwnerIntent` to 15 (the maximum) for
 //! relays and 0 for UEs, and *"the message scheduling algorithm would
@@ -7,8 +7,6 @@
 //! winning negotiations so new UEs spread to other relays.
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
 
 /// A Wi-Fi Direct group-owner intent value, `0..=15`.
 ///
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let ue = GoIntent::MIN;
 /// assert!(relay > ue);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GoIntent(u8);
 
 impl GoIntent {
@@ -68,68 +64,9 @@ impl fmt::Display for GoIntent {
     }
 }
 
-/// Outcome of a negotiation for one side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum GroupRole {
-    /// This side owns the group (acts as the soft AP).
-    GroupOwner,
-    /// This side joins as a client.
-    Client,
-}
-
-/// Runs Wi-Fi Direct GO negotiation between two intents.
-///
-/// Returns the role of the **first** side. The higher intent wins; a tie
-/// is broken by `first_wins_tie` (in the real protocol, by a random
-/// tie-breaker bit).
-///
-/// # Examples
-///
-/// ```
-/// use hbr_d2d::{negotiate_group_owner, GoIntent, GroupRole};
-///
-/// let relay = GoIntent::MAX;
-/// let ue = GoIntent::MIN;
-/// assert_eq!(negotiate_group_owner(relay, ue, false), GroupRole::GroupOwner);
-/// assert_eq!(negotiate_group_owner(ue, relay, true), GroupRole::Client);
-/// ```
-pub fn negotiate_group_owner(first: GoIntent, second: GoIntent, first_wins_tie: bool) -> GroupRole {
-    use std::cmp::Ordering;
-    match first.cmp(&second) {
-        Ordering::Greater => GroupRole::GroupOwner,
-        Ordering::Less => GroupRole::Client,
-        Ordering::Equal => {
-            if first_wins_tie {
-                GroupRole::GroupOwner
-            } else {
-                GroupRole::Client
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relay_beats_ue() {
-        assert_eq!(
-            negotiate_group_owner(GoIntent::MAX, GoIntent::MIN, false),
-            GroupRole::GroupOwner
-        );
-        assert_eq!(
-            negotiate_group_owner(GoIntent::MIN, GoIntent::MAX, true),
-            GroupRole::Client
-        );
-    }
-
-    #[test]
-    fn ties_use_tiebreaker() {
-        let i = GoIntent::new(7);
-        assert_eq!(negotiate_group_owner(i, i, true), GroupRole::GroupOwner);
-        assert_eq!(negotiate_group_owner(i, i, false), GroupRole::Client);
-    }
 
     #[test]
     fn decay_is_proportional() {

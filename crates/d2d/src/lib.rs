@@ -39,11 +39,9 @@
 //! ```
 
 pub mod group;
-pub mod group_net;
 pub mod link;
 pub mod tech;
 
-pub use group::{negotiate_group_owner, GoIntent, GroupRole};
-pub use group_net::{D2dGroup, JoinError, JoinOutcome};
+pub use group::GoIntent;
 pub use link::{D2dLink, LinkState, TransferOutcome};
 pub use tech::{D2dActivity, D2dRole, D2dTechnology, TechProfile};

@@ -7,12 +7,11 @@
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::tech::{D2dActivity, D2dRole, TechProfile};
 
 /// Lifecycle state of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
     /// Discovery + connection still in progress; ready at the instant.
     Establishing {

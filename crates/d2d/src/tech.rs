@@ -23,10 +23,9 @@
 
 use hbr_energy::{MilliAmps, Phase, Segment};
 use hbr_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which end of a D2D exchange a device is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum D2dRole {
     /// The side that started discovery / sends data (the UE).
     Initiator,
@@ -35,7 +34,7 @@ pub enum D2dRole {
 }
 
 /// The modelled D2D techniques (§II-C, §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum D2dTechnology {
     /// The prototype's choice: ~200 m range, fast transfers.
     WifiDirect,
@@ -78,7 +77,7 @@ impl D2dActivity {
 }
 
 /// A two-segment "spike then settle" transfer shape (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferShape {
     /// Peak segment duration.
     pub spike: SimDuration,
@@ -90,17 +89,8 @@ pub struct TransferShape {
     pub settle_current: MilliAmps,
 }
 
-impl TransferShape {
-    /// Base charge of this shape in µAh.
-    pub fn base_charge_uah(&self) -> f64 {
-        (self.spike_current.as_milli_amps() * self.spike.as_secs_f64()
-            + self.settle_current.as_milli_amps() * self.settle.as_secs_f64())
-            / 3.6
-    }
-}
-
 /// All parameters of one D2D technique.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechProfile {
     /// Which technique this profile describes.
     pub technology: D2dTechnology,

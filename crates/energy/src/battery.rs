@@ -9,7 +9,6 @@
 use std::fmt;
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::units::MicroAmpHours;
 
@@ -25,7 +24,7 @@ use crate::units::MicroAmpHours;
 /// assert!((battery.level() - 0.615).abs() < 0.001);
 /// assert!(!battery.is_depleted());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity: MicroAmpHours,
     drained: MicroAmpHours,

@@ -51,4 +51,4 @@ pub use meter::EnergyMeter;
 pub use monitor::{PowerMonitor, Sample};
 pub use phase::{Phase, PhaseGroup};
 pub use profile::{CurrentProfile, Segment};
-pub use units::{MicroAmpHours, MilliAmps, SUPPLY_VOLTAGE};
+pub use units::{MicroAmpHours, MilliAmps};

@@ -177,11 +177,6 @@ impl EnergyMeter {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Number of recorded segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Merges all segments of `other` into this meter (e.g. whole-system
     /// totals across devices).
     pub fn merge(&mut self, other: &EnergyMeter) {
@@ -288,7 +283,6 @@ mod tests {
         b.apply(SimTime::ZERO, &constant(100.0, 36, Phase::D2dReceive));
         a.merge(&b);
         assert!((a.total().as_micro_amp_hours() - 2000.0).abs() < 1e-9);
-        assert_eq!(a.segment_count(), 2);
         assert_eq!(a.current_at(SimTime::from_secs(1)), ma(200.0));
     }
 

@@ -7,13 +7,12 @@
 //! the samples, which is what the paper's figures and tables actually show.
 
 use hbr_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::meter::EnergyMeter;
 use crate::units::{MicroAmpHours, MilliAmps};
 
 /// One sampled point of a current trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Sampling instant.
     pub time: SimTime,
@@ -44,7 +43,7 @@ pub struct Sample {
 /// let trace = monitor.trace(&meter, SimTime::ZERO, SimTime::from_secs(2));
 /// assert_eq!(trace.len(), 21); // 0.0s..=2.0s at 0.1s steps
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerMonitor {
     interval: SimDuration,
 }

@@ -8,10 +8,9 @@
 use std::fmt;
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use serde::{Deserialize, Serialize};
 
 /// Fine-grained activity that a current segment is attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// OS / screen-off floor current, always flowing.
     Baseline,
@@ -98,7 +97,7 @@ impl fmt::Display for Phase {
 
 /// The coarse breakdown used in the paper's Table III: Discovery /
 /// Connection / Forwarding, plus cellular and the always-on baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseGroup {
     /// Always-on floor.
     Baseline,

@@ -7,14 +7,13 @@
 //! anchors the profile at an absolute instant and accumulates it.
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use hbr_sim::SimDuration;
 
 use crate::phase::Phase;
 use crate::units::{MicroAmpHours, MilliAmps};
 
 /// One constant-current stretch within a profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Start offset relative to the profile anchor.
     pub offset: SimDuration,
@@ -74,7 +73,7 @@ impl Snap for Segment {
 ///     .build();
 /// assert_eq!(profile.total_duration(), SimDuration::from_millis(500));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CurrentProfile {
     segments: Vec<Segment>,
 }
@@ -129,21 +128,6 @@ impl CurrentProfile {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Returns a copy of the profile with every segment shifted later by
-    /// `delay` — used to chain operations.
-    pub fn delayed_by(&self, delay: SimDuration) -> CurrentProfile {
-        CurrentProfile {
-            segments: self
-                .segments
-                .iter()
-                .map(|s| Segment {
-                    offset: s.offset + delay,
-                    ..*s
-                })
-                .collect(),
-        }
-    }
-
     /// Merges another profile into this one at the given extra offset.
     pub fn merge(&mut self, other: &CurrentProfile, at: SimDuration) {
         for s in other.segments() {
@@ -152,11 +136,6 @@ impl CurrentProfile {
                 ..*s
             });
         }
-    }
-
-    /// Anchors the profile at `start`, yielding absolute-time segments.
-    pub fn anchored_at(&self, start: SimTime) -> impl Iterator<Item = (SimTime, Segment)> + '_ {
-        self.segments.iter().map(move |s| (start + s.offset, *s))
     }
 }
 
@@ -228,15 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn delayed_by_shifts_everything() {
-        let p = CurrentProfile::constant(ma(100.0), SimDuration::from_secs(1), Phase::Baseline);
-        let d = p.delayed_by(SimDuration::from_secs(5));
-        assert_eq!(d.segments()[0].offset, SimDuration::from_secs(5));
-        assert_eq!(d.total_duration(), SimDuration::from_secs(6));
-        assert_eq!(d.total_charge(), p.total_charge());
-    }
-
-    #[test]
     fn merge_overlays() {
         let mut base =
             CurrentProfile::constant(ma(10.0), SimDuration::from_secs(10), Phase::Baseline);
@@ -251,16 +221,5 @@ mod tests {
         let p = CurrentProfile::empty();
         assert_eq!(p.total_charge(), MicroAmpHours::ZERO);
         assert_eq!(p.total_duration(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn anchoring_produces_absolute_times() {
-        let p = CurrentProfile::builder()
-            .then(ma(1.0), SimDuration::from_secs(1), Phase::Baseline)
-            .then(ma(2.0), SimDuration::from_secs(1), Phase::Baseline)
-            .build();
-        let anchored: Vec<_> = p.anchored_at(SimTime::from_secs(100)).collect();
-        assert_eq!(anchored[0].0, SimTime::from_secs(100));
-        assert_eq!(anchored[1].0, SimTime::from_secs(101));
     }
 }

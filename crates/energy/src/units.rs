@@ -10,10 +10,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::SimDuration;
-use serde::{Deserialize, Serialize};
-
-/// The Power Monitor's constant supply voltage, in volts (§V-A).
-pub const SUPPLY_VOLTAGE: f64 = 3.7;
 
 /// Instantaneous current in milliamps.
 ///
@@ -27,12 +23,12 @@ pub const SUPPLY_VOLTAGE: f64 = 3.7;
 /// let charge = tail.over(SimDuration::from_secs(36));
 /// assert!((charge.as_micro_amp_hours() - 4300.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MilliAmps(f64);
 
 /// Integrated charge in micro-amp-hours (the paper's energy unit at fixed
 /// supply voltage).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct MicroAmpHours(f64);
 
 impl MilliAmps {
@@ -85,14 +81,6 @@ impl MicroAmpHours {
     /// The raw µAh value.
     pub fn as_micro_amp_hours(self) -> f64 {
         self.0
-    }
-
-    /// Energy in millijoules at the given supply voltage.
-    ///
-    /// `µAh → mAh /1000 → coulombs ×3.6 → joules ×V → mJ ×1000`, which
-    /// collapses to `mJ = µAh × 3.6 × V`.
-    pub fn to_millijoules(self, volts: f64) -> f64 {
-        self.0 * 3.6 * volts
     }
 
     /// Saturating subtraction: never goes below zero.
@@ -277,13 +265,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_charge_subtraction_panics() {
         let _ = MicroAmpHours::new(1.0) - MicroAmpHours::new(2.0);
-    }
-
-    #[test]
-    fn millijoule_conversion() {
-        // 1000 µAh at 3.7 V = 1 mAh × 3.6 C/mAh × 3.7 V = 13.32 J = 13320 mJ.
-        let e = MicroAmpHours::new(1000.0);
-        assert!((e.to_millijoules(SUPPLY_VOLTAGE) - 13_320.0).abs() < 1e-6);
     }
 
     #[test]

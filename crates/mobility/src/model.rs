@@ -16,12 +16,11 @@
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::position::Position;
 
 /// Axis-aligned rectangular area used to bound random-waypoint movement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bounds {
     /// Minimum corner (inclusive).
     pub min: Position,
@@ -90,7 +89,7 @@ impl Snap for Bounds {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Kind {
     Stationary,
     RandomWaypoint {
@@ -211,7 +210,7 @@ impl Snap for Kind {
 /// walker.advance_to(SimTime::from_secs(12), &mut rng);
 /// assert_eq!(walker.position(), Position::new(12.0, 0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mobility {
     position: Position,
     updated_at: SimTime,

@@ -4,7 +4,6 @@ use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use serde::{Deserialize, Serialize};
 
 /// A point in the 2-D simulation plane, in metres.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Position::new(3.0, 4.0);
 /// assert_eq!(a.distance_to(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// East–west coordinate in metres.
     pub x: f64,

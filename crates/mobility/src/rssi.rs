@@ -14,10 +14,9 @@
 //! good enough for *ranking* relays even when the absolute estimate is off.
 
 use hbr_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Received signal strength in dBm.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Rssi(pub f64);
 
 impl Rssi {
@@ -43,7 +42,7 @@ impl Rssi {
 /// let est = channel.estimate_distance(channel.rssi_at(5.0));
 /// assert!((est - 5.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLoss {
     /// Transmit power in dBm.
     pub tx_power_dbm: f64,

@@ -5,10 +5,10 @@
 //! 1. **Total, stable ordering.** Events fire in non-decreasing time order;
 //!    events scheduled for the same instant fire in the order they were
 //!    scheduled (FIFO), never in heap-internal order.
-//! 2. **Lazy cancellation.** [`Simulation::cancel`] marks an event dead in
-//!    O(log n) amortised without disturbing the heap; dead events are
-//!    skipped at pop time. This is how timers (feedback timeouts, RRC tail
-//!    timers, scheduler deadlines) are retracted.
+//! 2. **No cancellation.** Every scheduled event fires. The world
+//!    neutralises a stale timer when it fires: a relay's flush deadline
+//!    carries a generation stamp that must still match, and a feedback
+//!    sweep acts only on what the feedback tracker still holds.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -16,31 +16,13 @@ use std::collections::{BinaryHeap, HashSet};
 use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::{SimDuration, SimTime};
 
-/// Opaque handle to a scheduled event, used to [`cancel`](Simulation::cancel)
-/// it before it fires.
-///
-/// # Examples
-///
-/// ```
-/// use hbr_sim::{SimDuration, Simulation};
-///
-/// let mut sim = Simulation::new();
-/// let id = sim.schedule_after(SimDuration::from_secs(5), "timeout");
-/// assert!(sim.cancel(id));
-/// assert!(sim.pop().is_none());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
 /// An event returned by [`Simulation::pop`]: the payload plus the instant
-/// and handle it fired with.
+/// it fired at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FiredEvent<E> {
     /// The instant the event fired; equals [`Simulation::now`] right after
     /// the pop.
     pub time: SimTime,
-    /// The handle the event was scheduled under.
-    pub id: EventId,
     /// The scheduled payload.
     pub event: E,
 }
@@ -49,7 +31,6 @@ pub struct FiredEvent<E> {
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
-    id: EventId,
     event: E,
 }
 
@@ -102,10 +83,6 @@ pub struct Simulation<E> {
     now: SimTime,
     queue: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-    next_id: u64,
-    /// Ids currently sitting in `queue`, so `cancel` is O(1).
-    live: HashSet<EventId>,
-    cancelled: HashSet<EventId>,
 }
 
 impl<E> Default for Simulation<E> {
@@ -121,9 +98,6 @@ impl<E> Simulation<E> {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
             next_seq: 0,
-            next_id: 0,
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
         }
     }
 
@@ -139,14 +113,9 @@ impl<E> Simulation<E> {
         self.next_seq
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// Number of events still queued.
     pub fn pending(&self) -> usize {
-        self.live.len()
-    }
-
-    /// `true` when no live events remain.
-    pub fn is_idle(&self) -> bool {
-        self.pending() == 0
+        self.queue.len()
     }
 
     /// Schedules `event` to fire at the absolute instant `time`.
@@ -155,73 +124,37 @@ impl<E> Simulation<E> {
     ///
     /// Panics if `time` is earlier than [`Simulation::now`]: scheduling in
     /// the past is always a logic error in a discrete-event model.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         assert!(
             time >= self.now,
             "cannot schedule an event at {time} before the current time {now}",
             now = self.now
         );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Scheduled {
-            time,
-            seq,
-            id,
-            event,
-        });
-        self.live.insert(id);
-        id
+        self.queue.push(Scheduled { time, seq, event });
     }
 
     /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         let time = self.now.saturating_add(delay);
         self.schedule_at(time, event)
     }
 
-    /// Schedules `event` to fire at the current instant, after every event
-    /// already queued for this instant.
-    pub fn schedule_now(&mut self, event: E) -> EventId {
-        self.schedule_at(self.now, event)
-    }
-
-    /// Cancels a scheduled event. Returns `true` if the event was still
-    /// pending (and is now guaranteed never to fire), `false` if it had
-    /// already fired or been cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.live.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The firing time of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
-        self.queue.peek().map(|s| s.time)
-    }
-
-    /// Pops the next live event, advancing the clock to its firing time.
+    /// Pops the next event, advancing the clock to its firing time.
     /// Returns [`None`] when the queue is exhausted (the clock then stays
     /// where it is).
     pub fn pop(&mut self) -> Option<FiredEvent<E>> {
-        self.skip_cancelled();
         let scheduled = self.queue.pop()?;
         debug_assert!(scheduled.time >= self.now);
-        self.live.remove(&scheduled.id);
         self.now = scheduled.time;
         Some(FiredEvent {
             time: scheduled.time,
-            id: scheduled.id,
             event: scheduled.event,
         })
     }
 
-    /// Pops the next live event only if it fires at or before `limit`.
+    /// Pops the next event only if it fires at or before `limit`.
     ///
     /// Unlike [`Simulation::pop`], this never advances the clock past
     /// `limit`: when the next event is later (or absent) the clock is moved
@@ -244,7 +177,6 @@ impl<E> Simulation<E> {
     /// assert_eq!(sim.pending(), 1);
     /// ```
     pub fn pop_until(&mut self, limit: SimTime) -> Option<FiredEvent<E>> {
-        self.skip_cancelled();
         match self.queue.peek() {
             Some(s) if s.time <= limit => self.pop(),
             _ => {
@@ -258,7 +190,7 @@ impl<E> Simulation<E> {
 
     /// Runs the event loop until `limit`, dispatching each event to
     /// `handler`. The handler receives the simulation itself, so it can
-    /// schedule or cancel follow-up events.
+    /// schedule follow-up events.
     pub fn run_until<F>(&mut self, limit: SimTime, mut handler: F)
     where
         F: FnMut(&mut Self, FiredEvent<E>),
@@ -267,56 +199,21 @@ impl<E> Simulation<E> {
             handler(self, fired);
         }
     }
-
-    /// Live queue entries in deterministic (time, seq) order — the order
-    /// they would fire in. Cancelled entries are omitted, so a snapshot
-    /// never resurrects a retracted timer.
-    fn live_in_fire_order(&self) -> Vec<&Scheduled<E>> {
-        let mut entries: Vec<&Scheduled<E>> = self
-            .queue
-            .iter()
-            .filter(|s| self.live.contains(&s.id))
-            .collect();
-        entries.sort_by_key(|s| (s.time, s.seq));
-        entries
-    }
-
-    /// Drops cancelled entries sitting at the top of the heap so `peek`/
-    /// `pop` always observe a live event.
-    fn skip_cancelled(&mut self) {
-        while let Some(top) = self.queue.peek() {
-            if self.cancelled.remove(&top.id) {
-                self.queue.pop();
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-impl Snap for EventId {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.0);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(EventId(r.take_u64()?))
-    }
 }
 
 impl<E: Snap> Snap for Simulation<E> {
-    /// Serializes the clock, the id/seq counters and the live entries in
-    /// fire order. Cancelled events are dropped (they can never fire), so
-    /// the restored heap is the semantic queue, not the physical one.
+    /// Serializes the clock, the sequence counter and the queued entries
+    /// in fire order, so identical queues always produce identical bytes
+    /// whatever the heap's internal layout.
     fn snap(&self, w: &mut SnapshotWriter) {
         self.now.snap(w);
         w.put_u64(self.next_seq);
-        w.put_u64(self.next_id);
-        let entries = self.live_in_fire_order();
+        let mut entries: Vec<&Scheduled<E>> = self.queue.iter().collect();
+        entries.sort_by_key(|s| (s.time, s.seq));
         w.put_usize(entries.len());
         for s in entries {
             s.time.snap(w);
             w.put_u64(s.seq);
-            s.id.snap(w);
             s.event.snap(w);
         }
     }
@@ -324,7 +221,6 @@ impl<E: Snap> Snap for Simulation<E> {
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let now = SimTime::unsnap(r)?;
         let next_seq = r.take_u64()?;
-        let next_id = r.take_u64()?;
         let len = r.take_usize()?;
         if len > r.remaining() {
             return Err(SnapshotError::Corrupt(format!(
@@ -335,29 +231,22 @@ impl<E: Snap> Snap for Simulation<E> {
         let mut sim = Simulation::new();
         sim.now = now;
         sim.next_seq = next_seq;
-        sim.next_id = next_id;
+        let mut seqs = HashSet::with_capacity(len);
         for _ in 0..len {
             let time = SimTime::unsnap(r)?;
             let seq = r.take_u64()?;
-            let id = EventId::unsnap(r)?;
             let event = E::unsnap(r)?;
-            if time < now || seq >= next_seq || id.0 >= next_id {
+            if time < now || seq >= next_seq {
                 return Err(SnapshotError::Corrupt(
                     "queued event outside clock/counter bounds".to_string(),
                 ));
             }
-            if !sim.live.insert(id) {
+            if !seqs.insert(seq) {
                 return Err(SnapshotError::Corrupt(format!(
-                    "duplicate queued event id {}",
-                    id.0
+                    "duplicate queued event seq {seq}"
                 )));
             }
-            sim.queue.push(Scheduled {
-                time,
-                seq,
-                id,
-                event,
-            });
+            sim.queue.push(Scheduled { time, seq, event });
         }
         Ok(sim)
     }
@@ -400,42 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_firing() {
-        let mut sim = Simulation::new();
-        let keep = sim.schedule_at(SimTime::from_secs(1), "keep");
-        let drop = sim.schedule_at(SimTime::from_secs(2), "drop");
-        assert!(sim.cancel(drop));
-        assert!(!sim.cancel(drop), "double cancel reports false");
-        let fired = sim.pop().unwrap();
-        assert_eq!(fired.id, keep);
-        assert!(sim.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false() {
-        let mut sim = Simulation::new();
-        let id = sim.schedule_at(SimTime::from_secs(1), ());
-        sim.pop();
-        assert!(!sim.cancel(id));
-    }
-
-    #[test]
-    fn cancel_unknown_id_is_false() {
-        let mut sim: Simulation<()> = Simulation::new();
-        assert!(!sim.cancel(EventId(42)));
-    }
-
-    #[test]
     fn pending_counts_live_events() {
         let mut sim = Simulation::new();
-        let a = sim.schedule_at(SimTime::from_secs(1), ());
+        sim.schedule_at(SimTime::from_secs(1), ());
         sim.schedule_at(SimTime::from_secs(2), ());
         assert_eq!(sim.pending(), 2);
-        sim.cancel(a);
-        assert_eq!(sim.pending(), 1);
-        assert!(!sim.is_idle());
         sim.pop();
-        assert!(sim.is_idle());
+        assert_eq!(sim.pending(), 1);
+        sim.pop();
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]
@@ -480,14 +342,5 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(5), ());
         sim.pop();
         sim.schedule_at(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut sim = Simulation::new();
-        let first = sim.schedule_at(SimTime::from_secs(1), ());
-        sim.schedule_at(SimTime::from_secs(2), ());
-        sim.cancel(first);
-        assert_eq!(sim.peek_time(), Some(SimTime::from_secs(2)));
     }
 }

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one simulated smartphone across all subsystems.
 ///
 /// # Examples
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_ne!(relay, ue);
 /// assert_eq!(format!("{relay}"), "dev#0");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DeviceId(u32);
 
 impl DeviceId {

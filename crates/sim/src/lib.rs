@@ -9,7 +9,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a microsecond-resolution virtual clock.
 //! * [`Simulation`] — a priority event queue with stable FIFO ordering for
-//!   simultaneous events and lazy cancellation.
+//!   simultaneous events. It has no cancellation: the world's guards
+//!   (generation stamps, tracker lookups) neutralise stale timers when
+//!   they fire.
 //! * [`SimRng`] — a seedable random number generator wrapper so that a
 //!   scenario seed reproduces the exact same trace, run after run.
 //! * [`stats`] — tiny summary-statistics helpers shared by the reports.
@@ -49,13 +51,13 @@ pub mod telemetry;
 pub mod time;
 pub mod trace;
 
-pub use engine::{EventId, FiredEvent, Simulation};
+pub use engine::{FiredEvent, Simulation};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use ids::DeviceId;
 pub use rng::SimRng;
 pub use snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter, FORMAT_VERSION};
 pub use spans::{Span, SpanEvent, SpanRecord, SpanRecorder};
-pub use stats::{Counter, Summary};
+pub use stats::Summary;
 pub use telemetry::{
     EventLog, EventRecord, Histogram, MetricsRegistry, MetricsSnapshot, Telemetry, TelemetryEvent,
 };

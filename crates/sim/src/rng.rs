@@ -127,12 +127,6 @@ impl SimRng {
             Some(&items[idx])
         }
     }
-
-    /// Mutable access to the underlying [`rand`] generator for
-    /// distributions this wrapper does not cover.
-    pub fn inner_mut(&mut self) -> &mut StdRng {
-        &mut self.inner
-    }
 }
 
 impl Snap for SimRng {

@@ -3,10 +3,10 @@
 //! The checkpoint/restore layer (PR 10) needs to freeze every piece of
 //! live engine state — event queues, RNG stream positions, protocol
 //! ledgers, radio state machines — and rebuild it byte-for-byte later,
-//! possibly in a different process. The vendored serde stub has no-op
-//! derives, so the format is hand-rolled: a [`Snap`] trait pair
-//! ([`Snap::snap`] writes, [`Snap::unsnap`] reads) over a fixed-width
-//! little-endian wire format with explicit length prefixes.
+//! possibly in a different process. The format is hand-rolled: a
+//! [`Snap`] trait pair ([`Snap::snap`] writes, [`Snap::unsnap`] reads)
+//! over a fixed-width little-endian wire format with explicit length
+//! prefixes.
 //!
 //! # Format rules
 //!
@@ -34,8 +34,8 @@ use crate::time::{SimDuration, SimTime};
 
 /// Version stamped into every snapshot header. Bump on ANY wire-format
 /// change — CI carries a gate that fails when the format fingerprint
-/// changes without a bump (see `tests/snapshot_roundtrip.rs`).
-pub const FORMAT_VERSION: u32 = 1;
+/// changes without a bump (see `tests/snapshot_format.rs`).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic prefix of a per-scenario snapshot.
 pub const SCENARIO_MAGIC: [u8; 8] = *b"HBRSNAP\0";

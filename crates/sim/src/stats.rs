@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Online summary of a stream of `f64` samples: count, sum, min, max,
@@ -25,7 +23,7 @@ use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 /// assert_eq!(s.max(), Some(3.0));
 /// assert_eq!(s.variance(), Some(2.0 / 3.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     sum: f64,
@@ -181,59 +179,6 @@ impl FromIterator<f64> for Summary {
     }
 }
 
-/// A named monotonically increasing counter, used for tallies such as
-/// "layer-3 messages" or "expired heartbeats".
-///
-/// # Examples
-///
-/// ```
-/// use hbr_sim::Counter;
-///
-/// let mut rrc = Counter::default();
-/// rrc.add(3);
-/// rrc.incr();
-/// assert_eq!(rrc.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl Snap for Counter {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.0);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Counter(r.take_u64()?))
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,14 +260,5 @@ mod tests {
             .into_iter()
             .collect();
         assert!((s.variance().unwrap() - 22.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(format!("{c}"), "10");
     }
 }

@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of microseconds in one second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
@@ -29,9 +27,7 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 /// assert_eq!(t + SimDuration::from_secs(30), SimTime::from_secs(300));
 /// assert_eq!(t.as_secs_f64(), 270.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in whole microseconds.
@@ -45,9 +41,7 @@ pub struct SimTime(u64);
 /// assert_eq!(period * 2, SimDuration::from_secs(540));
 /// assert_eq!(period / 2, SimDuration::from_secs(135));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -1,6 +1,8 @@
 //! Property-based tests for the event engine and clock types.
 
-use hbr_sim::{SimDuration, SimTime, Simulation, Summary};
+use hbr_sim::{
+    SimDuration, SimTime, Simulation, Snap, SnapshotError, SnapshotReader, SnapshotWriter, Summary,
+};
 use proptest::prelude::*;
 
 /// Bounded, NaN-free samples for `Summary` properties.
@@ -33,6 +35,68 @@ fn assert_close(a: &Summary, b: &Summary) {
         a.variance(),
         b.variance()
     );
+}
+
+/// Pops every remaining event, in firing order.
+fn drain(sim: &mut Simulation<u64>) -> Vec<(SimTime, u64)> {
+    std::iter::from_fn(|| sim.pop())
+        .map(|f| (f.time, f.event))
+        .collect()
+}
+
+/// Reads one whole engine snapshot.
+fn restore(bytes: &[u8]) -> Result<Simulation<u64>, SnapshotError> {
+    let mut r = SnapshotReader::new(bytes);
+    let sim = Simulation::unsnap(&mut r)?;
+    r.finish()?;
+    Ok(sim)
+}
+
+/// Writes `sim`'s snapshot and reads it back.
+fn round_trip(sim: &Simulation<u64>) -> Result<Simulation<u64>, SnapshotError> {
+    let mut w = SnapshotWriter::new();
+    sim.snap(&mut w);
+    restore(&w.into_bytes())
+}
+
+/// A hand-built engine snapshot in the wire layout: the clock, the
+/// sequence counter, then `(time, seq, event)` per queued entry.
+fn engine_bytes(now: u64, next_seq: u64, entries: &[(u64, u64, u64)]) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    SimTime::from_micros(now).snap(&mut w);
+    w.put_u64(next_seq);
+    w.put_usize(entries.len());
+    for &(time, seq, event) in entries {
+        SimTime::from_micros(time).snap(&mut w);
+        w.put_u64(seq);
+        w.put_u64(event);
+    }
+    w.into_bytes()
+}
+
+/// A snapshot is outside input: a queue that could never have been
+/// written restores as a typed `Corrupt` error, not a broken engine.
+#[test]
+fn corrupt_engine_queues_are_typed_errors() {
+    let valid = engine_bytes(10, 3, &[(10, 1, 7), (12, 2, 8)]);
+    let sim = restore(&valid).expect("a well-formed queue restores");
+    assert_eq!((sim.now(), sim.pending()), (SimTime::from_micros(10), 2));
+    for (why, bytes) in [
+        ("event before the clock", engine_bytes(10, 3, &[(9, 1, 7)])),
+        (
+            "seq not below the counter",
+            engine_bytes(10, 3, &[(10, 3, 7)]),
+        ),
+        (
+            "duplicate seq",
+            engine_bytes(10, 3, &[(10, 1, 7), (12, 1, 8)]),
+        ),
+    ] {
+        match restore(&bytes) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => panic!("{why}: expected Corrupt, got {other:?}"),
+        }
+    }
 }
 
 proptest! {
@@ -73,60 +137,51 @@ proptest! {
         }
     }
 
-    /// Cancelling a random subset of events removes exactly those events.
+    /// pending() always equals scheduled − fired.
     #[test]
-    fn cancellation_is_exact(
-        times in proptest::collection::vec(0u64..10_000, 1..100),
-        kill_mask in proptest::collection::vec(any::<bool>(), 1..100),
-    ) {
+    fn pending_is_consistent(ops in proptest::collection::vec(0u8..2, 1..300)) {
         let mut sim = Simulation::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, sim.schedule_at(SimTime::from_micros(t), i)))
-            .collect();
-        let mut killed = std::collections::HashSet::new();
-        for (i, id) in &ids {
-            if *kill_mask.get(*i % kill_mask.len()).unwrap_or(&false) {
-                prop_assert!(sim.cancel(*id));
-                killed.insert(*i);
-            }
-        }
-        let mut fired = std::collections::HashSet::new();
-        while let Some(ev) = sim.pop() {
-            fired.insert(ev.event);
-        }
-        prop_assert_eq!(fired.len() + killed.len(), times.len());
-        prop_assert!(fired.is_disjoint(&killed));
-    }
-
-    /// pending() always equals scheduled − fired − cancelled.
-    #[test]
-    fn pending_is_consistent(ops in proptest::collection::vec(0u8..3, 1..300)) {
-        let mut sim = Simulation::new();
-        let mut ids = Vec::new();
         let mut live = 0i64;
         for (i, op) in ops.iter().enumerate() {
-            match op {
-                0 => {
-                    ids.push(sim.schedule_after(SimDuration::from_micros(i as u64 + 1), i));
-                    live += 1;
-                }
-                1 => {
-                    if let Some(id) = ids.pop() {
-                        if sim.cancel(id) {
-                            live -= 1;
-                        }
-                    }
-                }
-                _ => {
-                    if sim.pop().is_some() {
-                        live -= 1;
-                    }
-                }
+            if *op == 0 {
+                sim.schedule_after(SimDuration::from_micros(i as u64 + 1), i);
+                live += 1;
+            } else if sim.pop().is_some() {
+                live -= 1;
             }
             prop_assert_eq!(sim.pending() as i64, live);
         }
+    }
+
+    /// A `snap` → `unsnap` round trip mid-run is invisible: after any
+    /// schedule/pop interleaving, the restored engine has the same clock
+    /// and counters as the uninterrupted one and fires the same remaining
+    /// `(time, event)` sequence — including FIFO order among ties with
+    /// events scheduled after the restore.
+    #[test]
+    fn snapshot_round_trip_resumes_the_same_schedule(
+        ops in proptest::collection::vec((0u8..3, 0u64..40), 0..200),
+        later in proptest::collection::vec(0u64..40, 0..30),
+    ) {
+        let mut sim = Simulation::new();
+        for (i, &(op, delay)) in ops.iter().enumerate() {
+            if op < 2 {
+                sim.schedule_after(SimDuration::from_micros(delay), i as u64);
+            } else {
+                sim.pop();
+            }
+        }
+        let mut restored = round_trip(&sim).expect("an engine's own snapshot restores");
+        prop_assert_eq!(restored.now(), sim.now());
+        prop_assert_eq!(restored.pending(), sim.pending());
+        prop_assert_eq!(restored.scheduled_total(), sim.scheduled_total());
+        for (j, &delay) in later.iter().enumerate() {
+            let event = 1_000 + j as u64;
+            sim.schedule_after(SimDuration::from_micros(delay), event);
+            restored.schedule_after(SimDuration::from_micros(delay), event);
+        }
+        prop_assert_eq!(restored.scheduled_total(), sim.scheduled_total());
+        prop_assert_eq!(drain(&mut restored), drain(&mut sim));
     }
 
     /// Duration arithmetic round-trips through seconds within one microsecond.

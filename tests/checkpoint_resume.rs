@@ -300,6 +300,26 @@ fn corrupt_and_truncated_checkpoints_are_typed_errors_not_panics() {
         let _ = load_checkpoint(&scratch);
     }
 
+    // A config envelope that no run could have written is refused
+    // before anything is built from it: no phones, more relays than
+    // phones, and an hour count or push interval (bytes 52–60) whose
+    // microsecond total overflows the clock.
+    for (at, value) in [
+        (12, 0u64),
+        (20, 1_000),
+        (28, u64::MAX / 1_000),
+        (52, u64::MAX / 1_000),
+    ] {
+        let mut bad = good.clone();
+        bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        fs::write(&scratch, &bad).unwrap();
+        assert!(
+            matches!(load_checkpoint(&scratch), Err(SnapshotError::Corrupt(_))),
+            "config bytes {at}..{} set to {value} must be refused",
+            at + 8
+        );
+    }
+
     // Magic and version damage yield their specific errors.
     let mut bad = good.clone();
     bad[0] ^= 0xff;
