@@ -53,7 +53,7 @@ use hbr_sim::snapshot::{
     write_atomic, Snap, SnapshotError, SnapshotReader, SnapshotWriter, CROWD_MAGIC, FORMAT_VERSION,
 };
 use hbr_sim::spans::SpanRecorder;
-use hbr_sim::telemetry::{EventRecord, MetricsRegistry, TelemetryEvent};
+use hbr_sim::telemetry::{Telemetry, TelemetryEvent};
 use hbr_sim::{DeviceId, SimDuration, SimTime};
 
 use crate::profile::{CrowdProfile, Profiler};
@@ -90,7 +90,8 @@ pub struct CrowdConfig {
     /// Deterministic fault schedule; global faults reach every cell,
     /// device-targeted faults are routed to the owning cell.
     pub faults: FaultPlan,
-    /// Per-cell trace ring capacity (0 disables tracing).
+    /// Per-cell trace capacity: each cell keeps its newest this-many
+    /// typed events (0 disables tracing).
     pub trace_capacity: usize,
     /// Record metrics and events.
     pub telemetry: bool,
@@ -133,12 +134,6 @@ struct Cell {
     scenario: Option<Scenario>,
     report: Option<ScenarioReport>,
     global_ids: Vec<u32>,
-}
-
-/// What the barrier leader accumulates across epochs.
-struct FleetLog {
-    metrics: MetricsRegistry,
-    events: Vec<EventRecord>,
 }
 
 /// A cell's staged checkpoint contribution — its fleet-global id map
@@ -323,7 +318,7 @@ fn cell_setups(config: &CrowdConfig, duration: SimDuration) -> Vec<(ScenarioConf
 struct ResumeState {
     epochs_done: u64,
     cells: Vec<Cell>,
-    fleet: FleetLog,
+    fleet: Telemetry,
 }
 
 /// The sharded run behind every public entry point. With a profiler
@@ -348,11 +343,7 @@ fn run_crowd_inner(
                     global_ids,
                 })
                 .collect();
-            let fleet = FleetLog {
-                metrics: MetricsRegistry::enabled(),
-                events: Vec::new(),
-            };
-            (0, cells, fleet)
+            (0, cells, Telemetry::new(config.telemetry, 0))
         }
     };
 
@@ -407,7 +398,6 @@ fn run_crowd_inner(
             let barrier = &barrier;
             let boundaries = &boundaries;
             let manifests = &manifests;
-            let telemetry = config.telemetry;
             let roam = config.roam;
             let stop = &stop;
             let completed = &completed;
@@ -472,44 +462,21 @@ fn run_crowd_inner(
                         if let Some(on_epoch) = controls.on_epoch {
                             on_epoch(epoch as u64 + 1, &fleet);
                         }
-                        if telemetry {
-                            let mut log = fleet_log.lock().expect("fleet lock");
-                            log.metrics
-                                .set_gauge("hbr_fleet_forwards", fleet.forwards as f64);
-                            log.metrics
-                                .set_gauge("hbr_fleet_fallbacks", fleet.fallbacks as f64);
-                            log.metrics
-                                .set_gauge("hbr_fleet_outage_queued", fleet.outage_queued as f64);
-                            log.metrics.set_gauge("hbr_fleet_l3", fleet.l3 as f64);
-                            log.metrics
-                                .set_gauge("hbr_fleet_delivered", fleet.delivered as f64);
-                            log.metrics
-                                .set_gauge("hbr_fleet_retries", fleet.retries as f64);
-                            log.metrics.incr("hbr_fleet_epochs_total");
-                            if roam {
-                                log.metrics
-                                    .set_gauge("hbr_fleet_migrations", fleet.migrations as f64);
-                                log.metrics.set_gauge(
-                                    "hbr_fleet_lte_handovers",
-                                    fleet.lte_handovers as f64,
-                                );
-                            }
-                            log.events.push(EventRecord {
-                                time: limit,
-                                event: TelemetryEvent::FleetPulse {
-                                    epoch: epoch as u32,
-                                    cells: snapshot.len() as u32,
-                                    forwards: fleet.forwards,
-                                    fallbacks: fleet.fallbacks,
-                                    outage_queued: fleet.outage_queued,
-                                    l3: fleet.l3,
-                                    delivered: fleet.delivered,
-                                    retries: fleet.retries,
-                                    migrations: roam.then_some(fleet.migrations),
-                                    lte_handovers: roam.then_some(fleet.lte_handovers),
-                                },
-                            });
-                        }
+                        fleet_log.lock().expect("fleet lock").record(
+                            limit,
+                            TelemetryEvent::FleetPulse {
+                                epoch: epoch as u32,
+                                cells: snapshot.len() as u32,
+                                forwards: fleet.forwards,
+                                fallbacks: fleet.fallbacks,
+                                outage_queued: fleet.outage_queued,
+                                l3: fleet.l3,
+                                delivered: fleet.delivered,
+                                retries: fleet.retries,
+                                migrations: roam.then_some(fleet.migrations),
+                                lte_handovers: roam.then_some(fleet.lte_handovers),
+                            },
+                        );
                     }
                     // Apply this epoch's migration manifests to the
                     // cells this worker carries: scan source cells in
@@ -625,7 +592,7 @@ fn run_crowd_inner(
 
     let fleet_log = fleet_log.into_inner().expect("fleet lock");
     let outcome = CrowdOutcome {
-        report: merge_reports(cells, fleet_log, config.telemetry),
+        report: merge_reports(cells, fleet_log),
         epochs_done: completed.load(Ordering::SeqCst),
         truncated: stop.load(Ordering::SeqCst),
     };
@@ -678,23 +645,19 @@ fn retarget(kind: hbr_sim::fault::FaultKind, local: DeviceId) -> hbr_sim::fault:
 
 /// Folds the finished cells (in cell order) plus the fleet log into one
 /// report shaped exactly like an unsharded [`ScenarioReport`].
-fn merge_reports(cells: Vec<Cell>, fleet_log: FleetLog, telemetry: bool) -> ScenarioReport {
+fn merge_reports(cells: Vec<Cell>, fleet_log: Telemetry) -> ScenarioReport {
     let mut reports: Vec<(Vec<u32>, ScenarioReport)> = cells
         .into_iter()
         .map(|c| (c.global_ids, c.report.expect("cell finished")))
         .collect();
 
-    let metrics = if telemetry {
-        let fleet_snapshot = fleet_log.metrics.snapshot();
-        crate::merge_snapshots(
-            reports
-                .iter()
-                .map(|(_, r)| &r.metrics)
-                .chain(std::iter::once(&fleet_snapshot)),
-        )
-    } else {
-        Default::default()
-    };
+    let fleet_snapshot = fleet_log.metrics.snapshot();
+    let metrics = crate::merge_snapshots(
+        reports
+            .iter()
+            .map(|(_, r)| &r.metrics)
+            .chain(std::iter::once(&fleet_snapshot)),
+    );
 
     let mut merged = ScenarioReport {
         devices: Vec::new(),
@@ -743,7 +706,6 @@ fn merge_reports(cells: Vec<Cell>, fleet_log: FleetLog, telemetry: bool) -> Scen
                 .get_or_insert_with(Default::default)
                 .absorb(cell_delivery);
         }
-        merged.trace.append(&mut report.trace);
         for (row, mut device_report) in report.devices.drain(..).enumerate() {
             let global = global_ids[row];
             device_report.device = DeviceId::new(global);
@@ -756,11 +718,18 @@ fn merge_reports(cells: Vec<Cell>, fleet_log: FleetLog, telemetry: bool) -> Scen
                 }
             }
         }
-        for mut record in report.events.drain(..) {
-            record
-                .event
-                .remap_devices(|local| global_ids[local as usize]);
-            merged.events.push(record);
+        // Events and the trace carry cell-local device ids: remap them
+        // to fleet-global ones.
+        for (merged_records, records) in [
+            (&mut merged.events, &mut report.events),
+            (&mut merged.trace, &mut report.trace),
+        ] {
+            for mut record in records.drain(..) {
+                record
+                    .event
+                    .remap_devices(|local| global_ids[local as usize]);
+                merged_records.push(record);
+            }
         }
         // Spans merge exactly like events: remap cell-local device ids
         // to fleet-global ones, then append in cell order. The span
@@ -770,7 +739,7 @@ fn merge_reports(cells: Vec<Cell>, fleet_log: FleetLog, telemetry: bool) -> Scen
         spans.remap_devices(|local| global_ids[local as usize]);
         merged.spans.extend(spans);
     }
-    merged.events.extend(fleet_log.events);
+    merged.events.extend(fleet_log.events.into_records());
     merged.devices = rows.into_values().collect();
     // Gauges merge by addition, which suits the additive ones (energy,
     // false-dead seconds, in-flight heartbeats) but not a ratio: the
@@ -896,14 +865,13 @@ fn write_checkpoint(
     config: &CrowdConfig,
     epochs_done: u64,
     cells: &[(Vec<u32>, Vec<u8>)],
-    fleet: &FleetLog,
+    fleet: &Telemetry,
 ) -> Result<(), SnapshotError> {
     std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
     let mut w = SnapshotWriter::with_header(CROWD_MAGIC);
     snap_crowd_config(config, &mut w);
     w.put_u64(epochs_done);
-    fleet.metrics.snap(&mut w);
-    fleet.events.snap(&mut w);
+    fleet.snap(&mut w);
     w.put_u64(cells.len() as u64);
     for (global_ids, blob) in cells {
         global_ids.snap(&mut w);
@@ -941,8 +909,7 @@ pub struct CrowdCheckpoint {
     pub config: CrowdConfig,
     /// Epoch barriers the interrupted run completed.
     pub epochs_done: u64,
-    metrics: MetricsRegistry,
-    events: Vec<EventRecord>,
+    fleet: Telemetry,
     cells: Vec<(Vec<u32>, Vec<u8>)>,
 }
 
@@ -979,8 +946,7 @@ pub fn load_checkpoint(path: &Path) -> Result<CrowdCheckpoint, SnapshotError> {
             "epochs done {epochs_done} of {EPOCHS}"
         )));
     }
-    let metrics = MetricsRegistry::unsnap(&mut r)?;
-    let events = Vec::unsnap(&mut r)?;
+    let fleet = Telemetry::unsnap(&mut r)?;
     let n = r.take_u64()? as usize;
     if n > r.remaining() {
         return Err(SnapshotError::Corrupt(format!("cell count {n}")));
@@ -995,8 +961,7 @@ pub fn load_checkpoint(path: &Path) -> Result<CrowdCheckpoint, SnapshotError> {
     Ok(CrowdCheckpoint {
         config,
         epochs_done,
-        metrics,
-        events,
+        fleet,
         cells,
     })
 }
@@ -1037,10 +1002,7 @@ pub fn resume_crowd(
     let resume = ResumeState {
         epochs_done: checkpoint.epochs_done,
         cells,
-        fleet: FleetLog {
-            metrics: checkpoint.metrics,
-            events: checkpoint.events,
-        },
+        fleet: checkpoint.fleet,
     };
     Ok(run_crowd_inner(&config, None, controls, Some(resume)).0)
 }

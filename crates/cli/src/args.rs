@@ -97,8 +97,10 @@ USAGE:
                                     power-loss fault the kill-resume
                                     harness drives; engine control, not
                                     part of the simulated fault plan
-        --trace N keeps the last N trace entries and prints how many
-        were evicted.
+        --trace N keeps every cell's newest N typed events (the records
+        --events-out writes, whether or not it is given) and prints how
+        many were kept and evicted; an invariant violation prints them
+        as JSONL.
 
     hbr serve [same flags as crowd] --checkpoint-dir DIR
         Resident mode: run the crowd as a long-lived foreground service
@@ -231,7 +233,7 @@ pub struct CrowdArgs {
     pub mode: CrowdMode,
     /// Deterministic fault schedule (empty = clean run).
     pub faults: FaultPlan,
-    /// Trace ring-buffer capacity (0 disables tracing).
+    /// Per-cell trace capacity in typed events (0 disables tracing).
     pub trace: usize,
     /// Worker threads for the sharded engine (None = auto).
     pub shards: Option<usize>,

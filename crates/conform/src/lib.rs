@@ -16,7 +16,7 @@
 //!   declaration-order tie-breaks, quiescence, and the
 //!   [`run_reproducible`] double-run gate.
 //! * [`stack`] — a component-level [`System`]: real scheduler, ledger,
-//!   feedback tracker, server, tracer and invariant checker behind a
+//!   feedback tracker, server and invariant checker behind a
 //!   scripted dummy relay.
 //! * [`world`] — the full event-driven engine behind the same facade,
 //!   with mid-run fault injection

@@ -4,8 +4,7 @@
 //! One UE (the source), one **dummy relay** wrapping the real
 //! [`MessageScheduler`] (Algorithm 1 decides flushes; the script only
 //! decides whether transfers reach it), and the real [`ImServer`],
-//! [`DeliveryLedger`], [`FeedbackTracker`], [`Tracer`] and
-//! [`InvariantChecker`]. Time is a virtual clock: `advance_to` fires
+//! [`DeliveryLedger`], [`FeedbackTracker`] and [`InvariantChecker`]. Time is a virtual clock: `advance_to` fires
 //! the due feedback deadlines, ledger retries and scheduler flushes in
 //! time order, with a fixed tie order (feedback sweep, then retries,
 //! then flushes) so every run is deterministic.
@@ -24,7 +23,7 @@ use hbr_core::{
     ScheduleDecision,
 };
 use hbr_sim::fault::retry_stream_seed;
-use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime, Tracer};
+use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
 
 use crate::dag::System;
 
@@ -87,21 +86,6 @@ pub enum Stim {
     /// Re-delivers the exact last emitted copy (same message id) to the
     /// server — the id dedup layer must swallow it.
     RedeliverLastCopy,
-    /// Records a raw trace entry with an explicit (possibly
-    /// non-monotone) stamp — models a handler acting at a transfer's
-    /// completion instant behind an already-recorded later entry.
-    Mark {
-        /// The raw stamp, deliberately allowed to run backwards.
-        at: SimTime,
-    },
-    /// Registers a `[from, to)` window; at quiescence the harness
-    /// compares `Tracer::between` against a linear scan over it.
-    ProbeWindow {
-        /// Window start (inclusive).
-        from: SimTime,
-        /// Window end (exclusive).
-        to: SimTime,
-    },
 }
 
 /// Tunables for one scripted stack.
@@ -176,11 +160,6 @@ pub struct StackSnapshot {
     /// Retries the ledger planned *past* `liveness_deadline − margin` —
     /// must be empty (the PR 5 liveness-budget fix).
     pub retry_violations: Vec<String>,
-    /// `true` iff the tracer ring is non-decreasing in time.
-    pub trace_sorted: bool,
-    /// Probe windows where `Tracer::between` disagreed with a linear
-    /// scan — must be empty (the PR 5 clamp fix).
-    pub probe_mismatches: Vec<String>,
     /// Presence gap for the UE session over `[0, now]`, seconds.
     pub offline_secs: f64,
 }
@@ -240,14 +219,12 @@ pub struct StackHarness {
     feedback: FeedbackTracker,
     retry_rng: SimRng,
     server: ImServer,
-    tracer: Tracer,
     checker: InvariantChecker,
     recorder: Recorder,
     fallbacks: u64,
     confirmed: u64,
     last_emitted: Option<Heartbeat>,
     outcomes: Vec<String>,
-    probes: Vec<(SimTime, SimTime)>,
     /// How much of the recorder log has already been folded into
     /// returned event lines (reproducibility surface).
     hook_cursor: usize,
@@ -276,14 +253,12 @@ impl StackHarness {
             relay_mode: RelayMode::Accepting,
             ledger: DeliveryLedger::new(),
             server,
-            tracer: Tracer::with_capacity(64),
             checker,
             recorder: Recorder::default(),
             fallbacks: 0,
             confirmed: 0,
             last_emitted: None,
             outcomes: Vec::new(),
-            probes: Vec::new(),
             hook_cursor: 0,
         }
     }
@@ -305,8 +280,9 @@ impl StackHarness {
         let outcome = self.server.deliver_observed(&hb, at);
         self.outcomes.push(format!("seq{}:{outcome}", hb.seq));
         if audited {
+            // The harness traces nothing: its DAG event log is the story.
             self.checker
-                .on_delivery(&hb, at, outcome == DeliveryOutcome::Accepted, &self.tracer);
+                .on_delivery(&hb, at, outcome == DeliveryOutcome::Accepted, &[]);
             if self.ledger.entry(hb.id).is_some() {
                 match outcome {
                     DeliveryOutcome::Accepted => self.ledger.server_acked(hb.id),
@@ -322,8 +298,6 @@ impl StackHarness {
 
     fn cellular_fallback(&mut self, hb: Heartbeat, at: SimTime) -> DeliveryOutcome {
         self.fallbacks += 1;
-        self.tracer
-            .record(at, "fallback", format!("seq {}", hb.seq));
         self.deliver_to_server(hb, at, true)
     }
 
@@ -440,7 +414,6 @@ impl System for StackHarness {
                 self.checker.on_emitted(&hb);
                 self.ledger.track(hb);
                 self.last_emitted = Some(hb);
-                self.tracer.record(at, "emit", format!("seq {seq}"));
                 self.try_forward(hb, at)
             }
             Stim::Relay(mode) => {
@@ -487,14 +460,6 @@ impl System for StackHarness {
                 let outcome = self.deliver_to_server(last, at, true);
                 format!("redelivered same copy: {outcome}")
             }
-            Stim::Mark { at: raw } => {
-                self.tracer.record(*raw, "mark", "scripted");
-                format!("marked raw stamp {raw}")
-            }
-            Stim::ProbeWindow { from, to } => {
-                self.probes.push((*from, *to));
-                format!("probe window [{from}, {to})")
-            }
         };
         // Fold freshly observed hook steps into the logged line so they
         // are part of the byte-reproducibility surface.
@@ -520,11 +485,6 @@ impl System for StackHarness {
             let expired = self.feedback.take_expired(due);
             if !expired.is_empty() {
                 for pending in expired {
-                    self.tracer.record(
-                        due,
-                        "feedback-timeout",
-                        format!("seq {}", pending.heartbeat.seq),
-                    );
                     if self.ledger.entry(pending.heartbeat.id).is_some() {
                         self.recover(pending.heartbeat, due);
                     }
@@ -534,7 +494,6 @@ impl System for StackHarness {
             let due_retries = self.ledger.take_due(due);
             if !due_retries.is_empty() {
                 for hb in due_retries {
-                    self.tracer.record(due, "retry", format!("seq {}", hb.seq));
                     self.try_forward(hb, due);
                 }
                 continue;
@@ -570,7 +529,7 @@ impl System for StackHarness {
         surviving.extend(self.scheduler.buffered().map(|hb| hb.id));
         surviving.extend(self.feedback.pending_ids());
         surviving.extend(self.ledger.in_flight_ids());
-        self.checker.on_finish(&surviving, &self.tracer);
+        self.checker.on_finish(&surviving, &[]);
 
         let margin = FeedbackTracker::RESCUE_MARGIN;
         let retry_violations = self
@@ -588,27 +547,12 @@ impl System for StackHarness {
             })
             .collect();
 
-        let times: Vec<SimTime> = self.tracer.iter().map(|e| e.time).collect();
-        let trace_sorted = times.windows(2).all(|w| w[0] <= w[1]);
-        let probe_mismatches = self
-            .probes
-            .iter()
-            .filter_map(|&(from, to)| {
-                let fast = self.tracer.between(from, to).count();
-                let slow = times.iter().filter(|&&t| t >= from && t < to).count();
-                (fast != slow)
-                    .then(|| format!("between({from}, {to}) = {fast}, linear scan = {slow}"))
-            })
-            .collect();
-
         StackSnapshot {
             view: self.view(),
             audit: self.checker.delivery_audit(),
             hook_log: std::mem::take(&mut self.recorder.log),
             outcomes: self.outcomes.clone(),
             retry_violations,
-            trace_sorted,
-            probe_mismatches,
             offline_secs: self
                 .server
                 .offline_time(self.source, self.app, SimTime::ZERO, self.now)

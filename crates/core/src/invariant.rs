@@ -23,15 +23,17 @@
 //! byte-for-byte results. It is on by default in debug builds (i.e. for
 //! every workspace test) and off in release experiment binaries unless
 //! the `HBR_CHECK_INVARIANTS` env var enables it ("0" force-disables).
-//! Violations panic, carrying the scenario's recent [`Tracer`] window so
-//! the failing run explains itself.
+//! Violations panic, carrying the scenario's trace — its newest typed
+//! events, formatted as JSONL only at the moment of the panic — so the
+//! failing run explains itself.
 
 use std::collections::{HashMap, HashSet};
 
 use hbr_apps::{Heartbeat, MessageId};
 use hbr_cellular::RrcState;
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{DeviceId, SimTime, Tracer};
+use hbr_sim::telemetry::EventRecord;
+use hbr_sim::{DeviceId, SimTime};
 
 /// What the message ledger knows about one emitted heartbeat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,8 +146,15 @@ impl InvariantChecker {
     }
 
     /// Records a delivery attempt at an IM server: `accepted` is the
-    /// server's verdict at instant `at`.
-    pub fn on_delivery(&mut self, hb: &Heartbeat, at: SimTime, accepted: bool, tracer: &Tracer) {
+    /// server's verdict at instant `at`. `trace` is the scenario's
+    /// trace, reported if the check fails (as in every check below).
+    pub fn on_delivery(
+        &mut self,
+        hb: &Heartbeat,
+        at: SimTime,
+        accepted: bool,
+        trace: &[EventRecord],
+    ) {
         if !self.enabled {
             return;
         }
@@ -154,7 +163,7 @@ impl InvariantChecker {
             if !hb.is_fresh(at) {
                 fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     at,
                     &format!(
                         "{} accepted past its expiration T_k ({})",
@@ -170,19 +179,19 @@ impl InvariantChecker {
                 }
                 Some(HbFate::Delivered) => fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     at,
                     &format!("{} delivered twice", hb.id),
                 ),
                 Some(HbFate::Expired) => fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     at,
                     &format!("{} accepted after the server expired it", hb.id),
                 ),
                 None => fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     at,
                     &format!("{} delivered but never tracked as emitted", hb.id),
                 ),
@@ -196,7 +205,7 @@ impl InvariantChecker {
                     if hb.is_fresh(at) {
                         fail(
                             self.context.as_deref(),
-                            tracer,
+                            trace,
                             at,
                             &format!("fresh {} rejected by its server", hb.id),
                         );
@@ -205,7 +214,7 @@ impl InvariantChecker {
                 }
                 None => fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     at,
                     &format!("{} rejected but never tracked as emitted", hb.id),
                 ),
@@ -231,7 +240,7 @@ impl InvariantChecker {
         now: SimTime,
         index: usize,
         probe: &DeviceProbe,
-        tracer: &Tracer,
+        trace: &[EventRecord],
     ) {
         if !self.enabled {
             return;
@@ -239,7 +248,7 @@ impl InvariantChecker {
         if probe.buffered > probe.capacity {
             fail(
                 self.context.as_deref(),
-                tracer,
+                trace,
                 now,
                 &format!(
                     "{} buffers {} heartbeats past capacity M = {}",
@@ -250,7 +259,7 @@ impl InvariantChecker {
         if !probe.energy_uah.is_finite() || probe.energy_uah < -EPS {
             fail(
                 self.context.as_deref(),
-                tracer,
+                trace,
                 now,
                 &format!(
                     "{} energy is not finite/non-negative: {}",
@@ -262,7 +271,7 @@ impl InvariantChecker {
             if !remaining.is_finite() || remaining < -EPS {
                 fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     now,
                     &format!("{} battery went negative: {remaining}", probe.device),
                 );
@@ -271,7 +280,7 @@ impl InvariantChecker {
         if probe.alive && !probe.offline_exempt && !probe.online {
             fail(
                 self.context.as_deref(),
-                tracer,
+                trace,
                 now,
                 &format!(
                     "{} session reads offline while its cellular fallback exists",
@@ -286,7 +295,7 @@ impl InvariantChecker {
             if probe.energy_uah + EPS < last.energy_uah {
                 fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     now,
                     &format!(
                         "{} cumulative energy decreased: {} -> {}",
@@ -300,7 +309,7 @@ impl InvariantChecker {
                 if cur > prev + EPS {
                     fail(
                         self.context.as_deref(),
-                        tracer,
+                        trace,
                         now,
                         &format!("{} battery recharged itself: {prev} -> {cur}", probe.device),
                     );
@@ -309,7 +318,7 @@ impl InvariantChecker {
             if !last.rrc.can_transition_to(probe.rrc) {
                 fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     now,
                     &format!(
                         "{} illegal RRC transition {:?} -> {:?}",
@@ -351,7 +360,7 @@ impl InvariantChecker {
     /// is the union of scheduler buffers, own-pending sets, link queues,
     /// feedback trackers, the delivery ledger and the outage queue).
     /// Anything else vanished silently.
-    pub fn on_finish(&mut self, surviving: &HashSet<MessageId>, tracer: &Tracer) {
+    pub fn on_finish(&mut self, surviving: &HashSet<MessageId>, trace: &[EventRecord]) {
         if !self.enabled {
             return;
         }
@@ -360,7 +369,7 @@ impl InvariantChecker {
                 let audit = self.delivery_audit();
                 fail(
                     self.context.as_deref(),
-                    tracer,
+                    trace,
                     SimTime::MAX,
                     &format!(
                         "{id} was emitted but silently lost (no buffer holds it); \
@@ -387,12 +396,11 @@ pub struct DeliveryAudit {
     pub in_flight: u64,
 }
 
-fn fail(run: Option<&str>, tracer: &Tracer, at: SimTime, msg: &str) -> ! {
-    let trace = tracer.to_text();
+fn fail(run: Option<&str>, trace: &[EventRecord], at: SimTime, msg: &str) -> ! {
     let context = if trace.is_empty() {
-        String::from("(tracing disabled: set trace_capacity for context)")
+        String::from("(no events traced: set trace_capacity for context)\n")
     } else {
-        trace
+        trace.iter().map(|r| r.to_jsonl() + "\n").collect()
     };
     let provenance = match run {
         Some(run) => format!(" [{run}]"),
@@ -497,13 +505,12 @@ mod tests {
     fn clean_lifecycle_passes() {
         let mut c = InvariantChecker::new(true);
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let m = hb(&mut ids, 0);
         c.on_emitted(&m);
-        c.on_delivery(&m, SimTime::from_secs(10), true, &tracer);
+        c.on_delivery(&m, SimTime::from_secs(10), true, &[]);
         // The fallback's duplicate is rejected by dedup: legal.
-        c.on_delivery(&m, SimTime::from_secs(20), false, &tracer);
-        c.on_finish(&HashSet::new(), &tracer);
+        c.on_delivery(&m, SimTime::from_secs(20), false, &[]);
+        c.on_finish(&HashSet::new(), &[]);
     }
 
     #[test]
@@ -511,11 +518,10 @@ mod tests {
     fn double_acceptance_is_flagged() {
         let mut c = InvariantChecker::new(true);
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let m = hb(&mut ids, 0);
         c.on_emitted(&m);
-        c.on_delivery(&m, SimTime::from_secs(10), true, &tracer);
-        c.on_delivery(&m, SimTime::from_secs(20), true, &tracer);
+        c.on_delivery(&m, SimTime::from_secs(10), true, &[]);
+        c.on_delivery(&m, SimTime::from_secs(20), true, &[]);
     }
 
     #[test]
@@ -523,10 +529,9 @@ mod tests {
     fn late_acceptance_is_flagged() {
         let mut c = InvariantChecker::new(true);
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let m = hb(&mut ids, 0);
         c.on_emitted(&m);
-        c.on_delivery(&m, SimTime::from_secs(2000), true, &tracer);
+        c.on_delivery(&m, SimTime::from_secs(2000), true, &[]);
     }
 
     #[test]
@@ -535,10 +540,9 @@ mod tests {
         let mut c = InvariantChecker::new(true);
         c.set_context(7, Some(3));
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let m = hb(&mut ids, 0);
         c.on_emitted(&m);
-        c.on_finish(&HashSet::new(), &tracer);
+        c.on_finish(&HashSet::new(), &[]);
     }
 
     #[test]
@@ -547,10 +551,9 @@ mod tests {
         let mut c = InvariantChecker::new(true);
         c.set_context(11, None);
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let m = hb(&mut ids, 0);
         c.on_emitted(&m);
-        c.on_finish(&HashSet::new(), &tracer);
+        c.on_finish(&HashSet::new(), &[]);
     }
 
     #[test]
@@ -558,28 +561,25 @@ mod tests {
     fn vanished_heartbeat_is_flagged() {
         let mut c = InvariantChecker::new(true);
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let m = hb(&mut ids, 0);
         c.on_emitted(&m);
-        c.on_finish(&HashSet::new(), &tracer);
+        c.on_finish(&HashSet::new(), &[]);
     }
 
     #[test]
     fn in_flight_heartbeat_in_a_buffer_survives_finish() {
         let mut c = InvariantChecker::new(true);
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let m = hb(&mut ids, 0);
         c.on_emitted(&m);
         let surviving: HashSet<MessageId> = [m.id].into_iter().collect();
-        c.on_finish(&surviving, &tracer);
+        c.on_finish(&surviving, &[]);
     }
 
     #[test]
     fn delivery_audit_counts_each_fate_once() {
         let mut c = InvariantChecker::new(true);
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let delivered = hb(&mut ids, 0);
         let expired = hb(&mut ids, 0);
         let in_flight = hb(&mut ids, 0);
@@ -588,8 +588,8 @@ mod tests {
         c.on_emitted(&expired);
         c.on_emitted(&in_flight);
         c.on_emitted(&dead);
-        c.on_delivery(&delivered, SimTime::from_secs(10), true, &tracer);
-        c.on_delivery(&expired, SimTime::from_secs(2000), false, &tracer);
+        c.on_delivery(&delivered, SimTime::from_secs(10), true, &[]);
+        c.on_delivery(&expired, SimTime::from_secs(2000), false, &[]);
         c.on_dropped_dead(&dead);
         let audit = c.delivery_audit();
         assert_eq!(
@@ -612,33 +612,30 @@ mod tests {
     fn dead_drop_then_relay_delivery_is_legal() {
         let mut c = InvariantChecker::new(true);
         let mut ids = hbr_apps::MessageIdGen::new();
-        let tracer = Tracer::with_capacity(0);
         let m = hb(&mut ids, 0);
         c.on_emitted(&m);
         c.on_dropped_dead(&m);
         // The relay's copy outlived the dead source and flushed.
-        c.on_delivery(&m, SimTime::from_secs(10), true, &tracer);
-        c.on_finish(&HashSet::new(), &tracer);
+        c.on_delivery(&m, SimTime::from_secs(10), true, &[]);
+        c.on_finish(&HashSet::new(), &[]);
     }
 
     #[test]
     #[should_panic(expected = "past capacity")]
     fn buffer_overflow_is_flagged() {
         let mut c = InvariantChecker::new(true);
-        let tracer = Tracer::with_capacity(0);
         let p = DeviceProbe {
             buffered: 8,
             capacity: 7,
             ..probe()
         };
-        c.check_device(SimTime::ZERO, 0, &p, &tracer);
+        c.check_device(SimTime::ZERO, 0, &p, &[]);
     }
 
     #[test]
     #[should_panic(expected = "energy decreased")]
     fn energy_regression_is_flagged() {
         let mut c = InvariantChecker::new(true);
-        let tracer = Tracer::with_capacity(0);
         let p1 = DeviceProbe {
             energy_uah: 100.0,
             ..probe()
@@ -647,15 +644,14 @@ mod tests {
             energy_uah: 50.0,
             ..probe()
         };
-        c.check_device(SimTime::ZERO, 0, &p1, &tracer);
-        c.check_device(SimTime::from_secs(1), 0, &p2, &tracer);
+        c.check_device(SimTime::ZERO, 0, &p1, &[]);
+        c.check_device(SimTime::from_secs(1), 0, &p2, &[]);
     }
 
     #[test]
     #[should_panic(expected = "battery recharged")]
     fn battery_recharge_is_flagged() {
         let mut c = InvariantChecker::new(true);
-        let tracer = Tracer::with_capacity(0);
         let p1 = DeviceProbe {
             battery_remaining_uah: Some(10.0),
             ..probe()
@@ -664,15 +660,14 @@ mod tests {
             battery_remaining_uah: Some(20.0),
             ..probe()
         };
-        c.check_device(SimTime::ZERO, 0, &p1, &tracer);
-        c.check_device(SimTime::from_secs(1), 0, &p2, &tracer);
+        c.check_device(SimTime::ZERO, 0, &p1, &[]);
+        c.check_device(SimTime::from_secs(1), 0, &p2, &[]);
     }
 
     #[test]
     #[should_panic(expected = "illegal RRC transition")]
     fn idle_to_fach_is_flagged() {
         let mut c = InvariantChecker::new(true);
-        let tracer = Tracer::with_capacity(0);
         let p1 = DeviceProbe {
             rrc: RrcState::Idle,
             ..probe()
@@ -681,44 +676,41 @@ mod tests {
             rrc: RrcState::CellFach,
             ..probe()
         };
-        c.check_device(SimTime::ZERO, 0, &p1, &tracer);
-        c.check_device(SimTime::from_secs(1), 0, &p2, &tracer);
+        c.check_device(SimTime::ZERO, 0, &p1, &[]);
+        c.check_device(SimTime::from_secs(1), 0, &p2, &[]);
     }
 
     #[test]
     #[should_panic(expected = "offline while its cellular fallback exists")]
     fn silent_lapse_is_flagged() {
         let mut c = InvariantChecker::new(true);
-        let tracer = Tracer::with_capacity(0);
         let p = DeviceProbe {
             online: false,
             ..probe()
         };
-        c.check_device(SimTime::ZERO, 0, &p, &tracer);
+        c.check_device(SimTime::ZERO, 0, &p, &[]);
     }
 
     #[test]
     fn exempt_window_allows_offline_and_dead_devices_too() {
         let mut c = InvariantChecker::new(true);
-        let tracer = Tracer::with_capacity(0);
         let outage = DeviceProbe {
             online: false,
             offline_exempt: true,
             ..probe()
         };
-        c.check_device(SimTime::ZERO, 0, &outage, &tracer);
+        c.check_device(SimTime::ZERO, 0, &outage, &[]);
         let dead = DeviceProbe {
             alive: false,
             online: false,
             ..probe()
         };
-        c.check_device(SimTime::from_secs(1), 1, &dead, &tracer);
+        c.check_device(SimTime::from_secs(1), 1, &dead, &[]);
     }
 
     #[test]
     fn disabled_checker_ignores_everything() {
         let mut c = InvariantChecker::new(false);
-        let tracer = Tracer::with_capacity(0);
         assert!(!c.enabled());
         let p = DeviceProbe {
             buffered: 999,
@@ -726,7 +718,7 @@ mod tests {
             online: false,
             ..probe()
         };
-        c.check_device(SimTime::ZERO, 0, &p, &tracer);
-        c.on_finish(&HashSet::new(), &tracer);
+        c.check_device(SimTime::ZERO, 0, &p, &[]);
+        c.on_finish(&HashSet::new(), &[]);
     }
 }

@@ -33,10 +33,10 @@ use hbr_mobility::{Bounds, Field, Mobility, PathLoss, Position};
 use hbr_sim::fault::{fault_stream_seed, retry_stream_seed, FaultKind, FaultPlan};
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter, SCENARIO_MAGIC};
 use hbr_sim::telemetry::{
-    EventRecord, MetricsSnapshot, SpanRecorder, Telemetry, TelemetryEvent, DWELL_BUCKETS,
-    LATENCY_BUCKETS, RETRY_DEPTH_BUCKETS, SIZE_BUCKETS,
+    EventRecord, MetricsSnapshot, SpanRecorder, Telemetry, TelemetryEvent, LATENCY_BUCKETS,
+    RETRY_DEPTH_BUCKETS, SIZE_BUCKETS,
 };
-use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime, Simulation, TraceEntry, Tracer};
+use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime, Simulation};
 
 use crate::config::{FrameworkConfig, RadioStack};
 use crate::delivery::{BackoffPolicy, DeliveryLedger, RetryReason};
@@ -100,7 +100,9 @@ pub struct ScenarioConfig {
     /// it believes are online, so presence lapses turn into missed
     /// pushes.
     pub push_interval: Option<SimDuration>,
-    /// Keep this many execution-trace entries for debugging (0 = off).
+    /// Keep the newest this-many typed events as the trace (0 = off),
+    /// with or without telemetry: the invariant checker's panic context
+    /// and [`ScenarioReport::trace`].
     pub trace_capacity: usize,
     /// Bill the D2D group keep-alive current for the whole time an
     /// attachment stays open (honest accounting; the paper's
@@ -391,10 +393,10 @@ pub struct ScenarioReport {
     pub pushes_missed: u64,
     /// Total system energy, µAh.
     pub total_energy_uah: f64,
-    /// Execution trace (empty unless [`ScenarioConfig::trace_capacity`]
-    /// was set).
-    pub trace: Vec<TraceEntry>,
-    /// Trace entries evicted because the ring filled (0 = the trace is
+    /// The newest [`ScenarioConfig::trace_capacity`] typed events,
+    /// time-sorted like `events` (empty when the capacity is 0).
+    pub trace: Vec<EventRecord>,
+    /// Events recorded before the trace's oldest (0 = the trace is
     /// complete).
     pub trace_dropped: u64,
     /// Deterministic metrics snapshot (empty unless
@@ -667,7 +669,6 @@ pub struct Scenario {
     cellular_uah_per_hb: f64,
     pushes_delivered: u64,
     pushes_missed: u64,
-    tracer: Tracer,
     // Fault machinery (tentpole of the chaos harness).
     /// Dedicated randomness for fault execution, seeded independently of
     /// every other stream so clean runs are byte-identical to pre-fault
@@ -701,8 +702,9 @@ pub struct Scenario {
     /// LTE handover signaling bursts counted for emigrations.
     lte_handovers: u64,
     checker: InvariantChecker,
-    /// Metrics + event channels (both disabled unless configured): pure
-    /// observation, so enabling them never perturbs a seeded run.
+    /// Metrics + event channels (both disabled unless configured; the
+    /// event log also keeps the trace): pure observation, so enabling
+    /// them never perturbs a seeded run.
     telemetry: Telemetry,
     /// Per-heartbeat lifecycle spans (disabled unless configured). Fed
     /// through the [`ProtocolHooks`] seam plus world-level emission and
@@ -879,7 +881,6 @@ impl Scenario {
         );
         let cellular_uah_per_hb = config.stack.cellular.full_cycle_charge_uah(74);
         let reward = config.framework.reward_per_heartbeat;
-        let trace_capacity = config.trace_capacity;
         let fault_rng = SimRng::seed_from(fault_stream_seed(config.seed));
         let retry_rng = SimRng::seed_from(retry_stream_seed(config.seed));
         let max_expiration = config
@@ -894,11 +895,7 @@ impl Scenario {
             .unwrap_or_else(invariant::default_enabled);
         let mut checker = InvariantChecker::new(check);
         checker.set_context(config.seed, config.cell);
-        let telemetry = if config.telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
+        let telemetry = Telemetry::new(config.telemetry, config.trace_capacity);
         let spans = if config.spans {
             SpanRecorder::enabled()
         } else {
@@ -921,7 +918,6 @@ impl Scenario {
             cellular_uah_per_hb,
             pushes_delivered: 0,
             pushes_missed: 0,
-            tracer: Tracer::with_capacity(trace_capacity),
             fault_rng,
             outage_until: SimTime::ZERO,
             outage_grace_until: SimTime::ZERO,
@@ -1118,18 +1114,8 @@ impl Scenario {
                 .as_mut()
                 .expect("relay has a scheduler")
                 .take_batch();
-            if !batch.is_empty() {
-                self.tracer.record(
-                    limit,
-                    "migrate",
-                    format!(
-                        "{id} re-queues {} buffered heartbeats before leaving",
-                        batch.len()
-                    ),
-                );
-                if self.reliable() {
-                    self.requeue_dropped_batch(limit, i, batch, "relay-migrated");
-                }
+            if self.reliable() {
+                self.requeue_dropped_batch(limit, i, batch, "relay-migrated");
             }
         } else if self.devices[i].attached_to.is_some() || self.devices[i].link.is_some() {
             self.detach_ue(i, limit);
@@ -1170,25 +1156,19 @@ impl Scenario {
         self.bs.record(id, &handover, 0);
         self.migrations += 1;
         self.lte_handovers += 1;
-        let rrc = if connected { "connected" } else { "idle" };
-        if self.telemetry.is_enabled() {
-            self.telemetry.metrics.incr("hbr_migration_total");
+        if self.telemetry.metrics.is_enabled() {
+            let rrc = if connected { "connected" } else { "idle" };
             self.telemetry
                 .metrics
                 .incr(&format!("hbr_lte_handover_total{{rrc=\"{rrc}\"}}"));
-            self.telemetry.events.record(
-                limit,
-                TelemetryEvent::Migrate {
-                    device: id.index(),
-                    from_cell: topology.cell,
-                    to_cell,
-                },
-            );
         }
-        self.tracer.record(
+        self.telemetry.record(
             limit,
-            "migrate",
-            format!("{id} crosses into cell {to_cell} ({rrc} handover)"),
+            TelemetryEvent::Migrate {
+                device: id.index(),
+                from_cell: topology.cell,
+                to_cell,
+            },
         );
 
         // Extract the carried state, leaving a husk that keeps the
@@ -1259,7 +1239,6 @@ impl Scenario {
         let i = self.devices.len();
         let id = DeviceId::new(i as u32);
         let Migrant {
-            from_cell,
             role,
             mut schedules,
             sessions,
@@ -1322,11 +1301,6 @@ impl Scenario {
             payload_loss_p,
             migrated: false,
         });
-        self.tracer.record(
-            now,
-            "migrate",
-            format!("{id} arrives from cell {from_cell}"),
-        );
         // Re-enter discovery here: heartbeat timers resume where the
         // source cell left them; a fresh push chain starts from the
         // destination's own RNG (deterministic by admission order).
@@ -1374,8 +1348,8 @@ impl Scenario {
         self.servers.get(&app)
     }
 
-    /// The typed telemetry events recorded so far (empty when telemetry
-    /// is disabled).
+    /// The typed telemetry events recorded so far: the whole stream
+    /// with telemetry on, else just the trace (empty when both are off).
     pub fn events_so_far(&self) -> &[EventRecord] {
         self.telemetry.events.records()
     }
@@ -1393,7 +1367,6 @@ impl Scenario {
     }
 
     fn handle(&mut self, now: SimTime, event: Event) {
-        self.telemetry.metrics.incr("hbr_engine_steps_total");
         match event {
             Event::HeartbeatDue { device, app_idx } => self.on_heartbeat_due(now, device, app_idx),
             Event::FlushDeadline { device, generation } => {
@@ -1435,7 +1408,7 @@ impl Scenario {
             Event::PushDue { device, app_idx } => self.on_push_due(now, device, app_idx),
             Event::FaultDue { index } => self.on_fault(now, index),
             Event::OutageOver => self.drain_outage_queue(now),
-            Event::RelayRejoin { device } => self.on_relay_rejoin(now, device),
+            Event::RelayRejoin { device } => self.on_relay_rejoin(device),
             Event::DeliveryRetry { device } => self.on_delivery_retry(now, device),
         }
     }
@@ -1477,7 +1450,8 @@ impl Scenario {
                     offline_exempt: now < self.outage_grace_until,
                 }
             };
-            self.checker.check_device(now, i, &probe, &self.tracer);
+            self.checker
+                .check_device(now, i, &probe, self.telemetry.events.trace());
         }
     }
 
@@ -1486,19 +1460,12 @@ impl Scenario {
     fn note_fallback(&mut self, now: SimTime, device: usize, cause: &'static str, id: MessageId) {
         self.spans
             .annotate(id.raw(), span_us(now), "fallback", Some(cause), None, None);
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        self.telemetry
-            .metrics
-            .incr(&format!("hbr_fallback_total{{cause=\"{cause}\"}}"));
-        let span = self.spans.is_enabled().then(|| id.raw());
-        self.telemetry.events.record(
+        self.telemetry.record(
             now,
             TelemetryEvent::Fallback {
                 device: self.devices[device].id.index(),
                 cause,
-                span,
+                span: self.spans.is_enabled().then(|| id.raw()),
             },
         );
     }
@@ -1522,8 +1489,8 @@ impl Scenario {
         }
     }
 
-    /// Feeds a radio's RRC transitions into the metrics (state-dwell
-    /// histograms, establish/release counters) and the event stream.
+    /// Records a radio's RRC transitions (and the state-dwell and
+    /// release metrics they imply) plus its new connections.
     fn record_radio(&mut self, device: usize, activity: &RadioActivity, new_connections: u32) {
         if !self.telemetry.is_enabled() {
             return;
@@ -1535,15 +1502,7 @@ impl Scenario {
         }
         let id = self.devices[device].id.index();
         for t in &activity.transitions {
-            self.telemetry.metrics.observe(
-                &format!("hbr_rrc_dwell_seconds{{state=\"{}\"}}", t.from.label()),
-                DWELL_BUCKETS,
-                t.dwell.as_secs_f64(),
-            );
-            if t.to == RrcState::Idle {
-                self.telemetry.metrics.incr("hbr_rrc_release_total");
-            }
-            self.telemetry.events.record(
+            self.telemetry.record(
                 t.at,
                 TelemetryEvent::RrcTransition {
                     device: id,
@@ -1558,20 +1517,14 @@ impl Scenario {
     /// Applies the indexed [`FaultPlan`] entry.
     fn on_fault(&mut self, now: SimTime, index: usize) {
         let fault = self.config.faults.events()[index];
-        if self.telemetry.is_enabled() {
-            self.telemetry.metrics.incr(&format!(
-                "hbr_faults_injected_total{{kind=\"{}\"}}",
-                fault.kind.label()
-            ));
-            self.telemetry.events.record(
-                now,
-                TelemetryEvent::FaultInjected {
-                    index,
-                    kind: fault.kind.label(),
-                    device: fault.kind.device().map(|d| d.index()),
-                },
-            );
-        }
+        self.telemetry.record(
+            now,
+            TelemetryEvent::FaultInjected {
+                index,
+                kind: fault.kind.label(),
+                device: fault.kind.device().map(|d| d.index()),
+            },
+        );
         if let Some(target) = fault.kind.device() {
             if self.devices[target.index() as usize].migrated {
                 // The target emigrated to another cell; there is nothing
@@ -1585,11 +1538,6 @@ impl Scenario {
                 d2d_down_for,
             } => {
                 let idx = device.index() as usize;
-                self.tracer.record(
-                    now,
-                    "fault",
-                    format!("{device} D2D radio down for {d2d_down_for}"),
-                );
                 let until = now + d2d_down_for;
                 let dev = &mut self.devices[idx];
                 dev.d2d_down_until = dev.d2d_down_until.max(until);
@@ -1604,11 +1552,6 @@ impl Scenario {
                 duration,
             } => {
                 let idx = device.index() as usize;
-                self.tracer.record(
-                    now,
-                    "fault",
-                    format!("{device} link degrades (+{extra_loss:.2} loss) for {duration}"),
-                );
                 let dev = &mut self.devices[idx];
                 dev.degraded_until = dev.degraded_until.max(now + duration);
                 dev.degrade_loss = extra_loss.clamp(0.0, 1.0);
@@ -1621,8 +1564,6 @@ impl Scenario {
                 if self.devices[idx].role != Role::Relay || self.devices[idx].departed {
                     return;
                 }
-                self.tracer
-                    .record(now, "fault", format!("relay {device} departs"));
                 self.devices[idx].departed = true;
                 self.detach_all_members(now, idx);
                 // Its collected batch leaves with it; the sources'
@@ -1632,13 +1573,6 @@ impl Scenario {
                     .as_mut()
                     .expect("relay has a scheduler")
                     .take_batch();
-                if !dropped.is_empty() {
-                    self.tracer.record(
-                        now,
-                        "fault",
-                        format!("{} buffered heartbeats leave with {device}", dropped.len()),
-                    );
-                }
                 if self.reliable() {
                     self.requeue_dropped_batch(now, idx, dropped, "relay-departed");
                 }
@@ -1654,13 +1588,9 @@ impl Scenario {
                 }
             }
             FaultKind::DiscoveryBlackout { duration } => {
-                self.tracer
-                    .record(now, "fault", format!("discovery blackout for {duration}"));
                 self.blackout_until = self.blackout_until.max(now + duration);
             }
             FaultKind::CellularOutage { duration } => {
-                self.tracer
-                    .record(now, "fault", format!("cellular outage for {duration}"));
                 self.outage_until = self.outage_until.max(now + duration);
                 self.outage_grace_until = self
                     .outage_grace_until
@@ -1673,11 +1603,6 @@ impl Scenario {
                 duration,
             } => {
                 let idx = device.index() as usize;
-                self.tracer.record(
-                    now,
-                    "fault",
-                    format!("{device} payloads at {probability:.2} risk for {duration}"),
-                );
                 let dev = &mut self.devices[idx];
                 dev.payload_loss_until = dev.payload_loss_until.max(now + duration);
                 dev.payload_loss_p = probability.clamp(0.0, 1.0);
@@ -1715,13 +1640,6 @@ impl Scenario {
                 self.field.insert(
                     self.devices[idx].id,
                     Mobility::linear_bounded(start, (speed_mps, 0.0), corridor).started_at(now),
-                );
-                self.tracer.record(
-                    now,
-                    "fault",
-                    format!(
-                        "{device} shuttles across x={centre:.0} (±{half:.0} m at {speed_mps:.1} m/s)"
-                    ),
                 );
             }
         }
@@ -1785,17 +1703,9 @@ impl Scenario {
         }
     }
 
-    fn on_relay_rejoin(&mut self, now: SimTime, device: usize) {
-        if !self.devices[device].departed {
-            return;
-        }
-        self.devices[device].departed = false;
-        self.tracer.record(
-            now,
-            "fault",
-            format!("relay {} rejoins", self.devices[device].id),
-        );
+    fn on_relay_rejoin(&mut self, device: usize) {
         // Collection restarts at its next own heartbeat (begin_period).
+        self.devices[device].departed = false;
     }
 
     /// Delivers everything a cellular outage queued, once it is over.
@@ -1804,14 +1714,6 @@ impl Scenario {
             return; // a longer overlapping outage superseded this one
         }
         let queued = std::mem::take(&mut self.outage_queue);
-        if queued.is_empty() {
-            return;
-        }
-        self.tracer.record(
-            now,
-            "outage",
-            format!("cell back: draining {} queued heartbeats", queued.len()),
-        );
         for (device, hb) in queued {
             let src = hb.source.index() as usize;
             let relayed = src != device;
@@ -2149,24 +2051,13 @@ impl Scenario {
                 let ready_at = ue_conn.done_at;
                 self.apply_activity(device, &ue_conn.segments);
                 self.apply_activity(relay_idx, &relay_conn.segments);
-                self.tracer.record(
+                self.telemetry.record(
                     now,
-                    "attach",
-                    format!(
-                        "{} matches relay {}",
-                        self.devices[device].id, self.devices[relay_idx].id
-                    ),
+                    TelemetryEvent::RelayMatch {
+                        device: self.devices[device].id.index(),
+                        relay: self.devices[relay_idx].id.index(),
+                    },
                 );
-                if self.telemetry.is_enabled() {
-                    self.telemetry.metrics.incr("hbr_d2d_link_setup_total");
-                    self.telemetry.events.record(
-                        now,
-                        TelemetryEvent::RelayMatch {
-                            device: self.devices[device].id.index(),
-                            relay: self.devices[relay_idx].id.index(),
-                        },
-                    );
-                }
                 if let Some(from) = handover_from {
                     self.spans.annotate(
                         hb.id.raw(),
@@ -2176,27 +2067,14 @@ impl Scenario {
                         None,
                         Some(self.devices[relay_idx].id.index()),
                     );
-                    self.tracer.record(
+                    self.telemetry.record(
                         now,
-                        "handover",
-                        format!(
-                            "{} hands over from {} to {}",
-                            self.devices[device].id,
-                            self.devices[from].id,
-                            self.devices[relay_idx].id
-                        ),
+                        TelemetryEvent::Handover {
+                            device: self.devices[device].id.index(),
+                            from_relay: self.devices[from].id.index(),
+                            to_relay: self.devices[relay_idx].id.index(),
+                        },
                     );
-                    if self.telemetry.is_enabled() {
-                        self.telemetry.metrics.incr("hbr_delivery_handover_total");
-                        self.telemetry.events.record(
-                            now,
-                            TelemetryEvent::Handover {
-                                device: self.devices[device].id.index(),
-                                from_relay: self.devices[from].id.index(),
-                                to_relay: self.devices[relay_idx].id.index(),
-                            },
-                        );
-                    }
                 }
                 let dev = &mut self.devices[device];
                 dev.attached_to = Some(relay_idx);
@@ -2286,8 +2164,6 @@ impl Scenario {
                 payload_lost = true;
                 outcome.success = false;
                 outcome.receiver.segments.clear();
-                self.tracer
-                    .record(now, "fault", format!("{} payload lost in transit", hb.id));
             }
         }
 
@@ -2448,32 +2324,16 @@ impl Scenario {
             // The cell is down: the flush cannot leave the relay. Queue
             // every heartbeat for the post-outage drain (which also
             // confirms the sources' feedback then).
-            self.tracer.record(
+            self.telemetry.record(
                 now,
-                "outage",
-                format!(
-                    "{} queues flush of {} + {} until the cell returns",
-                    self.devices[device].id,
-                    batch.len(),
-                    own.len()
-                ),
+                TelemetryEvent::Flush {
+                    device: self.devices[device].id.index(),
+                    reason: "outage-queued",
+                    buffered: batch.len(),
+                    own: own.len(),
+                    bytes: batch.iter().chain(own.iter()).map(|h| h.size).sum(),
+                },
             );
-            if self.telemetry.is_enabled() {
-                let bytes: usize = batch.iter().chain(own.iter()).map(|h| h.size).sum();
-                self.telemetry
-                    .metrics
-                    .incr("hbr_flush_total{reason=\"outage-queued\"}");
-                self.telemetry.events.record(
-                    now,
-                    TelemetryEvent::Flush {
-                        device: self.devices[device].id.index(),
-                        reason: "outage-queued",
-                        buffered: batch.len(),
-                        own: own.len(),
-                        bytes,
-                    },
-                );
-            }
             let relay_gid = self.devices[device].id.index();
             for hb in batch.into_iter().chain(own) {
                 self.spans.annotate(
@@ -2489,35 +2349,15 @@ impl Scenario {
             return;
         }
         let bytes: usize = batch.iter().chain(own.iter()).map(|h| h.size).sum();
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .metrics
-                .incr(&format!("hbr_flush_total{{reason=\"{}\"}}", reason.label()));
-            self.telemetry.metrics.observe(
-                "hbr_relay_batch_size",
-                SIZE_BUCKETS,
-                batch.len() as f64,
-            );
-            self.telemetry.events.record(
-                now,
-                TelemetryEvent::Flush {
-                    device: self.devices[device].id.index(),
-                    reason: reason.label(),
-                    buffered: batch.len(),
-                    own: own.len(),
-                    bytes,
-                },
-            );
-        }
-        self.tracer.record(
+        self.telemetry.record(
             now,
-            "flush",
-            format!(
-                "{} sends {} collected + {} own ({bytes} B)",
-                self.devices[device].id,
-                batch.len(),
-                own.len()
-            ),
+            TelemetryEvent::Flush {
+                device: self.devices[device].id.index(),
+                reason: reason.label(),
+                buffered: batch.len(),
+                own: own.len(),
+                bytes,
+            },
         );
         let out = {
             let dev = &mut self.devices[device];
@@ -2551,7 +2391,7 @@ impl Scenario {
             if let Some(outcome) = outcome {
                 let accepted = outcome == DeliveryOutcome::Accepted;
                 self.checker
-                    .on_delivery(hb, delivered_at, accepted, &self.tracer);
+                    .on_delivery(hb, delivered_at, accepted, self.telemetry.events.trace());
                 if self.reliable() {
                     let src = hb.source.index() as usize;
                     if accepted {
@@ -2629,14 +2469,6 @@ impl Scenario {
     ) {
         self.devices[device].fallbacks += 1;
         self.note_fallback(now, device, cause, hb.id);
-        self.tracer.record(
-            now,
-            "fallback",
-            format!(
-                "{} rescues {} over cellular",
-                self.devices[device].id, hb.id
-            ),
-        );
         self.send_cellular(now, device, hb);
     }
 
@@ -2681,30 +2513,14 @@ impl Scenario {
                     .entry(hb.id)
                     .map(|e| e.attempts)
                     .unwrap_or(0);
-                self.tracer.record(
+                self.telemetry.record(
                     now,
-                    "retry",
-                    format!(
-                        "{} retries {} over D2D (attempt {attempt}, {})",
-                        self.devices[device].id,
-                        hb.id,
-                        reason.label()
-                    ),
+                    TelemetryEvent::Retry {
+                        device: self.devices[device].id.index(),
+                        cause: reason.label(),
+                        attempt,
+                    },
                 );
-                if self.telemetry.is_enabled() {
-                    self.telemetry.metrics.incr(&format!(
-                        "hbr_delivery_retry_total{{reason=\"{}\"}}",
-                        reason.label()
-                    ));
-                    self.telemetry.events.record(
-                        now,
-                        TelemetryEvent::Retry {
-                            device: self.devices[device].id.index(),
-                            cause: reason.label(),
-                            attempt,
-                        },
-                    );
-                }
                 self.sim.schedule_at(at, Event::DeliveryRetry { device });
             }
             None => self.degrade_to_cellular(now, device, hb, "retry-exhausted"),
@@ -2812,14 +2628,6 @@ impl Scenario {
         }
         if now < self.outage_until {
             // Cellular outage fault window: queue for the drain.
-            self.tracer.record(
-                now,
-                "outage",
-                format!(
-                    "{} queues {} until the cell returns",
-                    self.devices[device].id, hb.id
-                ),
-            );
             self.spans
                 .annotate(hb.id.raw(), span_us(now), "outage-queued", None, None, None);
             self.outage_queue.push((device, hb));
@@ -2836,8 +2644,12 @@ impl Scenario {
             .map(|server| server.deliver_observed(&hb, out.delivered_at));
         if let Some(outcome) = outcome {
             let accepted = outcome == DeliveryOutcome::Accepted;
-            self.checker
-                .on_delivery(&hb, out.delivered_at, accepted, &self.tracer);
+            self.checker.on_delivery(
+                &hb,
+                out.delivered_at,
+                accepted,
+                self.telemetry.events.trace(),
+            );
             if self.reliable() {
                 let src = hb.source.index() as usize;
                 if accepted {
@@ -2856,17 +2668,14 @@ impl Scenario {
     fn detach_ue(&mut self, device: usize, now: SimTime) {
         let relay_idx = self.devices[device].attached_to.take();
         let had_link = self.devices[device].link.take().is_some();
-        if self.telemetry.is_enabled() {
-            if let Some(r) = relay_idx {
-                self.telemetry.metrics.incr("hbr_d2d_link_teardown_total");
-                self.telemetry.events.record(
-                    now,
-                    TelemetryEvent::RelayDepart {
-                        device: self.devices[device].id.index(),
-                        relay: self.devices[r].id.index(),
-                    },
-                );
-            }
+        if let Some(r) = relay_idx {
+            self.telemetry.record(
+                now,
+                TelemetryEvent::RelayDepart {
+                    device: self.devices[device].id.index(),
+                    relay: self.devices[r].id.index(),
+                },
+            );
         }
         if self.config.bill_d2d_idle {
             if let Some(since) = self.devices[device].attached_since.take() {
@@ -2921,6 +2730,28 @@ impl Scenario {
     }
 
     fn finish(mut self, end: SimTime) -> ScenarioReport {
+        // Conservation audit: every heartbeat the checker still has
+        // in-flight must be parked in some legitimate buffer at the
+        // horizon — anything else was silently lost. It runs before the
+        // books close below, so a failure reports the run's own trace.
+        if self.checker.enabled() {
+            let mut surviving: HashSet<MessageId> = HashSet::new();
+            for dev in &self.devices {
+                if let Some(scheduler) = dev.scheduler.as_ref() {
+                    surviving.extend(scheduler.buffered().map(|hb| hb.id));
+                }
+                surviving.extend(dev.own_pending.iter().map(|hb| hb.id));
+                surviving.extend(dev.pending_until_ready.iter().map(|hb| hb.id));
+                surviving.extend(dev.feedback.pending_ids());
+                // Ledger entries awaiting a backoff timer live in no
+                // other buffer — they are legitimately parked too.
+                surviving.extend(dev.delivery.in_flight_ids());
+            }
+            surviving.extend(self.outage_queue.iter().map(|(_, hb)| hb.id));
+            self.checker
+                .on_finish(&surviving, self.telemetry.events.trace());
+        }
+
         // Close the books on attachments still open at the horizon.
         if self.config.bill_d2d_idle {
             for i in 0..self.devices.len() {
@@ -2952,46 +2783,27 @@ impl Scenario {
         }
 
         // Close the telemetry books: per-device per-group energy events
-        // (stamped at the horizon) and system-wide energy gauges.
+        // (stamped at the horizon, each adding to its group's energy
+        // gauge) and the engine's step count — every event `run_until`
+        // popped, each handled exactly once.
         if self.telemetry.is_enabled() {
             for i in 0..self.devices.len() {
                 let id = self.devices[i].id.index();
                 for (group, charge) in self.devices[i].meter.group_breakdown() {
-                    let uah = charge.as_micro_amp_hours();
-                    self.telemetry.metrics.add_gauge(
-                        &format!("hbr_energy_uah{{group=\"{}\"}}", group.label()),
-                        uah,
-                    );
-                    self.telemetry.events.record(
+                    self.telemetry.record(
                         end,
                         TelemetryEvent::EnergyPhase {
                             device: id,
                             group: group.label(),
-                            uah,
+                            uah: charge.as_micro_amp_hours(),
                         },
                     );
                 }
             }
         }
-
-        // Conservation audit: every heartbeat the checker still has
-        // in-flight must be parked in some legitimate buffer at the
-        // horizon — anything else was silently lost.
-        if self.checker.enabled() {
-            let mut surviving: HashSet<MessageId> = HashSet::new();
-            for dev in &self.devices {
-                if let Some(scheduler) = dev.scheduler.as_ref() {
-                    surviving.extend(scheduler.buffered().map(|hb| hb.id));
-                }
-                surviving.extend(dev.own_pending.iter().map(|hb| hb.id));
-                surviving.extend(dev.pending_until_ready.iter().map(|hb| hb.id));
-                surviving.extend(dev.feedback.pending_ids());
-                // Ledger entries awaiting a backoff timer live in no
-                // other buffer — they are legitimately parked too.
-                surviving.extend(dev.delivery.in_flight_ids());
-            }
-            surviving.extend(self.outage_queue.iter().map(|(_, hb)| hb.id));
-            self.checker.on_finish(&surviving, &self.tracer);
+        let steps = self.sim.scheduled_total() - self.sim.pending() as u64;
+        if steps > 0 {
+            self.telemetry.metrics.add("hbr_engine_steps_total", steps);
         }
 
         let mut delivered = 0;
@@ -3106,10 +2918,17 @@ impl Scenario {
         }
         // Lazy radio accounting records RRC transitions when they are
         // *observed*, which can trail the simulated instant they
-        // happened at — a stable sort puts the stream in causal order
-        // (and is deterministic: same recording order in, same order
-        // out).
-        let mut events = std::mem::take(&mut self.telemetry.events).into_records();
+        // happened at — a stable sort puts the stream (and the trace)
+        // in causal order (and is deterministic: same recording order
+        // in, same order out).
+        let mut trace = self.telemetry.events.trace().to_vec();
+        trace.sort_by_key(|r| r.time);
+        let trace_dropped = self.telemetry.events.trace_dropped();
+        let mut events = if self.config.telemetry {
+            std::mem::take(&mut self.telemetry.events).into_records()
+        } else {
+            Vec::new()
+        };
         events.sort_by_key(|r| r.time);
         let metrics = self.telemetry.metrics.snapshot();
         // Spans still open at the horizon are in flight, not lost: mark
@@ -3126,8 +2945,8 @@ impl Scenario {
             pushes_delivered: self.pushes_delivered,
             pushes_missed: self.pushes_missed,
             total_energy_uah,
-            trace: self.tracer.iter().cloned().collect(),
-            trace_dropped: self.tracer.dropped(),
+            trace,
+            trace_dropped,
             metrics,
             events,
             delivery,
@@ -3485,7 +3304,6 @@ impl Scenario {
         self.rng.snap(w);
         w.put_u64(self.pushes_delivered);
         w.put_u64(self.pushes_missed);
-        self.tracer.snap(w);
         self.fault_rng.snap(w);
         self.outage_until.snap(w);
         self.outage_grace_until.snap(w);
@@ -3534,7 +3352,6 @@ impl Scenario {
         self.rng = SimRng::unsnap(r)?;
         self.pushes_delivered = r.take_u64()?;
         self.pushes_missed = r.take_u64()?;
-        self.tracer = Tracer::unsnap(r)?;
         self.fault_rng = SimRng::unsnap(r)?;
         self.outage_until = SimTime::unsnap(r)?;
         self.outage_grace_until = SimTime::unsnap(r)?;
@@ -3605,22 +3422,29 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_is_byte_identical_to_uninterrupted_run() {
-        let config = loaded_config();
-        let straight = Scenario::new(config.clone()).run();
+        // The loaded config, and the same run with the bounded trace as
+        // its only recorder: the tail must survive the round trip too.
+        let mut trace_only = loaded_config();
+        trace_only.telemetry = false;
+        trace_only.spans = false;
+        for config in [loaded_config(), trace_only] {
+            let straight = Scenario::new(config.clone()).run();
 
-        let mut first = Scenario::new(config.clone());
-        first.run_until(SimTime::from_secs(2500));
-        let snap = first.snapshot();
-        first.run_until(SimTime::ZERO + config.duration);
-        let interrupted = first.complete();
+            let mut first = Scenario::new(config.clone());
+            first.run_until(SimTime::from_secs(2500));
+            let snap = first.snapshot();
+            first.run_until(SimTime::ZERO + config.duration);
+            let interrupted = first.complete();
 
-        let mut resumed = Scenario::restore(config.clone(), &snap).expect("restore");
-        resumed.run_until(SimTime::ZERO + config.duration);
-        let restored = resumed.complete();
+            let mut resumed = Scenario::restore(config.clone(), &snap).expect("restore");
+            resumed.run_until(SimTime::ZERO + config.duration);
+            let restored = resumed.complete();
 
-        let a = format!("{straight:?}");
-        assert_eq!(a, format!("{interrupted:?}"), "run_until must not perturb");
-        assert_eq!(a, format!("{restored:?}"), "restore must not perturb");
+            assert!(!straight.trace.is_empty() && straight.trace_dropped > 0);
+            let a = format!("{straight:?}");
+            assert_eq!(a, format!("{interrupted:?}"), "run_until must not perturb");
+            assert_eq!(a, format!("{restored:?}"), "restore must not perturb");
+        }
     }
 
     #[test]
@@ -3880,15 +3704,30 @@ mod tests {
         config.trace_capacity = 10_000;
         let report = Scenario::new(config).run();
         assert!(!report.trace.is_empty());
+        assert!(
+            report.events.is_empty(),
+            "the trace alone turns no telemetry on"
+        );
         // Ordered by time.
         for w in report.trace.windows(2) {
             assert!(w[0].time <= w[1].time);
         }
-        // The story contains attachments and flushes.
-        assert!(report.trace.iter().any(|e| e.label == "attach"));
-        assert!(report.trace.iter().any(|e| e.label == "flush"));
-        // And renders non-empty text lines.
-        assert!(report.trace[0].to_string().contains("s]"));
+        // The story contains attachments and flushes, as typed records.
+        assert!(report.trace.iter().any(|r| r.event.kind() == "match"));
+        assert!(report.trace.iter().any(|r| r.event.kind() == "flush"));
+        assert!(report.trace[0].to_jsonl().starts_with("{\"t_us\":"));
+
+        // With telemetry on too, the trace is the event stream's tail.
+        let mut config = basic_config(Mode::D2dFramework);
+        config.trace_capacity = 10;
+        config.telemetry = true;
+        let report = Scenario::new(config).run();
+        assert_eq!(report.trace.len(), 10);
+        assert_eq!(
+            report.trace_dropped as usize + 10,
+            report.events.len(),
+            "every event is either traced or counted as dropped"
+        );
     }
 
     #[test]

@@ -187,18 +187,6 @@ impl<E> Simulation<E> {
             }
         }
     }
-
-    /// Runs the event loop until `limit`, dispatching each event to
-    /// `handler`. The handler receives the simulation itself, so it can
-    /// schedule follow-up events.
-    pub fn run_until<F>(&mut self, limit: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Self, FiredEvent<E>),
-    {
-        while let Some(fired) = self.pop_until(limit) {
-            handler(self, fired);
-        }
-    }
 }
 
 impl<E: Snap> Snap for Simulation<E> {
@@ -310,29 +298,6 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(5));
         // The later event is still live and fires once the limit allows.
         assert_eq!(sim.pop_until(SimTime::from_secs(10)).unwrap().event, 9);
-    }
-
-    #[test]
-    fn run_until_dispatches_and_allows_rescheduling() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_secs(1), 0u32);
-        let mut fired = Vec::new();
-        sim.run_until(SimTime::from_secs(10), |sim, ev| {
-            fired.push((ev.time, ev.event));
-            if ev.event < 3 {
-                sim.schedule_after(SimDuration::from_secs(2), ev.event + 1);
-            }
-        });
-        assert_eq!(
-            fired,
-            vec![
-                (SimTime::from_secs(1), 0),
-                (SimTime::from_secs(3), 1),
-                (SimTime::from_secs(5), 2),
-                (SimTime::from_secs(7), 3),
-            ]
-        );
-        assert_eq!(sim.now(), SimTime::from_secs(10));
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod spans;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use engine::{FiredEvent, Simulation};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
@@ -62,4 +61,3 @@ pub use telemetry::{
     EventLog, EventRecord, Histogram, MetricsRegistry, MetricsSnapshot, Telemetry, TelemetryEvent,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEntry, Tracer};

@@ -19,7 +19,7 @@
 //! * Collections are `u64` length followed by elements. Maps and sets
 //!   serialize in sorted key order so identical state always produces
 //!   identical bytes.
-//! * `&'static str` labels (trace labels, span kinds, event causes)
+//! * `&'static str` labels (span kinds, event causes)
 //!   serialize as strings and re-intern on read via [`intern`].
 //!
 //! Every read returns a typed [`SnapshotError`] — a corrupted or
@@ -35,7 +35,7 @@ use crate::time::{SimDuration, SimTime};
 /// Version stamped into every snapshot header. Bump on ANY wire-format
 /// change — CI carries a gate that fails when the format fingerprint
 /// changes without a bump (see `tests/snapshot_format.rs`).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic prefix of a per-scenario snapshot.
 pub const SCENARIO_MAGIC: [u8; 8] = *b"HBRSNAP\0";
@@ -468,7 +468,7 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
 
 /// Re-interns a label read back from a snapshot as `&'static str`.
 /// The process-wide pool holds one leaked copy per distinct label; the
-/// label vocabulary is a small fixed set (trace labels, span kinds,
+/// label vocabulary is a small fixed set (event causes, span kinds,
 /// fault names), so the leak is bounded.
 pub fn intern(s: &str) -> &'static str {
     static POOL: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();

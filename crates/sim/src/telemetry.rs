@@ -14,7 +14,11 @@
 //! * [`TelemetryEvent`] / [`EventLog`] — a typed event stream
 //!   (flushes, RRC transitions, relay matches, fallbacks, faults,
 //!   energy phases) serialized as JSONL for machine consumption and the
-//!   `hbr timeline` explainer.
+//!   `hbr timeline` explainer. The newest records double as the
+//!   scenario's trace.
+//! * [`Telemetry::record`] — one call per fact: it appends the event and
+//!   writes the metrics the event implies, from a single `match`, so
+//!   the event stream, the counters and the trace cannot disagree.
 //! * [`MetricsSnapshot`] — an immutable, mergeable copy of a registry
 //!   that renders as JSON and as a Prometheus-style text exposition.
 //!
@@ -289,12 +293,18 @@ impl MetricsRegistry {
         self.add(name, 1);
     }
 
-    /// Increments the named counter by `n`.
+    /// Increments the named counter by `n`. The key is allocated only
+    /// on the counter's first increment.
     pub fn add(&mut self, name: &str, n: u64) {
         if !self.enabled {
             return;
         }
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(count) => *count += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Sets the named gauge (last write wins).
@@ -310,7 +320,13 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        *self.gauges.entry(name.to_string()).or_insert(0.0) += value;
+        match self.gauges.get_mut(name) {
+            Some(gauge) => *gauge += value,
+            // A new gauge starts at 0.0, so a first `-0.0` reads `0.0`.
+            None => {
+                self.gauges.insert(name.to_string(), 0.0 + value);
+            }
+        }
     }
 
     /// Observes one sample into the named histogram, creating it over
@@ -319,10 +335,14 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        match self.histograms.get_mut(name) {
+            Some(histogram) => histogram.observe(value),
+            None => {
+                let mut histogram = Histogram::new(bounds);
+                histogram.observe(value);
+                self.histograms.insert(name.to_string(), histogram);
+            }
+        }
     }
 
     /// An immutable snapshot of everything recorded so far.
@@ -890,57 +910,72 @@ impl EventRecord {
     }
 }
 
-/// An append-only typed event log. Disabled logs drop records for free.
+/// The typed event store. It keeps every record (the telemetry event
+/// stream) or, as a trace-only log, just the newest `trace` records;
+/// with neither it is disabled and drops records for free. Either way
+/// the newest `trace` records are the scenario's trace — the invariant
+/// checker's panic context and the report's `trace`.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
-    enabled: bool,
+    /// Keep every record; otherwise only the newest `trace`.
+    keep_all: bool,
+    /// How many of the newest records form the trace (0 = no trace).
+    trace: usize,
     records: Vec<EventRecord>,
+    /// Records a trace-only log evicted.
+    evicted: u64,
 }
 
 impl EventLog {
-    /// A disabled log.
-    pub fn disabled() -> Self {
-        EventLog::default()
-    }
-
-    /// An enabled log.
-    pub fn enabled() -> Self {
-        EventLog {
-            enabled: true,
-            records: Vec::new(),
-        }
-    }
-
     /// `true` if recording is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    fn is_enabled(&self) -> bool {
+        self.keep_all || self.trace > 0
     }
 
-    /// Records one event (a no-op when disabled).
-    pub fn record(&mut self, time: SimTime, event: TelemetryEvent) {
-        if !self.enabled {
-            return;
+    /// Records one event (a no-op when disabled). Private: events enter
+    /// through [`Telemetry::record`], which writes their metrics too.
+    fn record(&mut self, time: SimTime, event: TelemetryEvent) {
+        if !self.keep_all {
+            if self.trace == 0 {
+                return;
+            }
+            if self.records.len() == self.trace.saturating_mul(2) {
+                // Evict a whole trace at once: amortised O(1) per
+                // record, and the newest records stay one slice.
+                self.records.drain(..self.trace);
+                self.evicted += self.trace as u64;
+            }
         }
         self.records.push(EventRecord { time, event });
     }
 
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The retained records, in recording order.
     pub fn records(&self) -> &[EventRecord] {
-        &self.records
+        if self.keep_all {
+            &self.records
+        } else {
+            self.trace()
+        }
     }
 
-    /// Consumes the log, returning the records.
-    pub fn into_records(self) -> Vec<EventRecord> {
+    /// The trace: the newest `trace` records, in recording order.
+    pub fn trace(&self) -> &[EventRecord] {
+        &self.records[self.records.len().saturating_sub(self.trace)..]
+    }
+
+    /// Records older than the trace's first (0 = the trace is complete,
+    /// or there is no trace).
+    pub fn trace_dropped(&self) -> u64 {
+        if self.trace == 0 {
+            return 0;
+        }
+        self.evicted + (self.records.len() - self.trace().len()) as u64
+    }
+
+    /// Consumes the log, returning the retained records.
+    pub fn into_records(mut self) -> Vec<EventRecord> {
+        let stale = self.records.len() - self.records().len();
+        self.records.drain(..stale);
         self.records
     }
 }
@@ -955,22 +990,113 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// Both channels disabled (the default — zero recording cost).
-    pub fn disabled() -> Self {
-        Telemetry::default()
-    }
-
-    /// Both channels enabled.
-    pub fn enabled() -> Self {
+    /// Metrics and the full event stream when `enabled`; either way the
+    /// log keeps the newest `trace` events as the trace. Both off (the
+    /// default) costs nothing.
+    pub fn new(enabled: bool, trace: usize) -> Self {
         Telemetry {
-            metrics: MetricsRegistry::enabled(),
-            events: EventLog::enabled(),
+            metrics: MetricsRegistry {
+                enabled,
+                ..MetricsRegistry::default()
+            },
+            events: EventLog {
+                keep_all: enabled,
+                trace,
+                ..EventLog::default()
+            },
         }
     }
 
     /// `true` if either channel records.
     pub fn is_enabled(&self) -> bool {
         self.metrics.is_enabled() || self.events.is_enabled()
+    }
+
+    /// Records one fact: appends `event` to the log and writes the
+    /// metrics it implies. The only way an event enters the log. Inlined
+    /// so that, with both channels off, the call site builds nothing.
+    #[inline]
+    pub fn record(&mut self, time: SimTime, event: TelemetryEvent) {
+        if !self.is_enabled() {
+            return;
+        }
+        if self.metrics.is_enabled() {
+            write_implied_metrics(&mut self.metrics, &event);
+        }
+        self.events.record(time, event);
+    }
+}
+
+/// The metrics an event implies — the one place they are written.
+fn write_implied_metrics(m: &mut MetricsRegistry, event: &TelemetryEvent) {
+    match *event {
+        TelemetryEvent::Flush {
+            reason, buffered, ..
+        } => {
+            m.incr(&format!("hbr_flush_total{{reason=\"{reason}\"}}"));
+            // An outage-queued batch has not left the relay yet.
+            if reason != "outage-queued" {
+                m.observe("hbr_relay_batch_size", SIZE_BUCKETS, buffered as f64);
+            }
+        }
+        TelemetryEvent::RrcTransition {
+            from,
+            to,
+            dwell_secs,
+            ..
+        } => {
+            m.observe(
+                &format!("hbr_rrc_dwell_seconds{{state=\"{from}\"}}"),
+                DWELL_BUCKETS,
+                dwell_secs,
+            );
+            if to == "idle" {
+                m.incr("hbr_rrc_release_total");
+            }
+        }
+        TelemetryEvent::RelayMatch { .. } => m.incr("hbr_d2d_link_setup_total"),
+        TelemetryEvent::RelayDepart { .. } => m.incr("hbr_d2d_link_teardown_total"),
+        TelemetryEvent::Fallback { cause, .. } => {
+            m.incr(&format!("hbr_fallback_total{{cause=\"{cause}\"}}"));
+        }
+        TelemetryEvent::Retry { cause, .. } => {
+            m.incr(&format!("hbr_delivery_retry_total{{reason=\"{cause}\"}}"));
+        }
+        TelemetryEvent::Handover { .. } => m.incr("hbr_delivery_handover_total"),
+        TelemetryEvent::FaultInjected { kind, .. } => {
+            m.incr(&format!("hbr_faults_injected_total{{kind=\"{kind}\"}}"));
+        }
+        TelemetryEvent::EnergyPhase { group, uah, .. } => {
+            m.add_gauge(&format!("hbr_energy_uah{{group=\"{group}\"}}"), uah);
+        }
+        TelemetryEvent::Migrate { .. } => m.incr("hbr_migration_total"),
+        TelemetryEvent::FleetPulse {
+            forwards,
+            fallbacks,
+            outage_queued,
+            l3,
+            delivered,
+            retries,
+            migrations,
+            lte_handovers,
+            ..
+        } => {
+            for (name, value) in [
+                ("hbr_fleet_forwards", Some(forwards)),
+                ("hbr_fleet_fallbacks", Some(fallbacks)),
+                ("hbr_fleet_outage_queued", Some(outage_queued)),
+                ("hbr_fleet_l3", Some(l3)),
+                ("hbr_fleet_delivered", Some(delivered)),
+                ("hbr_fleet_retries", Some(retries)),
+                ("hbr_fleet_migrations", migrations),
+                ("hbr_fleet_lte_handovers", lte_handovers),
+            ] {
+                if let Some(value) = value {
+                    m.set_gauge(name, value as f64);
+                }
+            }
+            m.incr("hbr_fleet_epochs_total");
+        }
     }
 }
 
@@ -1184,14 +1310,34 @@ impl Snap for EventRecord {
 }
 
 impl Snap for EventLog {
+    /// Writes the retained records only, so the bytes do not depend on
+    /// when a trace-only log last evicted.
     fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.enabled);
-        self.records.snap(w);
+        w.put_bool(self.keep_all);
+        w.put_usize(self.trace);
+        let records = self.records();
+        w.put_u64(self.evicted + (self.records.len() - records.len()) as u64);
+        w.put_usize(records.len());
+        for record in records {
+            record.snap(w);
+        }
     }
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let keep_all = r.take_bool()?;
+        let trace = r.take_usize()?;
+        let evicted = r.take_u64()?;
+        let records = Vec::<EventRecord>::unsnap(r)?;
+        if !keep_all && records.len() > trace {
+            return Err(SnapshotError::Corrupt(format!(
+                "trace-only event log holds {} records for a trace of {trace}",
+                records.len()
+            )));
+        }
         Ok(EventLog {
-            enabled: r.take_bool()?,
-            records: Vec::<EventRecord>::unsnap(r)?,
+            keep_all,
+            trace,
+            records,
+            evicted,
         })
     }
 }
@@ -1588,18 +1734,127 @@ mod tests {
         }
     }
 
+    fn fallback(device: u32) -> TelemetryEvent {
+        TelemetryEvent::Fallback {
+            device,
+            cause: "feedback-timeout",
+            span: None,
+        }
+    }
+
     #[test]
     fn disabled_event_log_is_free() {
-        let mut log = EventLog::disabled();
-        log.record(
-            SimTime::ZERO,
-            TelemetryEvent::Fallback {
+        let mut telemetry = Telemetry::new(false, 0);
+        assert!(!telemetry.is_enabled());
+        telemetry.record(SimTime::ZERO, fallback(0));
+        assert!(telemetry.events.records().is_empty());
+        assert!(telemetry.metrics.snapshot().is_empty());
+    }
+
+    #[test]
+    fn trace_only_log_keeps_the_newest_records() {
+        let mut telemetry = Telemetry::new(false, 3);
+        for device in 0..10 {
+            telemetry.record(SimTime::from_secs(u64::from(device)), fallback(device));
+        }
+        assert!(telemetry.metrics.snapshot().is_empty(), "metrics stay off");
+        let log = &telemetry.events;
+        let devices: Vec<_> = log.trace().iter().map(|r| r.event.device()).collect();
+        assert_eq!(devices, [Some(7), Some(8), Some(9)]);
+        assert_eq!(log.records(), log.trace());
+        assert_eq!(log.trace_dropped(), 7);
+        assert_eq!(log.clone().into_records(), log.trace());
+    }
+
+    #[test]
+    fn full_log_keeps_everything_and_traces_the_tail() {
+        let mut telemetry = Telemetry::new(true, 2);
+        for device in 0..5 {
+            telemetry.record(SimTime::from_secs(u64::from(device)), fallback(device));
+        }
+        let log = &telemetry.events;
+        assert_eq!(log.records().len(), 5);
+        assert_eq!(log.trace(), &log.records()[3..]);
+        assert_eq!(log.trace_dropped(), 3);
+        assert_eq!(
+            Telemetry::new(true, 0).events.trace_dropped(),
+            0,
+            "no trace"
+        );
+        assert_eq!(
+            telemetry
+                .metrics
+                .snapshot()
+                .counter("hbr_fallback_total{cause=\"feedback-timeout\"}"),
+            5
+        );
+    }
+
+    #[test]
+    fn record_writes_the_metrics_each_event_implies() {
+        let mut telemetry = Telemetry::new(true, 0);
+        let t = SimTime::ZERO;
+        let flush = |reason| TelemetryEvent::Flush {
+            device: 0,
+            reason,
+            buffered: 3,
+            own: 1,
+            bytes: 296,
+        };
+        telemetry.record(t, flush("capacity"));
+        telemetry.record(t, flush("outage-queued"));
+        let rrc = |to| TelemetryEvent::RrcTransition {
+            device: 0,
+            from: "dch",
+            to,
+            dwell_secs: 4.5,
+        };
+        telemetry.record(t, rrc("fach"));
+        telemetry.record(t, rrc("idle"));
+        telemetry.record(
+            t,
+            TelemetryEvent::EnergyPhase {
                 device: 0,
-                cause: "feedback-timeout",
-                span: None,
+                group: "Cellular",
+                uah: 2.5,
             },
         );
-        assert!(log.is_empty());
+        telemetry.record(
+            t,
+            TelemetryEvent::FleetPulse {
+                epoch: 0,
+                cells: 1,
+                forwards: 4,
+                fallbacks: 0,
+                outage_queued: 0,
+                l3: 9,
+                delivered: 4,
+                retries: 0,
+                migrations: None,
+                lte_handovers: None,
+            },
+        );
+        let m = telemetry.metrics.snapshot();
+        assert_eq!(m.counter("hbr_flush_total{reason=\"capacity\"}"), 1);
+        assert_eq!(m.counter("hbr_flush_total{reason=\"outage-queued\"}"), 1);
+        assert_eq!(
+            m.histograms["hbr_relay_batch_size"].count(),
+            1,
+            "queued is no batch"
+        );
+        assert_eq!(
+            m.histograms["hbr_rrc_dwell_seconds{state=\"dch\"}"].count(),
+            2
+        );
+        assert_eq!(m.counter("hbr_rrc_release_total"), 1);
+        assert_eq!(m.gauges["hbr_energy_uah{group=\"Cellular\"}"], 2.5);
+        assert_eq!(m.gauges["hbr_fleet_l3"], 9.0);
+        assert!(
+            !m.gauges.contains_key("hbr_fleet_migrations"),
+            "only when roaming"
+        );
+        assert_eq!(m.counter("hbr_fleet_epochs_total"), 1);
+        assert_eq!(telemetry.events.records().len(), 6);
     }
 
     #[test]

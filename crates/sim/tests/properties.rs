@@ -238,44 +238,4 @@ proptest! {
         assert_close(&merged, &summarise(&whole));
     }
 
-    /// `Tracer::record` clamps out-of-order stamps to the ring's tail
-    /// (handlers acting at a transfer's completion instant can run
-    /// behind an already-recorded later entry), so the ring stays
-    /// sorted and `between`'s two binary searches stay valid under
-    /// *arbitrary* non-monotone stamp sequences — not just the single
-    /// inversion the unit test pins.
-    #[test]
-    fn tracer_stays_binary_searchable_under_non_monotone_stamps(
-        stamps in proptest::collection::vec(0u64..5_000, 1..120),
-        windows in proptest::collection::vec((0u64..6_000, 0u64..6_000), 1..12),
-    ) {
-        let mut tracer = hbr_sim::Tracer::with_capacity(256);
-        for &s in &stamps {
-            tracer.record(SimTime::from_micros(s), "evt", "");
-        }
-        // The ring itself must be non-decreasing …
-        let times: Vec<SimTime> = tracer.iter().map(|e| e.time).collect();
-        prop_assert!(
-            times.windows(2).all(|w| w[0] <= w[1]),
-            "ring went unsorted: {times:?}"
-        );
-        // … and every clamp only ever moves a stamp *forward* onto the
-        // tail, so the multiset of recorded times dominates the inputs.
-        prop_assert_eq!(times.len(), stamps.len());
-        for (&raw, &kept) in stamps.iter().zip(&times) {
-            prop_assert!(kept >= SimTime::from_micros(raw));
-        }
-        // `between` (two partition_points over the ring) must agree
-        // with a linear scan for any query window, including empty and
-        // inverted ones.
-        for &(a, b) in &windows {
-            let (from, to) = (SimTime::from_micros(a), SimTime::from_micros(b));
-            let fast = tracer.between(from, to).count();
-            let slow = times.iter().filter(|&&t| t >= from && t < to).count();
-            prop_assert_eq!(
-                fast, slow,
-                "between({}, {}) disagrees with linear scan", from, to
-            );
-        }
-    }
 }

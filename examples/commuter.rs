@@ -12,7 +12,7 @@
 //! works the afternoon near the office relay. The example shows the
 //! expected lifecycle: forward → detach + cellular fallback while in
 //! transit → re-match to the new relay — with presence intact throughout,
-//! and an execution trace to read the story from.
+//! and a trace of typed events (JSONL) to read the story from.
 
 use d2d_heartbeat::apps::AppProfile;
 use d2d_heartbeat::core::world::{DeviceSpec, Mode, Role, Scenario, ScenarioConfig};
@@ -61,9 +61,9 @@ fn main() {
         ue.forwards, ue.rrc_connections, ue.fallbacks, ue.offline_secs
     );
 
-    println!("\nexecution trace (last {} events):", report.trace.len());
-    for entry in &report.trace {
-        println!("  {entry}");
+    println!("\ntrace (last {} events):", report.trace.len());
+    for record in &report.trace {
+        println!("  {}", record.to_jsonl());
     }
 
     assert!(home.forwards > 0, "morning heartbeats ride the home relay");

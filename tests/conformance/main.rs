@@ -15,15 +15,12 @@
 //! * [`world_scenarios`] — full-engine interleavings with mid-run fault
 //!   injection (`hbr_conform::WorldHarness`).
 //!
-//! The three PR 5 regressions live here as named scenarios, each in at
+//! Two PR 5 regressions live here as named scenarios, each in at
 //! least two legal interleavings:
 //!
 //! * retry racing link establishment —
 //!   `world_scenarios::departure_requeue_races_link_establishment`,
 //!   `world_scenarios::emission_races_link_establishment_to_replacement`
-//! * non-monotone trace stamps vs `Tracer::between` —
-//!   `stack_scenarios::clamped_marks_keep_trace_binary_searchable`,
-//!   `stack_scenarios::clamp_races_live_traffic_between_probes`
 //! * retry budgeting against the liveness deadline —
 //!   `stack_scenarios::liveness_budget_blocks_late_retry`,
 //!   `stack_scenarios::backoff_cap_boundary_at_liveness_deadline`

@@ -1,6 +1,6 @@
 //! Component-level conformance scenarios: the real delivery stack
-//! (scheduler, ledger, feedback tracker, server, tracer, invariant
-//! checker) behind a scripted relay.
+//! (scheduler, ledger, feedback tracker, server, invariant checker)
+//! behind a scripted relay.
 //!
 //! Timing cheat-sheet for the defaults used below (`StackConfig`):
 //! feedback timeout 300 s, relay period 60 s, capacity 7, backoff
@@ -347,123 +347,6 @@ fn backoff_cap_boundary_at_liveness_deadline() {
         });
         require_clean_books(&mut d);
         (d, StackHarness::new(config))
-    })
-    .assert_ok();
-}
-
-/// PR 5 trace-clamp race, interleaving 1 (pure stamps): handlers record
-/// entries with raw stamps that run backwards; `Tracer::record` must
-/// clamp them to the ring tail so `between`'s binary searches stay
-/// valid. Reverting the clamp leaves the ring unsorted and both
-/// requires fail.
-#[test]
-fn clamped_marks_keep_trace_binary_searchable() {
-    run_reproducible(|| {
-        let mut d = ScenarioDag::new("clamped-marks-searchable");
-        let m30 = d.inject("mark-30", Stim::Mark { at: at(30) });
-        let m5 = d.inject("stale-mark-5", Stim::Mark { at: at(5) });
-        let m45 = d.inject("mark-45", Stim::Mark { at: at(45) });
-        let m2 = d.inject("stale-mark-2", Stim::Mark { at: at(2) });
-        let p1 = d.inject(
-            "probe-early",
-            Stim::ProbeWindow {
-                from: at(0),
-                to: at(10),
-            },
-        );
-        let p2 = d.inject(
-            "probe-mid",
-            Stim::ProbeWindow {
-                from: at(25),
-                to: at(50),
-            },
-        );
-        let p3 = d.inject(
-            "probe-all",
-            Stim::ProbeWindow {
-                from: at(0),
-                to: at(100),
-            },
-        );
-        d.chain(&[m30, m5, m45, m2, p1, p2, p3]);
-        d.require("ring-sorted", |s: &StackSnapshot| {
-            if s.trace_sorted {
-                Ok(String::from("ring is non-decreasing"))
-            } else {
-                Err(String::from("ring is out of order"))
-            }
-        });
-        d.require("between-agrees-with-scan", |s: &StackSnapshot| {
-            if s.probe_mismatches.is_empty() {
-                Ok(String::from("3 probes consistent"))
-            } else {
-                Err(s.probe_mismatches.join("; "))
-            }
-        });
-        (d, StackHarness::new(StackConfig::default()))
-    })
-    .assert_ok();
-}
-
-/// PR 5 trace-clamp race, interleaving 2: the stale stamp arrives
-/// *between* real protocol entries (emit, feedback-timeout, retry,
-/// fallback traces), and probe windows straddle the clamp boundary.
-#[test]
-fn clamp_races_live_traffic_between_probes() {
-    run_reproducible(|| {
-        let mut d = ScenarioDag::new("clamp-races-live-traffic");
-        let lossy = d.perturb("lossy-relay", Stim::Relay(RelayMode::LosingPayloads));
-        let e = d.inject("emit", emit(1, 810));
-        // The feedback timeout traces at 300 s; a handler then records
-        // a transfer-completion stamp from the past.
-        let t302 = d.advance("first-timeout", at(302));
-        let stale = d.inject("stale-mark-100", Stim::Mark { at: at(100) });
-        let p1 = d.inject(
-            "probe-before-clamp",
-            Stim::ProbeWindow {
-                from: at(0),
-                to: at(50),
-            },
-        );
-        let p2 = d.inject(
-            "probe-around-clamp",
-            Stim::ProbeWindow {
-                from: at(250),
-                to: at(310),
-            },
-        );
-        let p3 = d.inject(
-            "probe-all",
-            Stim::ProbeWindow {
-                from: at(0),
-                to: at(1000),
-            },
-        );
-        let drain = d.advance("drain", at(810));
-        d.chain(&[lossy, e, t302, stale, p1, p2, p3, drain]);
-        d.require("ring-sorted", |s: &StackSnapshot| {
-            if s.trace_sorted {
-                Ok(String::from("ring is non-decreasing"))
-            } else {
-                Err(String::from("ring is out of order"))
-            }
-        });
-        d.require("between-agrees-with-scan", |s: &StackSnapshot| {
-            if s.probe_mismatches.is_empty() {
-                Ok(String::from("3 probes consistent"))
-            } else {
-                Err(s.probe_mismatches.join("; "))
-            }
-        });
-        d.require("delivery-still-clean", |s: &StackSnapshot| {
-            if s.view.server_delivered == 1 {
-                Ok(String::from("exactly-once held under the noise"))
-            } else {
-                Err(format!("view {:?}", s.view))
-            }
-        });
-        require_clean_books(&mut d);
-        (d, StackHarness::new(StackConfig::default()))
     })
     .assert_ok();
 }

@@ -36,6 +36,13 @@ const GOLDEN_TELEMETRY_HASH: u64 = 0xbe99_77e6_695b_f60e;
 /// rendered report, delivery SLO, event stream and span stream.
 const GOLDEN_CROWD_HASH: u64 = 0x28b8_8d4f_1396_9731;
 
+/// The committed fingerprint of the same crowd hour's merged metrics:
+/// the JSON snapshot followed by the Prometheus exposition. The fleet
+/// pulse gauges and every event-implied counter pass through the
+/// sharded merge, so this pins what the 1-vs-N-shard `cmp` gates cannot
+/// see — a change that lands identically at every shard count.
+const GOLDEN_CROWD_METRICS_HASH: u64 = 0x1b3d_937c_d30e_eed6;
+
 /// The same faulted scenario as `golden_trace.rs`, with telemetry on.
 fn faulted_config(seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::new(SimDuration::from_secs(2 * 3600), seed);
@@ -147,8 +154,9 @@ fn telemetry_is_byte_reproducible_across_thread_counts() {
 /// a tenth of them random-waypoint walkers: every match and forward
 /// advances several walkers on one cell stream and queries a spatial
 /// index that earlier advances left in place, and roaming moves
-/// walkers between cells at the barriers.
-fn walker_dense_crowd() -> String {
+/// walkers between cells at the barriers. Returns the run's rendered
+/// report, SLO, events and spans, then its merged metrics.
+fn walker_dense_crowd() -> (String, String) {
     let report = run_crowd(&CrowdConfig {
         phones: 1_200,
         relays: 120,
@@ -175,14 +183,17 @@ fn walker_dense_crowd() -> String {
         out.push('\n');
     }
     out.push_str(&report.spans.to_jsonl());
-    out
+    let mut metrics = report.metrics.to_json();
+    metrics.push_str(&report.metrics.to_prometheus());
+    (out, metrics)
 }
 
 #[test]
 fn walker_dense_crowd_hour_is_pinned() {
-    let text = walker_dense_crowd();
+    let (text, metrics) = walker_dense_crowd();
     if std::env::var("HBR_PRINT_GOLDEN").is_ok() {
         println!("golden crowd hash: {:#018x}", fnv1a(&text));
+        println!("golden crowd metrics hash: {:#018x}", fnv1a(&metrics));
     }
     assert_eq!(
         fnv1a(&text),
@@ -190,6 +201,13 @@ fn walker_dense_crowd_hour_is_pinned() {
         "the walker-dense crowd hour drifted; if the engine change is \
          intentional, re-run with HBR_PRINT_GOLDEN=1 and update \
          GOLDEN_CROWD_HASH"
+    );
+    assert_eq!(
+        fnv1a(&metrics),
+        GOLDEN_CROWD_METRICS_HASH,
+        "the walker-dense crowd hour's merged metrics drifted; if the \
+         change is intentional, re-run with HBR_PRINT_GOLDEN=1 and update \
+         GOLDEN_CROWD_METRICS_HASH"
     );
 }
 

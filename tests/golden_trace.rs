@@ -1,7 +1,8 @@
 //! Golden-trace regression: a fixed-seed faulted scenario is
-//! byte-reproducible — identical rendered report and identical trace —
-//! across runs *and* across sweep thread counts, pinned to committed
-//! hashes.
+//! byte-reproducible — identical rendered report and identical trace of
+//! typed events — across runs *and* across sweep thread counts, pinned
+//! to committed hashes. The scenario runs with telemetry off, so the
+//! trace is the event log's bounded tail alone.
 //!
 //! If an intentional engine change shifts the trace, re-run with
 //! `HBR_PRINT_GOLDEN=1 cargo test --test golden_trace -- --nocapture`
@@ -22,8 +23,8 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 /// The committed fingerprint of the faulted sweep below. The golden
-/// value covers every point's rendered report and full trace text.
-const GOLDEN_HASH: u64 = 0x8157_42d1_19d0_17d5;
+/// value covers every point's rendered report and full trace as JSONL.
+const GOLDEN_HASH: u64 = 0x5bb4_36c2_eb8d_d4b8;
 
 fn faulted_point(seed: u64) -> String {
     let mut config = ScenarioConfig::new(SimDuration::from_secs(2 * 3600), seed);
@@ -79,8 +80,8 @@ fn faulted_point(seed: u64) -> String {
     let report = Scenario::new(config).run();
     let mut out = report.render();
     out.push('\n');
-    for entry in &report.trace {
-        out.push_str(&entry.to_string());
+    for record in &report.trace {
+        out.push_str(&record.to_jsonl());
         out.push('\n');
     }
     out

@@ -67,6 +67,10 @@ fn broken_scheduler_is_caught_by_the_checker() {
         msg.contains("capacity"),
         "the violation must name the capacity bound, got: {msg}"
     );
+    assert!(
+        msg.contains("{\"t_us\":"),
+        "the violation must carry the trace as typed JSONL records, got: {msg}"
+    );
 }
 
 #[test]

@@ -156,3 +156,42 @@ fn retry_during_link_establishment_does_not_panic() {
     assert_eq!(delivery.expired, 0);
     assert_eq!(delivery.dropped_dead, 0);
 }
+
+/// The crowd trace is the event stream: with a trace capacity that
+/// holds every cell's whole log, the merged trace must equal the merged
+/// events minus the fleet-level pulse records — same records, same
+/// order, and the same fleet-global device ids, migrated devices
+/// included.
+#[test]
+fn roaming_crowd_trace_is_the_event_stream_without_pulses() {
+    let report = run_crowd(&CrowdConfig {
+        phones: 300,
+        relays: 60,
+        hours: 1,
+        area_side_m: 300.0,
+        seed: 7,
+        push_mins: 0,
+        mode: Mode::D2dFramework,
+        faults: FaultPlan::new(),
+        trace_capacity: 1_000_000,
+        telemetry: true,
+        reliable: true,
+        spans: false,
+        shards: Some(2),
+        roam: true,
+    });
+    assert!(report.migrations > 0, "the crowd must actually roam");
+    assert_eq!(report.trace_dropped, 0, "the capacity holds every record");
+    let without_pulses: Vec<_> = report
+        .events
+        .iter()
+        .filter(|r| r.event.kind() != "pulse")
+        .cloned()
+        .collect();
+    assert!(!without_pulses.is_empty());
+    assert!(
+        without_pulses.len() < report.events.len(),
+        "pulses recorded"
+    );
+    assert!(report.trace == without_pulses, "trace and events diverge");
+}

@@ -98,7 +98,7 @@ fn checkpoint_format_is_pinned_to_the_declared_version() {
     // crates/sim/src/snapshot.rs and update BOTH pins below — never
     // just the hash.
     assert_eq!(
-        FORMAT_VERSION, 2,
+        FORMAT_VERSION, 3,
         "FORMAT_VERSION bumped: update the pinned hash below to the new format's hash"
     );
     let hash = fnv1a(&bytes);
@@ -107,7 +107,7 @@ fn checkpoint_format_is_pinned_to_the_declared_version() {
         bytes.len()
     );
     assert_eq!(
-        hash, 0xc05b_098b_99b0_a151,
+        hash, 0x997f_6758_d51a_d9fe,
         "checkpoint bytes changed while FORMAT_VERSION stayed {FORMAT_VERSION}: \
          bump FORMAT_VERSION in crates/sim/src/snapshot.rs and re-pin this hash"
     );
