@@ -1,7 +1,7 @@
 //! Workload generation: heartbeat schedules and mixed traffic.
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
+use hbr_sim::snapshot::SnapshotError;
+use hbr_sim::{snap_struct, DeviceId, SimDuration, SimRng, SimTime};
 
 use crate::message::{Heartbeat, MessageIdGen};
 use crate::profile::AppProfile;
@@ -110,31 +110,16 @@ impl HeartbeatSchedule {
     }
 }
 
-impl Snap for HeartbeatSchedule {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.device.snap(w);
-        self.app.snap(w);
-        w.put_f64(self.jitter_frac);
-        self.next_at.snap(w);
-        w.put_u32(self.seq);
+snap_struct!(HeartbeatSchedule { device, app, jitter_frac, next_at, seq } check check_jitter);
+
+fn check_jitter(s: &HeartbeatSchedule) -> Result<(), SnapshotError> {
+    if !(s.jitter_frac.is_finite() && s.jitter_frac >= 0.0) {
+        return Err(SnapshotError::Corrupt(format!(
+            "jitter fraction {}",
+            s.jitter_frac
+        )));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let device = DeviceId::unsnap(r)?;
-        let app = AppProfile::unsnap(r)?;
-        let jitter_frac = r.take_f64()?;
-        if !(jitter_frac.is_finite() && jitter_frac >= 0.0) {
-            return Err(SnapshotError::Corrupt(format!(
-                "jitter fraction {jitter_frac}"
-            )));
-        }
-        Ok(HeartbeatSchedule {
-            device,
-            app,
-            jitter_frac,
-            next_at: SimTime::unsnap(r)?,
-            seq: r.take_u32()?,
-        })
-    }
+    Ok(())
 }
 
 /// One event in a mixed traffic trace.
@@ -266,6 +251,20 @@ impl TrafficGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+
+    #[test]
+    fn restore_refuses_a_bad_jitter_fraction() {
+        for jitter_frac in [-0.1, f64::NAN, f64::INFINITY] {
+            let mut bad = HeartbeatSchedule::new(DeviceId::new(0), AppProfile::wechat(), 0.0);
+            bad.jitter_frac = jitter_frac;
+            let mut w = SnapshotWriter::new();
+            bad.snap(&mut w);
+            let bytes = w.into_bytes();
+            let err = HeartbeatSchedule::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
 
     fn rng() -> SimRng {
         SimRng::seed_from(1234)

@@ -2,8 +2,7 @@
 
 use std::fmt;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{DeviceId, SimTime};
+use hbr_sim::{snap_struct, DeviceId, SimTime};
 
 use crate::profile::AppId;
 
@@ -18,14 +17,7 @@ impl MessageId {
     }
 }
 
-impl Snap for MessageId {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.0);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MessageId(r.take_u64()?))
-    }
-}
+snap_struct!(MessageId(0));
 
 impl fmt::Display for MessageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -62,16 +54,7 @@ impl MessageIdGen {
     }
 }
 
-impl Snap for MessageIdGen {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.next);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MessageIdGen {
-            next: r.take_u64()?,
-        })
-    }
-}
+snap_struct!(MessageIdGen { next });
 
 /// One heartbeat message in flight.
 ///
@@ -123,28 +106,15 @@ impl Heartbeat {
     }
 }
 
-impl Snap for Heartbeat {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.id.snap(w);
-        self.app.snap(w);
-        self.source.snap(w);
-        w.put_u32(self.seq);
-        w.put_usize(self.size);
-        self.created_at.snap(w);
-        self.expires_at.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Heartbeat {
-            id: MessageId::unsnap(r)?,
-            app: AppId::unsnap(r)?,
-            source: DeviceId::unsnap(r)?,
-            seq: r.take_u32()?,
-            size: r.take_usize()?,
-            created_at: SimTime::unsnap(r)?,
-            expires_at: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Heartbeat {
+    id,
+    app,
+    source,
+    seq,
+    size,
+    created_at,
+    expires_at
+});
 
 impl fmt::Display for Heartbeat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

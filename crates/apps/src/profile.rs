@@ -10,8 +10,8 @@
 
 use std::fmt;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::SimDuration;
+use hbr_sim::snapshot::SnapshotError;
+use hbr_sim::{snap_struct, SimDuration};
 
 /// Identifies an application across the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -29,14 +29,7 @@ impl AppId {
     }
 }
 
-impl Snap for AppId {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u32(self.0);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(AppId(r.take_u32()?))
-    }
-}
+snap_struct!(AppId(0));
 
 impl fmt::Display for AppId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -182,40 +175,27 @@ impl AppProfile {
     }
 }
 
-impl Snap for AppProfile {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.id.snap(w);
-        w.put_str(&self.name);
-        self.heartbeat_period.snap(w);
-        w.put_usize(self.heartbeat_size);
-        self.expiration.snap(w);
-        w.put_f64(self.heartbeat_share);
+snap_struct!(AppProfile {
+    id,
+    name,
+    heartbeat_period,
+    heartbeat_size,
+    expiration,
+    heartbeat_share,
+} check check_profile);
+
+fn check_profile(p: &AppProfile) -> Result<(), SnapshotError> {
+    if p.heartbeat_period.is_zero()
+        || p.heartbeat_size == 0
+        || p.expiration.is_zero()
+        || !(p.heartbeat_share > 0.0 && p.heartbeat_share < 1.0)
+    {
+        return Err(SnapshotError::Corrupt(format!(
+            "app profile {:?} out of range",
+            p.name
+        )));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let id = AppId::unsnap(r)?;
-        let name = String::unsnap(r)?;
-        let heartbeat_period = SimDuration::unsnap(r)?;
-        let heartbeat_size = r.take_usize()?;
-        let expiration = SimDuration::unsnap(r)?;
-        let heartbeat_share = r.take_f64()?;
-        if heartbeat_period.is_zero()
-            || heartbeat_size == 0
-            || expiration.is_zero()
-            || !(heartbeat_share > 0.0 && heartbeat_share < 1.0)
-        {
-            return Err(SnapshotError::Corrupt(format!(
-                "app profile {name:?} out of range"
-            )));
-        }
-        Ok(AppProfile {
-            id,
-            name,
-            heartbeat_period,
-            heartbeat_size,
-            expiration,
-            heartbeat_share,
-        })
-    }
+    Ok(())
 }
 
 impl fmt::Display for AppProfile {
@@ -233,6 +213,26 @@ impl fmt::Display for AppProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+
+    #[test]
+    fn restore_refuses_out_of_range_profiles() {
+        let breakages: [fn(&mut AppProfile); 4] = [
+            |p| p.heartbeat_period = SimDuration::ZERO,
+            |p| p.heartbeat_size = 0,
+            |p| p.expiration = SimDuration::ZERO,
+            |p| p.heartbeat_share = 1.0,
+        ];
+        for breakage in breakages {
+            let mut bad = AppProfile::wechat();
+            breakage(&mut bad);
+            let mut w = SnapshotWriter::new();
+            bad.snap(&mut w);
+            let bytes = w.into_bytes();
+            let err = AppProfile::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
 
     #[test]
     fn paper_constants() {

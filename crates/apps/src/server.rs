@@ -10,8 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{DeviceId, SimDuration, SimTime};
+use hbr_sim::snapshot::SnapshotError;
+use hbr_sim::{snap_struct, DeviceId, SimDuration, SimTime};
 
 use crate::message::Heartbeat;
 use crate::profile::AppId;
@@ -234,43 +234,41 @@ impl ImServer {
     }
 }
 
-impl Snap for ImServer {
-    /// The `seen`/`seen_seq` hash sets are serialised in sorted order so
-    /// the byte stream is independent of hash iteration order.
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.expiration.snap(w);
-        self.history.snap(w);
-        w.put_u64(self.delivered);
-        w.put_u64(self.rejected_expired);
-        w.put_u64(self.duplicates);
-        let mut seen: Vec<crate::message::MessageId> = self.seen.iter().copied().collect();
-        seen.sort();
-        seen.snap(w);
-        let mut seen_seq: Vec<(DeviceId, AppId, u32)> = self.seen_seq.iter().copied().collect();
-        seen_seq.sort();
-        seen_seq.snap(w);
+snap_struct!(ImServer {
+    expiration,
+    history,
+    delivered,
+    rejected_expired,
+    duplicates,
+    seen,
+    seen_seq,
+} check check_expiration);
+
+fn check_expiration(s: &ImServer) -> Result<(), SnapshotError> {
+    if s.expiration.is_zero() {
+        return Err(SnapshotError::Corrupt("zero server expiration".into()));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let expiration = SimDuration::unsnap(r)?;
-        if expiration.is_zero() {
-            return Err(SnapshotError::Corrupt("zero server expiration".into()));
-        }
-        Ok(ImServer {
-            expiration,
-            history: BTreeMap::unsnap(r)?,
-            delivered: r.take_u64()?,
-            rejected_expired: r.take_u64()?,
-            duplicates: r.take_u64()?,
-            seen: Vec::unsnap(r)?.into_iter().collect(),
-            seen_seq: Vec::unsnap(r)?.into_iter().collect(),
-        })
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::MessageIdGen;
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+
+    #[test]
+    fn restore_refuses_a_zero_expiration() {
+        let bad = ImServer {
+            expiration: SimDuration::ZERO,
+            ..ImServer::new(SimDuration::from_secs(810))
+        };
+        let mut w = SnapshotWriter::new();
+        bad.snap(&mut w);
+        let bytes = w.into_bytes();
+        let err = ImServer::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
 
     fn hb(ids: &mut MessageIdGen, created: u64, expires: u64) -> Heartbeat {
         Heartbeat {

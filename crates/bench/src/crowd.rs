@@ -54,7 +54,7 @@ use hbr_sim::snapshot::{
 };
 use hbr_sim::spans::SpanRecorder;
 use hbr_sim::telemetry::{Telemetry, TelemetryEvent};
-use hbr_sim::{DeviceId, SimDuration, SimTime};
+use hbr_sim::{snap_struct, DeviceId, SimDuration, SimTime};
 
 use crate::profile::{CrowdProfile, Profiler};
 use crate::sweep::{derive_seed, sweep_threads};
@@ -793,62 +793,46 @@ fn coalesce_rows(into: &mut DeviceReport, other: DeviceReport) {
 // config no longer reproduces the same cell setups.
 // ---------------------------------------------------------------------
 
-/// Serializes a [`CrowdConfig`] into a checkpoint.
-fn snap_crowd_config(config: &CrowdConfig, w: &mut SnapshotWriter) {
-    w.put_usize(config.phones);
-    w.put_usize(config.relays);
-    w.put_u64(config.hours);
-    w.put_f64(config.area_side_m);
-    w.put_u64(config.seed);
-    w.put_u64(config.push_mins);
-    config.mode.snap(w);
-    config.faults.snap(w);
-    w.put_usize(config.trace_capacity);
-    w.put_bool(config.telemetry);
-    w.put_bool(config.reliable);
-    w.put_bool(config.spans);
-    config.shards.snap(w);
-    w.put_bool(config.roam);
-}
+snap_struct!(CrowdConfig {
+    phones,
+    relays,
+    hours,
+    area_side_m,
+    seed,
+    push_mins,
+    mode,
+    faults,
+    trace_capacity,
+    telemetry,
+    reliable,
+    spans,
+    shards,
+    roam,
+} check check_crowd_config);
 
-/// Reads a [`CrowdConfig`] back out of a checkpoint.
-fn unsnap_crowd_config(r: &mut SnapshotReader<'_>) -> Result<CrowdConfig, SnapshotError> {
-    let phones = r.take_usize()?;
-    let relays = r.take_usize()?;
-    if phones == 0 || relays > phones {
+/// Refuses a config no run could have been started with.
+fn check_crowd_config(c: &CrowdConfig) -> Result<(), SnapshotError> {
+    if c.phones == 0 || c.relays > c.phones {
         return Err(SnapshotError::Corrupt(format!(
-            "{relays} relays among {phones} phones"
+            "{} relays among {} phones",
+            c.relays, c.phones
         )));
     }
-    let hours = r.take_u64()?;
-    let area_side_m = r.take_f64()?;
-    if !(area_side_m.is_finite() && area_side_m > 0.0) {
-        return Err(SnapshotError::Corrupt(format!("area side {area_side_m}")));
+    if !(c.area_side_m.is_finite() && c.area_side_m > 0.0) {
+        return Err(SnapshotError::Corrupt(format!(
+            "area side {}",
+            c.area_side_m
+        )));
     }
-    let seed = r.take_u64()?;
-    let push_mins = r.take_u64()?;
     // Both become `SimDuration`s, which count microseconds in a u64.
-    if hours.checked_mul(3_600_000_000).is_none() || push_mins.checked_mul(60_000_000).is_none() {
+    if c.hours.checked_mul(3_600_000_000).is_none() || c.push_mins.checked_mul(60_000_000).is_none()
+    {
         return Err(SnapshotError::Corrupt(format!(
-            "{hours} h horizon or {push_mins} min push interval overflows the clock"
+            "{} h horizon or {} min push interval overflows the clock",
+            c.hours, c.push_mins
         )));
     }
-    Ok(CrowdConfig {
-        phones,
-        relays,
-        hours,
-        area_side_m,
-        seed,
-        push_mins,
-        mode: Mode::unsnap(r)?,
-        faults: FaultPlan::unsnap(r)?,
-        trace_capacity: r.take_usize()?,
-        telemetry: r.take_bool()?,
-        reliable: r.take_bool()?,
-        spans: r.take_bool()?,
-        shards: Option::unsnap(r)?,
-        roam: r.take_bool()?,
-    })
+    Ok(())
 }
 
 /// The file a checkpoint at `epochs_done` barriers lands in.
@@ -869,7 +853,7 @@ fn write_checkpoint(
 ) -> Result<(), SnapshotError> {
     std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
     let mut w = SnapshotWriter::with_header(CROWD_MAGIC);
-    snap_crowd_config(config, &mut w);
+    config.snap(&mut w);
     w.put_u64(epochs_done);
     fleet.snap(&mut w);
     w.put_u64(cells.len() as u64);
@@ -939,7 +923,7 @@ pub fn latest_checkpoint(dir: &Path) -> Result<PathBuf, SnapshotError> {
 pub fn load_checkpoint(path: &Path) -> Result<CrowdCheckpoint, SnapshotError> {
     let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
     let mut r = SnapshotReader::with_header(&bytes, CROWD_MAGIC)?;
-    let config = unsnap_crowd_config(&mut r)?;
+    let config = CrowdConfig::unsnap(&mut r)?;
     let epochs_done = r.take_u64()?;
     if epochs_done > EPOCHS {
         return Err(SnapshotError::Corrupt(format!(

@@ -6,8 +6,7 @@
 //! radio's layer-3 activity and RRC connections — the signaling counts
 //! the paper's figures report.
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::DeviceId;
+use hbr_sim::{snap_struct, DeviceId};
 
 use crate::l3::SignalingCapture;
 use crate::radio::RadioActivity;
@@ -72,18 +71,10 @@ impl BaseStation {
     }
 }
 
-impl Snap for BaseStation {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.capture.snap(w);
-        w.put_u64(self.rrc_connections);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(BaseStation {
-            capture: SignalingCapture::unsnap(r)?,
-            rrc_connections: r.take_u64()?,
-        })
-    }
-}
+snap_struct!(BaseStation {
+    capture,
+    rrc_connections
+});
 
 #[cfg(test)]
 mod tests {

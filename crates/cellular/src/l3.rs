@@ -8,7 +8,7 @@
 use std::fmt;
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{DeviceId, SimTime};
+use hbr_sim::{snap_struct, DeviceId, SimTime};
 
 /// A layer-3 RRC control message, as NetOptiMaster would label it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -105,20 +105,11 @@ pub struct CapturedMessage {
     pub message: L3Message,
 }
 
-impl Snap for CapturedMessage {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.time.snap(w);
-        self.device.snap(w);
-        self.message.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CapturedMessage {
-            time: SimTime::unsnap(r)?,
-            device: DeviceId::unsnap(r)?,
-            message: L3Message::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(CapturedMessage {
+    time,
+    device,
+    message
+});
 
 /// The layer-3 capture log — the simulation's NetOptiMaster.
 ///
@@ -228,20 +219,11 @@ impl SignalingCapture {
     }
 }
 
-impl Snap for SignalingCapture {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.compact);
-        w.put_u64(self.counted);
-        self.entries.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SignalingCapture {
-            compact: r.take_bool()?,
-            counted: r.take_u64()?,
-            entries: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(SignalingCapture {
+    compact,
+    counted,
+    entries
+});
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 
 use hbr_energy::{MilliAmps, Phase, Segment};
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{SimDuration, SimTime};
+use hbr_sim::{snap_enum, snap_struct, SimDuration, SimTime};
 
 use crate::config::RrcConfig;
 use crate::l3::L3Message;
@@ -56,23 +56,7 @@ impl RrcState {
     }
 }
 
-impl Snap for RrcState {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            RrcState::Idle => 0,
-            RrcState::CellDch => 1,
-            RrcState::CellFach => 2,
-        });
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(RrcState::Idle),
-            1 => Ok(RrcState::CellDch),
-            2 => Ok(RrcState::CellFach),
-            t => Err(SnapshotError::Corrupt(format!("rrc state tag {t}"))),
-        }
-    }
-}
+snap_enum!(RrcState "rrc state" { 0 => Idle, 1 => CellDch, 2 => CellFach });
 
 /// One observed RRC state change, with how long the radio dwelt in the
 /// state it left — the raw material for state-residency histograms.
@@ -171,22 +155,12 @@ impl StateOccupancy {
     }
 }
 
-impl Snap for StateOccupancy {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.idle_secs);
-        w.put_f64(self.dch_secs);
-        w.put_f64(self.active_secs);
-        w.put_f64(self.fach_secs);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(StateOccupancy {
-            idle_secs: r.take_f64()?,
-            dch_secs: r.take_f64()?,
-            active_secs: r.take_f64()?,
-            fach_secs: r.take_f64()?,
-        })
-    }
-}
+snap_struct!(StateOccupancy {
+    idle_secs,
+    dch_secs,
+    active_secs,
+    fach_secs
+});
 
 /// A per-device cellular radio with a lazily evaluated RRC state machine.
 ///

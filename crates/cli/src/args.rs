@@ -1,5 +1,6 @@
 //! Argument parsing for the `hbr` binary — std-only, no dependencies.
 
+use hbr_apps::AppProfile;
 use hbr_sim::fault::{FaultKind, FaultPlan};
 use hbr_sim::{DeviceId, SimDuration, SimTime};
 
@@ -38,6 +39,10 @@ USAGE:
 
         --render-out writes the operator console block to FILE so CI
         can cmp-gate it alongside the other artifacts.
+
+        An artifact that cannot be written is reported as `error:`;
+        the other artifacts are still written, and the run exits
+        nonzero.
 
         --shards splits the fleet into per-cell engines that run on S
         worker threads with deterministic epoch barriers; the output is
@@ -203,8 +208,8 @@ pub enum Command {
     },
     /// The strategy comparison table.
     Strategies {
-        /// App profile name.
-        app: String,
+        /// The app whose workload is compared.
+        app: AppProfile,
         /// Workload length in hours.
         hours: u64,
         /// Workload seed.
@@ -451,12 +456,14 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             })
         }
         "strategies" => {
-            let mut app = "wechat".to_string();
+            let mut app = AppProfile::wechat();
             let mut hours = 24u64;
             let mut seed = 2017u64;
             parse_flags(rest, |flag, value| match flag {
                 "--app" => {
-                    app = value.to_string();
+                    app = AppProfile::by_name(value).ok_or_else(|| {
+                        format!("unknown app {value}; try wechat, qq, whatsapp or facebook")
+                    })?;
                     Ok(())
                 }
                 "--hours" => set_duration(flag, value, &mut hours, MAX_HOURS),

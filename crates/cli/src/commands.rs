@@ -12,10 +12,25 @@ use hbr_core::experiment::{ControlledExperiment, ExperimentConfig};
 use hbr_core::world::{EpochPulse, Mode, ScenarioReport};
 use hbr_sim::signal;
 
-use crate::args::{Command, CrowdArgs, CrowdMode, OutFlags, USAGE};
+use crate::args::{self, Command, CrowdArgs, CrowdMode, OutFlags, USAGE};
+
+/// Parses `argv` and runs the command, returning the process exit
+/// status. Whatever prints `error:` exits nonzero: bad arguments (with
+/// the usage text), a file that cannot be read or written, and an
+/// interrupted batch run.
+pub fn exec(argv: &[String]) -> ExitCode {
+    match args::parse(argv) {
+        Ok(command) => run(command),
+        Err(message) => {
+            eprintln!("error: {message}\n");
+            eprintln!("{USAGE}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
 /// Dispatches a parsed command; the returned code is the process exit
-/// status (interrupted runs and failed file reads exit nonzero).
+/// status.
 pub fn run(command: Command) -> ExitCode {
     match command {
         Command::Help => {
@@ -238,16 +253,8 @@ fn crowd(args: CrowdArgs, serve: bool) -> ExitCode {
         }
         println!();
     }
-    write_telemetry(
-        &runs,
-        &reports,
-        outputs.metrics_out.as_deref(),
-        outputs.events_out.as_deref(),
-    );
-    write_slo(&runs, &reports, outputs.slo_out.as_deref(), truncated);
-    write_spans(&runs, &reports, outputs.spans_out.as_deref());
-    write_render(&runs, &reports, outputs.render_out.as_deref(), truncated);
-    write_profile(profile.as_ref(), outputs.profile_out.as_deref());
+    let written = write_artifacts(&runs, &reports, &outputs, truncated);
+    let profiled = write_profile(profile.as_ref(), outputs.profile_out.as_deref());
     if reports.len() == 2 && !truncated {
         let (base, fw) = (&reports[0], &reports[1]);
         println!("── comparison ──");
@@ -263,7 +270,7 @@ fn crowd(args: CrowdArgs, serve: bool) -> ExitCode {
     // For a resident service an operator's Ctrl-C is the intended way
     // to stop: the state is checkpointed, so that is a success. A
     // truncated *batch* run did not do what was asked — exit nonzero.
-    if truncated && !serve {
+    if !(written && profiled) || (truncated && !serve) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -327,23 +334,8 @@ fn resume(dir: &str, checkpoint_every: u64, out: &OutFlags) -> ExitCode {
         );
         println!("resume with: hbr resume {}\n", dir.display());
     }
-    let runs = [(name, mode)];
-    let reports = [outcome.report];
-    write_telemetry(
-        &runs,
-        &reports,
-        out.metrics_out.as_deref(),
-        out.events_out.as_deref(),
-    );
-    write_slo(&runs, &reports, out.slo_out.as_deref(), outcome.truncated);
-    write_spans(&runs, &reports, out.spans_out.as_deref());
-    write_render(
-        &runs,
-        &reports,
-        out.render_out.as_deref(),
-        outcome.truncated,
-    );
-    if outcome.truncated {
+    let written = write_artifacts(&[(name, mode)], &[outcome.report], out, outcome.truncated);
+    if !written || outcome.truncated {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -394,6 +386,27 @@ fn pulse_emitter(dir: PathBuf) -> impl Fn(u64, &EpochPulse) + Sync {
     }
 }
 
+/// Writes every deterministic artifact `out` asks for, each even if an
+/// earlier one failed; `false` if any write failed (it printed
+/// `error:`).
+fn write_artifacts(
+    runs: &[(&str, Mode)],
+    reports: &[ScenarioReport],
+    out: &OutFlags,
+    truncated: bool,
+) -> bool {
+    let telemetry = write_telemetry(
+        runs,
+        reports,
+        out.metrics_out.as_deref(),
+        out.events_out.as_deref(),
+    );
+    let slo = write_slo(runs, reports, out.slo_out.as_deref(), truncated);
+    let spans = write_spans(runs, reports, out.spans_out.as_deref());
+    let render = write_render(runs, reports, out.render_out.as_deref(), truncated);
+    telemetry && slo && spans && render
+}
+
 /// Writes the rendered operator console to a file so CI can cmp-gate
 /// it like every other deterministic artifact. A truncated run is
 /// marked on its own final line.
@@ -402,8 +415,8 @@ fn write_render(
     reports: &[ScenarioReport],
     render_out: Option<&str>,
     truncated: bool,
-) {
-    let Some(path) = render_out else { return };
+) -> bool {
+    let Some(path) = render_out else { return true };
     let mut text = String::new();
     for ((name, _), report) in runs.iter().zip(reports) {
         text.push_str(&format!("── {name} ──\n"));
@@ -413,10 +426,10 @@ fn write_render(
     if truncated {
         text.push_str("truncated: true\n");
     }
-    match std::fs::write(path, text) {
-        Ok(()) => println!("render   : wrote {path}"),
-        Err(e) => eprintln!("error: cannot write render to {path}: {e}"),
-    }
+    report_write(
+        std::fs::write(path, text).map(|()| format!("render   : wrote {path}")),
+        &format!("render to {path}"),
+    )
 }
 
 /// Writes the telemetry files a `crowd` run was asked for: the merged
@@ -429,18 +442,19 @@ fn write_telemetry(
     reports: &[ScenarioReport],
     metrics_out: Option<&str>,
     events_out: Option<&str>,
-) {
+) -> bool {
+    let mut ok = true;
     if let Some(path) = metrics_out {
         let merged = hbr_bench::merge_snapshots(reports.iter().map(|r| &r.metrics));
         let prom_path = std::path::Path::new(path).with_extension("prom");
         let mut json = merged.to_json();
         json.push('\n');
-        match std::fs::write(path, json)
-            .and_then(|()| std::fs::write(&prom_path, merged.to_prometheus()))
-        {
-            Ok(()) => println!("metrics  : wrote {path} and {}", prom_path.display()),
-            Err(e) => eprintln!("error: cannot write metrics to {path}: {e}"),
-        }
+        ok &= report_write(
+            std::fs::write(path, json)
+                .and_then(|()| std::fs::write(&prom_path, merged.to_prometheus()))
+                .map(|()| format!("metrics  : wrote {path} and {}", prom_path.display())),
+            &format!("metrics to {path}"),
+        );
     }
     if let Some(path) = events_out {
         let mut out = String::new();
@@ -455,11 +469,13 @@ fn write_telemetry(
                 lines += 1;
             }
         }
-        match std::fs::write(path, out) {
-            Ok(()) => println!("events   : wrote {path} ({lines} event line(s))"),
-            Err(e) => eprintln!("error: cannot write events to {path}: {e}"),
-        }
+        ok &= report_write(
+            std::fs::write(path, out)
+                .map(|()| format!("events   : wrote {path} ({lines} event line(s))")),
+            &format!("events to {path}"),
+        );
     }
+    ok
 }
 
 /// Writes the delivery-SLO report of the d2d run as one line of
@@ -473,19 +489,19 @@ fn write_slo(
     reports: &[ScenarioReport],
     slo_out: Option<&str>,
     truncated: bool,
-) {
-    let Some(path) = slo_out else { return };
+) -> bool {
+    let Some(path) = slo_out else { return true };
     let Some((_, report)) = runs
         .iter()
         .zip(reports)
         .find(|((_, m), _)| *m == Mode::D2dFramework)
     else {
         eprintln!("error: --slo-out needs a d2d run, but only the original baseline ran");
-        return;
+        return false;
     };
     let Some(d) = &report.delivery else {
         eprintln!("error: the d2d run carried no delivery ledger; cannot write {path}");
-        return;
+        return false;
     };
     // A run stopped early carries an explicit marker; complete runs
     // keep the historical byte layout so existing cmp gates still hold.
@@ -509,18 +525,18 @@ fn write_slo(
         d.ratio(),
         d.false_dead_secs,
     );
-    match std::fs::write(path, json) {
-        Ok(()) => println!("slo      : wrote {path}"),
-        Err(e) => eprintln!("error: cannot write SLO report to {path}: {e}"),
-    }
+    report_write(
+        std::fs::write(path, json).map(|()| format!("slo      : wrote {path}")),
+        &format!("SLO report to {path}"),
+    )
 }
 
 /// Writes the per-heartbeat lifecycle spans as run-labelled JSONL,
 /// exactly like the event stream: spans ride the simulation clock, so
 /// the file is byte-identical across thread and shard counts and CI
 /// can `cmp` two runs directly.
-fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Option<&str>) {
-    let Some(path) = spans_out else { return };
+fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Option<&str>) -> bool {
+    let Some(path) = spans_out else { return true };
     let mut out = String::new();
     let mut lines = 0usize;
     for ((name, _), report) in runs.iter().zip(reports) {
@@ -529,10 +545,11 @@ fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Opt
             lines += 1;
         }
     }
-    match std::fs::write(path, out) {
-        Ok(()) => println!("spans    : wrote {path} ({lines} span line(s))"),
-        Err(e) => eprintln!("error: cannot write spans to {path}: {e}"),
-    }
+    report_write(
+        std::fs::write(path, out)
+            .map(|()| format!("spans    : wrote {path} ({lines} span line(s))")),
+        &format!("spans to {path}"),
+    )
 }
 
 /// Writes the wall-clock shard profile: the Chrome trace-event JSON at
@@ -540,9 +557,9 @@ fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Opt
 /// aggregate summary as a `BENCH_profile.json` sibling. Unlike every
 /// other crowd artifact these numbers are wall-clock and therefore NOT
 /// deterministic — never cmp-gate them.
-fn write_profile(profile: Option<&hbr_bench::CrowdProfile>, profile_out: Option<&str>) {
+fn write_profile(profile: Option<&hbr_bench::CrowdProfile>, profile_out: Option<&str>) -> bool {
     let (Some(profile), Some(path)) = (profile, profile_out) else {
-        return;
+        return true;
     };
     let summary_path = std::path::Path::new(path)
         .parent()
@@ -550,22 +567,35 @@ fn write_profile(profile: Option<&hbr_bench::CrowdProfile>, profile_out: Option<
         .unwrap_or_else(|| std::path::PathBuf::from("BENCH_profile.json"));
     let mut summary = profile.to_summary_json();
     summary.push('\n');
-    match std::fs::write(path, profile.to_chrome_trace())
-        .and_then(|()| std::fs::write(&summary_path, summary))
-    {
-        Ok(()) => println!(
-            "profile  : wrote {path} (Chrome trace) and {}",
-            summary_path.display()
-        ),
-        Err(e) => eprintln!("error: cannot write profile to {path}: {e}"),
+    report_write(
+        std::fs::write(path, profile.to_chrome_trace())
+            .and_then(|()| std::fs::write(&summary_path, summary))
+            .map(|()| {
+                format!(
+                    "profile  : wrote {path} (Chrome trace) and {}",
+                    summary_path.display()
+                )
+            }),
+        &format!("profile to {path}"),
+    )
+}
+
+/// Prints the outcome of one artifact write — its success line, or an
+/// `error:` naming `what` — and returns whether it succeeded.
+fn report_write(written: std::io::Result<String>, what: &str) -> bool {
+    match written {
+        Ok(line) => {
+            println!("{line}");
+            true
+        }
+        Err(e) => {
+            eprintln!("error: cannot write {what}: {e}");
+            false
+        }
     }
 }
 
-fn strategies(app_name: &str, hours: u64, seed: u64) {
-    let Some(app) = AppProfile::by_name(app_name) else {
-        eprintln!("unknown app {app_name}; try wechat, qq, whatsapp or facebook");
-        return;
-    };
+fn strategies(app: &AppProfile, hours: u64, seed: u64) {
     println!(
         "strategies: {} mixed workload, {hours} h, seed {seed}\n",
         app.name
@@ -767,16 +797,62 @@ mod tests {
 
     #[test]
     fn strategies_handles_known_and_unknown_apps() {
-        run(Command::Strategies {
-            app: "qq".into(),
-            hours: 2,
-            seed: 1,
-        });
-        run(Command::Strategies {
-            app: "not-an-app".into(),
-            hours: 2,
-            seed: 1,
-        });
+        let argv = |line: &str| line.split(' ').map(String::from).collect::<Vec<_>>();
+        assert_eq!(
+            exec(&argv("strategies --app qq --hours 2 --seed 1")),
+            ExitCode::SUCCESS
+        );
+        assert_eq!(
+            exec(&argv("strategies --app not-an-app --hours 2 --seed 1")),
+            ExitCode::FAILURE
+        );
+    }
+
+    fn small_crowd(mode: CrowdMode, out: OutFlags) -> ExitCode {
+        run(Command::Crowd(CrowdArgs {
+            phones: 6,
+            relays: 2,
+            hours: 1,
+            area: 15.0,
+            seed: 3,
+            mode,
+            faults: FaultPlan::new(),
+            out,
+            ..CrowdArgs::default()
+        }))
+    }
+
+    #[test]
+    fn a_failed_write_exits_nonzero_after_writing_the_rest() {
+        let dir = std::env::temp_dir().join(format!("hbr_cli_failed_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let render = dir.join("render.txt");
+        let code = small_crowd(
+            CrowdMode::D2d,
+            OutFlags {
+                metrics_out: Some(dir.join("missing/m.json").to_string_lossy().into_owned()),
+                render_out: Some(render.to_string_lossy().into_owned()),
+                ..OutFlags::default()
+            },
+        );
+        assert_eq!(code, ExitCode::FAILURE);
+        let text = std::fs::read_to_string(&render).expect("render written after the failure");
+        assert!(text.starts_with("── d2d-framework ──"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn slo_out_without_a_d2d_run_exits_nonzero() {
+        let slo = std::env::temp_dir().join(format!("hbr_cli_no_d2d_{}.json", std::process::id()));
+        let code = small_crowd(
+            CrowdMode::Original,
+            OutFlags {
+                slo_out: Some(slo.to_string_lossy().into_owned()),
+                ..OutFlags::default()
+            },
+        );
+        assert_eq!(code, ExitCode::FAILURE);
+        assert!(!slo.exists(), "no SLO report without a d2d run");
     }
 
     #[test]

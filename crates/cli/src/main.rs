@@ -26,12 +26,5 @@ mod timeline;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match args::parse(&argv) {
-        Ok(command) => commands::run(command),
-        Err(message) => {
-            eprintln!("error: {message}\n");
-            eprintln!("{}", args::USAGE);
-            ExitCode::FAILURE
-        }
-    }
+    commands::exec(&argv)
 }

@@ -2,8 +2,8 @@
 //! SIGKILLed mid-flight (the deterministic `crash@EPOCH` fault) and
 //! then continued with `hbr resume` must produce all five artifacts —
 //! render, metrics, events, spans, SLO — byte-identical to a run that
-//! was never interrupted, at 1 and 8 shards, with roaming and a
-//! six-fault chaos plan active.
+//! was never interrupted, at 1 and 8 shards, with roaming and a chaos
+//! plan holding every fault kind active.
 
 #![cfg(unix)]
 
@@ -14,10 +14,12 @@ use std::process::Command;
 
 const HBR: &str = env!("CARGO_BIN_EXE_hbr");
 
-/// The six-fault chaos plan from the issue: global outage and
-/// blackout, plus targeted drop/departure/degrade/loss.
+/// Every fault kind: global outage and blackout, targeted
+/// drop/departure/degrade/loss, and a device shuttling across the
+/// nearest cell boundary.
 const CHAOS: &str = "outage@600+120,blackout@1200+90,drop@900+300:3,\
-                     depart@1500+600:0,degrade@1000+600:2=0.5,loss@1100+300:4=0.25";
+                     depart@1500+600:0,degrade@1000+600:2=0.5,loss@1100+300:4=0.25,\
+                     churn@300+50:7=1.4";
 
 /// Scenario flags shared by every leg of a comparison (everything that
 /// determines the output).

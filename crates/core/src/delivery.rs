@@ -21,8 +21,8 @@
 use std::collections::BTreeMap;
 
 use hbr_apps::{Heartbeat, MessageId};
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
+use hbr_sim::snapshot::SnapshotError;
+use hbr_sim::{snap_enum, snap_struct, DeviceId, SimDuration, SimRng, SimTime};
 
 /// Where an in-flight heartbeat sits in the delivery pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -355,108 +355,60 @@ impl DeliveryLedger {
     }
 }
 
-impl Snap for BackoffPolicy {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.base.snap(w);
-        self.cap.snap(w);
-        w.put_u32(self.max_attempts);
-        w.put_f64(self.jitter_frac);
+snap_struct!(BackoffPolicy { base, cap, max_attempts, jitter_frac } check check_backoff_jitter);
+
+fn check_backoff_jitter(p: &BackoffPolicy) -> Result<(), SnapshotError> {
+    if !(p.jitter_frac.is_finite() && p.jitter_frac >= 0.0) {
+        return Err(SnapshotError::Corrupt(format!(
+            "backoff jitter fraction {}",
+            p.jitter_frac
+        )));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let base = SimDuration::unsnap(r)?;
-        let cap = SimDuration::unsnap(r)?;
-        let max_attempts = r.take_u32()?;
-        let jitter_frac = r.take_f64()?;
-        if !(jitter_frac.is_finite() && jitter_frac >= 0.0) {
-            return Err(SnapshotError::Corrupt(format!(
-                "backoff jitter fraction {jitter_frac}"
-            )));
-        }
-        Ok(BackoffPolicy {
-            base,
-            cap,
-            max_attempts,
-            jitter_frac,
-        })
-    }
+    Ok(())
 }
 
-impl Snap for DeliveryState {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            DeliveryState::Sent => 0,
-            DeliveryState::D2dAcked => 1,
-            DeliveryState::FeedbackConfirmed => 2,
-        });
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(DeliveryState::Sent),
-            1 => Ok(DeliveryState::D2dAcked),
-            2 => Ok(DeliveryState::FeedbackConfirmed),
-            t => Err(SnapshotError::Corrupt(format!("delivery state tag {t}"))),
-        }
-    }
-}
+snap_enum!(DeliveryState "delivery state" { 0 => Sent, 1 => D2dAcked, 2 => FeedbackConfirmed });
 
-impl Snap for DeliveryEntry {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.heartbeat.snap(w);
-        self.state.snap(w);
-        w.put_u32(self.attempts);
-        w.put_u32(self.handovers);
-        self.failed_relay.snap(w);
-        self.next_retry.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DeliveryEntry {
-            heartbeat: Heartbeat::unsnap(r)?,
-            state: DeliveryState::unsnap(r)?,
-            attempts: r.take_u32()?,
-            handovers: r.take_u32()?,
-            failed_relay: Option::unsnap(r)?,
-            next_retry: Option::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(DeliveryEntry {
+    heartbeat,
+    state,
+    attempts,
+    handovers,
+    failed_relay,
+    next_retry
+});
 
-impl Snap for DeliveryStats {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.delivered);
-        w.put_u64(self.expired);
-        w.put_u64(self.dropped_dead);
-        w.put_u64(self.retries);
-        w.put_u64(self.handovers);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DeliveryStats {
-            delivered: r.take_u64()?,
-            expired: r.take_u64()?,
-            dropped_dead: r.take_u64()?,
-            retries: r.take_u64()?,
-            handovers: r.take_u64()?,
-        })
-    }
-}
+snap_struct!(DeliveryStats {
+    delivered,
+    expired,
+    dropped_dead,
+    retries,
+    handovers
+});
 
-impl Snap for DeliveryLedger {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.entries.snap(w);
-        self.stats.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DeliveryLedger {
-            entries: BTreeMap::unsnap(r)?,
-            stats: DeliveryStats::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(DeliveryLedger { entries, stats });
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hbr_apps::{AppId, MessageIdGen};
     use hbr_sim::fault::retry_stream_seed;
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+
+    #[test]
+    fn restore_refuses_a_bad_backoff_jitter() {
+        for jitter_frac in [-0.5, f64::NAN] {
+            let bad = BackoffPolicy {
+                jitter_frac,
+                ..BackoffPolicy::default()
+            };
+            let mut w = SnapshotWriter::new();
+            bad.snap(&mut w);
+            let bytes = w.into_bytes();
+            let err = BackoffPolicy::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
 
     fn hb(ids: &mut MessageIdGen, expires: u64) -> Heartbeat {
         Heartbeat {

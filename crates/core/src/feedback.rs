@@ -13,8 +13,8 @@
 use std::collections::BTreeMap;
 
 use hbr_apps::{Heartbeat, MessageId};
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{SimDuration, SimTime};
+use hbr_sim::snapshot::SnapshotError;
+use hbr_sim::{snap_struct, SimDuration, SimTime};
 
 /// One forwarded heartbeat awaiting delivery confirmation.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,47 +225,40 @@ impl FeedbackTracker {
     }
 }
 
-impl Snap for PendingForward {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.heartbeat.snap(w);
-        self.forwarded_at.snap(w);
-        self.deadline.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(PendingForward {
-            heartbeat: Heartbeat::unsnap(r)?,
-            forwarded_at: SimTime::unsnap(r)?,
-            deadline: SimTime::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(PendingForward {
+    heartbeat,
+    forwarded_at,
+    deadline
+});
 
-impl Snap for FeedbackTracker {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.timeout.snap(w);
-        self.pending.snap(w);
-        w.put_u64(self.confirmed);
-        w.put_u64(self.fallbacks);
+snap_struct!(FeedbackTracker { timeout, pending, confirmed, fallbacks } check check_timeout);
+
+fn check_timeout(t: &FeedbackTracker) -> Result<(), SnapshotError> {
+    if t.timeout.is_zero() {
+        return Err(SnapshotError::Corrupt("zero feedback timeout".into()));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let timeout = SimDuration::unsnap(r)?;
-        if timeout.is_zero() {
-            return Err(SnapshotError::Corrupt("zero feedback timeout".into()));
-        }
-        Ok(FeedbackTracker {
-            timeout,
-            pending: BTreeMap::unsnap(r)?,
-            confirmed: r.take_u64()?,
-            fallbacks: r.take_u64()?,
-        })
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hbr_apps::{AppId, MessageIdGen};
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
     use hbr_sim::DeviceId;
+
+    #[test]
+    fn restore_refuses_a_zero_timeout() {
+        let bad = FeedbackTracker {
+            timeout: SimDuration::ZERO,
+            ..FeedbackTracker::new(SimDuration::from_secs(60))
+        };
+        let mut w = SnapshotWriter::new();
+        bad.snap(&mut w);
+        let bytes = w.into_bytes();
+        let err = FeedbackTracker::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
 
     fn hb(ids: &mut MessageIdGen) -> Heartbeat {
         Heartbeat {

@@ -10,8 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::DeviceId;
+use hbr_sim::{snap_struct, DeviceId};
 
 /// Operator-side reward accounting for every relay.
 ///
@@ -73,20 +72,11 @@ impl RewardLedger {
     }
 }
 
-impl Snap for RewardLedger {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.reward_per_heartbeat);
-        self.balances.snap(w);
-        self.forwards.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(RewardLedger {
-            reward_per_heartbeat: r.take_u64()?,
-            balances: BTreeMap::unsnap(r)?,
-            forwards: BTreeMap::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(RewardLedger {
+    reward_per_heartbeat,
+    balances,
+    forwards
+});
 
 #[cfg(test)]
 mod tests {

@@ -31,9 +31,8 @@ use std::collections::{HashMap, HashSet};
 
 use hbr_apps::{Heartbeat, MessageId};
 use hbr_cellular::RrcState;
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::telemetry::EventRecord;
-use hbr_sim::{DeviceId, SimTime};
+use hbr_sim::{snap_enum, snap_struct, DeviceId, SimTime};
 
 /// What the message ledger knows about one emitted heartbeat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -409,64 +408,20 @@ fn fail(run: Option<&str>, trace: &[EventRecord], at: SimTime, msg: &str) -> ! {
     panic!("invariant violation at {at}{provenance}: {msg}\nrecent trace:\n{context}");
 }
 
-impl Snap for HbFate {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            HbFate::InFlight => 0,
-            HbFate::Delivered => 1,
-            HbFate::Expired => 2,
-            HbFate::DroppedDead => 3,
-        });
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => HbFate::InFlight,
-            1 => HbFate::Delivered,
-            2 => HbFate::Expired,
-            3 => HbFate::DroppedDead,
-            tag => return Err(SnapshotError::Corrupt(format!("heartbeat fate tag {tag}"))),
-        })
-    }
-}
+snap_enum!(HbFate "heartbeat fate" { 0 => InFlight, 1 => Delivered, 2 => Expired, 3 => DroppedDead });
 
-impl Snap for DeviceLast {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.energy_uah);
-        self.battery_remaining_uah.snap(w);
-        self.rrc.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(DeviceLast {
-            energy_uah: r.take_f64()?,
-            battery_remaining_uah: Option::unsnap(r)?,
-            rrc: RrcState::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(DeviceLast {
+    energy_uah,
+    battery_remaining_uah,
+    rrc
+});
 
-impl Snap for InvariantChecker {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.enabled);
-        // The ledger is a HashMap: emit entries sorted by id so the byte
-        // stream never depends on hash order.
-        let mut entries: Vec<(MessageId, HbFate)> =
-            self.ledger.iter().map(|(k, v)| (*k, *v)).collect();
-        entries.sort_by_key(|(id, _)| *id);
-        entries.snap(w);
-        self.last.snap(w);
-        self.context.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let enabled = r.take_bool()?;
-        let entries = Vec::<(MessageId, HbFate)>::unsnap(r)?;
-        Ok(InvariantChecker {
-            enabled,
-            ledger: entries.into_iter().collect(),
-            last: Vec::unsnap(r)?,
-            context: Option::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(InvariantChecker {
+    enabled,
+    ledger,
+    last,
+    context
+});
 
 #[cfg(test)]
 mod tests {

@@ -13,8 +13,7 @@
 use std::collections::BTreeMap;
 
 use hbr_apps::{AppId, AppProfile, Heartbeat};
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::SimDuration;
+use hbr_sim::{snap_struct, SimDuration};
 
 /// Registry of apps that opted into the framework on one device.
 ///
@@ -87,16 +86,7 @@ impl MessageMonitor {
     }
 }
 
-impl Snap for MessageMonitor {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.apps.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MessageMonitor {
-            apps: BTreeMap::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(MessageMonitor { apps });
 
 #[cfg(test)]
 mod tests {

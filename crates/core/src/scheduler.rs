@@ -26,8 +26,8 @@
 
 use hbr_apps::Heartbeat;
 use hbr_d2d::GoIntent;
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{SimDuration, SimTime, Summary};
+use hbr_sim::snapshot::SnapshotError;
+use hbr_sim::{snap_struct, SimDuration, SimTime, Summary};
 
 /// Why a batch was (or must be) flushed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -329,62 +329,68 @@ impl MessageScheduler {
     }
 }
 
-impl Snap for SchedulerStats {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.flushes);
-        self.batch_sizes.snap(w);
-        self.queueing_delay_secs.snap(w);
-        w.put_u64(self.rejected);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SchedulerStats {
-            flushes: r.take_u64()?,
-            batch_sizes: Summary::unsnap(r)?,
-            queueing_delay_secs: Summary::unsnap(r)?,
-            rejected: r.take_u64()?,
-        })
-    }
-}
+snap_struct!(SchedulerStats {
+    flushes,
+    batch_sizes,
+    queueing_delay_secs,
+    rejected
+});
 
-impl Snap for MessageScheduler {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.capacity);
-        self.period.snap(w);
-        self.margin.snap(w);
-        self.period_start.snap(w);
-        w.put_bool(self.collecting);
-        w.put_bool(self.honor_expirations);
-        self.buffer.snap(w);
-        self.earliest_expiry.snap(w);
-        self.stats.snap(w);
+snap_struct!(MessageScheduler {
+    capacity,
+    period,
+    margin,
+    period_start,
+    collecting,
+    honor_expirations,
+    buffer,
+    earliest_expiry,
+    stats,
+} check check_capacity_and_period);
+
+fn check_capacity_and_period(s: &MessageScheduler) -> Result<(), SnapshotError> {
+    if s.capacity == 0 || s.period.is_zero() {
+        return Err(SnapshotError::Corrupt(
+            "scheduler capacity/period must be positive".into(),
+        ));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = r.take_usize()?;
-        let period = SimDuration::unsnap(r)?;
-        if capacity == 0 || period.is_zero() {
-            return Err(SnapshotError::Corrupt(
-                "scheduler capacity/period must be positive".into(),
-            ));
-        }
-        Ok(MessageScheduler {
-            capacity,
-            period,
-            margin: SimDuration::unsnap(r)?,
-            period_start: SimTime::unsnap(r)?,
-            collecting: r.take_bool()?,
-            honor_expirations: r.take_bool()?,
-            buffer: Vec::unsnap(r)?,
-            earliest_expiry: Option::unsnap(r)?,
-            stats: SchedulerStats::unsnap(r)?,
-        })
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hbr_apps::{AppId, MessageIdGen};
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
     use hbr_sim::DeviceId;
+
+    #[test]
+    fn restore_refuses_a_zero_capacity_or_period() {
+        let good = || {
+            MessageScheduler::new(
+                4,
+                SimDuration::from_secs(270),
+                SimDuration::ZERO,
+                SimTime::ZERO,
+            )
+        };
+        for bad in [
+            MessageScheduler {
+                capacity: 0,
+                ..good()
+            },
+            MessageScheduler {
+                period: SimDuration::ZERO,
+                ..good()
+            },
+        ] {
+            let mut w = SnapshotWriter::new();
+            bad.snap(&mut w);
+            let bytes = w.into_bytes();
+            let err = MessageScheduler::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
 
     fn hb(ids: &mut MessageIdGen, created_s: u64, expires_s: u64) -> Heartbeat {
         Heartbeat {

@@ -36,7 +36,7 @@ use hbr_sim::telemetry::{
     EventRecord, MetricsSnapshot, SpanRecorder, Telemetry, TelemetryEvent, LATENCY_BUCKETS,
     RETRY_DEPTH_BUCKETS, SIZE_BUCKETS,
 };
-use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime, Simulation};
+use hbr_sim::{snap_enum, DeviceId, SimDuration, SimRng, SimTime, Simulation};
 
 use crate::config::{FrameworkConfig, RadioStack};
 use crate::delivery::{BackoffPolicy, DeliveryLedger, RetryReason};
@@ -2971,113 +2971,21 @@ impl Scenario {
 // to an uninterrupted one.
 // ---------------------------------------------------------------------
 
-impl Snap for Role {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            Role::Relay => 0,
-            Role::Ue => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(Role::Relay),
-            1 => Ok(Role::Ue),
-            t => Err(SnapshotError::Corrupt(format!("role tag {t}"))),
-        }
-    }
-}
+snap_enum!(Role "role" { 0 => Relay, 1 => Ue });
 
-impl Snap for Mode {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u8(match self {
-            Mode::D2dFramework => 0,
-            Mode::OriginalCellular => 1,
-        });
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(Mode::D2dFramework),
-            1 => Ok(Mode::OriginalCellular),
-            t => Err(SnapshotError::Corrupt(format!("mode tag {t}"))),
-        }
-    }
-}
+snap_enum!(Mode "mode" { 0 => D2dFramework, 1 => OriginalCellular });
 
-impl Snap for Event {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        match self {
-            Event::HeartbeatDue { device, app_idx } => {
-                w.put_u8(0);
-                w.put_usize(*device);
-                w.put_usize(*app_idx);
-            }
-            Event::FlushDeadline { device, generation } => {
-                w.put_u8(1);
-                w.put_usize(*device);
-                w.put_u64(*generation);
-            }
-            Event::FeedbackSweep { device } => {
-                w.put_u8(2);
-                w.put_usize(*device);
-            }
-            Event::LinkReady { device } => {
-                w.put_u8(3);
-                w.put_usize(*device);
-            }
-            Event::PushDue { device, app_idx } => {
-                w.put_u8(4);
-                w.put_usize(*device);
-                w.put_usize(*app_idx);
-            }
-            Event::FaultDue { index } => {
-                w.put_u8(5);
-                w.put_usize(*index);
-            }
-            Event::OutageOver => w.put_u8(6),
-            Event::RelayRejoin { device } => {
-                w.put_u8(7);
-                w.put_usize(*device);
-            }
-            Event::DeliveryRetry { device } => {
-                w.put_u8(8);
-                w.put_usize(*device);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => Event::HeartbeatDue {
-                device: r.take_usize()?,
-                app_idx: r.take_usize()?,
-            },
-            1 => Event::FlushDeadline {
-                device: r.take_usize()?,
-                generation: r.take_u64()?,
-            },
-            2 => Event::FeedbackSweep {
-                device: r.take_usize()?,
-            },
-            3 => Event::LinkReady {
-                device: r.take_usize()?,
-            },
-            4 => Event::PushDue {
-                device: r.take_usize()?,
-                app_idx: r.take_usize()?,
-            },
-            5 => Event::FaultDue {
-                index: r.take_usize()?,
-            },
-            6 => Event::OutageOver,
-            7 => Event::RelayRejoin {
-                device: r.take_usize()?,
-            },
-            8 => Event::DeliveryRetry {
-                device: r.take_usize()?,
-            },
-            t => return Err(SnapshotError::Corrupt(format!("event tag {t}"))),
-        })
-    }
-}
+snap_enum!(Event "event" {
+    0 => HeartbeatDue { device, app_idx },
+    1 => FlushDeadline { device, generation },
+    2 => FeedbackSweep { device },
+    3 => LinkReady { device },
+    4 => PushDue { device, app_idx },
+    5 => FaultDue { index },
+    6 => OutageOver,
+    7 => RelayRejoin { device },
+    8 => DeliveryRetry { device },
+});
 
 impl Device {
     /// Serializes the device. The radio config and D2D tech profile are

@@ -6,7 +6,7 @@
 //! for: distance-dependent transfer loss and hard out-of-range cuts.
 
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{SimRng, SimTime};
+use hbr_sim::{snap_enum, SimRng, SimTime};
 
 use crate::tech::{D2dActivity, D2dRole, TechProfile};
 
@@ -24,28 +24,7 @@ pub enum LinkState {
     Closed,
 }
 
-impl Snap for LinkState {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        match self {
-            LinkState::Establishing { ready_at } => {
-                w.put_u8(0);
-                ready_at.snap(w);
-            }
-            LinkState::Connected => w.put_u8(1),
-            LinkState::Closed => w.put_u8(2),
-        }
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(LinkState::Establishing {
-                ready_at: SimTime::unsnap(r)?,
-            }),
-            1 => Ok(LinkState::Connected),
-            2 => Ok(LinkState::Closed),
-            t => Err(SnapshotError::Corrupt(format!("link state tag {t}"))),
-        }
-    }
-}
+snap_enum!(LinkState "link state" { 0 => Establishing { ready_at }, 1 => Connected, 2 => Closed });
 
 /// Result of one [`D2dLink::transfer`].
 #[derive(Debug, Clone)]

@@ -8,7 +8,8 @@
 
 use std::fmt;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
+use hbr_sim::snapshot::SnapshotError;
 
 use crate::units::MicroAmpHours;
 
@@ -90,27 +91,23 @@ impl Battery {
     }
 }
 
-impl Snap for Battery {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.capacity.snap(w);
-        self.drained.snap(w);
+snap_struct!(Battery { capacity, drained } check check_battery);
+
+fn check_battery(b: &Battery) -> Result<(), SnapshotError> {
+    // `partial_cmp`, not `<=`: a NaN capacity must be rejected too.
+    if b.capacity.partial_cmp(&MicroAmpHours::ZERO) != Some(std::cmp::Ordering::Greater) {
+        return Err(SnapshotError::Corrupt(format!(
+            "battery capacity {}",
+            b.capacity
+        )));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let capacity = MicroAmpHours::unsnap(r)?;
-        let drained = MicroAmpHours::unsnap(r)?;
-        // `partial_cmp`, not `<=`: a NaN capacity must be rejected too.
-        if capacity.partial_cmp(&MicroAmpHours::ZERO) != Some(std::cmp::Ordering::Greater) {
-            return Err(SnapshotError::Corrupt(format!(
-                "battery capacity {capacity}"
-            )));
-        }
-        if drained > capacity {
-            return Err(SnapshotError::Corrupt(format!(
-                "battery drained {drained} past capacity {capacity}"
-            )));
-        }
-        Ok(Battery { capacity, drained })
+    if b.drained > b.capacity {
+        return Err(SnapshotError::Corrupt(format!(
+            "battery drained {} past capacity {}",
+            b.drained, b.capacity
+        )));
     }
+    Ok(())
 }
 
 impl fmt::Display for Battery {
@@ -127,6 +124,22 @@ impl fmt::Display for Battery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+
+    #[test]
+    fn restore_refuses_a_bad_capacity_or_drain() {
+        let uah = MicroAmpHours::new;
+        for (capacity, drained) in [
+            (MicroAmpHours::ZERO, MicroAmpHours::ZERO),
+            (uah(100.0), uah(150.0)),
+        ] {
+            let mut w = SnapshotWriter::new();
+            Battery { capacity, drained }.snap(&mut w);
+            let bytes = w.into_bytes();
+            let err = Battery::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
 
     #[test]
     fn drains_and_depletes() {

@@ -2,8 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{SimDuration, SimTime};
+use hbr_sim::{snap_struct, SimDuration, SimTime};
 
 use crate::phase::{Phase, PhaseGroup};
 use crate::profile::{CurrentProfile, Segment};
@@ -191,22 +190,12 @@ impl EnergyMeter {
     }
 }
 
-impl Snap for EnergyMeter {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.compact);
-        self.total.snap(w);
-        self.by_phase.snap(w);
-        self.segments.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(EnergyMeter {
-            compact: r.take_bool()?,
-            total: MicroAmpHours::unsnap(r)?,
-            by_phase: BTreeMap::unsnap(r)?,
-            segments: Vec::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(EnergyMeter {
+    compact,
+    total,
+    by_phase,
+    segments
+});
 
 #[cfg(test)]
 mod tests {

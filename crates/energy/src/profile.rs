@@ -6,8 +6,7 @@
 //! operation starts. The device's [`EnergyMeter`](crate::EnergyMeter)
 //! anchors the profile at an absolute instant and accumulates it.
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::SimDuration;
+use hbr_sim::{snap_struct, SimDuration};
 
 use crate::phase::Phase;
 use crate::units::{MicroAmpHours, MilliAmps};
@@ -37,22 +36,12 @@ impl Segment {
     }
 }
 
-impl Snap for Segment {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.offset.snap(w);
-        self.duration.snap(w);
-        self.current.snap(w);
-        self.phase.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Segment {
-            offset: SimDuration::unsnap(r)?,
-            duration: SimDuration::unsnap(r)?,
-            current: MilliAmps::unsnap(r)?,
-            phase: Phase::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Segment {
+    offset,
+    duration,
+    current,
+    phase
+});
 
 /// A relative, piecewise-constant current draw describing one operation.
 ///

@@ -8,8 +8,8 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::SimDuration;
+use hbr_sim::snapshot::SnapshotError;
+use hbr_sim::{snap_struct, SimDuration};
 
 /// Instantaneous current in milliamps.
 ///
@@ -99,30 +99,22 @@ impl MicroAmpHours {
     }
 }
 
-impl Snap for MilliAmps {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.0);
+snap_struct!(MilliAmps(0) check check_current);
+
+fn check_current(ma: &MilliAmps) -> Result<(), SnapshotError> {
+    if !(ma.0.is_finite() && ma.0 >= 0.0) {
+        return Err(SnapshotError::Corrupt(format!("current {} mA", ma.0)));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let ma = r.take_f64()?;
-        if !(ma.is_finite() && ma >= 0.0) {
-            return Err(SnapshotError::Corrupt(format!("current {ma} mA")));
-        }
-        Ok(MilliAmps(ma))
-    }
+    Ok(())
 }
 
-impl Snap for MicroAmpHours {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.0);
+snap_struct!(MicroAmpHours(0) check check_charge);
+
+fn check_charge(uah: &MicroAmpHours) -> Result<(), SnapshotError> {
+    if !(uah.0.is_finite() && uah.0 >= 0.0) {
+        return Err(SnapshotError::Corrupt(format!("charge {} µAh", uah.0)));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let uah = r.take_f64()?;
-        if !(uah.is_finite() && uah >= 0.0) {
-            return Err(SnapshotError::Corrupt(format!("charge {uah} µAh")));
-        }
-        Ok(MicroAmpHours(uah))
-    }
+    Ok(())
 }
 
 impl Add for MicroAmpHours {
@@ -216,6 +208,26 @@ impl fmt::Display for MicroAmpHours {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+
+    #[test]
+    fn restore_refuses_negative_or_non_finite_amounts() {
+        for v in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut w = SnapshotWriter::new();
+            MilliAmps(v).snap(&mut w);
+            MicroAmpHours(v).snap(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = SnapshotReader::new(&bytes);
+            assert!(matches!(
+                MilliAmps::unsnap(&mut r),
+                Err(SnapshotError::Corrupt(_))
+            ));
+            assert!(matches!(
+                MicroAmpHours::unsnap(&mut r),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
+    }
 
     #[test]
     fn charge_integration_matches_hand_math() {

@@ -14,8 +14,8 @@
 //! state from its last-updated instant to the requested instant, so the
 //! field only pays for movement when somebody asks for a position.
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{SimRng, SimTime};
+use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotWriter};
+use hbr_sim::{snap_enum, snap_struct, SimRng, SimTime};
 
 use crate::position::Position;
 
@@ -72,21 +72,16 @@ impl Bounds {
     }
 }
 
-impl Snap for Bounds {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.min.snap(w);
-        self.max.snap(w);
+snap_struct!(Bounds { min, max } check check_order);
+
+fn check_order(b: &Bounds) -> Result<(), SnapshotError> {
+    if !(b.min.x <= b.max.x && b.min.y <= b.max.y) {
+        return Err(SnapshotError::Corrupt(format!(
+            "bounds min {} above max {}",
+            b.min, b.max
+        )));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let min = Position::unsnap(r)?;
-        let max = Position::unsnap(r)?;
-        if !(min.x <= max.x && min.y <= max.y) {
-            return Err(SnapshotError::Corrupt(format!(
-                "bounds min {min} above max {max}"
-            )));
-        }
-        Ok(Bounds { min, max })
-    }
+    Ok(())
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -125,76 +120,13 @@ enum Kind {
     },
 }
 
-impl Snap for Kind {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        match self {
-            Kind::Stationary => w.put_u8(0),
-            Kind::RandomWaypoint {
-                bounds,
-                speed_min,
-                speed_max,
-                pause_secs,
-                leg,
-                pause_left,
-            } => {
-                w.put_u8(1);
-                bounds.snap(w);
-                w.put_f64(*speed_min);
-                w.put_f64(*speed_max);
-                w.put_f64(*pause_secs);
-                leg.snap(w);
-                w.put_f64(*pause_left);
-            }
-            Kind::Linear { velocity } => {
-                w.put_u8(2);
-                w.put_f64(velocity.0);
-                w.put_f64(velocity.1);
-            }
-            Kind::LinearBounded { velocity, bounds } => {
-                w.put_u8(3);
-                w.put_f64(velocity.0);
-                w.put_f64(velocity.1);
-                bounds.snap(w);
-            }
-            Kind::Path {
-                legs,
-                current,
-                pause_left,
-            } => {
-                w.put_u8(4);
-                legs.snap(w);
-                w.put_usize(*current);
-                w.put_f64(*pause_left);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        match r.take_u8()? {
-            0 => Ok(Kind::Stationary),
-            1 => Ok(Kind::RandomWaypoint {
-                bounds: Bounds::unsnap(r)?,
-                speed_min: r.take_f64()?,
-                speed_max: r.take_f64()?,
-                pause_secs: r.take_f64()?,
-                leg: Option::unsnap(r)?,
-                pause_left: r.take_f64()?,
-            }),
-            2 => Ok(Kind::Linear {
-                velocity: (r.take_f64()?, r.take_f64()?),
-            }),
-            3 => Ok(Kind::LinearBounded {
-                velocity: (r.take_f64()?, r.take_f64()?),
-                bounds: Bounds::unsnap(r)?,
-            }),
-            4 => Ok(Kind::Path {
-                legs: Vec::unsnap(r)?,
-                current: r.take_usize()?,
-                pause_left: r.take_f64()?,
-            }),
-            t => Err(SnapshotError::Corrupt(format!("mobility kind tag {t}"))),
-        }
-    }
-}
+snap_enum!(Kind "mobility kind" {
+    0 => Stationary,
+    1 => RandomWaypoint { bounds, speed_min, speed_max, pause_secs, leg, pause_left },
+    2 => Linear { velocity },
+    3 => LinearBounded { velocity, bounds },
+    4 => Path { legs, current, pause_left },
+});
 
 /// A per-device movement process that can be advanced through time.
 ///
@@ -366,14 +298,15 @@ impl Mobility {
     /// never advances its stationary tracks and snapshots them through
     /// this, so the bytes match those of advancing every track.
     pub(crate) fn snap_at(&self, clock: SimTime, w: &mut SnapshotWriter) {
-        let updated_at = if self.is_stationary() {
-            self.updated_at.max(clock)
+        if self.is_stationary() && clock > self.updated_at {
+            Mobility {
+                updated_at: clock,
+                ..self.clone()
+            }
+            .snap(w)
         } else {
-            self.updated_at
-        };
-        self.position.snap(w);
-        updated_at.snap(w);
-        self.kind.snap(w);
+            self.snap(w)
+        }
     }
 
     /// Moves the model forward to `now`. Earlier instants are ignored (the
@@ -487,18 +420,11 @@ impl Mobility {
     }
 }
 
-impl Snap for Mobility {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.snap_at(self.updated_at, w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Mobility {
-            position: Position::unsnap(r)?,
-            updated_at: SimTime::unsnap(r)?,
-            kind: Kind::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Mobility {
+    position,
+    updated_at,
+    kind
+});
 
 /// Advances one axis of a reflecting walk by `secs`, returning the new
 /// coordinate and (possibly sign-flipped) velocity component. The
@@ -524,7 +450,21 @@ fn reflect_axis(pos: f64, vel: f64, min: f64, max: f64, secs: f64) -> (f64, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbr_sim::snapshot::SnapshotReader;
     use hbr_sim::SimDuration;
+
+    #[test]
+    fn restore_refuses_inverted_bounds() {
+        let inverted = Bounds {
+            min: Position::new(5.0, 0.0),
+            max: Position::new(1.0, 9.0),
+        };
+        let mut w = SnapshotWriter::new();
+        inverted.snap(&mut w);
+        let bytes = w.into_bytes();
+        let err = Bounds::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
 
     fn rng() -> SimRng {
         SimRng::seed_from(99)

@@ -3,7 +3,8 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use hbr_sim::snap_struct;
+use hbr_sim::snapshot::SnapshotError;
 
 /// A point in the 2-D simulation plane, in metres.
 ///
@@ -70,19 +71,13 @@ impl Position {
     }
 }
 
-impl Snap for Position {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_f64(self.x);
-        w.put_f64(self.y);
+snap_struct!(Position { x, y } check check_not_nan);
+
+fn check_not_nan(p: &Position) -> Result<(), SnapshotError> {
+    if p.x.is_nan() || p.y.is_nan() {
+        return Err(SnapshotError::Corrupt("NaN position".into()));
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let x = r.take_f64()?;
-        let y = r.take_f64()?;
-        if x.is_nan() || y.is_nan() {
-            return Err(SnapshotError::Corrupt("NaN position".into()));
-        }
-        Ok(Position { x, y })
-    }
+    Ok(())
 }
 
 impl Add for Position {
@@ -127,6 +122,20 @@ impl fmt::Display for Position {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+
+    #[test]
+    fn restore_refuses_a_nan_position() {
+        let mut w = SnapshotWriter::new();
+        Position {
+            x: 1.0,
+            y: f64::NAN,
+        }
+        .snap(&mut w);
+        let bytes = w.into_bytes();
+        let err = Position::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+    }
 
     #[test]
     fn distance_is_euclidean() {

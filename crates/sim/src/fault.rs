@@ -38,8 +38,8 @@
 
 use crate::ids::DeviceId;
 use crate::rng::SimRng;
-use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::{SimDuration, SimTime};
+use crate::{snap_enum, snap_struct};
 
 /// One kind of injected failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -249,128 +249,21 @@ impl FaultPlan {
     }
 }
 
-impl Snap for FaultKind {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        match *self {
-            FaultKind::LinkDrop {
-                device,
-                d2d_down_for,
-            } => {
-                w.put_u8(0);
-                device.snap(w);
-                d2d_down_for.snap(w);
-            }
-            FaultKind::LinkDegrade {
-                device,
-                extra_loss,
-                duration,
-            } => {
-                w.put_u8(1);
-                device.snap(w);
-                w.put_f64(extra_loss);
-                duration.snap(w);
-            }
-            FaultKind::RelayDeparture {
-                device,
-                rejoin_after,
-            } => {
-                w.put_u8(2);
-                device.snap(w);
-                rejoin_after.snap(w);
-            }
-            FaultKind::DiscoveryBlackout { duration } => {
-                w.put_u8(3);
-                duration.snap(w);
-            }
-            FaultKind::CellularOutage { duration } => {
-                w.put_u8(4);
-                duration.snap(w);
-            }
-            FaultKind::PayloadLoss {
-                device,
-                probability,
-                duration,
-            } => {
-                w.put_u8(5);
-                device.snap(w);
-                w.put_f64(probability);
-                duration.snap(w);
-            }
-            FaultKind::BoundaryChurn {
-                device,
-                half_span_m,
-                speed_mps,
-            } => {
-                w.put_u8(6);
-                device.snap(w);
-                w.put_f64(half_span_m);
-                w.put_f64(speed_mps);
-            }
-        }
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => FaultKind::LinkDrop {
-                device: DeviceId::unsnap(r)?,
-                d2d_down_for: SimDuration::unsnap(r)?,
-            },
-            1 => FaultKind::LinkDegrade {
-                device: DeviceId::unsnap(r)?,
-                extra_loss: r.take_f64()?,
-                duration: SimDuration::unsnap(r)?,
-            },
-            2 => FaultKind::RelayDeparture {
-                device: DeviceId::unsnap(r)?,
-                rejoin_after: Option::<SimDuration>::unsnap(r)?,
-            },
-            3 => FaultKind::DiscoveryBlackout {
-                duration: SimDuration::unsnap(r)?,
-            },
-            4 => FaultKind::CellularOutage {
-                duration: SimDuration::unsnap(r)?,
-            },
-            5 => FaultKind::PayloadLoss {
-                device: DeviceId::unsnap(r)?,
-                probability: r.take_f64()?,
-                duration: SimDuration::unsnap(r)?,
-            },
-            6 => FaultKind::BoundaryChurn {
-                device: DeviceId::unsnap(r)?,
-                half_span_m: r.take_f64()?,
-                speed_mps: r.take_f64()?,
-            },
-            other => {
-                return Err(SnapshotError::Corrupt(format!("fault kind tag {other}")));
-            }
-        })
-    }
-}
+snap_enum!(FaultKind "fault kind" {
+    0 => LinkDrop { device, d2d_down_for },
+    1 => LinkDegrade { device, extra_loss, duration },
+    2 => RelayDeparture { device, rejoin_after },
+    3 => DiscoveryBlackout { duration },
+    4 => CellularOutage { duration },
+    5 => PayloadLoss { device, probability, duration },
+    6 => BoundaryChurn { device, half_span_m, speed_mps },
+});
 
-impl Snap for FaultEvent {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.at.snap(w);
-        self.kind.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultEvent {
-            at: SimTime::unsnap(r)?,
-            kind: FaultKind::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(FaultEvent { at, kind });
 
-impl Snap for FaultPlan {
-    /// Events are serialized in their stored order — NOT re-sorted —
-    /// because scheduled fault-due events address entries by index.
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.events.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FaultPlan {
-            events: Vec::<FaultEvent>::unsnap(r)?,
-        })
-    }
-}
+// Events travel in their stored order — NOT re-sorted — because
+// scheduled fault-due events address entries by index.
+snap_struct!(FaultPlan { events });
 
 /// Derives the seed of the dedicated fault RNG stream from the scenario
 /// seed (splitmix64 finalizer over a tagged input). Keeping the fault

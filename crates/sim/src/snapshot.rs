@@ -17,16 +17,28 @@
 //! * Floats travel as IEEE-754 bit patterns ([`f64::to_bits`]), so a
 //!   round trip is exact — `NaN` payloads included.
 //! * Collections are `u64` length followed by elements. Maps and sets
-//!   serialize in sorted key order so identical state always produces
-//!   identical bytes.
+//!   — `BTreeMap`, `HashMap` and `HashSet` alike — serialize in sorted
+//!   key order, so identical state always produces identical bytes and
+//!   a hash container writes the same bytes as a `BTreeMap` (or a
+//!   sorted `Vec`) with the same contents. A key that appears twice is
+//!   [`SnapshotError::Corrupt`].
 //! * `&'static str` labels (span kinds, event causes)
 //!   serialize as strings and re-intern on read via [`intern`].
+//! * A record whose wire form is its fields (or its variant's fields)
+//!   in order states that order once, in a
+//!   [`snap_struct!`](crate::snap_struct) or
+//!   [`snap_enum!`](crate::snap_enum) list: the writer and the reader
+//!   are generated from the same list, so they cannot disagree. An enum
+//!   travels as a `u8` tag and then the variant's fields. Either macro
+//!   takes an optional `check` function that vets the value it has
+//!   read.
 //!
 //! Every read returns a typed [`SnapshotError`] — a corrupted or
 //! truncated snapshot must never panic or half-apply.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::{Mutex, OnceLock};
 
 use crate::ids::DeviceId;
@@ -316,6 +328,136 @@ pub trait Snap: Sized {
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
 }
 
+/// Implements [`Snap`] for a struct from one list of its fields, in wire
+/// order: the writer writes them in that order and the reader reads them
+/// back in it. `snap_struct!(T(0))` does the same for a newtype. The
+/// list must name every field (the reader builds the struct from it), so
+/// a new field cannot be left out of the format by accident.
+///
+/// An optional `check f` runs `f: fn(&T) -> Result<(), SnapshotError>`
+/// on each value read, for invariants the field types cannot express.
+///
+/// # Examples
+///
+/// ```
+/// use hbr_sim::snap_struct;
+/// use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Window {
+///     start: u64,
+///     end: u64,
+/// }
+///
+/// fn check_window(w: &Window) -> Result<(), SnapshotError> {
+///     if w.start <= w.end {
+///         Ok(())
+///     } else {
+///         Err(SnapshotError::Corrupt("window ends before it starts".into()))
+///     }
+/// }
+///
+/// snap_struct!(Window { start, end } check check_window);
+///
+/// let mut w = SnapshotWriter::new();
+/// Window { start: 9, end: 3 }.snap(&mut w);
+/// let bytes = w.into_bytes();
+/// assert!(Window::unsnap(&mut SnapshotReader::new(&bytes)).is_err());
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    ($t:ident { $($field:ident),+ $(,)? } $(check $check:path)?) => {
+        impl $crate::snapshot::Snap for $t {
+            fn snap(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $($crate::snapshot::Snap::snap(&self.$field, w);)+
+            }
+            fn unsnap(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                let value = $t {
+                    $($field: $crate::snapshot::Snap::unsnap(r)?,)+
+                };
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+    ($t:ident(0) $(check $check:path)?) => {
+        impl $crate::snapshot::Snap for $t {
+            fn snap(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $crate::snapshot::Snap::snap(&self.0, w);
+            }
+            fn unsnap(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                let value = $t($crate::snapshot::Snap::unsnap(r)?);
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Implements [`Snap`] for an enum from one list of its variants: each
+/// travels as its `u8` tag and then its fields in the listed order. An
+/// unknown tag reads as `Corrupt("<label> tag N")`. Takes the same
+/// optional `check f` as [`snap_struct!`](crate::snap_struct).
+///
+/// # Examples
+///
+/// ```
+/// use hbr_sim::snap_enum;
+/// use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Light {
+///     Off,
+///     Dimmed { level: u8 },
+/// }
+///
+/// snap_enum!(Light "light" { 0 => Off, 1 => Dimmed { level } });
+///
+/// let mut w = SnapshotWriter::new();
+/// Light::Dimmed { level: 40 }.snap(&mut w);
+/// assert_eq!(w.into_bytes(), [1, 40]);
+/// let err = Light::unsnap(&mut SnapshotReader::new(&[7])).unwrap_err();
+/// assert_eq!(err.to_string(), "corrupt snapshot: light tag 7");
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($t:ident $label:literal {
+        $($tag:literal => $variant:ident $({ $($field:ident),* $(,)? })?),+ $(,)?
+    } $(check $check:path)?) => {
+        impl $crate::snapshot::Snap for $t {
+            fn snap(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                match self {
+                    $($t::$variant { $($($field),*)? } => {
+                        w.put_u8($tag);
+                        $($($crate::snapshot::Snap::snap($field, w);)*)?
+                    })+
+                }
+            }
+            fn unsnap(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                let value = match r.take_u8()? {
+                    $($tag => $t::$variant {
+                        $($($field: $crate::snapshot::Snap::unsnap(r)?,)*)?
+                    },)+
+                    tag => {
+                        return Err($crate::snapshot::SnapshotError::Corrupt(format!(
+                            "{} tag {tag}",
+                            $label
+                        )))
+                    }
+                };
+                $($check(&value)?;)?
+                Ok(value)
+            }
+        }
+    };
+}
+
 macro_rules! snap_prim {
     ($($t:ty => $put:ident / $take:ident),+ $(,)?) => {$(
         impl Snap for $t {
@@ -394,6 +536,47 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
+impl Snap for &'static str {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        w.put_str(self);
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(intern(&r.take_string()?))
+    }
+}
+
+/// Reads a collection's length prefix, refusing one longer than the
+/// bytes left (every element needs at least one byte), so a corrupt
+/// prefix cannot become an OOM.
+fn take_len(r: &mut SnapshotReader<'_>, what: &str) -> Result<usize, SnapshotError> {
+    let len = r.take_usize()?;
+    if len > r.remaining() {
+        return Err(SnapshotError::Corrupt(format!(
+            "{what} length {len} exceeds remaining {} bytes",
+            r.remaining()
+        )));
+    }
+    Ok(len)
+}
+
+/// Reads `len` elements into a keyed container through `insert`, which
+/// reports whether the key was new: a repeated key is `Corrupt`.
+fn take_keyed<T: Snap>(
+    r: &mut SnapshotReader<'_>,
+    what: &str,
+    len: usize,
+    mut insert: impl FnMut(T) -> bool,
+) -> Result<(), SnapshotError> {
+    for i in 0..len {
+        if !insert(T::unsnap(r)?) {
+            return Err(SnapshotError::Corrupt(format!(
+                "{what} entry {i} repeats a key"
+            )));
+        }
+    }
+    Ok(())
+}
+
 impl<T: Snap> Snap for Vec<T> {
     fn snap(&self, w: &mut SnapshotWriter) {
         w.put_usize(self.len());
@@ -402,15 +585,7 @@ impl<T: Snap> Snap for Vec<T> {
         }
     }
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let len = r.take_usize()?;
-        // Guard absurd lengths before allocating (a corrupt prefix must
-        // not become an OOM): each element needs at least one byte.
-        if len > r.remaining() {
-            return Err(SnapshotError::Corrupt(format!(
-                "vec length {len} exceeds remaining {} bytes",
-                r.remaining()
-            )));
-        }
+        let len = take_len(r, "vec")?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::unsnap(r)?);
@@ -449,19 +624,46 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         }
     }
     fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let len = r.take_usize()?;
-        if len > r.remaining() {
-            return Err(SnapshotError::Corrupt(format!(
-                "map length {len} exceeds remaining {} bytes",
-                r.remaining()
-            )));
-        }
+        let len = take_len(r, "map")?;
         let mut out = BTreeMap::new();
-        for _ in 0..len {
-            let k = K::unsnap(r)?;
-            let v = V::unsnap(r)?;
-            out.insert(k, v);
+        take_keyed(r, "map", len, |(k, v)| out.insert(k, v).is_none())?;
+        Ok(out)
+    }
+}
+
+/// Written in key order, as a `BTreeMap` with the same entries.
+impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.put_usize(entries.len());
+        for (k, v) in entries {
+            k.snap(w);
+            v.snap(w);
         }
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let len = take_len(r, "map")?;
+        let mut out = HashMap::with_capacity(len);
+        take_keyed(r, "map", len, |(k, v)| out.insert(k, v).is_none())?;
+        Ok(out)
+    }
+}
+
+/// Written in ascending order, as a sorted `Vec` of the same elements.
+impl<T: Snap + Ord + Hash> Snap for HashSet<T> {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        w.put_usize(items.len());
+        for item in items {
+            item.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let len = take_len(r, "set")?;
+        let mut out = HashSet::with_capacity(len);
+        take_keyed(r, "set", len, |t| out.insert(t))?;
         Ok(out)
     }
 }
@@ -543,6 +745,46 @@ mod tests {
         round_trip(Option::<u64>::None);
         let map: BTreeMap<String, u64> = [("a".into(), 1u64), ("b".into(), 2)].into();
         round_trip(map);
+    }
+
+    fn to_bytes<T: Snap>(v: &T) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        v.snap(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn repeated_keys_are_corrupt_in_every_keyed_container() {
+        let two_entries_one_key = to_bytes(&vec![(1u64, 10u64), (1, 20)]);
+        let two_elements_one_value = to_bytes(&vec![1u64, 1]);
+        for err in [
+            BTreeMap::<u64, u64>::unsnap(&mut SnapshotReader::new(&two_entries_one_key))
+                .unwrap_err(),
+            HashMap::<u64, u64>::unsnap(&mut SnapshotReader::new(&two_entries_one_key))
+                .unwrap_err(),
+            HashSet::<u64>::unsnap(&mut SnapshotReader::new(&two_elements_one_value)).unwrap_err(),
+        ] {
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn hash_containers_write_the_bytes_of_their_sorted_twins() {
+        // Enough keys that hash iteration order is not the sorted order.
+        let pairs: Vec<(u64, f64)> = (0..200u64).map(|k| (k * 7919 % 1000, k as f64)).collect();
+        let hashed: HashMap<u64, f64> = pairs.iter().copied().collect();
+        let tree: BTreeMap<u64, f64> = pairs.iter().copied().collect();
+        assert_eq!(to_bytes(&hashed), to_bytes(&tree));
+        round_trip(hashed);
+
+        let set: HashSet<(u32, u64)> = pairs
+            .iter()
+            .map(|&(k, v)| (k as u32 % 17, v as u64))
+            .collect();
+        let mut sorted: Vec<(u32, u64)> = set.iter().copied().collect();
+        sorted.sort();
+        assert_eq!(to_bytes(&set), to_bytes(&sorted));
+        round_trip(set);
     }
 
     #[test]

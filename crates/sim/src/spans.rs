@@ -18,7 +18,8 @@
 
 use std::collections::HashMap;
 
-use crate::snapshot::{intern, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snap_struct;
+use crate::snapshot::SnapshotError;
 
 /// One lifecycle annotation inside a span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -365,87 +366,56 @@ impl SpanRecorder {
     }
 }
 
-impl Snap for SpanEvent {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.t_us);
-        w.put_str(self.kind);
-        self.cause.map(|c| c.to_string()).snap(w);
-        self.attempt.snap(w);
-        self.relay.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(SpanEvent {
-            t_us: r.take_u64()?,
-            kind: intern(&r.take_string()?),
-            cause: Option::<String>::unsnap(r)?.map(|c| intern(&c)),
-            attempt: Option::<u32>::unsnap(r)?,
-            relay: Option::<u32>::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(SpanEvent {
+    t_us,
+    kind,
+    cause,
+    attempt,
+    relay
+});
 
-impl Snap for Span {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.id);
-        w.put_u32(self.device);
-        w.put_u64(self.start_us);
-        self.end_us.snap(w);
-        self.outcome.map(|o| o.to_string()).snap(w);
-        w.put_u32(self.retries);
-        self.events.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Span {
-            id: r.take_u64()?,
-            device: r.take_u32()?,
-            start_us: r.take_u64()?,
-            end_us: Option::<u64>::unsnap(r)?,
-            outcome: Option::<String>::unsnap(r)?.map(|o| intern(&o)),
-            retries: r.take_u32()?,
-            events: Vec::<SpanEvent>::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Span {
+    id,
+    device,
+    start_us,
+    end_us,
+    outcome,
+    retries,
+    events
+});
 
-impl Snap for SpanRecorder {
-    /// The open-span map is serialized sorted by message id so the bytes
-    /// are deterministic; the slots index back into `spans`.
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.enabled);
-        self.spans.snap(w);
-        let mut open: Vec<(u64, usize)> = self.open.iter().map(|(&k, &v)| (k, v)).collect();
-        open.sort_unstable();
-        open.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let enabled = r.take_bool()?;
-        let spans = Vec::<Span>::unsnap(r)?;
-        let open_list = Vec::<(u64, usize)>::unsnap(r)?;
-        let mut open = HashMap::with_capacity(open_list.len());
-        for (id, slot) in open_list {
-            if slot >= spans.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "open span slot {slot} out of bounds ({} spans)",
-                    spans.len()
-                )));
-            }
-            if open.insert(id, slot).is_some() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "duplicate open span id {id}"
-                )));
-            }
-        }
-        Ok(SpanRecorder {
-            enabled,
-            spans,
-            open,
-        })
+snap_struct!(SpanRecorder { enabled, spans, open } check check_open_slots);
+
+fn check_open_slots(rec: &SpanRecorder) -> Result<(), SnapshotError> {
+    match rec.open.values().max() {
+        Some(&slot) if slot >= rec.spans.len() => Err(SnapshotError::Corrupt(format!(
+            "open span slot {slot} out of bounds ({} spans)",
+            rec.spans.len()
+        ))),
+        _ => Ok(()),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+
+    #[test]
+    fn restore_refuses_bad_open_span_slots() {
+        let mut rec = SpanRecorder::enabled();
+        rec.start(7, 3, 1_000);
+        // An open slot past the spans, and one id opened twice.
+        for open in [vec![(7u64, 1usize)], vec![(7, 0), (7, 0)]] {
+            let mut w = SnapshotWriter::new();
+            true.snap(&mut w);
+            rec.spans.snap(&mut w);
+            open.snap(&mut w);
+            let bytes = w.into_bytes();
+            let err = SpanRecorder::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
 
     #[test]
     fn disabled_recorder_ignores_everything() {

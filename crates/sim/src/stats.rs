@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snap_struct;
 
 /// Online summary of a stream of `f64` samples: count, sum, min, max,
 /// mean, and variance (Welford's algorithm — one pass, no sample
@@ -129,26 +129,14 @@ impl Summary {
     }
 }
 
-impl Snap for Summary {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_u64(self.count);
-        w.put_f64(self.sum);
-        w.put_f64(self.min);
-        w.put_f64(self.max);
-        w.put_f64(self.welford_mean);
-        w.put_f64(self.m2);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Summary {
-            count: r.take_u64()?,
-            sum: r.take_f64()?,
-            min: r.take_f64()?,
-            max: r.take_f64()?,
-            welford_mean: r.take_f64()?,
-            m2: r.take_f64()?,
-        })
-    }
-}
+snap_struct!(Summary {
+    count,
+    sum,
+    min,
+    max,
+    welford_mean,
+    m2
+});
 
 impl fmt::Display for Summary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

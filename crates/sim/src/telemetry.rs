@@ -47,8 +47,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::snapshot::{intern, intern_bounds, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{intern_bounds, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::SimTime;
+use crate::{snap_enum, snap_struct};
 
 pub use crate::spans::{Span, SpanEvent, SpanEventRecord, SpanRecord, SpanRecorder};
 
@@ -238,22 +239,12 @@ impl Snap for Histogram {
     }
 }
 
-impl Snap for MetricsRegistry {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_bool(self.enabled);
-        self.counters.snap(w);
-        self.gauges.snap(w);
-        self.histograms.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(MetricsRegistry {
-            enabled: r.take_bool()?,
-            counters: BTreeMap::unsnap(r)?,
-            gauges: BTreeMap::unsnap(r)?,
-            histograms: BTreeMap::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(MetricsRegistry {
+    enabled,
+    counters,
+    gauges,
+    histograms
+});
 
 /// A registry of named metrics. Disabled registries make every record
 /// call a cheap early return and snapshot to an empty artifact.
@@ -1100,214 +1091,32 @@ fn write_implied_metrics(m: &mut MetricsRegistry, event: &TelemetryEvent) {
     }
 }
 
-impl Snap for TelemetryEvent {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        match *self {
-            TelemetryEvent::Flush {
-                device,
-                reason,
-                buffered,
-                own,
-                bytes,
-            } => {
-                w.put_u8(0);
-                w.put_u32(device);
-                w.put_str(reason);
-                w.put_usize(buffered);
-                w.put_usize(own);
-                w.put_usize(bytes);
-            }
-            TelemetryEvent::RrcTransition {
-                device,
-                from,
-                to,
-                dwell_secs,
-            } => {
-                w.put_u8(1);
-                w.put_u32(device);
-                w.put_str(from);
-                w.put_str(to);
-                w.put_f64(dwell_secs);
-            }
-            TelemetryEvent::RelayMatch { device, relay } => {
-                w.put_u8(2);
-                w.put_u32(device);
-                w.put_u32(relay);
-            }
-            TelemetryEvent::RelayDepart { device, relay } => {
-                w.put_u8(3);
-                w.put_u32(device);
-                w.put_u32(relay);
-            }
-            TelemetryEvent::Fallback {
-                device,
-                cause,
-                span,
-            } => {
-                w.put_u8(4);
-                w.put_u32(device);
-                w.put_str(cause);
-                span.snap(w);
-            }
-            TelemetryEvent::Retry {
-                device,
-                cause,
-                attempt,
-            } => {
-                w.put_u8(5);
-                w.put_u32(device);
-                w.put_str(cause);
-                w.put_u32(attempt);
-            }
-            TelemetryEvent::Handover {
-                device,
-                from_relay,
-                to_relay,
-            } => {
-                w.put_u8(6);
-                w.put_u32(device);
-                w.put_u32(from_relay);
-                w.put_u32(to_relay);
-            }
-            TelemetryEvent::FaultInjected {
-                index,
-                kind,
-                device,
-            } => {
-                w.put_u8(7);
-                w.put_usize(index);
-                w.put_str(kind);
-                device.snap(w);
-            }
-            TelemetryEvent::EnergyPhase { device, group, uah } => {
-                w.put_u8(8);
-                w.put_u32(device);
-                w.put_str(group);
-                w.put_f64(uah);
-            }
-            TelemetryEvent::Migrate {
-                device,
-                from_cell,
-                to_cell,
-            } => {
-                w.put_u8(9);
-                w.put_u32(device);
-                w.put_usize(from_cell);
-                w.put_usize(to_cell);
-            }
-            TelemetryEvent::FleetPulse {
-                epoch,
-                cells,
-                forwards,
-                fallbacks,
-                outage_queued,
-                l3,
-                delivered,
-                retries,
-                migrations,
-                lte_handovers,
-            } => {
-                w.put_u8(10);
-                w.put_u32(epoch);
-                w.put_u32(cells);
-                w.put_u64(forwards);
-                w.put_u64(fallbacks);
-                w.put_u64(outage_queued);
-                w.put_u64(l3);
-                w.put_u64(delivered);
-                w.put_u64(retries);
-                migrations.snap(w);
-                lte_handovers.snap(w);
-            }
-        }
-    }
+snap_enum!(TelemetryEvent "telemetry event" {
+    0 => Flush { device, reason, buffered, own, bytes },
+    1 => RrcTransition { device, from, to, dwell_secs },
+    2 => RelayMatch { device, relay },
+    3 => RelayDepart { device, relay },
+    4 => Fallback { device, cause, span },
+    5 => Retry { device, cause, attempt },
+    6 => Handover { device, from_relay, to_relay },
+    7 => FaultInjected { index, kind, device },
+    8 => EnergyPhase { device, group, uah },
+    9 => Migrate { device, from_cell, to_cell },
+    10 => FleetPulse {
+        epoch,
+        cells,
+        forwards,
+        fallbacks,
+        outage_queued,
+        l3,
+        delivered,
+        retries,
+        migrations,
+        lte_handovers,
+    },
+});
 
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.take_u8()? {
-            0 => TelemetryEvent::Flush {
-                device: r.take_u32()?,
-                reason: intern(&r.take_string()?),
-                buffered: r.take_usize()?,
-                own: r.take_usize()?,
-                bytes: r.take_usize()?,
-            },
-            1 => TelemetryEvent::RrcTransition {
-                device: r.take_u32()?,
-                from: intern(&r.take_string()?),
-                to: intern(&r.take_string()?),
-                dwell_secs: r.take_f64()?,
-            },
-            2 => TelemetryEvent::RelayMatch {
-                device: r.take_u32()?,
-                relay: r.take_u32()?,
-            },
-            3 => TelemetryEvent::RelayDepart {
-                device: r.take_u32()?,
-                relay: r.take_u32()?,
-            },
-            4 => TelemetryEvent::Fallback {
-                device: r.take_u32()?,
-                cause: intern(&r.take_string()?),
-                span: Option::<u64>::unsnap(r)?,
-            },
-            5 => TelemetryEvent::Retry {
-                device: r.take_u32()?,
-                cause: intern(&r.take_string()?),
-                attempt: r.take_u32()?,
-            },
-            6 => TelemetryEvent::Handover {
-                device: r.take_u32()?,
-                from_relay: r.take_u32()?,
-                to_relay: r.take_u32()?,
-            },
-            7 => TelemetryEvent::FaultInjected {
-                index: r.take_usize()?,
-                kind: intern(&r.take_string()?),
-                device: Option::<u32>::unsnap(r)?,
-            },
-            8 => TelemetryEvent::EnergyPhase {
-                device: r.take_u32()?,
-                group: intern(&r.take_string()?),
-                uah: r.take_f64()?,
-            },
-            9 => TelemetryEvent::Migrate {
-                device: r.take_u32()?,
-                from_cell: r.take_usize()?,
-                to_cell: r.take_usize()?,
-            },
-            10 => TelemetryEvent::FleetPulse {
-                epoch: r.take_u32()?,
-                cells: r.take_u32()?,
-                forwards: r.take_u64()?,
-                fallbacks: r.take_u64()?,
-                outage_queued: r.take_u64()?,
-                l3: r.take_u64()?,
-                delivered: r.take_u64()?,
-                retries: r.take_u64()?,
-                migrations: Option::<u64>::unsnap(r)?,
-                lte_handovers: Option::<u64>::unsnap(r)?,
-            },
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "telemetry event tag {other}"
-                )));
-            }
-        })
-    }
-}
-
-impl Snap for EventRecord {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.time.snap(w);
-        self.event.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(EventRecord {
-            time: SimTime::unsnap(r)?,
-            event: TelemetryEvent::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(EventRecord { time, event });
 
 impl Snap for EventLog {
     /// Writes the retained records only, so the bytes do not depend on
@@ -1342,18 +1151,7 @@ impl Snap for EventLog {
     }
 }
 
-impl Snap for Telemetry {
-    fn snap(&self, w: &mut SnapshotWriter) {
-        self.metrics.snap(w);
-        self.events.snap(w);
-    }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Telemetry {
-            metrics: MetricsRegistry::unsnap(r)?,
-            events: EventLog::unsnap(r)?,
-        })
-    }
-}
+snap_struct!(Telemetry { metrics, events });
 
 /// A scalar parsed back out of a JSONL event line.
 #[derive(Debug, Clone, PartialEq)]
