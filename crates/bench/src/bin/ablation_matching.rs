@@ -46,11 +46,11 @@ fn main() {
         let mut delivered = 0u64;
         for _ in 0..sessions {
             let d = pick(policy, &distances, &mut rng);
-            let (mut link, ue_cost, _) = D2dLink::establish(tech.clone(), SimTime::ZERO);
+            let (mut link, ue_cost, _) = D2dLink::establish(&tech, SimTime::ZERO);
             total_uah += ue_cost.charge().as_micro_amp_hours();
             let mut t = link.ready_at().unwrap();
             for _ in 0..forwards_per_session {
-                let out = link.transfer(t, 54, d, &mut rng);
+                let out = link.transfer(&tech, t, 54, d, &mut rng);
                 total_uah += out.sender.charge().as_micro_amp_hours();
                 if out.success {
                     delivered += 1;

@@ -180,7 +180,7 @@ impl ControlledExperiment {
                 relay_meter.add_segment(*s, *seg);
             }
             ready_at = ready_at.max(ue_conn.done_at);
-            links.push(D2dLink::already_connected(cfg.stack.d2d.clone()));
+            links.push(D2dLink::already_connected());
         }
 
         let margin = SimDuration::from_secs(5);
@@ -222,7 +222,13 @@ impl ControlledExperiment {
                     horizon = horizon.max(out.delivered_at);
                     continue;
                 }
-                let outcome = link.transfer(at, cfg.message_size, cfg.distance_m, &mut rng);
+                let outcome = link.transfer(
+                    &cfg.stack.d2d,
+                    at,
+                    cfg.message_size,
+                    cfg.distance_m,
+                    &mut rng,
+                );
                 for (s, seg) in &outcome.sender.segments {
                     ue_meters[j].add_segment(*s, *seg);
                 }
@@ -289,17 +295,15 @@ impl ControlledExperiment {
             }
 
             if cfg.include_idle_keepalive {
-                let period_end = period_start + cfg.relay_period;
-                for (j, link) in links.iter().enumerate() {
-                    let (ue_idle, relay_idle) = link.idle(period_start, period_end);
-                    for (s, seg) in &ue_idle.segments {
-                        ue_meters[j].add_segment(*s, *seg);
-                    }
-                    // Only bill the relay's keep-alive once, not per link.
-                    if j == 0 {
-                        for (s, seg) in &relay_idle.segments {
-                            relay_meter.add_segment(*s, *seg);
-                        }
+                // Each UE pays the group keep-alive; the relay pays it
+                // once, not per link.
+                let idle = cfg
+                    .stack
+                    .d2d
+                    .idle(period_start, period_start + cfg.relay_period);
+                for meter in ue_meters.iter_mut().chain([&mut relay_meter]) {
+                    for (s, seg) in &idle.segments {
+                        meter.add_segment(*s, *seg);
                     }
                 }
             }

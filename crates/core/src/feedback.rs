@@ -42,7 +42,6 @@ pub struct PendingForward {
 pub struct FeedbackTracker {
     timeout: SimDuration,
     pending: BTreeMap<MessageId, PendingForward>,
-    confirmed: u64,
     fallbacks: u64,
 }
 
@@ -62,7 +61,6 @@ impl FeedbackTracker {
         FeedbackTracker {
             timeout,
             pending: BTreeMap::new(),
-            confirmed: 0,
             fallbacks: 0,
         }
     }
@@ -101,14 +99,9 @@ impl FeedbackTracker {
     /// Handles the relay's `Delivered(ids)` feedback. Returns how many of
     /// the ids were still pending (already-fallen-back ids are ignored).
     pub fn on_delivered<I: IntoIterator<Item = MessageId>>(&mut self, ids: I) -> usize {
-        let mut hits = 0;
-        for id in ids {
-            if self.pending.remove(&id).is_some() {
-                self.confirmed += 1;
-                hits += 1;
-            }
-        }
-        hits
+        ids.into_iter()
+            .filter(|id| self.pending.remove(id).is_some())
+            .count()
     }
 
     /// Pops every pending forward whose deadline has passed at `now`;
@@ -144,8 +137,8 @@ impl FeedbackTracker {
             .collect()
     }
 
-    /// Removes pending forwards without counting them as confirmed *or*
-    /// fallen back. Used when a relay departs and its buffered batch is
+    /// Removes pending forwards without confirming them or counting them
+    /// as fallen back. Used when a relay departs and its buffered batch is
     /// re-queued to the delivery ledger: the stale feedback deadline
     /// must not survive the detach (it would later fire a duplicate
     /// cellular rescue of a heartbeat the ledger is already retrying —
@@ -209,11 +202,6 @@ impl FeedbackTracker {
         self.pending.keys().copied()
     }
 
-    /// Forwards confirmed by relay feedback so far.
-    pub fn confirmed(&self) -> u64 {
-        self.confirmed
-    }
-
     /// Forwards that timed out into the cellular fallback so far.
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks
@@ -231,7 +219,7 @@ snap_struct!(PendingForward {
     deadline
 });
 
-snap_struct!(FeedbackTracker { timeout, pending, confirmed, fallbacks } check check_timeout);
+snap_struct!(FeedbackTracker { timeout, pending, fallbacks } check check_timeout);
 
 fn check_timeout(t: &FeedbackTracker) -> Result<(), SnapshotError> {
     if t.timeout.is_zero() {
@@ -286,7 +274,6 @@ mod tests {
         assert_eq!(t.pending_count(), 1);
         assert_eq!(t.on_delivered([h.id]), 1);
         assert_eq!(t.pending_count(), 0);
-        assert_eq!(t.confirmed(), 1);
         assert!(t.expire_due(SimTime::from_secs(100)).is_empty());
     }
 
@@ -369,7 +356,11 @@ mod tests {
         assert_eq!(t.retract([a.id]), 1);
         assert_eq!(t.retract([a.id]), 0, "already gone");
         assert_eq!(t.pending_count(), 1);
-        assert_eq!(t.confirmed(), 0);
+        assert_eq!(
+            t.on_delivered([a.id]),
+            0,
+            "a retracted forward is never confirmed"
+        );
         assert_eq!(t.fallbacks(), 0);
         // The retracted deadline no longer fires.
         assert!(t
@@ -397,11 +388,9 @@ mod tests {
         let pending_after: Vec<_> = t.pending_ids().collect();
         assert_eq!(pending_before, pending_after);
         assert_eq!(t.next_deadline(), deadline_before);
-        assert_eq!(t.confirmed(), 0);
         assert_eq!(t.fallbacks(), 0);
         // The survivor still behaves normally after the double retract.
         assert_eq!(t.on_delivered([b.id]), 1);
-        assert_eq!(t.confirmed(), 1);
         assert_eq!(t.pending_count(), 0);
     }
 

@@ -12,8 +12,11 @@
 //!
 //! The three prototype components of §III-B map to modules here:
 //!
-//! * [`MessageMonitor`] — the app-facing
-//!   registration API that intercepts heartbeats and their metadata.
+//! * The Message Monitor — each device's
+//!   [`HeartbeatSchedule`](hbr_apps::HeartbeatSchedule)s, one per
+//!   participating app, know its period, size and expiration, and each
+//!   [`Heartbeat`](hbr_apps::Heartbeat) carries its `size` and
+//!   `expires_at` to the scheduler.
 //! * [`D2dDetector`] — discovery, distance
 //!   pre-judgment and relay matching (§III-C, §IV-C).
 //! * [`MessageScheduler`] — Algorithm 1, the
@@ -54,7 +57,6 @@ pub mod fleet;
 pub mod hooks;
 pub mod incentive;
 pub mod invariant;
-pub mod monitor;
 pub mod scheduler;
 pub mod world;
 
@@ -65,5 +67,4 @@ pub use feedback::{FeedbackTracker, PendingForward};
 pub use hooks::{NullHooks, ProtocolHooks};
 pub use incentive::RewardLedger;
 pub use invariant::{DeliveryAudit, DeviceProbe, InvariantChecker};
-pub use monitor::MessageMonitor;
 pub use scheduler::{FlushReason, MessageScheduler, ScheduleDecision, SchedulerStats};

@@ -6,8 +6,10 @@
 //! examples and integration tests use. It wires every substrate crate
 //! together:
 //!
-//! * devices carry [`HeartbeatSchedule`]s for their registered apps
-//!   ([`MessageMonitor`]), a [`CellularRadio`], an [`EnergyMeter`] and
+//! * devices carry a [`HeartbeatSchedule`] per participating app (the
+//!   paper's Message Monitor: each schedule knows its app's period, size
+//!   and expiration, and each [`Heartbeat`] carries its `size` and
+//!   `expires_at`), a [`CellularRadio`], an [`EnergyMeter`] and
 //!   optionally a finite [`Battery`];
 //! * UEs discover and match relays through the [`D2dDetector`] using live
 //!   positions from the [`Field`];
@@ -26,7 +28,7 @@ use hbr_apps::{
     AppId, AppProfile, DeliveryOutcome, Heartbeat, HeartbeatSchedule, ImServer, MessageId,
     MessageIdGen,
 };
-use hbr_cellular::{BaseStation, CellularRadio, L3Message, RadioActivity, RrcState};
+use hbr_cellular::{BaseStation, CellularRadio, L3Message, RadioActivity, RrcConfig, RrcState};
 use hbr_d2d::D2dLink;
 use hbr_energy::{Battery, EnergyMeter, MicroAmpHours, PhaseGroup, Segment};
 use hbr_mobility::{Bounds, Field, Mobility, PathLoss, Position};
@@ -45,7 +47,6 @@ use crate::feedback::FeedbackTracker;
 use crate::hooks::ProtocolHooks;
 use crate::incentive::RewardLedger;
 use crate::invariant::{self, DeviceProbe, InvariantChecker};
-use crate::monitor::MessageMonitor;
 use crate::scheduler::{FlushReason, MessageScheduler, ScheduleDecision};
 
 /// A device's role in the framework (§III-A).
@@ -206,9 +207,9 @@ impl CellTopology {
 /// It carries everything the destination needs to continue the device
 /// as one uninterrupted session — heartbeat schedules (with live
 /// sequence counters), per-app refresh history for the servers, the
-/// monitor registry, the radio with its exact RRC state, the energy
-/// meter, the battery, the device's private RNG stream, a relay's
-/// scheduler, the mobility model, and any still-open fault windows.
+/// radio with its exact RRC state, the energy meter, the battery, the
+/// device's private RNG stream, a relay's scheduler, the mobility
+/// model, and any still-open fault windows.
 /// Fields are private: the manifest is opaque in transit, cells only
 /// route on [`Migrant::to_cell`].
 #[derive(Debug)]
@@ -220,7 +221,6 @@ pub struct Migrant {
     schedules: Vec<HeartbeatSchedule>,
     /// Per-schedule refresh history, parallel to `schedules`.
     sessions: Vec<Vec<SimTime>>,
-    monitor: MessageMonitor,
     radio: CellularRadio,
     meter: EnergyMeter,
     battery: Option<Battery>,
@@ -575,7 +575,6 @@ struct Device {
     id: DeviceId,
     role: Role,
     schedules: Vec<HeartbeatSchedule>,
-    monitor: MessageMonitor,
     radio: CellularRadio,
     meter: EnergyMeter,
     battery: Option<Battery>,
@@ -808,10 +807,8 @@ impl Scenario {
         for (i, spec) in config.devices.iter().enumerate() {
             let id = DeviceId::new(i as u32);
             field.insert(id, spec.mobility.clone());
-            let mut monitor = MessageMonitor::new();
             let mut schedules = Vec::new();
             for app in &spec.apps {
-                monitor.register(app.clone());
                 schedules.push(HeartbeatSchedule::new(id, app.clone(), 0.01));
                 servers
                     .entry(app.id)
@@ -841,7 +838,6 @@ impl Scenario {
                 id,
                 role: spec.role,
                 schedules,
-                monitor,
                 radio: CellularRadio::new(config.stack.cellular.clone()),
                 // Aggregate-only: the report consumes totals and
                 // group breakdowns, never raw segments, so the meter
@@ -1174,13 +1170,12 @@ impl Scenario {
         // Extract the carried state, leaving a husk that keeps the
         // counters it earned in this cell (per-cell conservation) but
         // owns nothing live. The husk's replacement RNG is never drawn.
-        let (schedules, monitor, radio, meter, battery, rng, scheduler, role) = {
+        let (schedules, radio, meter, battery, rng, scheduler, role) = {
             let fresh_radio = CellularRadio::new(self.config.stack.cellular.clone());
             let dev = &mut self.devices[i];
             dev.migrated = true;
             (
                 std::mem::take(&mut dev.schedules),
-                std::mem::replace(&mut dev.monitor, MessageMonitor::new()),
                 std::mem::replace(&mut dev.radio, fresh_radio),
                 std::mem::replace(&mut dev.meter, EnergyMeter::compact()),
                 dev.battery.take(),
@@ -1211,7 +1206,6 @@ impl Scenario {
             role,
             schedules,
             sessions,
-            monitor,
             radio,
             meter,
             battery,
@@ -1242,7 +1236,6 @@ impl Scenario {
             role,
             mut schedules,
             sessions,
-            monitor,
             radio,
             meter,
             battery,
@@ -1274,7 +1267,6 @@ impl Scenario {
             id,
             role,
             schedules,
-            monitor,
             radio,
             meter,
             battery,
@@ -1878,13 +1870,6 @@ impl Scenario {
     }
 
     fn on_ue_heartbeat(&mut self, now: SimTime, device: usize, hb: Heartbeat) {
-        let intercepted = self.devices[device].monitor.intercept(hb);
-        let Some(intercepted) = intercepted else {
-            self.send_cellular(now, device, hb);
-            return;
-        };
-        let hb = intercepted.heartbeat;
-
         if now < self.devices[device].d2d_down_until {
             // Fault window: the D2D radio is down; everything rides the
             // cellular fallback until it recovers.
@@ -2078,10 +2063,7 @@ impl Scenario {
                 }
                 let dev = &mut self.devices[device];
                 dev.attached_to = Some(relay_idx);
-                dev.link = Some(D2dLink::establish_pending(
-                    self.config.stack.d2d.clone(),
-                    ready_at,
-                ));
+                dev.link = Some(D2dLink::establish_pending(ready_at));
                 dev.pending_until_ready.push(hb);
                 self.note_attached(device, relay_idx, ready_at);
                 if self.telemetry.is_enabled() {
@@ -2136,6 +2118,7 @@ impl Scenario {
         let relay_alive = self.devices[relay_idx].is_alive();
 
         let mut outcome = {
+            let tech = &self.config.stack.d2d;
             let dev = &mut self.devices[device];
             let link = dev.link.as_mut().expect("attached UE has a link");
             // Interference fault window: raise (or restore) the link's
@@ -2146,7 +2129,7 @@ impl Scenario {
             } else if link.extra_loss() > 0.0 {
                 link.clear_degrade();
             }
-            let mut outcome = link.transfer(now, hb.size, distance, &mut dev.rng);
+            let mut outcome = link.transfer(tech, now, hb.size, distance, &mut dev.rng);
             if !relay_alive {
                 // A dead relay never receives; the sender still paid.
                 outcome.success = false;
@@ -2988,13 +2971,12 @@ snap_enum!(Event "event" {
 });
 
 impl Device {
-    /// Serializes the device. The radio config and D2D tech profile are
-    /// not written — they come from the scenario config on restore.
+    /// Serializes the device. The radio config is not written — it
+    /// comes from the scenario config on restore.
     fn snap_dyn(&self, w: &mut SnapshotWriter) {
         self.id.snap(w);
         self.role.snap(w);
         self.schedules.snap(w);
-        self.monitor.snap(w);
         self.radio.snap_dyn(w);
         self.meter.snap(w);
         self.battery.snap(w);
@@ -3004,13 +2986,7 @@ impl Device {
         w.put_u64(self.deadline_generation);
         w.put_u64(self.collected_total);
         self.attached_to.snap(w);
-        match &self.link {
-            Some(link) => {
-                w.put_bool(true);
-                link.snap_dyn(w);
-            }
-            None => w.put_bool(false),
-        }
+        self.link.snap(w);
         self.attached_since.snap(w);
         w.put_usize(self.member_count);
         self.group_idle_since.snap(w);
@@ -3028,12 +3004,11 @@ impl Device {
         w.put_bool(self.migrated);
     }
 
-    fn unsnap_dyn(stack: &RadioStack, r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    fn unsnap_dyn(cellular: &RrcConfig, r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let id = DeviceId::unsnap(r)?;
         let role = Role::unsnap(r)?;
         let schedules = Vec::unsnap(r)?;
-        let monitor = MessageMonitor::unsnap(r)?;
-        let radio = CellularRadio::unsnap_dyn(stack.cellular.clone(), r)?;
+        let radio = CellularRadio::unsnap_dyn(cellular.clone(), r)?;
         let meter = EnergyMeter::unsnap(r)?;
         let battery = Option::unsnap(r)?;
         let rng = SimRng::unsnap(r)?;
@@ -3042,11 +3017,7 @@ impl Device {
         let deadline_generation = r.take_u64()?;
         let collected_total = r.take_u64()?;
         let attached_to = Option::unsnap(r)?;
-        let link = if r.take_bool()? {
-            Some(D2dLink::unsnap_dyn(stack.d2d.clone(), r)?)
-        } else {
-            None
-        };
+        let link = Option::unsnap(r)?;
         let attached_since = Option::unsnap(r)?;
         let member_count = r.take_usize()?;
         let group_idle_since = Option::unsnap(r)?;
@@ -3074,7 +3045,6 @@ impl Device {
             id,
             role,
             schedules,
-            monitor,
             radio,
             meter,
             battery,
@@ -3242,7 +3212,7 @@ impl Scenario {
         }
         let mut devices = Vec::with_capacity(n);
         for i in 0..n {
-            let dev = Device::unsnap_dyn(&self.config.stack, r)?;
+            let dev = Device::unsnap_dyn(&self.config.stack.cellular, r)?;
             if dev.id != DeviceId::new(i as u32) {
                 return Err(SnapshotError::Corrupt(format!(
                     "device {i} carries id {}",
@@ -3326,6 +3296,17 @@ mod tests {
             },
         );
         config
+    }
+
+    #[test]
+    fn a_device_holds_one_copy_of_each_fact() {
+        // Every phone pays these bytes, a million times in the 1 M hour.
+        // The apps live in the schedules and the D2D profile in the
+        // scenario config; neither is copied into the device.
+        let device = std::mem::size_of::<Device>();
+        assert!(device <= 840, "Device is {device} B");
+        let link = std::mem::size_of::<Option<D2dLink>>();
+        assert!(link <= 24, "Option<D2dLink> is {link} B");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! close — and injects the failures the paper's fallback mechanism exists
 //! for: distance-dependent transfer loss and hard out-of-range cuts.
 
-use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{snap_enum, SimRng, SimTime};
+use hbr_sim::snapshot::SnapshotError;
+use hbr_sim::{snap_enum, snap_struct, SimRng, SimTime};
 
 use crate::tech::{D2dActivity, D2dRole, TechProfile};
 
@@ -54,37 +54,38 @@ impl TransferOutcome {
 /// One established (or establishing) D2D pairing between an initiator
 /// (UE) and a responder (relay).
 ///
+/// The link holds only its dynamic state; the [`TechProfile`] it runs
+/// over is the scenario's, passed to [`D2dLink::establish`] and
+/// [`D2dLink::transfer`].
+///
 /// # Examples
 ///
 /// ```
 /// use hbr_d2d::{D2dLink, TechProfile};
 /// use hbr_sim::{SimRng, SimTime};
 ///
-/// let (mut link, ue_cost, relay_cost) =
-///     D2dLink::establish(TechProfile::wifi_direct(), SimTime::ZERO);
+/// let wifi = TechProfile::wifi_direct();
+/// let (mut link, ue_cost, relay_cost) = D2dLink::establish(&wifi, SimTime::ZERO);
 /// assert!(ue_cost.charge() > relay_cost.charge()); // initiator pays more
 ///
 /// let ready = link.ready_at().unwrap();
 /// let mut rng = SimRng::seed_from(1);
-/// let out = link.transfer(ready, 74, 1.0, &mut rng);
+/// let out = link.transfer(&wifi, ready, 74, 1.0, &mut rng);
 /// assert!(out.success);
 /// ```
 #[derive(Debug, Clone)]
 pub struct D2dLink {
-    tech: TechProfile,
     state: LinkState,
     /// Interference penalty: extra loss probability added to the
     /// distance model while a fault window degrades this link.
     extra_loss: f64,
-    transfers_ok: u64,
-    transfers_failed: u64,
 }
 
 impl D2dLink {
     /// Starts establishing a link at `now`: a discovery scan followed by
     /// connection setup. Returns the link plus the energy activities of
     /// the initiator (UE) and responder (relay).
-    pub fn establish(tech: TechProfile, now: SimTime) -> (D2dLink, D2dActivity, D2dActivity) {
+    pub fn establish(tech: &TechProfile, now: SimTime) -> (D2dLink, D2dActivity, D2dActivity) {
         let mut ue = tech.discovery(now, D2dRole::Initiator);
         let mut relay = tech.discovery(now, D2dRole::Responder);
         let connect_start = ue.done_at;
@@ -95,51 +96,31 @@ impl D2dLink {
         ue.done_at = ready_at;
         relay.segments.extend(relay_conn.segments);
         relay.done_at = ready_at;
-        (
-            D2dLink {
-                tech,
-                state: LinkState::Establishing { ready_at },
-                extra_loss: 0.0,
-                transfers_ok: 0,
-                transfers_failed: 0,
-            },
-            ue,
-            relay,
-        )
+        (D2dLink::establish_pending(ready_at), ue, relay)
     }
 
     /// Creates a link that is already connected (e.g. reusing a group that
     /// survived from a previous heartbeat period).
-    pub fn already_connected(tech: TechProfile) -> D2dLink {
+    pub fn already_connected() -> D2dLink {
         D2dLink {
-            tech,
             state: LinkState::Connected,
             extra_loss: 0.0,
-            transfers_ok: 0,
-            transfers_failed: 0,
         }
     }
 
     /// Creates a link whose establishment is in flight and completes at
     /// `ready_at` — for callers that billed the discovery/connection
     /// energy themselves (e.g. when several relays answered one scan).
-    pub fn establish_pending(tech: TechProfile, ready_at: SimTime) -> D2dLink {
+    pub fn establish_pending(ready_at: SimTime) -> D2dLink {
         D2dLink {
-            tech,
             state: LinkState::Establishing { ready_at },
             extra_loss: 0.0,
-            transfers_ok: 0,
-            transfers_failed: 0,
         }
     }
 
-    /// The technology profile of this link.
-    pub fn tech(&self) -> &TechProfile {
-        &self.tech
-    }
-
-    /// The current lifecycle state (promotes `Establishing` to
-    /// `Connected` lazily when queried past its ready instant).
+    /// The stored lifecycle state. An `Establishing` link past its ready
+    /// instant still reads `Establishing` until its first transfer;
+    /// [`is_ready`](Self::is_ready) is what treats it as usable.
     pub fn state(&self) -> LinkState {
         self.state
     }
@@ -179,18 +160,8 @@ impl D2dLink {
         self.extra_loss
     }
 
-    /// Successful transfers so far.
-    pub fn transfers_ok(&self) -> u64 {
-        self.transfers_ok
-    }
-
-    /// Failed transfer attempts so far.
-    pub fn transfers_failed(&self) -> u64 {
-        self.transfers_failed
-    }
-
-    /// Attempts to move `bytes` from initiator to responder while the
-    /// devices are `distance_m` apart.
+    /// Attempts to move `bytes` from initiator to responder over `tech`
+    /// while the devices are `distance_m` apart.
     ///
     /// The sender always pays the transfer energy. On a loss (probability
     /// from [`TechProfile::loss_probability`]) the receiver never wakes
@@ -202,6 +173,7 @@ impl D2dLink {
     /// establishing).
     pub fn transfer(
         &mut self,
+        tech: &TechProfile,
         now: SimTime,
         bytes: usize,
         distance_m: f64,
@@ -214,15 +186,14 @@ impl D2dLink {
         );
         self.state = LinkState::Connected;
 
-        let sender = self.tech.send(now, bytes, distance_m);
-        let out_of_range = distance_m > self.tech.range_m;
+        let sender = tech.send(now, bytes, distance_m);
+        let out_of_range = distance_m > tech.range_m;
         // The degrade penalty only raises the probability of the one
         // draw the healthy path makes, so faulted and clean runs consume
         // the RNG stream identically.
-        let loss = (self.tech.loss_probability(distance_m) + self.extra_loss).min(1.0);
+        let loss = (tech.loss_probability(distance_m) + self.extra_loss).min(1.0);
         let lost = out_of_range || rng.chance(loss);
         if lost {
-            self.transfers_failed += 1;
             if out_of_range {
                 self.state = LinkState::Closed;
             }
@@ -238,9 +209,8 @@ impl D2dLink {
             };
         }
 
-        let receiver = self.tech.receive(now, bytes, distance_m);
+        let receiver = tech.receive(now, bytes, distance_m);
         let completed_at = sender.done_at.max(receiver.done_at);
-        self.transfers_ok += 1;
         TransferOutcome {
             success: true,
             sender,
@@ -249,50 +219,28 @@ impl D2dLink {
         }
     }
 
-    /// Keep-alive charge both sides pay while the group idles over
-    /// `[from, to)`: `(initiator, responder)` activities.
-    pub fn idle(&self, from: SimTime, to: SimTime) -> (D2dActivity, D2dActivity) {
-        (self.tech.idle(from, to), self.tech.idle(from, to))
-    }
-
     /// Tears the link down; further transfers panic.
     pub fn close(&mut self) {
         self.state = LinkState::Closed;
     }
+}
 
-    /// Serialises the link's dynamic state (everything except `tech`,
-    /// which is config-derived and supplied again on restore).
-    pub fn snap_dyn(&self, w: &mut SnapshotWriter) {
-        self.state.snap(w);
-        w.put_f64(self.extra_loss);
-        w.put_u64(self.transfers_ok);
-        w.put_u64(self.transfers_failed);
-    }
+snap_struct!(D2dLink { state, extra_loss } check check_extra_loss);
 
-    /// Rebuilds a link from `tech` plus the dynamic state written by
-    /// [`D2dLink::snap_dyn`].
-    pub fn unsnap_dyn(
-        tech: TechProfile,
-        r: &mut SnapshotReader<'_>,
-    ) -> Result<Self, SnapshotError> {
-        let state = LinkState::unsnap(r)?;
-        let extra_loss = r.take_f64()?;
-        if !(0.0..=1.0).contains(&extra_loss) {
-            return Err(SnapshotError::Corrupt(format!("extra loss {extra_loss}")));
-        }
-        Ok(D2dLink {
-            tech,
-            state,
-            extra_loss,
-            transfers_ok: r.take_u64()?,
-            transfers_failed: r.take_u64()?,
-        })
+fn check_extra_loss(link: &D2dLink) -> Result<(), SnapshotError> {
+    if !(0.0..=1.0).contains(&link.extra_loss) {
+        return Err(SnapshotError::Corrupt(format!(
+            "extra loss {}",
+            link.extra_loss
+        )));
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
     use hbr_sim::SimDuration;
 
     fn rng() -> SimRng {
@@ -301,7 +249,8 @@ mod tests {
 
     #[test]
     fn establishment_costs_match_table3_sums() {
-        let (link, ue, relay) = D2dLink::establish(TechProfile::wifi_direct(), SimTime::ZERO);
+        let tech = TechProfile::wifi_direct();
+        let (link, ue, relay) = D2dLink::establish(&tech, SimTime::ZERO);
         // UE: 132.24 + 63.74 = 195.98; relay: 122.50 + 60.29 = 182.79.
         assert!((ue.charge().as_micro_amp_hours() - 195.98).abs() < 1.0);
         assert!((relay.charge().as_micro_amp_hours() - 182.79).abs() < 1.0);
@@ -314,30 +263,31 @@ mod tests {
 
     #[test]
     fn cannot_transfer_before_ready() {
-        let (mut link, _, _) = D2dLink::establish(TechProfile::wifi_direct(), SimTime::ZERO);
+        let tech = TechProfile::wifi_direct();
+        let (mut link, _, _) = D2dLink::establish(&tech, SimTime::ZERO);
         let early = SimTime::from_millis(10);
         assert!(!link.is_ready(early));
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            link.transfer(early, 74, 1.0, &mut rng())
+            link.transfer(&tech, early, 74, 1.0, &mut rng())
         }));
         assert!(result.is_err());
     }
 
     #[test]
     fn successful_transfer_bills_both_sides() {
-        let mut link = D2dLink::already_connected(TechProfile::wifi_direct());
-        let out = link.transfer(SimTime::ZERO, 54, 1.0, &mut rng());
+        let tech = TechProfile::wifi_direct();
+        let mut link = D2dLink::already_connected();
+        let out = link.transfer(&tech, SimTime::ZERO, 54, 1.0, &mut rng());
         assert!(out.success);
         assert!((out.sender.charge().as_micro_amp_hours() - 73.09).abs() < 0.5);
         assert!((out.receiver.charge().as_micro_amp_hours() - 130.2).abs() < 1.0);
-        assert_eq!(link.transfers_ok(), 1);
-        assert_eq!(link.transfers_failed(), 0);
     }
 
     #[test]
     fn out_of_range_transfer_fails_and_closes() {
-        let mut link = D2dLink::already_connected(TechProfile::wifi_direct());
-        let out = link.transfer(SimTime::ZERO, 54, 500.0, &mut rng());
+        let tech = TechProfile::wifi_direct();
+        let mut link = D2dLink::already_connected();
+        let out = link.transfer(&tech, SimTime::ZERO, 54, 500.0, &mut rng());
         assert!(!out.success);
         assert!(
             out.sender.charge().as_micro_amp_hours() > 0.0,
@@ -355,8 +305,11 @@ mod tests {
         let trials = 2000;
         let mut failures = 0;
         for _ in 0..trials {
-            let mut link = D2dLink::already_connected(tech.clone());
-            if !link.transfer(SimTime::ZERO, 54, 170.0, &mut r).success {
+            let mut link = D2dLink::already_connected();
+            if !link
+                .transfer(&tech, SimTime::ZERO, 54, 170.0, &mut r)
+                .success
+            {
                 failures += 1;
             }
         }
@@ -370,10 +323,11 @@ mod tests {
 
     #[test]
     fn degraded_link_loses_payloads_until_cleared() {
-        let mut link = D2dLink::already_connected(TechProfile::wifi_direct());
+        let tech = TechProfile::wifi_direct();
+        let mut link = D2dLink::already_connected();
         link.degrade(1.0);
         assert_eq!(link.extra_loss(), 1.0);
-        let out = link.transfer(SimTime::ZERO, 54, 1.0, &mut rng());
+        let out = link.transfer(&tech, SimTime::ZERO, 54, 1.0, &mut rng());
         assert!(!out.success, "total interference must lose every payload");
         assert_eq!(
             link.state(),
@@ -382,35 +336,63 @@ mod tests {
         );
         link.clear_degrade();
         assert_eq!(link.extra_loss(), 0.0);
-        let out = link.transfer(SimTime::from_secs(1), 54, 1.0, &mut rng());
+        let out = link.transfer(&tech, SimTime::from_secs(1), 54, 1.0, &mut rng());
         assert!(out.success, "healthy link at 1 m delivers");
     }
 
     #[test]
     fn degrade_clamps_to_unit_interval() {
-        let mut link = D2dLink::already_connected(TechProfile::wifi_direct());
+        let mut link = D2dLink::already_connected();
         link.degrade(7.5);
         assert_eq!(link.extra_loss(), 1.0);
         link.degrade(-3.0);
         assert_eq!(link.extra_loss(), 0.0);
     }
 
-    #[test]
-    fn close_prevents_reuse() {
-        let mut link = D2dLink::already_connected(TechProfile::wifi_direct());
-        link.close();
-        assert_eq!(link.state(), LinkState::Closed);
-        assert!(!link.is_ready(SimTime::ZERO));
+    fn round_trip(link: &D2dLink) -> Result<D2dLink, SnapshotError> {
+        let mut w = SnapshotWriter::new();
+        link.snap(&mut w);
+        let bytes = w.into_bytes();
+        D2dLink::unsnap(&mut SnapshotReader::new(&bytes))
     }
 
     #[test]
-    fn idle_bills_both_sides_equally() {
-        let link = D2dLink::already_connected(TechProfile::wifi_direct());
-        let (a, b) = link.idle(SimTime::ZERO, SimTime::from_secs(100));
-        assert_eq!(
-            a.charge().as_micro_amp_hours(),
-            b.charge().as_micro_amp_hours()
-        );
-        assert!(a.charge().as_micro_amp_hours() > 0.0);
+    fn snap_round_trips_state_and_penalty() {
+        let mut degraded = D2dLink::already_connected();
+        degraded.degrade(0.25);
+        let mut closed = D2dLink::already_connected();
+        closed.close();
+        for link in [
+            D2dLink::establish_pending(SimTime::from_secs(3)),
+            degraded,
+            closed,
+        ] {
+            let back = round_trip(&link).expect("a valid link reads back");
+            assert_eq!(back.state(), link.state());
+            assert_eq!(back.extra_loss(), link.extra_loss());
+        }
+    }
+
+    #[test]
+    fn restore_refuses_an_out_of_range_extra_loss() {
+        for extra_loss in [1.5, -0.1, f64::NAN] {
+            let link = D2dLink {
+                state: LinkState::Connected,
+                extra_loss,
+            };
+            let err = round_trip(&link).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Corrupt(m) if m.starts_with("extra loss ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn close_prevents_reuse() {
+        let mut link = D2dLink::already_connected();
+        link.close();
+        assert_eq!(link.state(), LinkState::Closed);
+        assert!(!link.is_ready(SimTime::ZERO));
     }
 }

@@ -471,6 +471,17 @@ mod tests {
     }
 
     #[test]
+    fn idle_bills_both_sides_equally() {
+        // The keep-alive takes no role, so the UE's and the relay's draw
+        // over one window are the same nonzero charge.
+        let w = TechProfile::wifi_direct();
+        let ue = w.idle(SimTime::ZERO, SimTime::from_secs(100));
+        let relay = w.idle(SimTime::ZERO, SimTime::from_secs(100));
+        assert_eq!(uah(&ue), uah(&relay));
+        assert!(uah(&ue) > 0.0);
+    }
+
+    #[test]
     fn big_payload_stretches_airtime() {
         let w = TechProfile::wifi_direct();
         let small = w.send(SimTime::ZERO, 54, 1.0);

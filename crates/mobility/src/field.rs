@@ -214,8 +214,8 @@ impl Field {
     }
 
     /// Reference implementation of [`neighbours_within`](Field::neighbours_within)
-    /// as a full linear scan. Kept for equivalence tests and as the
-    /// baseline the `bench_neighbours` bench measures the grid against.
+    /// as a full linear scan. Kept as the oracle the grid's equivalence
+    /// tests compare against.
     pub fn neighbours_within_scan(&self, device: DeviceId, radius: f64) -> Vec<(DeviceId, f64)> {
         let Some(centre) = self.position(device) else {
             return Vec::new();
