@@ -30,9 +30,11 @@
 //!
 //! 1. cell membership = initial position on a fixed grid (`area` only);
 //! 2. cell seed = `derive_seed(scenario_seed, cell_index)`;
-//! 3. every fold — pulses, device rows, metrics, events, traces — runs
-//!    in ascending cell order, then stable-sorts by time where a
-//!    timeline is expected;
+//! 3. every fold — pulses, device rows, metrics, events, traces, spans —
+//!    runs in ascending cell order; each cell remaps and sorts its own
+//!    records on its worker, and the fold merges those sorted runs with
+//!    ties in cell order, the same order as a stable sort of their
+//!    concatenation;
 //! 4. nothing a worker computes ever feeds back into another cell's
 //!    dynamics mid-epoch.
 
@@ -53,7 +55,7 @@ use hbr_sim::snapshot::{
     write_atomic, Snap, SnapshotError, SnapshotReader, SnapshotWriter, CROWD_MAGIC, FORMAT_VERSION,
 };
 use hbr_sim::spans::SpanRecorder;
-use hbr_sim::telemetry::{Telemetry, TelemetryEvent};
+use hbr_sim::telemetry::{merge_sorted_runs, Telemetry, TelemetryEvent};
 use hbr_sim::{snap_struct, DeviceId, SimDuration, SimTime};
 
 use crate::profile::{CrowdProfile, Profiler};
@@ -584,7 +586,9 @@ fn run_crowd_inner(
                 }
                 for cell in worker_cells.iter_mut() {
                     let scenario = cell.scenario.take().expect("cell still running");
-                    cell.report = Some(scenario.complete());
+                    let mut report = scenario.complete();
+                    to_fleet_order(&mut report, &cell.global_ids);
+                    cell.report = Some(report);
                 }
             });
         }
@@ -686,6 +690,7 @@ fn merge_reports(cells: Vec<Cell>, fleet_log: Telemetry) -> ScenarioReport {
     // result is shard-count-invariant. Without roaming every id appears
     // exactly once and this is the old straight append.
     let mut rows: BTreeMap<u32, DeviceReport> = BTreeMap::new();
+    let (mut events, mut traces, mut spans) = (Vec::new(), Vec::new(), Vec::new());
 
     for (global_ids, report) in &mut reports {
         merged.total_l3 += report.total_l3;
@@ -718,28 +723,19 @@ fn merge_reports(cells: Vec<Cell>, fleet_log: Telemetry) -> ScenarioReport {
                 }
             }
         }
-        // Events and the trace carry cell-local device ids: remap them
-        // to fleet-global ones.
-        for (merged_records, records) in [
-            (&mut merged.events, &mut report.events),
-            (&mut merged.trace, &mut report.trace),
-        ] {
-            for mut record in records.drain(..) {
-                record
-                    .event
-                    .remap_devices(|local| global_ids[local as usize]);
-                merged_records.push(record);
-            }
-        }
-        // Spans merge exactly like events: remap cell-local device ids
-        // to fleet-global ones, then append in cell order. The span
-        // serializer's (start_us, device, id) sort finishes the job of
-        // making the artifact shard-count-invariant.
-        let mut spans = std::mem::replace(&mut report.spans, SpanRecorder::disabled());
-        spans.remap_devices(|local| global_ids[local as usize]);
-        merged.spans.extend(spans);
+        events.push(std::mem::take(&mut report.events));
+        traces.push(std::mem::take(&mut report.trace));
+        spans.push(std::mem::take(&mut report.spans));
     }
-    merged.events.extend(fleet_log.events.into_records());
+    // Each cell's records arrive remapped and sorted (`to_fleet_order`),
+    // so a merge of sorted runs with ties in cell order — the fleet's
+    // pulses last — gives exactly the stable time sort of their
+    // concatenation: the merged timeline is a pure function of the
+    // scenario. (Devices come out of the BTreeMap sorted by global id.)
+    events.push(fleet_log.events.into_records());
+    merged.events = merge_sorted_runs(events, |r| r.time);
+    merged.trace = merge_sorted_runs(traces, |r| r.time);
+    merged.spans = SpanRecorder::merge(spans);
     merged.devices = rows.into_values().collect();
     // Gauges merge by addition, which suits the additive ones (energy,
     // false-dead seconds, in-flight heartbeats) but not a ratio: the
@@ -750,13 +746,20 @@ fn merge_reports(cells: Vec<Cell>, fleet_log: Telemetry) -> ScenarioReport {
     ) {
         *ratio = d.ratio();
     }
-
-    // Stable sorts: equal timestamps keep cell order, so the merged
-    // timeline is a pure function of the scenario. (Devices come out of
-    // the BTreeMap already sorted by global id.)
-    merged.events.sort_by_key(|r| r.time);
-    merged.trace.sort_by_key(|t| t.time);
     merged
+}
+
+/// Finishes a cell's records on its own worker: events, trace and spans
+/// get fleet-global device ids, and the spans are sorted into artifact
+/// order (events and trace already are in time order), so
+/// `merge_reports` only merges sorted runs.
+fn to_fleet_order(report: &mut ScenarioReport, global_ids: &[u32]) {
+    let global = |local: u32| global_ids[local as usize];
+    for record in report.events.iter_mut().chain(&mut report.trace) {
+        record.event.remap_devices(global);
+    }
+    report.spans.remap_devices(global);
+    report.spans.sort();
 }
 
 /// Folds a later cell-order row for the same fleet-global device into

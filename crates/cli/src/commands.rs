@@ -1,5 +1,7 @@
 //! Command implementations for the `hbr` binary.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -11,6 +13,7 @@ use hbr_bench::{RunControls, EPOCHS};
 use hbr_core::experiment::{ControlledExperiment, ExperimentConfig};
 use hbr_core::world::{EpochPulse, Mode, ScenarioReport};
 use hbr_sim::signal;
+use hbr_sim::telemetry::{EventRecord, Span};
 
 use crate::args::{self, Command, CrowdArgs, CrowdMode, OutFlags, USAGE};
 
@@ -375,7 +378,6 @@ fn pulse_emitter(dir: PathBuf) -> impl Fn(u64, &EpochPulse) + Sync {
             line.push_str(&format!("\"{key}\":{value}"));
         }
         line.push_str("}\n");
-        use std::io::Write;
         if let Ok(mut f) = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -457,21 +459,14 @@ fn write_telemetry(
         );
     }
     if let Some(path) = events_out {
-        let mut out = String::new();
-        let mut lines = 0usize;
-        for ((name, _), report) in runs.iter().zip(reports) {
-            for record in &report.events {
-                // Label each line with its run so `hbr timeline` can keep
-                // the `both`-mode streams apart. The injected key stays
-                // flat JSON, parseable by `parse_jsonl_line`.
-                let line = record.to_jsonl();
-                out.push_str(&format!("{{\"run\":\"{name}\",{}\n", &line[1..]));
-                lines += 1;
-            }
-        }
+        let runs: Vec<(&str, &[EventRecord])> = runs
+            .iter()
+            .zip(reports)
+            .map(|((name, _), report)| (*name, report.events.as_slice()))
+            .collect();
         ok &= report_write(
-            std::fs::write(path, out)
-                .map(|()| format!("events   : wrote {path} ({lines} event line(s))")),
+            write_jsonl(path, &runs, EventRecord::write_jsonl)
+                .map(|lines| format!("events   : wrote {path} ({lines} event line(s))")),
             &format!("events to {path}"),
         );
     }
@@ -537,19 +532,79 @@ fn write_slo(
 /// can `cmp` two runs directly.
 fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Option<&str>) -> bool {
     let Some(path) = spans_out else { return true };
-    let mut out = String::new();
-    let mut lines = 0usize;
-    for ((name, _), report) in runs.iter().zip(reports) {
-        for line in report.spans.to_jsonl().lines() {
-            out.push_str(&format!("{{\"run\":\"{name}\",{}\n", &line[1..]));
-            lines += 1;
-        }
-    }
+    let orders: Vec<Vec<&Span>> = reports
+        .iter()
+        .map(|r| r.spans.in_artifact_order())
+        .collect();
+    let runs: Vec<(&str, &[&Span])> = runs
+        .iter()
+        .zip(&orders)
+        .map(|((name, _), order)| (*name, order.as_slice()))
+        .collect();
     report_write(
-        std::fs::write(path, out)
-            .map(|()| format!("spans    : wrote {path} ({lines} span line(s))")),
+        write_jsonl(path, &runs, |span, run, out| span.write_jsonl(run, out))
+            .map(|lines| format!("spans    : wrote {path} ({lines} span line(s))")),
         &format!("spans to {path}"),
     )
+}
+
+/// Lines per chunk of [`write_jsonl`]: big enough that a thread spawn is
+/// noise next to serializing it, small enough that a round's buffers
+/// stay a few MiB per thread.
+const CHUNK_LINES: usize = 16_384;
+
+/// Streams run-labelled JSONL to `path`: each record of each run becomes
+/// one `line(record, Some(run), buf)` plus a newline, in order. Returns
+/// the line count. Records are serialized in rounds of one
+/// [`CHUNK_LINES`] chunk per [`hbr_bench::sweep_threads`] thread, and
+/// each round is written in chunk order, so the bytes depend on neither.
+fn write_jsonl<T: Sync>(
+    path: &str,
+    runs: &[(&str, &[T])],
+    line: impl Fn(&T, Option<&str>, &mut String) + Sync,
+) -> std::io::Result<usize> {
+    write_jsonl_with(path, runs, line, hbr_bench::sweep_threads(), CHUNK_LINES)
+}
+
+/// [`write_jsonl`] with an explicit thread count and chunk length.
+fn write_jsonl_with<T: Sync>(
+    path: &str,
+    runs: &[(&str, &[T])],
+    line: impl Fn(&T, Option<&str>, &mut String) + Sync,
+    threads: usize,
+    chunk_lines: usize,
+) -> std::io::Result<usize> {
+    let mut file = BufWriter::new(File::create(path)?);
+    let mut chunks = vec![String::new(); threads];
+    let mut lines = 0;
+    for &(run, records) in runs {
+        let fill = |chunk: &mut String, records: &[T]| {
+            chunk.clear();
+            for record in records {
+                line(record, Some(run), chunk);
+                chunk.push('\n');
+            }
+        };
+        let fill = &fill;
+        for round in records.chunks(chunks.len() * chunk_lines) {
+            let mut jobs = chunks.iter_mut().zip(round.chunks(chunk_lines));
+            let first = jobs.next();
+            std::thread::scope(|scope| {
+                for (chunk, part) in jobs {
+                    scope.spawn(move || fill(chunk, part));
+                }
+                if let Some((chunk, part)) = first {
+                    fill(chunk, part);
+                }
+            });
+            for chunk in &chunks[..round.len().div_ceil(chunk_lines)] {
+                file.write_all(chunk.as_bytes())?;
+            }
+            lines += round.len();
+        }
+    }
+    file.flush()?;
+    Ok(lines)
 }
 
 /// Writes the wall-clock shard profile: the Chrome trace-event JSON at
@@ -822,22 +877,134 @@ mod tests {
         }))
     }
 
+    /// The run-labelled line form, pinned for one event and one span.
+    #[test]
+    fn crowd_writes_run_labelled_event_and_span_lines() {
+        let dir = std::env::temp_dir().join(format!("hbr_cli_lines_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (events, spans) = (dir.join("events.jsonl"), dir.join("spans.jsonl"));
+        let code = small_crowd(
+            CrowdMode::D2d,
+            OutFlags {
+                events_out: Some(events.to_string_lossy().into_owned()),
+                spans_out: Some(spans.to_string_lossy().into_owned()),
+                ..OutFlags::default()
+            },
+        );
+        assert_eq!(code, ExitCode::SUCCESS);
+        let events = std::fs::read_to_string(&events).unwrap();
+        let spans = std::fs::read_to_string(&spans).unwrap();
+        assert_eq!((events.lines().count(), spans.lines().count()), (162, 103));
+        assert!(events
+            .lines()
+            .chain(spans.lines())
+            .all(|l| l.starts_with("{\"run\":\"d2d-framework\",")));
+        assert_eq!(
+            events.lines().find(|l| l.contains("\"event\":\"rrc\"")),
+            Some(concat!(
+                r#"{"run":"d2d-framework","t_us":480000000,"event":"rrc","device":1,"#,
+                r#""from":"idle","to":"dch","dwell_secs":480.0}"#
+            ))
+        );
+        assert_eq!(
+            spans.lines().find(|l| l.contains("\"attempt\"")),
+            Some(concat!(
+                r#"{"run":"d2d-framework","id":28,"device":5,"start_us":1079577696,"#,
+                r#""end_us":1386399485,"latency_us":306821789,"outcome":"accepted","retries":1,"#,
+                r#""events":[{"t_us":1079577696,"kind":"d2d-transfer","relay":0},"#,
+                r#"{"t_us":1079577696,"kind":"feedback-armed","relay":0},"#,
+                r#"{"t_us":1080477706,"kind":"relay-rejected","relay":0},"#,
+                r#"{"t_us":1379577696,"kind":"retry","cause":"feedback-timeout","attempt":1},"#,
+                r#"{"t_us":1384199485,"kind":"fallback","cause":"no-relay"}]}"#
+            ))
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The writer's bytes depend on neither its thread count nor its
+    /// chunk length, and each line is the record's own line behind the
+    /// run label: inputs shorter than one chunk, exactly one round, and
+    /// several rounds with a short last chunk.
+    #[test]
+    fn jsonl_writer_bytes_do_not_depend_on_threads_or_chunks() {
+        let path =
+            std::env::temp_dir().join(format!("hbr_cli_writer_{}.jsonl", std::process::id()));
+        let path = path.to_string_lossy().into_owned();
+        let records: Vec<EventRecord> = (0..200u64)
+            .map(|i| EventRecord {
+                time: hbr_sim::SimTime::from_micros(i * 1_001),
+                event: hbr_sim::telemetry::TelemetryEvent::Fallback {
+                    device: i as u32,
+                    cause: "no-relay",
+                    span: (i % 3 == 0).then_some(i),
+                },
+            })
+            .collect();
+        let chunk = 4;
+        for threads in [1, 2, 3, 8] {
+            for len in [chunk - 1, threads * chunk, 3 * threads * chunk + 1] {
+                let runs = [
+                    ("original", &records[..len / 2]),
+                    ("d2d-framework", &records[..len]),
+                ];
+                let expected: String = runs
+                    .iter()
+                    .flat_map(|(run, records)| {
+                        records
+                            .iter()
+                            .map(move |r| format!("{{\"run\":\"{run}\",{}\n", &r.to_jsonl()[1..]))
+                    })
+                    .collect();
+                for chunk_lines in [chunk, CHUNK_LINES] {
+                    let lines = write_jsonl_with(
+                        &path,
+                        &runs,
+                        EventRecord::write_jsonl,
+                        threads,
+                        chunk_lines,
+                    )
+                    .unwrap();
+                    assert_eq!(lines, len / 2 + len);
+                    let written = std::fs::read_to_string(&path).unwrap();
+                    assert!(
+                        written == expected,
+                        "{threads} threads, {len} lines, chunk {chunk_lines}"
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn a_failed_write_exits_nonzero_after_writing_the_rest() {
         let dir = std::env::temp_dir().join(format!("hbr_cli_failed_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let render = dir.join("render.txt");
-        let code = small_crowd(
-            CrowdMode::D2d,
-            OutFlags {
-                metrics_out: Some(dir.join("missing/m.json").to_string_lossy().into_owned()),
+        let missing = Some(dir.join("missing/out").to_string_lossy().into_owned());
+        let failing: [fn(&mut OutFlags) -> &mut Option<String>; 3] = [
+            |out| &mut out.metrics_out,
+            |out| &mut out.events_out,
+            |out| &mut out.spans_out,
+        ];
+        for (case, flag) in failing.into_iter().enumerate() {
+            let _ = std::fs::remove_file(&render);
+            let mut out = OutFlags {
                 render_out: Some(render.to_string_lossy().into_owned()),
                 ..OutFlags::default()
-            },
-        );
-        assert_eq!(code, ExitCode::FAILURE);
-        let text = std::fs::read_to_string(&render).expect("render written after the failure");
-        assert!(text.starts_with("── d2d-framework ──"), "{text}");
+            };
+            *flag(&mut out) = missing.clone();
+            assert_eq!(
+                small_crowd(CrowdMode::D2d, out),
+                ExitCode::FAILURE,
+                "case {case}"
+            );
+            let text = std::fs::read_to_string(&render).expect("render written after the failure");
+            assert!(
+                text.starts_with("── d2d-framework ──"),
+                "case {case}: {text}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

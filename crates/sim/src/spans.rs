@@ -8,18 +8,21 @@
 //! *where the latency went* per heartbeat, not just in aggregate.
 //!
 //! Spans live in sim-time only and obey the same determinism contract
-//! as [`crate::telemetry`]: recording draws no randomness, recorders
-//! merge strictly in cell order, device ids survive
-//! [`SpanRecorder::remap_devices`], and [`SpanRecorder::to_jsonl`]
-//! sorts by `(start_us, device, id)` so the serialized artifact is
-//! byte-identical at any thread or shard count. The wall-clock shard
-//! profiler (`hbr_bench::profile`) is the deliberately *non*-
-//! deterministic second plane and never feeds this artifact.
+//! as [`crate::telemetry`]: recording draws no randomness, device ids
+//! survive [`SpanRecorder::remap_devices`], each crowd cell sorts its
+//! own spans into artifact order, `(start_us, device, id)`, and
+//! [`SpanRecorder::merge`] folds the sorted cells with ties in cell
+//! order, so the serialized artifact is byte-identical at any thread or
+//! shard count. The wall-clock shard profiler (`hbr_bench::profile`) is
+//! the deliberately *non*-deterministic second plane and never feeds
+//! this artifact.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use crate::snap_struct;
 use crate::snapshot::SnapshotError;
+use crate::telemetry::{merge_sorted_runs, push_json_string};
 
 /// One lifecycle annotation inside a span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,40 +69,57 @@ impl Span {
     /// (`None` fields are omitted), mirroring
     /// [`crate::telemetry::EventRecord::to_jsonl`].
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"id\":{},\"device\":{},\"start_us\":{}",
+        let mut out = String::new();
+        self.write_jsonl(None, &mut out);
+        out
+    }
+
+    /// Appends [`Span::to_jsonl`]'s line to `out` (no trailing newline)
+    /// without a temporary `String`; `Some(run)` opens it with a `"run"`
+    /// key, like [`crate::telemetry::EventRecord::write_jsonl`].
+    pub fn write_jsonl(&self, run: Option<&str>, out: &mut String) {
+        out.push('{');
+        if let Some(run) = run {
+            out.push_str("\"run\":");
+            push_json_string(out, run);
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "\"id\":{},\"device\":{},\"start_us\":{}",
             self.id, self.device, self.start_us
         );
         if let Some(end) = self.end_us {
-            out.push_str(&format!(",\"end_us\":{end}"));
-            out.push_str(&format!(
-                ",\"latency_us\":{}",
-                end.saturating_sub(self.start_us)
-            ));
+            let latency = end.saturating_sub(self.start_us);
+            let _ = write!(out, ",\"end_us\":{end},\"latency_us\":{latency}");
         }
         if let Some(outcome) = self.outcome {
-            out.push_str(&format!(",\"outcome\":\"{outcome}\""));
+            let _ = write!(out, ",\"outcome\":\"{outcome}\"");
         }
-        out.push_str(&format!(",\"retries\":{}", self.retries));
-        out.push_str(",\"events\":[");
+        let _ = write!(out, ",\"retries\":{},\"events\":[", self.retries);
         for (i, ev) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{{\"t_us\":{},\"kind\":\"{}\"", ev.t_us, ev.kind));
+            let _ = write!(out, "{{\"t_us\":{},\"kind\":\"{}\"", ev.t_us, ev.kind);
             if let Some(cause) = ev.cause {
-                out.push_str(&format!(",\"cause\":\"{cause}\""));
+                let _ = write!(out, ",\"cause\":\"{cause}\"");
             }
             if let Some(attempt) = ev.attempt {
-                out.push_str(&format!(",\"attempt\":{attempt}"));
+                let _ = write!(out, ",\"attempt\":{attempt}");
             }
             if let Some(relay) = ev.relay {
-                out.push_str(&format!(",\"relay\":{relay}"));
+                let _ = write!(out, ",\"relay\":{relay}");
             }
             out.push('}');
         }
         out.push_str("]}");
-        out
+    }
+
+    /// The artifact order's key: a total order over spans, since device
+    /// ids are fleet-unique once remapped.
+    fn artifact_key(&self) -> (u64, u32, u64) {
+        (self.start_us, self.device, self.id)
     }
 }
 
@@ -341,25 +361,45 @@ impl SpanRecorder {
         }
     }
 
-    /// Appends another recorder's spans (used strictly in cell order by
-    /// the merge, like event logs). Open-span bookkeeping does not
-    /// survive the merge; finalize each cell before extending.
-    pub fn extend(&mut self, other: SpanRecorder) {
-        self.enabled |= other.enabled;
-        self.spans.extend(other.spans);
-        self.open.clear();
+    /// Puts the spans in artifact order, `(start_us, device, id)`, so a
+    /// crowd cell hands [`SpanRecorder::merge`] a sorted run. Call after
+    /// [`SpanRecorder::finalize`] and
+    /// [`SpanRecorder::remap_devices`]: the order is over fleet-global
+    /// ids, and no span may still be open.
+    pub fn sort(&mut self) {
+        assert!(self.open.is_empty(), "sorting a recorder with open spans");
+        self.spans.sort_by_key(Span::artifact_key);
     }
 
-    /// Serializes every span as JSONL, sorted by
-    /// `(start_us, device, id)` — a total order over spans (device ids
-    /// are globally unique after remap), so the artifact is
-    /// byte-identical at any thread or shard count.
-    pub fn to_jsonl(&self) -> String {
+    /// Merges finished recorders, each already in artifact order (see
+    /// [`SpanRecorder::sort`]), into one in artifact order. Equal keys
+    /// keep recorder order, so folding cells in cell order gives the same
+    /// recorder at any shard count.
+    pub fn merge(recorders: Vec<SpanRecorder>) -> SpanRecorder {
+        SpanRecorder {
+            enabled: recorders.iter().any(|r| r.enabled),
+            spans: merge_sorted_runs(
+                recorders.into_iter().map(|r| r.spans).collect(),
+                Span::artifact_key,
+            ),
+            open: HashMap::new(),
+        }
+    }
+
+    /// The spans in artifact order, `(start_us, device, id)` — the order
+    /// every span artifact is written in, byte-identical at any thread
+    /// or shard count. Cheap on a recorder that is already sorted.
+    pub fn in_artifact_order(&self) -> Vec<&Span> {
         let mut order: Vec<&Span> = self.spans.iter().collect();
-        order.sort_by_key(|s| (s.start_us, s.device, s.id));
+        order.sort_by_key(|s| s.artifact_key());
+        order
+    }
+
+    /// Serializes every span as JSONL, in artifact order.
+    pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for span in order {
-            out.push_str(&span.to_jsonl());
+        for span in self.in_artifact_order() {
+            span.write_jsonl(None, &mut out);
             out.push('\n');
         }
         out
@@ -479,6 +519,78 @@ mod tests {
         assert_eq!(open.end_us, None);
     }
 
+    /// The exact line of a closed span, an in-flight span and a span
+    /// with no events; the events carry each optional field.
+    #[test]
+    fn every_span_line_is_pinned() {
+        let event = |t_us, kind, cause, attempt, relay| SpanEvent {
+            t_us,
+            kind,
+            cause,
+            attempt,
+            relay,
+        };
+        let closed = Span {
+            id: 1 << 40 | 7,
+            device: 3,
+            start_us: 100,
+            end_us: Some(2_100),
+            outcome: Some("accepted"),
+            retries: 1,
+            events: vec![
+                event(150, "d2d-transfer", None, None, Some(9)),
+                event(160, "retry", Some("transfer-failed"), Some(1), None),
+                event(180, "fallback", Some("d2d-down"), None, None),
+            ],
+        };
+        let in_flight = Span {
+            id: 2,
+            device: 5,
+            start_us: 400,
+            end_us: None,
+            outcome: Some("in-flight"),
+            retries: 1,
+            events: vec![event(
+                450,
+                "retry",
+                Some("relay-departed"),
+                Some(1),
+                Some(4),
+            )],
+        };
+        let bare = Span {
+            id: 3,
+            device: 0,
+            start_us: 0,
+            end_us: Some(0),
+            outcome: Some("expired"),
+            retries: 0,
+            events: Vec::new(),
+        };
+        assert_eq!(
+            closed.to_jsonl(),
+            concat!(
+                r#"{"id":1099511627783,"device":3,"start_us":100,"end_us":2100,"#,
+                r#""latency_us":2000,"outcome":"accepted","retries":1,"events":["#,
+                r#"{"t_us":150,"kind":"d2d-transfer","relay":9},"#,
+                r#"{"t_us":160,"kind":"retry","cause":"transfer-failed","attempt":1},"#,
+                r#"{"t_us":180,"kind":"fallback","cause":"d2d-down"}]}"#
+            )
+        );
+        assert_eq!(
+            in_flight.to_jsonl(),
+            concat!(
+                r#"{"id":2,"device":5,"start_us":400,"outcome":"in-flight","retries":1,"#,
+                r#""events":[{"t_us":450,"kind":"retry","cause":"relay-departed","#,
+                r#""attempt":1,"relay":4}]}"#
+            )
+        );
+        assert_eq!(
+            bare.to_jsonl(),
+            r#"{"id":3,"device":0,"start_us":0,"end_us":0,"latency_us":0,"outcome":"expired","retries":0,"events":[]}"#
+        );
+    }
+
     #[test]
     fn run_labelled_lines_parse_like_the_cli_writes_them() {
         let mut rec = SpanRecorder::enabled();
@@ -493,37 +605,42 @@ mod tests {
 
     #[test]
     fn merge_remaps_and_stays_byte_identical() {
-        let build = |split: bool| {
+        let cells = || {
             let mut a = SpanRecorder::enabled();
             a.start(1, 0, 100);
             a.annotate(1, 150, "d2d-transfer", None, None, Some(1));
             a.close(1, 300, "accepted");
+            a.start(2, 1, 60);
             a.finalize();
             let mut b = SpanRecorder::enabled();
             b.start(1, 0, 50);
             b.close(1, 80, "expired");
             b.finalize();
-            if split {
-                // Cell-local ids 0/1 map to globals 2/3 in cell A, 7 in B.
-                a.remap_devices(|d| d + 2);
-                b.remap_devices(|d| d + 7);
-                let mut merged = SpanRecorder::enabled();
-                merged.extend(a);
-                merged.extend(b);
-                merged.to_jsonl()
-            } else {
-                a.remap_devices(|d| d + 2);
-                b.remap_devices(|d| d + 7);
-                let mut merged = SpanRecorder::enabled();
-                merged.extend(b);
-                merged.extend(a);
-                merged.to_jsonl()
-            }
+            // Cell-local ids 0/1 map to globals 2/3 in cell A, 7 in B.
+            a.remap_devices(|d| d + 2);
+            b.remap_devices(|d| d + 7);
+            a.sort();
+            b.sort();
+            (a, b)
         };
-        // Same spans, opposite merge order: the sorted artifact is
-        // byte-identical.
-        assert_eq!(build(true), build(false));
-        assert!(build(true).starts_with("{\"id\":1,\"device\":7,\"start_us\":50"));
+        let (a, b) = cells();
+        let forward = SpanRecorder::merge(vec![a, b]);
+        let (a, b) = cells();
+        let backward = SpanRecorder::merge(vec![b, a]);
+        // Same spans, opposite merge order: the merged recorder is in
+        // artifact order, and its artifact is byte-identical.
+        let starts: Vec<u64> = forward.spans().iter().map(|s| s.start_us).collect();
+        assert_eq!(starts, [50, 60, 100]);
+        assert_eq!(forward.spans(), backward.spans());
+        assert_eq!(forward.to_jsonl(), backward.to_jsonl());
+        assert!(forward
+            .to_jsonl()
+            .starts_with("{\"id\":1,\"device\":7,\"start_us\":50"));
+        assert_eq!(
+            forward.spans()[2].events[0].relay,
+            Some(3),
+            "relay remapped"
+        );
     }
 
     #[test]

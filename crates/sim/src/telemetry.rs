@@ -522,16 +522,29 @@ fn prefix_labels(labels: &str) -> String {
 /// deterministic across platforms, with integral values kept integral
 /// (`3` not `3.0` would be ambiguous with counters, so keep the `.0`).
 pub fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
+    let mut out = String::new();
+    push_json_f64(&mut out, v);
+    out
+}
+
+/// Appends [`json_f64`]`(v)` to `out` without a temporary `String`.
+pub fn push_json_f64(out: &mut String, v: f64) {
+    let _ = if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{v:.1}")
     } else {
-        format!("{v}")
-    }
+        write!(out, "{v}")
+    };
 }
 
 /// JSON-escapes and quotes a string.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// Appends [`json_string`]`(s)` to `out` without a temporary `String`.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -547,7 +560,6 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// One typed telemetry event. Every variant carries enough context to
@@ -729,7 +741,7 @@ impl TelemetryEvent {
 
     /// Rewrites every device index the event carries through `map` —
     /// how the sharded crowd engine translates a cell's local indices
-    /// back to fleet-global ones when merging per-cell event streams.
+    /// back to fleet-global ones before merging per-cell event streams.
     pub fn remap_devices(&mut self, map: impl Fn(u32) -> u32) {
         match self {
             TelemetryEvent::Flush { device, .. }
@@ -776,11 +788,25 @@ impl EventRecord {
     /// Times are integer microseconds (`t_us`) — exact, and immune to
     /// float-parsing drift on the way back in.
     pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        self.write_jsonl(None, &mut out);
+        out
+    }
+
+    /// Appends [`EventRecord::to_jsonl`]'s line to `out` (no trailing
+    /// newline) without a temporary `String`. With `Some(run)` the line
+    /// opens with a `"run"` key, which keeps the `both`-mode streams of
+    /// one file apart and stays parseable by [`parse_jsonl_line`].
+    pub fn write_jsonl(&self, run: Option<&str>, out: &mut String) {
+        out.push('{');
+        if let Some(run) = run {
+            out.push_str("\"run\":");
+            push_json_string(out, run);
+            out.push(',');
+        }
         let t_us = self.time.saturating_since(SimTime::ZERO).as_micros();
-        let mut out = format!(
-            "{{\"t_us\":{t_us},\"event\":{}",
-            json_string(self.event.kind())
-        );
+        let _ = write!(out, "\"t_us\":{t_us},\"event\":");
+        push_json_string(out, self.event.kind());
         match &self.event {
             TelemetryEvent::Flush {
                 device,
@@ -789,10 +815,11 @@ impl EventRecord {
                 own,
                 bytes,
             } => {
+                let _ = write!(out, ",\"device\":{device},\"reason\":");
+                push_json_string(out, reason);
                 let _ = write!(
                     out,
-                    ",\"device\":{device},\"reason\":{},\"buffered\":{buffered},\"own\":{own},\"bytes\":{bytes}",
-                    json_string(reason)
+                    ",\"buffered\":{buffered},\"own\":{own},\"bytes\":{bytes}"
                 );
             }
             TelemetryEvent::RrcTransition {
@@ -801,13 +828,12 @@ impl EventRecord {
                 to,
                 dwell_secs,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"device\":{device},\"from\":{},\"to\":{},\"dwell_secs\":{}",
-                    json_string(from),
-                    json_string(to),
-                    json_f64(*dwell_secs)
-                );
+                let _ = write!(out, ",\"device\":{device},\"from\":");
+                push_json_string(out, from);
+                out.push_str(",\"to\":");
+                push_json_string(out, to);
+                out.push_str(",\"dwell_secs\":");
+                push_json_f64(out, *dwell_secs);
             }
             TelemetryEvent::RelayMatch { device, relay }
             | TelemetryEvent::RelayDepart { device, relay } => {
@@ -818,7 +844,8 @@ impl EventRecord {
                 cause,
                 span,
             } => {
-                let _ = write!(out, ",\"device\":{device},\"cause\":{}", json_string(cause));
+                let _ = write!(out, ",\"device\":{device},\"cause\":");
+                push_json_string(out, cause);
                 if let Some(span) = span {
                     let _ = write!(out, ",\"span\":{span}");
                 }
@@ -828,11 +855,9 @@ impl EventRecord {
                 cause,
                 attempt,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"device\":{device},\"cause\":{},\"attempt\":{attempt}",
-                    json_string(cause)
-                );
+                let _ = write!(out, ",\"device\":{device},\"cause\":");
+                push_json_string(out, cause);
+                let _ = write!(out, ",\"attempt\":{attempt}");
             }
             TelemetryEvent::Handover {
                 device,
@@ -849,18 +874,17 @@ impl EventRecord {
                 kind,
                 device,
             } => {
-                let _ = write!(out, ",\"index\":{index},\"kind\":{}", json_string(kind));
+                let _ = write!(out, ",\"index\":{index},\"kind\":");
+                push_json_string(out, kind);
                 if let Some(d) = device {
                     let _ = write!(out, ",\"device\":{d}");
                 }
             }
             TelemetryEvent::EnergyPhase { device, group, uah } => {
-                let _ = write!(
-                    out,
-                    ",\"device\":{device},\"group\":{},\"uah\":{}",
-                    json_string(group),
-                    json_f64(*uah)
-                );
+                let _ = write!(out, ",\"device\":{device},\"group\":");
+                push_json_string(out, group);
+                out.push_str(",\"uah\":");
+                push_json_f64(out, *uah);
             }
             TelemetryEvent::Migrate {
                 device,
@@ -897,8 +921,37 @@ impl EventRecord {
             }
         }
         out.push('}');
-        out
     }
+}
+
+/// Merges runs that are each sorted by `key` into one sorted `Vec`:
+/// equal keys keep run order, then their order within the run — exactly
+/// what concatenating the runs and stable-sorting by `key` gives. Only
+/// a compact `(key, run)` index is sorted; each record moves once. How
+/// the sharded crowd engine folds its cells' sorted records.
+///
+/// # Panics
+///
+/// Panics if a run is not sorted by `key`.
+pub fn merge_sorted_runs<T, K: Ord + Copy>(runs: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
+    let mut index: Vec<(K, u32)> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    for (run, records) in runs.iter().enumerate() {
+        let start = index.len();
+        index.extend(records.iter().map(|r| (key(r), run as u32)));
+        assert!(
+            index[start..].windows(2).all(|w| w[0].0 <= w[1].0),
+            "merge_sorted_runs: run {run} is not sorted"
+        );
+    }
+    // Stable: equal keys keep run order, and within a run the index
+    // entries keep the records' order, so the `i`-th entry naming a run
+    // is that run's `i`-th record.
+    index.sort_by_key(|&(k, _)| k);
+    let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+    index
+        .into_iter()
+        .map(|(_, run)| runs[run as usize].next().expect("one entry per record"))
+        .collect()
 }
 
 /// The typed event store. It keeps every record (the telemetry event
@@ -1532,6 +1585,149 @@ mod tests {
         }
     }
 
+    /// The exact line of every variant, each optional field both present
+    /// and absent, and a float in each `json_f64` form.
+    #[test]
+    fn every_event_line_is_pinned() {
+        let pulse = |migrations, lte_handovers| TelemetryEvent::FleetPulse {
+            epoch: 1,
+            cells: 4,
+            forwards: 10,
+            fallbacks: 2,
+            outage_queued: 0,
+            l3: 12,
+            delivered: 11,
+            retries: 1,
+            migrations,
+            lte_handovers,
+        };
+        let rrc = |dwell_secs| TelemetryEvent::RrcTransition {
+            device: 1,
+            from: "dch",
+            to: "fach",
+            dwell_secs,
+        };
+        let cases = [
+            (
+                TelemetryEvent::Flush {
+                    device: 0,
+                    reason: "period",
+                    buffered: 2,
+                    own: 1,
+                    bytes: 222,
+                },
+                r#""event":"flush","device":0,"reason":"period","buffered":2,"own":1,"bytes":222}"#,
+            ),
+            (
+                rrc(3.25),
+                r#""event":"rrc","device":1,"from":"dch","to":"fach","dwell_secs":3.25}"#,
+            ),
+            (
+                rrc(3.0),
+                r#""event":"rrc","device":1,"from":"dch","to":"fach","dwell_secs":3.0}"#,
+            ),
+            (
+                TelemetryEvent::RelayMatch {
+                    device: 2,
+                    relay: 0,
+                },
+                r#""event":"match","device":2,"relay":0}"#,
+            ),
+            (
+                TelemetryEvent::RelayDepart {
+                    device: 2,
+                    relay: 9,
+                },
+                r#""event":"depart","device":2,"relay":9}"#,
+            ),
+            (
+                TelemetryEvent::Fallback {
+                    device: 3,
+                    cause: "feedback-timeout",
+                    span: Some(41),
+                },
+                r#""event":"fallback","device":3,"cause":"feedback-timeout","span":41}"#,
+            ),
+            (
+                TelemetryEvent::Fallback {
+                    device: 3,
+                    cause: "no-relay",
+                    span: None,
+                },
+                r#""event":"fallback","device":3,"cause":"no-relay"}"#,
+            ),
+            (
+                TelemetryEvent::Retry {
+                    device: 3,
+                    cause: "transfer-failed",
+                    attempt: 2,
+                },
+                r#""event":"retry","device":3,"cause":"transfer-failed","attempt":2}"#,
+            ),
+            (
+                TelemetryEvent::Handover {
+                    device: 3,
+                    from_relay: 0,
+                    to_relay: 5,
+                },
+                r#""event":"handover","device":3,"from_relay":0,"to_relay":5}"#,
+            ),
+            (
+                TelemetryEvent::FaultInjected {
+                    index: 0,
+                    kind: "cellular-outage",
+                    device: None,
+                },
+                r#""event":"fault","index":0,"kind":"cellular-outage"}"#,
+            ),
+            (
+                TelemetryEvent::FaultInjected {
+                    index: 2,
+                    kind: "link-drop",
+                    device: Some(7),
+                },
+                r#""event":"fault","index":2,"kind":"link-drop","device":7}"#,
+            ),
+            (
+                TelemetryEvent::EnergyPhase {
+                    device: 4,
+                    group: "Cellular",
+                    uah: 1.5e15,
+                },
+                r#""event":"energy","device":4,"group":"Cellular","uah":1500000000000000}"#,
+            ),
+            (
+                TelemetryEvent::Migrate {
+                    device: 5,
+                    from_cell: 0,
+                    to_cell: 11,
+                },
+                r#""event":"migrate","device":5,"from_cell":0,"to_cell":11}"#,
+            ),
+            (
+                pulse(Some(3), None),
+                concat!(
+                    r#""event":"pulse","epoch":1,"cells":4,"forwards":10,"fallbacks":2,"#,
+                    r#""outage_queued":0,"l3":12,"delivered":11,"retries":1,"migrations":3}"#
+                ),
+            ),
+            (
+                pulse(None, Some(2)),
+                concat!(
+                    r#""event":"pulse","epoch":1,"cells":4,"forwards":10,"fallbacks":2,"#,
+                    r#""outage_queued":0,"l3":12,"delivered":11,"retries":1,"lte_handovers":2}"#
+                ),
+            ),
+        ];
+        for (event, tail) in cases {
+            let record = EventRecord {
+                time: SimTime::from_millis(812_500),
+                event,
+            };
+            assert_eq!(record.to_jsonl(), format!("{{\"t_us\":812500000,{tail}"));
+        }
+    }
+
     fn fallback(device: u32) -> TelemetryEvent {
         TelemetryEvent::Fallback {
             device,
@@ -1680,6 +1876,43 @@ mod tests {
         assert_eq!(json_f64(3.0), "3.0");
         assert_eq!(json_f64(3.25), "3.25");
         assert_eq!(json_f64(0.1), "0.1");
+        assert_eq!(json_f64(-2.0), "-2.0");
+        assert_eq!(json_f64(1.5e15), "1500000000000000");
+        assert_eq!(json_string("a\"b\\c\n\u{1}"), "\"a\\\"b\\\\c\\n\\u0001\"");
+    }
+
+    #[test]
+    #[should_panic(expected = "run 1 is not sorted")]
+    fn merging_an_unsorted_run_panics() {
+        merge_sorted_runs(vec![vec![1, 2], vec![3, 1]], |&k| k);
+    }
+
+    mod merge_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Merging sorted runs equals concatenating them in run
+            /// order and stable-sorting. Keys repeat within and across
+            /// runs, some runs are empty, and every record carries its
+            /// (run, position) tag, so the order of ties is checked.
+            #[test]
+            fn merge_equals_concatenation_then_stable_sort(
+                keys in proptest::collection::vec(proptest::collection::vec(0u8..6, 0..12), 0..7),
+            ) {
+                let runs: Vec<Vec<(u8, usize, usize)>> = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(run, mut keys)| {
+                        keys.sort_unstable();
+                        keys.into_iter().enumerate().map(|(pos, k)| (k, run, pos)).collect()
+                    })
+                    .collect();
+                let mut expected = runs.concat();
+                expected.sort_by_key(|&(k, _, _)| k);
+                prop_assert_eq!(merge_sorted_runs(runs, |&(k, _, _)| k), expected);
+            }
+        }
     }
 
     mod quantile_properties {

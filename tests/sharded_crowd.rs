@@ -6,6 +6,7 @@
 use d2d_heartbeat::bench::{run_crowd, CrowdConfig};
 use d2d_heartbeat::core::world::Mode;
 use d2d_heartbeat::sim::fault::{FaultKind, FaultPlan};
+use d2d_heartbeat::sim::telemetry::Span;
 use d2d_heartbeat::sim::{DeviceId, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -194,4 +195,33 @@ fn roaming_crowd_trace_is_the_event_stream_without_pulses() {
         "pulses recorded"
     );
     assert!(report.trace == without_pulses, "trace and events diverge");
+}
+
+/// A merged crowd report is already in artifact order, whatever the
+/// shard count: events by time, spans by `(start_us, device, id)`.
+#[test]
+fn merged_crowd_records_are_in_artifact_order() {
+    for shards in [1, 3] {
+        let report = run_crowd(&CrowdConfig {
+            phones: 300,
+            relays: 60,
+            hours: 1,
+            area_side_m: 300.0,
+            seed: 7,
+            push_mins: 0,
+            mode: Mode::D2dFramework,
+            faults: FaultPlan::new(),
+            trace_capacity: 0,
+            telemetry: true,
+            reliable: true,
+            spans: true,
+            shards: Some(shards),
+            roam: true,
+        });
+        assert!(report.events.len() > 100 && report.spans.len() > 100);
+        assert!(report.events.windows(2).all(|w| w[0].time <= w[1].time));
+        let key = |s: &Span| (s.start_us, s.device, s.id);
+        let spans = report.spans.spans();
+        assert!(spans.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+    }
 }
