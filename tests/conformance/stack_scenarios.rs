@@ -12,9 +12,40 @@
 use d2d_heartbeat::core::BackoffPolicy;
 use d2d_heartbeat::sim::{SimDuration, SimTime};
 use hbr_conform::{
-    run_reproducible, RelayMode, ScenarioDag, StackConfig, StackHarness, StackSnapshot, StackView,
-    Stim,
+    run_reproducible, DagReport, RelayMode, ScenarioDag, StackConfig, StackHarness, StackSnapshot,
+    StackView, Stim,
 };
+
+/// FNV-1a over a rendered event log, as `golden_telemetry.rs` hashes
+/// its artifacts.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins a scenario's rendered step log. `run_reproducible` compares two
+/// runs of one build, so only a committed hash catches a change that
+/// rewrites a protocol-step line. Re-pin with `HBR_PRINT_GOLDEN=1 cargo
+/// test --test conformance -- --nocapture` only for an intended change.
+fn assert_log_pinned(report: &DagReport, golden: u64) {
+    report.assert_ok();
+    let log = report.render();
+    if std::env::var("HBR_PRINT_GOLDEN").is_ok() {
+        println!(
+            "{} log hash: {:#018x} ({} bytes)",
+            report.name(),
+            fnv1a(&log),
+            log.len()
+        );
+    }
+    assert_eq!(
+        fnv1a(&log),
+        golden,
+        "the step log of '{}' drifted:\n{log}",
+        report.name()
+    );
+}
 
 fn secs(s: u64) -> SimDuration {
     SimDuration::from_secs(s)
@@ -104,7 +135,7 @@ fn duplicate_storm_is_swallowed_by_both_dedup_layers() {
 /// requeued, and — after a rejoin — redelivered exactly once.
 #[test]
 fn departure_before_feedback_deadline_retracts_then_rejoins() {
-    run_reproducible(|| {
+    let report = run_reproducible(|| {
         // Long relay period keeps the heartbeat buffered (and its
         // feedback pending) when the departure lands.
         let config = StackConfig {
@@ -149,8 +180,8 @@ fn departure_before_feedback_deadline_retracts_then_rejoins() {
         });
         require_clean_books(&mut d);
         (d, StackHarness::new(config))
-    })
-    .assert_ok();
+    });
+    assert_log_pinned(&report, 0xceae_cfc0_93f6_e0df);
 }
 
 /// Departure racing the feedback deadline, interleaving 2: the flush
@@ -312,7 +343,7 @@ fn liveness_budget_blocks_late_retry() {
 /// it.
 #[test]
 fn backoff_cap_boundary_at_liveness_deadline() {
-    run_reproducible(|| {
+    let report = run_reproducible(|| {
         let config = StackConfig {
             feedback_timeout: secs(50),
             backoff: BackoffPolicy {
@@ -347,8 +378,8 @@ fn backoff_cap_boundary_at_liveness_deadline() {
         });
         require_clean_books(&mut d);
         (d, StackHarness::new(config))
-    })
-    .assert_ok();
+    });
+    assert_log_pinned(&report, 0x5479_01de_f2f3_cc5d);
 }
 
 /// Algorithm 1's two flush triggers racing: the seventh arrival fills
