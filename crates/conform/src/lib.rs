@@ -22,9 +22,10 @@
 //!   with mid-run fault injection
 //!   (`hbr_core::world::Scenario::inject_fault`).
 //!
-//! The protocol components report each step through
-//! `hbr_core::hooks::ProtocolHooks`; the harness records them into the
-//! scenario's event log without perturbing any RNG stream, which is
+//! Every protocol call already returns its decision (a schedule
+//! verdict, an armed deadline, a planned retry, a confirmation count),
+//! so the harness logs each step from that return value into the
+//! scenario's event log. Logging draws from no RNG stream, which is
 //! what keeps clean paths draw-free and scenarios byte-identical
 //! across runs and thread counts.
 //!

@@ -17,7 +17,6 @@
 use std::collections::HashSet;
 
 use hbr_apps::{AppId, DeliveryOutcome, Heartbeat, ImServer, MessageId, MessageIdGen};
-use hbr_core::hooks::ProtocolHooks;
 use hbr_core::{
     BackoffPolicy, DeliveryLedger, FeedbackTracker, InvariantChecker, MessageScheduler,
     ScheduleDecision,
@@ -153,7 +152,9 @@ pub struct StackSnapshot {
     pub view: StackView,
     /// The invariant checker's fate tallies.
     pub audit: hbr_core::DeliveryAudit,
-    /// Every protocol step the [`ProtocolHooks`] recorder observed.
+    /// Every protocol step, one line per component call, written from
+    /// the value the call returned (the lines the event log shows after
+    /// ` | hooks: `).
     pub hook_log: Vec<String>,
     /// Every server delivery outcome, in order, as `seq:outcome`.
     pub outcomes: Vec<String>,
@@ -164,45 +165,13 @@ pub struct StackSnapshot {
     pub offline_secs: f64,
 }
 
-/// Hook recorder: every observed protocol step, plus the planned-retry
-/// audit used by the liveness `require`s.
+/// The protocol-step log, plus the planned-retry audit used by the
+/// liveness `require`s.
 #[derive(Default)]
 struct Recorder {
     log: Vec<String>,
     /// `(id, attempt, at, liveness_deadline)` for each planned retry.
     planned: Vec<(MessageId, u32, SimTime, SimTime)>,
-}
-
-impl ProtocolHooks for Recorder {
-    fn on_schedule_decision(&mut self, now: SimTime, hb: &Heartbeat, decision: &ScheduleDecision) {
-        self.log
-            .push(format!("{now} schedule seq={} {decision:?}", hb.seq));
-    }
-
-    fn on_retry_planned(&mut self, id: MessageId, attempt: u32, at: SimTime, liveness: SimTime) {
-        self.planned.push((id, attempt, at, liveness));
-        self.log
-            .push(format!("retry-planned {id} attempt={attempt} at={at}"));
-    }
-
-    fn on_retry_exhausted(&mut self, id: MessageId, attempt: u32, now: SimTime) {
-        self.log.push(format!(
-            "{now} retry-exhausted {id} after attempt={attempt}"
-        ));
-    }
-
-    fn on_feedback_armed(&mut self, id: MessageId, now: SimTime, deadline: SimTime) {
-        self.log
-            .push(format!("{now} feedback-armed {id} deadline={deadline}"));
-    }
-
-    fn on_feedback_confirmed(&mut self, confirmed: usize) {
-        self.log.push(format!("feedback-confirmed n={confirmed}"));
-    }
-
-    fn on_feedback_retracted(&mut self, retracted: usize) {
-        self.log.push(format!("feedback-retracted n={retracted}"));
-    }
 }
 
 /// The scripted stack. Implements [`System`]; drive it with a
@@ -263,7 +232,7 @@ impl StackHarness {
         }
     }
 
-    /// The hook steps observed since the last call, joined for the
+    /// The protocol steps logged since the last call, joined for the
     /// event log.
     fn fresh_hook_steps(&mut self) -> String {
         let fresh = &self.recorder.log[self.hook_cursor..];
@@ -306,14 +275,20 @@ impl StackHarness {
         match self.relay_mode {
             RelayMode::Accepting | RelayMode::LosingPayloads => {
                 self.ledger.d2d_acked(hb.id);
-                let deadline = self.feedback.on_forward_with(hb, at, &mut self.recorder);
+                let deadline = self.feedback.on_forward(hb, at);
+                self.recorder
+                    .log
+                    .push(format!("{at} feedback-armed {} deadline={deadline}", hb.id));
                 if self.relay_mode == RelayMode::LosingPayloads {
                     return format!(
                         "seq{} acked but payload lost; feedback due {deadline}",
                         hb.seq
                     );
                 }
-                let decision = self.scheduler.on_arrival_with(at, hb, &mut self.recorder);
+                let decision = self.scheduler.on_arrival(at, hb);
+                self.recorder
+                    .log
+                    .push(format!("{at} schedule seq={} {decision:?}", hb.seq));
                 match decision {
                     ScheduleDecision::Flush(reason) => {
                         let flushed = self.flush_relay(at);
@@ -323,7 +298,7 @@ impl StackHarness {
                     ScheduleDecision::Rejected => {
                         // The relay already flushed this period; treat as
                         // a failed transfer so the ledger recovers it.
-                        self.feedback.retract_with([hb.id], &mut self.recorder);
+                        self.retract([hb.id]);
                         self.recover(hb, at)
                     }
                 }
@@ -336,16 +311,37 @@ impl StackHarness {
         }
     }
 
+    /// Retracts pending feedback deadlines (idempotent: an id no longer
+    /// pending counts zero) and logs how many were still pending.
+    fn retract(&mut self, ids: impl IntoIterator<Item = MessageId>) -> usize {
+        let retracted = self.feedback.retract(ids);
+        self.recorder
+            .log
+            .push(format!("feedback-retracted n={retracted}"));
+        retracted
+    }
+
     /// Transfer failed or timed out: plan a D2D retry, or fall back.
     fn recover(&mut self, hb: Heartbeat, at: SimTime) -> String {
-        let planned = self.ledger.plan_retry_with(
+        let planned = self.ledger.plan_retry(
             hb.id,
             at,
             &self.config.backoff,
             FeedbackTracker::RESCUE_MARGIN,
             &mut self.retry_rng,
-            &mut self.recorder,
         );
+        if let Some(e) = self.ledger.entry(hb.id) {
+            let (id, attempt) = (hb.id, e.attempts);
+            let line = match planned {
+                Some(when) => {
+                    let liveness = e.heartbeat.liveness_deadline();
+                    self.recorder.planned.push((id, attempt, when, liveness));
+                    format!("retry-planned {id} attempt={attempt} at={when}")
+                }
+                None => format!("{at} retry-exhausted {id} after attempt={attempt}"),
+            };
+            self.recorder.log.push(line);
+        }
         match planned {
             Some(when) => format!("retry planned {when}"),
             None => {
@@ -367,9 +363,11 @@ impl StackHarness {
         }
         // Relay feedback confirms the flush; the UE retires its timers.
         self.ledger.feedback_confirmed(ids.iter().copied());
-        self.confirmed +=
-            self.feedback
-                .on_delivered_with(ids.iter().copied(), &mut self.recorder) as u64;
+        let confirmed = self.feedback.on_delivered(ids.iter().copied());
+        self.recorder
+            .log
+            .push(format!("feedback-confirmed n={confirmed}"));
+        self.confirmed += confirmed as u64;
         // The dummy relay immediately opens its next period.
         self.scheduler.begin_period(at);
         format!("{accepted}/{} accepted", ids.len())
@@ -423,9 +421,7 @@ impl System for StackHarness {
             Stim::Depart => {
                 self.relay_mode = RelayMode::Departed;
                 let batch = self.scheduler.take_batch();
-                let retracted = self
-                    .feedback
-                    .retract_with(batch.iter().map(|hb| hb.id), &mut self.recorder);
+                let retracted = self.retract(batch.iter().map(|hb| hb.id));
                 let mut recoveries = Vec::new();
                 for hb in batch {
                     self.ledger.relay_failed(hb.id, DeviceId::new(1));
@@ -461,8 +457,8 @@ impl System for StackHarness {
                 format!("redelivered same copy: {outcome}")
             }
         };
-        // Fold freshly observed hook steps into the logged line so they
-        // are part of the byte-reproducibility surface.
+        // Fold freshly logged protocol steps into the line so they are
+        // part of the byte-reproducibility surface.
         let hooks = self.fresh_hook_steps();
         format!("{line}{hooks}")
     }

@@ -273,31 +273,6 @@ impl DeliveryLedger {
         Some(at)
     }
 
-    /// [`DeliveryLedger::plan_retry`] with an observation hook. A
-    /// planned retry is reported with its scheduled instant and the
-    /// heartbeat's liveness deadline; a refusal (attempts exhausted or
-    /// past the liveness budget) is reported as exhausted. RNG draws
-    /// are identical to the plain variant: the hook observes only.
-    pub fn plan_retry_with(
-        &mut self,
-        id: MessageId,
-        now: SimTime,
-        policy: &BackoffPolicy,
-        margin: SimDuration,
-        rng: &mut SimRng,
-        hooks: &mut dyn crate::hooks::ProtocolHooks,
-    ) -> Option<SimTime> {
-        let planned = self.plan_retry(id, now, policy, margin, rng);
-        match (planned, self.entries.get(&id)) {
-            (Some(at), Some(e)) => {
-                hooks.on_retry_planned(id, e.attempts, at, e.heartbeat.liveness_deadline());
-            }
-            (None, Some(e)) => hooks.on_retry_exhausted(id, e.attempts, now),
-            _ => {}
-        }
-        planned
-    }
-
     /// Consumes a handover credit (one hop max). Returns `true` if the
     /// entry may re-match a different relay.
     pub fn take_handover(&mut self, id: MessageId, max_handovers: u32) -> bool {

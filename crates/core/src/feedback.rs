@@ -150,46 +150,6 @@ impl FeedbackTracker {
             .count()
     }
 
-    /// [`FeedbackTracker::on_forward`] with an observation hook: the
-    /// armed deadline is reported before it is returned.
-    pub fn on_forward_with(
-        &mut self,
-        heartbeat: Heartbeat,
-        now: SimTime,
-        hooks: &mut dyn crate::hooks::ProtocolHooks,
-    ) -> SimTime {
-        let id = heartbeat.id;
-        let deadline = self.on_forward(heartbeat, now);
-        hooks.on_feedback_armed(id, now, deadline);
-        deadline
-    }
-
-    /// [`FeedbackTracker::on_delivered`] with an observation hook
-    /// reporting how many ids were still pending.
-    pub fn on_delivered_with<I: IntoIterator<Item = MessageId>>(
-        &mut self,
-        ids: I,
-        hooks: &mut dyn crate::hooks::ProtocolHooks,
-    ) -> usize {
-        let hits = self.on_delivered(ids);
-        hooks.on_feedback_confirmed(hits);
-        hits
-    }
-
-    /// [`FeedbackTracker::retract`] with an observation hook reporting
-    /// how many ids were actually pending. Retraction is idempotent:
-    /// retracting an already-retracted id reports zero and changes
-    /// nothing.
-    pub fn retract_with<I: IntoIterator<Item = MessageId>>(
-        &mut self,
-        ids: I,
-        hooks: &mut dyn crate::hooks::ProtocolHooks,
-    ) -> usize {
-        let retracted = self.retract(ids);
-        hooks.on_feedback_retracted(retracted);
-        retracted
-    }
-
     /// Forwards currently awaiting feedback.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
@@ -392,44 +352,6 @@ mod tests {
         // The survivor still behaves normally after the double retract.
         assert_eq!(t.on_delivered([b.id]), 1);
         assert_eq!(t.pending_count(), 0);
-    }
-
-    #[test]
-    fn hooked_variants_match_plain_behaviour() {
-        #[derive(Default)]
-        struct Recorder(Vec<String>);
-        impl crate::hooks::ProtocolHooks for Recorder {
-            fn on_feedback_armed(&mut self, id: MessageId, now: SimTime, deadline: SimTime) {
-                self.0.push(format!("armed {id} {now} {deadline}"));
-            }
-            fn on_feedback_confirmed(&mut self, confirmed: usize) {
-                self.0.push(format!("confirmed {confirmed}"));
-            }
-            fn on_feedback_retracted(&mut self, retracted: usize) {
-                self.0.push(format!("retracted {retracted}"));
-            }
-        }
-        let mut t = tracker();
-        let mut ids = MessageIdGen::new();
-        let mut rec = Recorder::default();
-        let a = hb(&mut ids);
-        let b = hb(&mut ids);
-        let deadline = t.on_forward_with(a, SimTime::from_secs(0), &mut rec);
-        assert_eq!(deadline, SimTime::from_secs(30));
-        t.on_forward_with(b, SimTime::from_secs(0), &mut rec);
-        assert_eq!(t.on_delivered_with([a.id], &mut rec), 1);
-        assert_eq!(t.retract_with([b.id], &mut rec), 1);
-        assert_eq!(t.retract_with([b.id], &mut rec), 0);
-        assert_eq!(
-            rec.0,
-            vec![
-                format!("armed {} t=0.000000s t=30.000000s", a.id),
-                format!("armed {} t=0.000000s t=30.000000s", b.id),
-                String::from("confirmed 1"),
-                String::from("retracted 1"),
-                String::from("retracted 0"),
-            ]
-        );
     }
 
     #[test]

@@ -54,7 +54,6 @@ pub mod detector;
 pub mod experiment;
 pub mod feedback;
 pub mod fleet;
-pub mod hooks;
 pub mod incentive;
 pub mod invariant;
 pub mod scheduler;
@@ -64,7 +63,6 @@ pub use config::FrameworkConfig;
 pub use delivery::{BackoffPolicy, DeliveryLedger, DeliveryState, RetryReason};
 pub use detector::{D2dDetector, MatchDecision, RelayAdvert};
 pub use feedback::{FeedbackTracker, PendingForward};
-pub use hooks::{NullHooks, ProtocolHooks};
 pub use incentive::RewardLedger;
 pub use invariant::{DeliveryAudit, DeviceProbe, InvariantChecker};
 pub use scheduler::{FlushReason, MessageScheduler, ScheduleDecision, SchedulerStats};

@@ -241,21 +241,6 @@ impl MessageScheduler {
         ScheduleDecision::Pend
     }
 
-    /// [`MessageScheduler::on_arrival`] with an observation hook: the
-    /// decision is reported to `hooks` before it is returned. Behaviour
-    /// is otherwise identical — conformance harnesses use this to log
-    /// protocol steps at event granularity.
-    pub fn on_arrival_with(
-        &mut self,
-        now: SimTime,
-        hb: Heartbeat,
-        hooks: &mut dyn crate::hooks::ProtocolHooks,
-    ) -> ScheduleDecision {
-        let decision = self.on_arrival(now, hb);
-        hooks.on_schedule_decision(now, &hb, &decision);
-        decision
-    }
-
     /// Whether a deadline-driven flush is due at `now`, and why.
     pub fn flush_due(&self, now: SimTime) -> Option<FlushReason> {
         if !self.collecting {

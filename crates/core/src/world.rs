@@ -44,7 +44,6 @@ use crate::config::{FrameworkConfig, RadioStack};
 use crate::delivery::{BackoffPolicy, DeliveryLedger, RetryReason};
 use crate::detector::{D2dDetector, MatchDecision, RelayAdvert};
 use crate::feedback::FeedbackTracker;
-use crate::hooks::ProtocolHooks;
 use crate::incentive::RewardLedger;
 use crate::invariant::{self, DeviceProbe, InvariantChecker};
 use crate::scheduler::{FlushReason, MessageScheduler, ScheduleDecision};
@@ -705,9 +704,10 @@ pub struct Scenario {
     /// event log also keeps the trace): pure observation, so enabling
     /// them never perturbs a seeded run.
     telemetry: Telemetry,
-    /// Per-heartbeat lifecycle spans (disabled unless configured). Fed
-    /// through the [`ProtocolHooks`] seam plus world-level emission and
-    /// close sites; same pure-observation contract as `telemetry`.
+    /// Per-heartbeat lifecycle spans (disabled unless configured),
+    /// annotated where each protocol call returns its decision and
+    /// closed at each terminal outcome; same pure-observation contract
+    /// as `telemetry`.
     spans: SpanRecorder,
 }
 
@@ -715,75 +715,6 @@ pub struct Scenario {
 /// stamp telemetry — spans and events line up in a merged timeline.
 fn span_us(t: SimTime) -> u64 {
     t.saturating_since(SimTime::ZERO).as_micros()
-}
-
-/// Bridges the [`ProtocolHooks`] observation seam into the span
-/// recorder. Hooks observe protocol-layer transitions (schedule
-/// decisions, retry planning, feedback arming) that the world loop
-/// cannot see from outside; by the seam's contract they draw no RNG
-/// and mutate no protocol state, so recording spans can never perturb
-/// a seeded run.
-struct SpanHooks<'a> {
-    spans: &'a mut SpanRecorder,
-    /// Timestamp to stamp plan-ahead hooks with (a retry planned *for*
-    /// a future instant is annotated at the instant it was planned).
-    now: SimTime,
-    /// Retry-cause label ([`crate::delivery::RetryReason::label`]); the
-    /// hook signatures carry attempt numbers, not causes.
-    cause: &'static str,
-    /// The relay involved, for schedule/feedback annotations.
-    relay: Option<u32>,
-}
-
-impl ProtocolHooks for SpanHooks<'_> {
-    fn on_schedule_decision(
-        &mut self,
-        now: SimTime,
-        hb: &Heartbeat,
-        decision: &crate::scheduler::ScheduleDecision,
-    ) {
-        use crate::scheduler::ScheduleDecision;
-        let (kind, cause) = match decision {
-            ScheduleDecision::Rejected => ("relay-rejected", None),
-            ScheduleDecision::Flush(reason) => ("batched", Some(reason.label())),
-            ScheduleDecision::Pend => ("batched", None),
-        };
-        self.spans
-            .annotate(hb.id.raw(), span_us(now), kind, cause, None, self.relay);
-    }
-
-    fn on_retry_planned(&mut self, id: MessageId, attempt: u32, _at: SimTime, _liveness: SimTime) {
-        self.spans.annotate(
-            id.raw(),
-            span_us(self.now),
-            "retry",
-            Some(self.cause),
-            Some(attempt),
-            None,
-        );
-    }
-
-    fn on_retry_exhausted(&mut self, id: MessageId, attempt: u32, now: SimTime) {
-        self.spans.annotate(
-            id.raw(),
-            span_us(now),
-            "retry-exhausted",
-            Some(self.cause),
-            Some(attempt),
-            None,
-        );
-    }
-
-    fn on_feedback_armed(&mut self, id: MessageId, now: SimTime, _deadline: SimTime) {
-        self.spans.annotate(
-            id.raw(),
-            span_us(now),
-            "feedback-armed",
-            None,
-            None,
-            self.relay,
-        );
-    }
 }
 
 impl Scenario {
@@ -2180,18 +2111,15 @@ impl Scenario {
 
         // Arm the fallback timer regardless of link-layer success: the UE
         // only learns the truth through delivery feedback (§III-A).
-        let deadline = {
-            let (devices, spans) = (&mut self.devices, &mut self.spans);
-            let mut hooks = SpanHooks {
-                spans,
-                now,
-                cause: "",
-                relay: Some(relay_gid),
-            };
-            devices[device]
-                .feedback
-                .on_forward_with(hb, now, &mut hooks)
-        };
+        let deadline = self.devices[device].feedback.on_forward(hb, now);
+        self.spans.annotate(
+            hb.id.raw(),
+            span_us(now),
+            "feedback-armed",
+            None,
+            None,
+            Some(relay_gid),
+        );
         self.sim
             .schedule_at(deadline, Event::FeedbackSweep { device });
         self.devices[device].forwards += 1;
@@ -2223,20 +2151,24 @@ impl Scenario {
 
         self.apply_activity(relay_idx, &outcome.receiver.segments);
         let arrival = outcome.completed_at;
-        let mut decision = {
-            let (devices, spans) = (&mut self.devices, &mut self.spans);
-            let mut hooks = SpanHooks {
-                spans,
-                now: arrival,
-                cause: "",
-                relay: Some(relay_gid),
-            };
-            devices[relay_idx]
-                .scheduler
-                .as_mut()
-                .expect("relay has a scheduler")
-                .on_arrival_with(arrival, hb, &mut hooks)
+        let mut decision = self.devices[relay_idx]
+            .scheduler
+            .as_mut()
+            .expect("relay has a scheduler")
+            .on_arrival(arrival, hb);
+        let (kind, cause) = match decision {
+            ScheduleDecision::Rejected => ("relay-rejected", None),
+            ScheduleDecision::Flush(reason) => ("batched", Some(reason.label())),
+            ScheduleDecision::Pend => ("batched", None),
         };
+        self.spans.annotate(
+            hb.id.raw(),
+            span_us(arrival),
+            kind,
+            cause,
+            None,
+            Some(relay_gid),
+        );
         if self.config.mutation == Some(ChaosMutation::IgnoreCapacityFlush)
             && decision == ScheduleDecision::Flush(FlushReason::CapacityReached)
         {
@@ -2471,37 +2403,38 @@ impl Scenario {
             let relay_id = self.devices[relay_idx].id;
             self.devices[device].delivery.relay_failed(hb.id, relay_id);
         }
-        let policy = self.backoff;
-        let planned = {
-            let (devices, spans) = (&mut self.devices, &mut self.spans);
-            let mut hooks = SpanHooks {
-                spans,
-                now,
-                cause: reason.label(),
-                relay: None,
+        let delivery = &mut self.devices[device].delivery;
+        let planned = delivery.plan_retry(
+            hb.id,
+            now,
+            &self.backoff,
+            FeedbackTracker::RESCUE_MARGIN,
+            &mut self.retry_rng,
+        );
+        let attempt = delivery.entry(hb.id).map(|e| e.attempts);
+        if let Some(attempt) = attempt {
+            let kind = if planned.is_some() {
+                "retry"
+            } else {
+                "retry-exhausted"
             };
-            devices[device].delivery.plan_retry_with(
-                hb.id,
-                now,
-                &policy,
-                FeedbackTracker::RESCUE_MARGIN,
-                &mut self.retry_rng,
-                &mut hooks,
-            )
-        };
+            self.spans.annotate(
+                hb.id.raw(),
+                span_us(now),
+                kind,
+                Some(reason.label()),
+                Some(attempt),
+                None,
+            );
+        }
         match planned {
             Some(at) => {
-                let attempt = self.devices[device]
-                    .delivery
-                    .entry(hb.id)
-                    .map(|e| e.attempts)
-                    .unwrap_or(0);
                 self.telemetry.record(
                     now,
                     TelemetryEvent::Retry {
                         device: self.devices[device].id.index(),
                         cause: reason.label(),
-                        attempt,
+                        attempt: attempt.unwrap_or(0),
                     },
                 );
                 self.sim.schedule_at(at, Event::DeliveryRetry { device });
