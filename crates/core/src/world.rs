@@ -1586,9 +1586,7 @@ impl Scenario {
             // path re-sends.
             self.devices[src].feedback.retract([hb.id]);
             if !self.devices[src].is_alive() {
-                self.checker.on_dropped_dead(&hb);
-                self.devices[src].delivery.dropped_dead(hb.id);
-                self.close_span(hb.id, now, "dropped-dead");
+                self.drop_dead(now, &hb);
                 continue;
             }
             self.requeued += 1;
@@ -1645,11 +1643,7 @@ impl Scenario {
                 // copy still has the source's feedback timer as rescue;
                 // the device's own heartbeat dies with it.
                 if !relayed {
-                    self.checker.on_dropped_dead(&hb);
-                    if self.reliable() {
-                        self.devices[src].delivery.dropped_dead(hb.id);
-                    }
-                    self.close_span(hb.id, now, "dropped-dead");
+                    self.drop_dead(now, &hb);
                 }
                 continue;
             }
@@ -1662,9 +1656,7 @@ impl Scenario {
                 None,
             );
             if relayed {
-                if self.reliable() {
-                    self.devices[src].delivery.feedback_confirmed([hb.id]);
-                }
+                self.devices[src].delivery.feedback_confirmed([hb.id]);
                 self.devices[src].feedback.on_delivered(vec![hb.id]);
                 self.spans.annotate(
                     hb.id.raw(),
@@ -2175,7 +2167,7 @@ impl Scenario {
             decision = ScheduleDecision::Pend;
         }
         self.devices[relay_idx].collected_total += 1;
-        if self.reliable() && decision != ScheduleDecision::Rejected {
+        if decision != ScheduleDecision::Rejected {
             self.devices[device].delivery.d2d_acked(hb.id);
         }
         if self.telemetry.is_enabled() && decision != ScheduleDecision::Rejected {
@@ -2299,46 +2291,27 @@ impl Scenario {
                 None,
                 Some(relay_gid),
             );
-            let outcome = self
-                .servers
-                .get_mut(&hb.app)
-                .map(|server| server.deliver_observed(hb, delivered_at));
-            if let Some(outcome) = outcome {
-                let accepted = outcome == DeliveryOutcome::Accepted;
-                self.checker
-                    .on_delivery(hb, delivered_at, accepted, self.telemetry.events.trace());
-                if self.reliable() {
-                    let src = hb.source.index() as usize;
-                    if accepted {
-                        self.devices[src].delivery.server_acked(hb.id);
-                    } else if !hb.is_fresh(delivered_at) {
-                        self.devices[src].delivery.expired(hb.id);
-                    }
-                }
-                if hb.source.index() as usize != device {
-                    // Feedback annotation must precede the close: an
-                    // annotate on a closed span is a no-op by design.
-                    self.spans.annotate(
-                        hb.id.raw(),
-                        span_us(delivered_at),
-                        "feedback-confirmed",
-                        None,
-                        None,
-                        Some(relay_gid),
-                    );
-                }
-                self.close_span(hb.id, delivered_at, outcome.label());
+            if hb.source.index() as usize != device {
+                // Feedback annotation must precede the close: an
+                // annotate on a closed span is a no-op by design.
+                self.spans.annotate(
+                    hb.id.raw(),
+                    span_us(delivered_at),
+                    "feedback-confirmed",
+                    None,
+                    None,
+                    Some(relay_gid),
+                );
             }
+            self.deliver(hb, delivered_at);
             by_source.entry(hb.source).or_default().push(hb.id);
         }
         for (source, ids) in by_source {
             let idx = source.index() as usize;
             if idx != device {
-                if self.reliable() {
-                    self.devices[idx]
-                        .delivery
-                        .feedback_confirmed(ids.iter().copied());
-                }
+                self.devices[idx]
+                    .delivery
+                    .feedback_confirmed(ids.iter().copied());
                 self.devices[idx].feedback.on_delivered(ids);
             }
         }
@@ -2458,9 +2431,7 @@ impl Scenario {
     /// credit when a specific relay failed us — else degrade to cellular.
     fn attempt_redelivery(&mut self, now: SimTime, device: usize, hb: Heartbeat) {
         if !self.devices[device].is_alive() {
-            self.checker.on_dropped_dead(&hb);
-            self.devices[device].delivery.dropped_dead(hb.id);
-            self.close_span(hb.id, now, "dropped-dead");
+            self.drop_dead(now, &hb);
             return;
         }
         if now < self.devices[device].d2d_down_until {
@@ -2532,14 +2503,7 @@ impl Scenario {
     /// baseline mode and every fallback path.
     fn send_cellular(&mut self, now: SimTime, device: usize, hb: Heartbeat) {
         if !self.devices[device].is_alive() {
-            // The heartbeat dies with the device — the one legal way a
-            // message disappears; tell the ledger so conservation holds.
-            self.checker.on_dropped_dead(&hb);
-            if self.reliable() {
-                let src = hb.source.index() as usize;
-                self.devices[src].delivery.dropped_dead(hb.id);
-            }
-            self.close_span(hb.id, now, "dropped-dead");
+            self.drop_dead(now, &hb);
             return;
         }
         if now < self.outage_until {
@@ -2554,28 +2518,37 @@ impl Scenario {
         self.record_radio(device, &out.activity, out.rrc_connections);
         self.bs
             .record(self.devices[device].id, &out.activity, out.rrc_connections);
-        let outcome = self
-            .servers
-            .get_mut(&hb.app)
-            .map(|server| server.deliver_observed(&hb, out.delivered_at));
-        if let Some(outcome) = outcome {
-            let accepted = outcome == DeliveryOutcome::Accepted;
-            self.checker.on_delivery(
-                &hb,
-                out.delivered_at,
-                accepted,
-                self.telemetry.events.trace(),
-            );
-            if self.reliable() {
-                let src = hb.source.index() as usize;
-                if accepted {
-                    self.devices[src].delivery.server_acked(hb.id);
-                } else if !hb.is_fresh(out.delivered_at) {
-                    self.devices[src].delivery.expired(hb.id);
-                }
-            }
-            self.close_span(hb.id, out.delivered_at, outcome.label());
+        self.deliver(&hb, out.delivered_at);
+    }
+
+    /// Hands `hb` to its app's server at `at`, then records the verdict
+    /// with the checker and the source's ledger and closes the span.
+    fn deliver(&mut self, hb: &Heartbeat, at: SimTime) {
+        let Some(server) = self.servers.get_mut(&hb.app) else {
+            return;
+        };
+        let outcome = server.deliver_observed(hb, at);
+        let accepted = outcome == DeliveryOutcome::Accepted;
+        self.checker
+            .on_delivery(hb, at, accepted, self.telemetry.events.trace());
+        let delivery = &mut self.devices[hb.source.index() as usize].delivery;
+        if accepted {
+            delivery.server_acked(hb.id);
+        } else if !hb.is_fresh(at) {
+            delivery.expired(hb.id);
         }
+        self.close_span(hb.id, at, outcome.label());
+    }
+
+    /// The heartbeat dies with its source — the one legal way a message
+    /// disappears: tell the checker and the ledger, so conservation
+    /// holds, and close the span.
+    fn drop_dead(&mut self, now: SimTime, hb: &Heartbeat) {
+        self.checker.on_dropped_dead(hb);
+        self.devices[hb.source.index() as usize]
+            .delivery
+            .dropped_dead(hb.id);
+        self.close_span(hb.id, now, "dropped-dead");
     }
 
     /// Bills the D2D keep-alive a UE paid while attached, detaches it and
