@@ -148,10 +148,10 @@ type StagedCell = Option<(Vec<u32>, Vec<u8>)>;
 pub type EpochHook<'a> = &'a (dyn Fn(u64, &EpochPulse) + Sync);
 
 /// Knobs that shape how a crowd run *executes* without changing what it
-/// computes: checkpointing, crash injection, signal handling and the
-/// per-epoch observation callback. Everything here is pure observation
-/// or process control — a run with checkpoints enabled produces
-/// byte-identical artifacts to one without.
+/// computes: checkpointing, crash injection, signal handling, the
+/// per-epoch observation callback and the wall-clock profiler.
+/// Everything here is pure observation or process control — a run with
+/// checkpoints enabled produces byte-identical artifacts to one without.
 pub struct RunControls<'a> {
     /// Write epoch-barrier checkpoints into this directory
     /// (`epoch-N.ckpt` + `MANIFEST.json`). [`None`] disables
@@ -173,6 +173,9 @@ pub struct RunControls<'a> {
     /// 1-based epoch number and the fleet-folded pulse — the `hbr
     /// serve` emission hook. Must not touch scenario state.
     pub on_epoch: Option<EpochHook<'a>>,
+    /// Attach the wall-clock shard profiler; the outcome then carries
+    /// its [`CrowdProfile`].
+    pub profile: bool,
 }
 
 impl Default for RunControls<'_> {
@@ -183,6 +186,7 @@ impl Default for RunControls<'_> {
             crash_after_epoch: None,
             heed_signals: false,
             on_epoch: None,
+            profile: false,
         }
     }
 }
@@ -195,6 +199,9 @@ pub struct CrowdOutcome {
     pub epochs_done: u64,
     /// `true` if the run stopped early on SIGINT/SIGTERM.
     pub truncated: bool,
+    /// The wall-clock profile, when [`RunControls::profile`] asked for
+    /// one. Host-time and **not** deterministic.
+    pub profile: Option<CrowdProfile>,
 }
 
 /// Runs one crowd mode through the sharded engine and merges the
@@ -202,15 +209,14 @@ pub struct CrowdOutcome {
 /// function of the config — the shard count only chooses how many
 /// threads carry the cells.
 pub fn run_crowd(config: &CrowdConfig) -> ScenarioReport {
-    run_crowd_inner(config, None, &RunControls::default(), None)
-        .0
-        .report
+    run_crowd_inner(config, &RunControls::default(), None).report
 }
 
 /// [`run_crowd`] under explicit [`RunControls`]: checkpointing, crash
-/// injection, graceful-interrupt handling and per-epoch emission.
+/// injection, graceful-interrupt handling, per-epoch emission and
+/// profiling.
 pub fn run_crowd_controlled(config: &CrowdConfig, controls: &RunControls<'_>) -> CrowdOutcome {
-    run_crowd_inner(config, None, controls, None).0
+    run_crowd_inner(config, controls, None)
 }
 
 /// [`run_crowd`] with the wall-clock shard profiler attached: same
@@ -218,9 +224,15 @@ pub fn run_crowd_controlled(config: &CrowdConfig, controls: &RunControls<'_>) ->
 /// costs, barrier stalls and queue depths. The profile is host-time
 /// and **not** deterministic — keep it out of anything golden-pinned.
 pub fn run_crowd_profiled(config: &CrowdConfig) -> (ScenarioReport, CrowdProfile) {
-    let (outcome, profile) =
-        run_crowd_inner(config, Some(Profiler::new()), &RunControls::default(), None);
-    (outcome.report, profile.expect("the run carried a profiler"))
+    let controls = RunControls {
+        profile: true,
+        ..RunControls::default()
+    };
+    let outcome = run_crowd_inner(config, &controls, None);
+    (
+        outcome.report,
+        outcome.profile.expect("the run was profiled"),
+    )
 }
 
 /// One cell's blueprint: the scenario config the cell engine is (or
@@ -323,15 +335,15 @@ struct ResumeState {
     fleet: Telemetry,
 }
 
-/// The sharded run behind every public entry point. With a profiler
-/// attached, also returns the finished profile, whose cell and shard
-/// counts are the ones this run actually used.
+/// The sharded run behind every public entry point. A profiled run's
+/// clock starts before the cells are built, and its profile carries the
+/// cell and shard counts this run actually used.
 fn run_crowd_inner(
     config: &CrowdConfig,
-    profiler: Option<Profiler>,
     controls: &RunControls<'_>,
     resume: Option<ResumeState>,
-) -> (CrowdOutcome, Option<CrowdProfile>) {
+) -> CrowdOutcome {
+    let profiler = controls.profile.then(Profiler::new);
     let profiling = profiler.as_ref();
     let duration = SimDuration::from_secs(config.hours * 3600);
     let (start_epoch, mut cells, fleet_init) = match resume {
@@ -595,13 +607,12 @@ fn run_crowd_inner(
     });
 
     let fleet_log = fleet_log.into_inner().expect("fleet lock");
-    let outcome = CrowdOutcome {
+    CrowdOutcome {
         report: merge_reports(cells, fleet_log),
         epochs_done: completed.load(Ordering::SeqCst),
         truncated: stop.load(Ordering::SeqCst),
-    };
-    let profile = profiler.map(|p| p.finish(config.phones, cell_count, shards, EPOCHS));
-    (outcome, profile)
+        profile: profiler.map(|p| p.finish(config.phones, cell_count, shards, EPOCHS)),
+    }
 }
 
 /// Retargets a device-scoped fault at a cell-local id.
@@ -991,5 +1002,5 @@ pub fn resume_crowd(
         cells,
         fleet: checkpoint.fleet,
     };
-    Ok(run_crowd_inner(&config, None, controls, Some(resume)).0)
+    Ok(run_crowd_inner(&config, controls, Some(resume)))
 }

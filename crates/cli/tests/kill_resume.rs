@@ -239,3 +239,59 @@ fn serve_shuts_down_gracefully_and_resume_completes() {
     }
     let _ = fs::remove_dir_all(&root);
 }
+
+/// `--profile-out` rides the same controlled path as every other run:
+/// a profiled run still writes its checkpoints, and a scheduled crash
+/// still kills it right after its checkpoint is durable.
+#[test]
+fn profiled_run_keeps_checkpoints_and_crash() {
+    let root = scratch("profile");
+
+    let ckpt = root.join("ckpt");
+    let trace = root.join("trace.json");
+    let out = Command::new(HBR)
+        .arg("crowd")
+        .args(scenario(2))
+        .arg("--checkpoint-dir")
+        .arg(&ckpt)
+        .arg("--profile-out")
+        .arg(&trace)
+        .output()
+        .expect("spawn hbr crowd (profiled)");
+    assert!(
+        out.status.success(),
+        "profiled run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        ckpt.join("epoch-8.ckpt").is_file() && ckpt.join("MANIFEST.json").is_file(),
+        "a profiled run checkpoints like any other"
+    );
+    assert!(trace.is_file(), "Chrome trace");
+    assert!(root.join("BENCH_profile.json").is_file(), "profile summary");
+
+    let crash_ckpt = root.join("crash-ckpt");
+    let mut crash_scenario = scenario(2);
+    let faults_at = crash_scenario.iter().position(|a| a == "--faults").unwrap();
+    crash_scenario[faults_at + 1].push_str(",crash@3");
+    let status = Command::new(HBR)
+        .arg("crowd")
+        .args(&crash_scenario)
+        .arg("--checkpoint-dir")
+        .arg(&crash_ckpt)
+        .arg("--profile-out")
+        .arg(root.join("crash-trace.json"))
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("spawn hbr crowd (profiled crash)");
+    assert_eq!(
+        status.signal(),
+        Some(9),
+        "crash@3 must die by SIGKILL with the profiler on, got {status:?}"
+    );
+    assert_eq!(
+        hbr_bench::latest_checkpoint(&crash_ckpt).expect("a checkpoint before the crash"),
+        crash_ckpt.join("epoch-3.ckpt")
+    );
+    let _ = fs::remove_dir_all(&root);
+}
