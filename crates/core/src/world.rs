@@ -2524,10 +2524,11 @@ impl Scenario {
     /// Hands `hb` to its app's server at `at`, then records the verdict
     /// with the checker and the source's ledger and closes the span.
     fn deliver(&mut self, hb: &Heartbeat, at: SimTime) {
-        let Some(server) = self.servers.get_mut(&hb.app) else {
-            return;
-        };
-        let outcome = server.deliver_observed(hb, at);
+        let outcome = self
+            .servers
+            .get_mut(&hb.app)
+            .expect("every heartbeat's app has a server")
+            .deliver_observed(hb, at);
         let accepted = outcome == DeliveryOutcome::Accepted;
         self.checker
             .on_delivery(hb, at, accepted, self.telemetry.events.trace());
