@@ -549,6 +549,7 @@ fn run_crowd_inner(
                     let want_checkpoint = controls.checkpoint_dir.is_some()
                         && (done.is_multiple_of(every) || done == EPOCHS || stopping || crash_now);
                     if want_checkpoint {
+                        let checkpoint_start = profiling.map(|p| p.elapsed_us());
                         {
                             let mut slots = staged.lock().expect("staging lock");
                             for (offset, cell) in worker_cells.iter().enumerate() {
@@ -570,8 +571,17 @@ fn run_crowd_inner(
                                 .map(|slot| slot.take().expect("every cell staged"))
                                 .collect();
                             let log = fleet_log.lock().expect("fleet lock");
+                            let write_start = profiling.map(|p| p.elapsed_us());
                             if let Err(err) = write_checkpoint(dir, config, done, &blobs, &log) {
                                 eprintln!("warning: checkpoint at epoch {done} failed: {err}");
+                            }
+                            if let (Some(p), Some(start)) = (profiling, write_start) {
+                                p.record_write(
+                                    epoch as u32,
+                                    chunk_index,
+                                    start,
+                                    p.elapsed_us().saturating_sub(start),
+                                );
                             }
                             if crash_now {
                                 // Die exactly like kill -9, right after
@@ -582,6 +592,14 @@ fn run_crowd_inner(
                         }
                         // Nobody races ahead while the file is written.
                         barrier.wait();
+                        if let (Some(p), Some(start)) = (profiling, checkpoint_start) {
+                            p.record_checkpoint(
+                                epoch as u32,
+                                chunk_index,
+                                start,
+                                p.elapsed_us().saturating_sub(start),
+                            );
+                        }
                     } else if crash_now {
                         // crash@EPOCH with no checkpoint directory:
                         // still die hard (a test may resume from an

@@ -11,11 +11,13 @@
 //! its own artifacts, far away from anything golden-pinned:
 //!
 //! - a JSON summary (`BENCH_profile.json` by convention) with
-//!   events/sec, per-shard barrier-stall totals and the slowest cells;
+//!   events/sec, per-shard barrier-stall and checkpoint totals and the
+//!   slowest cells;
 //! - a Chrome trace-event file (`--profile-out`), loadable in Perfetto
 //!   or `chrome://tracing`, with one lane per shard: `X` duration
-//!   slices for cell steps and barrier stalls, `C` counters for queue
-//!   depth.
+//!   slices for cell steps, barrier stalls and checkpoints, `C`
+//!   counters for queue depth, and `X` slices for each checkpoint file
+//!   write.
 //!
 //! The profiler costs two `Instant::now` calls and one short mutex
 //! section per cell-epoch; with thousands of cells that is noise next
@@ -45,16 +47,18 @@ pub struct CellSample {
     pub events: u64,
 }
 
-/// One shard waiting at the epoch barrier for its slowest peer.
+/// One slice of a lane's wall time at an epoch barrier: a shard waiting
+/// for its slowest peer (a stall), a shard's share of a checkpoint, or
+/// the write of one checkpoint file.
 #[derive(Debug, Clone, Copy)]
-pub struct StallSample {
-    /// Epoch index (0-based).
+pub struct LaneSample {
+    /// Epoch index (0-based) of the barrier.
     pub epoch: u32,
-    /// The waiting shard.
-    pub shard: usize,
+    /// The lane (trace `tid`): a shard, or the checkpoint writer's.
+    pub lane: usize,
     /// Wall-clock start, µs since the profiler was created.
     pub start_us: u64,
-    /// Time spent blocked on the barrier, µs.
+    /// Length of the slice, µs.
     pub wall_us: u64,
 }
 
@@ -63,7 +67,9 @@ pub struct StallSample {
 pub struct Profiler {
     start: Instant,
     cells: Mutex<Vec<CellSample>>,
-    stalls: Mutex<Vec<StallSample>>,
+    stalls: Mutex<Vec<LaneSample>>,
+    checkpoints: Mutex<Vec<LaneSample>>,
+    writes: Mutex<Vec<LaneSample>>,
 }
 
 impl Default for Profiler {
@@ -79,6 +85,8 @@ impl Profiler {
             start: Instant::now(),
             cells: Mutex::new(Vec::new()),
             stalls: Mutex::new(Vec::new()),
+            checkpoints: Mutex::new(Vec::new()),
+            writes: Mutex::new(Vec::new()),
         }
     }
 
@@ -112,15 +120,18 @@ impl Profiler {
 
     /// Records one shard's barrier wait.
     pub fn record_stall(&self, epoch: u32, shard: usize, start_us: u64, wall_us: u64) {
-        self.stalls
-            .lock()
-            .expect("profiler lock")
-            .push(StallSample {
-                epoch,
-                shard,
-                start_us,
-                wall_us,
-            });
+        push_lane(&self.stalls, epoch, shard, start_us, wall_us);
+    }
+
+    /// Records one shard's part of a checkpoint barrier: from the end of
+    /// the epoch's second barrier until it steps its cells again.
+    pub fn record_checkpoint(&self, epoch: u32, shard: usize, start_us: u64, wall_us: u64) {
+        push_lane(&self.checkpoints, epoch, shard, start_us, wall_us);
+    }
+
+    /// Records the write of one checkpoint file on `lane`.
+    pub fn record_write(&self, epoch: u32, lane: usize, start_us: u64, wall_us: u64) {
+        push_lane(&self.writes, epoch, lane, start_us, wall_us);
     }
 
     /// Stops the clock and freezes the samples into a profile.
@@ -134,8 +145,19 @@ impl Profiler {
             total_wall_us,
             cell_samples: self.cells.into_inner().expect("profiler lock"),
             stall_samples: self.stalls.into_inner().expect("profiler lock"),
+            checkpoint_samples: self.checkpoints.into_inner().expect("profiler lock"),
+            write_samples: self.writes.into_inner().expect("profiler lock"),
         }
     }
+}
+
+fn push_lane(list: &Mutex<Vec<LaneSample>>, epoch: u32, lane: usize, start_us: u64, wall_us: u64) {
+    list.lock().expect("profiler lock").push(LaneSample {
+        epoch,
+        lane,
+        start_us,
+        wall_us,
+    });
 }
 
 /// A finished profile: run shape, total wall time and every sample.
@@ -154,7 +176,11 @@ pub struct CrowdProfile {
     /// Every cell-epoch step.
     pub cell_samples: Vec<CellSample>,
     /// Every barrier wait.
-    pub stall_samples: Vec<StallSample>,
+    pub stall_samples: Vec<LaneSample>,
+    /// Every shard's part of every checkpoint barrier.
+    pub checkpoint_samples: Vec<LaneSample>,
+    /// Every checkpoint file write.
+    pub write_samples: Vec<LaneSample>,
 }
 
 impl CrowdProfile {
@@ -174,11 +200,7 @@ impl CrowdProfile {
     /// Total barrier-stall time per shard, µs. The spread between the
     /// busiest and idlest shard is the load-balance headroom.
     pub fn stall_us_by_shard(&self) -> BTreeMap<usize, u64> {
-        let mut by: BTreeMap<usize, u64> = BTreeMap::new();
-        for s in &self.stall_samples {
-            *by.entry(s.shard).or_default() += s.wall_us;
-        }
-        by
+        us_by_lane(&self.stall_samples)
     }
 
     /// Fraction of total shard wall time spent stalled at barriers
@@ -230,6 +252,7 @@ impl CrowdProfile {
         ));
         out.push_str("\"per_shard\":[");
         let stalls = self.stall_us_by_shard();
+        let checkpoints = us_by_lane(&self.checkpoint_samples);
         let mut first = true;
         for shard in 0..self.shards {
             if !first {
@@ -243,8 +266,9 @@ impl CrowdProfile {
                 .map(|s| s.wall_us)
                 .sum();
             out.push_str(&format!(
-                "{{\"shard\":{shard},\"cell_us\":{cell_us},\"stall_us\":{}}}",
-                stalls.get(&shard).copied().unwrap_or(0)
+                "{{\"shard\":{shard},\"cell_us\":{cell_us},\"stall_us\":{},\"checkpoint_us\":{}}}",
+                stalls.get(&shard).copied().unwrap_or(0),
+                checkpoints.get(&shard).copied().unwrap_or(0)
             ));
         }
         out.push_str("],\"slowest\":[");
@@ -262,11 +286,13 @@ impl CrowdProfile {
     }
 
     /// The Chrome trace-event JSON (`catapult` format): one `tid` lane
-    /// per shard carrying `X` duration slices for cell steps and
-    /// barrier stalls, plus `C` counter tracks for queue depth. Loads
-    /// directly in Perfetto or `chrome://tracing`. Events are sorted by
-    /// timestamp, so every lane's `ts` sequence is monotone — the
-    /// structural property CI's profile-smoke job asserts.
+    /// per shard carrying `X` duration slices for cell steps, barrier
+    /// stalls and checkpoints, plus `C` counter tracks for queue depth,
+    /// and one `X` slice per checkpoint file write on the lane that
+    /// wrote it. Loads directly in Perfetto or `chrome://tracing`.
+    /// Events are sorted by timestamp, so every lane's `ts` sequence is
+    /// monotone — the structural property CI's profile-smoke job
+    /// asserts.
     pub fn to_chrome_trace(&self) -> String {
         struct Ev {
             ts: u64,
@@ -303,16 +329,27 @@ impl CrowdProfile {
                 ),
             });
         }
-        for s in &self.stall_samples {
-            events.push(Ev {
-                ts: s.start_us,
-                json: format!(
-                    "{{\"name\":\"barrier stall epoch {}\",\"cat\":\"barrier\",\"ph\":\"X\",\
-                     \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\
-                     \"args\":{{\"epoch\":{}}}}}",
-                    s.epoch, s.start_us, s.wall_us, s.shard, s.epoch
-                ),
-            });
+        let lanes = [
+            ("barrier stall epoch ", "barrier", &self.stall_samples),
+            ("checkpoint epoch ", "checkpoint", &self.checkpoint_samples),
+            (
+                "write checkpoint epoch ",
+                "checkpoint-write",
+                &self.write_samples,
+            ),
+        ];
+        for (name, cat, samples) in lanes {
+            for s in samples {
+                events.push(Ev {
+                    ts: s.start_us,
+                    json: format!(
+                        "{{\"name\":\"{name}{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\
+                         \"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\
+                         \"args\":{{\"epoch\":{}}}}}",
+                        s.epoch, s.start_us, s.wall_us, s.lane, s.epoch
+                    ),
+                });
+            }
         }
         // A global stable timestamp sort makes every tid's subsequence
         // monotone too.
@@ -329,6 +366,15 @@ impl CrowdProfile {
     }
 }
 
+/// Total slice time per lane, µs.
+fn us_by_lane(samples: &[LaneSample]) -> BTreeMap<usize, u64> {
+    let mut by: BTreeMap<usize, u64> = BTreeMap::new();
+    for s in samples {
+        *by.entry(s.lane).or_default() += s.wall_us;
+    }
+    by
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +384,9 @@ mod tests {
         p.record_cell(0, 0, 0, 10, 100, 7, 500);
         p.record_cell(0, 1, 1, 12, 300, 9, 1500);
         p.record_stall(0, 0, 110, 202);
+        p.record_checkpoint(0, 0, 312, 8);
+        p.record_checkpoint(0, 1, 312, 6);
+        p.record_write(0, 2, 314, 40);
         p.record_cell(1, 0, 0, 320, 80, 3, 400);
         p.record_cell(1, 1, 1, 320, 90, 2, 450);
         let mut profile = p.finish(100, 2, 2, 2);
@@ -359,6 +408,8 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"events_total\":2850"));
         assert!(json.contains("\"per_shard\":[{\"shard\":0,"));
+        assert!(json.contains("\"stall_us\":202,\"checkpoint_us\":8}"));
+        assert!(json.contains("\"stall_us\":0,\"checkpoint_us\":6}"));
     }
 
     #[test]
@@ -368,6 +419,8 @@ mod tests {
         assert!(trace.starts_with("{\"traceEvents\":["));
         assert!(trace.contains("\"ph\":\"X\""));
         assert!(trace.contains("\"ph\":\"C\""));
+        assert_eq!(trace.matches("\"cat\":\"checkpoint\"").count(), 2);
+        assert_eq!(trace.matches("\"cat\":\"checkpoint-write\"").count(), 1);
         // Monotone ts overall (and therefore per tid).
         let mut last = 0u64;
         for piece in trace.split("\"ts\":").skip(1) {
