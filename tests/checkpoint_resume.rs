@@ -206,7 +206,32 @@ fn periodic_checkpoints_skip_barriers_but_keep_the_last() {
     let resumed = resume_crowd(ckpt, &RunControls::default()).unwrap();
     assert_eq!(artifacts(&resumed.report), plain);
 
+    // The same fleet checkpointed at every barrier writes those three
+    // files byte for byte: a blob from the wrong epoch, or cells out of
+    // order, would show here.
+    let every = scratch_dir("periodic-every");
+    let outcome = run_crowd_controlled(
+        &config_for(&fleet, 2),
+        &RunControls {
+            checkpoint_dir: Some(every.clone()),
+            checkpoint_every: 1,
+            ..RunControls::default()
+        },
+    );
+    assert_eq!(outcome.epochs_done, EPOCHS);
+    for n in 1..=EPOCHS {
+        assert!(d2d_heartbeat::bench::checkpoint_file(&every, n).is_file());
+    }
+    for n in [3, 6, 8] {
+        let read = |d: &PathBuf| fs::read(d2d_heartbeat::bench::checkpoint_file(d, n)).unwrap();
+        assert!(
+            read(&dir) == read(&every),
+            "epoch-{n}.ckpt differs between --checkpoint-every 3 and 1"
+        );
+    }
+
     let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&every);
 }
 
 /// A SIGINT mid-run finishes the current epoch, writes a final
