@@ -39,6 +39,7 @@
 //!    dynamics mid-epoch.
 
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -893,7 +894,10 @@ fn write_checkpoint(
         global_ids.snap(&mut w);
         w.put_bytes(blob);
     }
-    write_atomic(&checkpoint_file(dir, epochs_done), &w.into_bytes())?;
+    let envelope = w.into_bytes();
+    write_atomic(&checkpoint_file(dir, epochs_done), |out| {
+        out.write_all(&envelope)
+    })?;
 
     let mode = match config.mode {
         Mode::D2dFramework => "d2d",
@@ -916,7 +920,9 @@ fn write_checkpoint(
         EPOCHS,
         epochs_done,
     );
-    write_atomic(&dir.join("MANIFEST.json"), manifest.as_bytes())
+    write_atomic(&dir.join("MANIFEST.json"), |out| {
+        out.write_all(manifest.as_bytes())
+    })
 }
 
 /// A parsed crowd checkpoint, ready to resume.

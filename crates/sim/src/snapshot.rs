@@ -38,7 +38,10 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::fs::File;
 use std::hash::Hash;
+use std::io::BufWriter;
+use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
 use crate::ids::DeviceId;
@@ -702,18 +705,28 @@ pub fn intern_bounds(bounds: &[f64]) -> &'static [f64] {
     leaked
 }
 
-/// Writes `bytes` to `path` atomically: a sibling temp file, flushed,
-/// then renamed into place — a crash mid-write leaves either the old
-/// snapshot or none, never a torn one.
-pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    use std::io::Write as _;
+/// Writes a file atomically and durably: `fill` streams the contents
+/// through a buffer into a sibling `.tmp` file, which is flushed, synced
+/// and renamed into place — a crash mid-write leaves either the old file
+/// or none, never a torn one. On Unix the directory is synced after the
+/// rename, so the new name survives a power loss too.
+pub fn write_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), SnapshotError> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
+    let mut out = BufWriter::new(File::create(&tmp)?);
+    fill(&mut out)?;
+    out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     std::fs::rename(&tmp, path)?;
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 
@@ -853,12 +866,21 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_whole_file() {
+        use std::io::Write as _;
         let dir = std::env::temp_dir().join(format!("hbr-snap-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.bin");
-        write_atomic(&path, b"first").unwrap();
-        write_atomic(&path, b"second").unwrap();
+        write_atomic(&path, |w| w.write_all(b"first")).unwrap();
+        write_atomic(&path, |w| {
+            w.write_all(b"sec")?;
+            w.write_all(b"ond")
+        })
+        .unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        assert!(
+            !path.with_extension("tmp").exists(),
+            "the temp file is renamed away"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
