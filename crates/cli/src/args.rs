@@ -120,14 +120,14 @@ USAGE:
 
     hbr resume DIR [--checkpoint-every N] [--metrics-out FILE]
                [--events-out FILE] [--slo-out FILE] [--spans-out FILE]
-               [--render-out FILE]
+               [--profile-out FILE] [--render-out FILE]
         Continue a checkpointed run from the latest `epoch-N.ckpt` in
         DIR: restore every cell engine bit-for-bit, run the remaining
         epochs (checkpointing into the same DIR), and emit artifacts
         byte-identical to a never-interrupted run. A snapshot written
         by a different format version or under a different config is
         refused with a typed error. Exits nonzero if interrupted again
-        before the horizon.
+        before the horizon. --profile-out profiles the resumed epochs.
 
     hbr strategies [--app wechat|qq|whatsapp|facebook] [--hours H] [--seed S]
         Compare every heartbeat strategy on one app's mixed workload.

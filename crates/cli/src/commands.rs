@@ -315,7 +315,7 @@ fn resume(dir: &str, checkpoint_every: u64, out: &OutFlags) -> ExitCode {
         crash_after_epoch: None,
         heed_signals: true,
         on_epoch: Some(&emitter),
-        profile: false,
+        profile: out.profile_out.is_some(),
     };
     let outcome = match hbr_bench::resume_crowd(checkpoint, &controls) {
         Ok(o) => o,
@@ -335,7 +335,8 @@ fn resume(dir: &str, checkpoint_every: u64, out: &OutFlags) -> ExitCode {
         println!("resume with: hbr resume {}\n", dir.display());
     }
     let written = write_artifacts(&[(name, mode)], &[outcome.report], out, outcome.truncated);
-    if !written || outcome.truncated {
+    let profiled = write_profile(outcome.profile.as_ref(), out.profile_out.as_deref());
+    if !(written && profiled) || outcome.truncated {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -295,3 +295,45 @@ fn profiled_run_keeps_checkpoints_and_crash() {
     );
     let _ = fs::remove_dir_all(&root);
 }
+
+/// `hbr resume --profile-out` profiles the resumed epochs: a `crash@3`
+/// directory resumes to the horizon and writes the Chrome trace and
+/// its `BENCH_profile.json` summary.
+#[test]
+fn resume_writes_its_profile() {
+    let root = scratch("resume-profile");
+    let ckpt = root.join("ckpt");
+    let mut crash_scenario = scenario(2);
+    let faults_at = crash_scenario.iter().position(|a| a == "--faults").unwrap();
+    crash_scenario[faults_at + 1].push_str(",crash@3");
+    let status = Command::new(HBR)
+        .arg("crowd")
+        .args(&crash_scenario)
+        .arg("--checkpoint-dir")
+        .arg(&ckpt)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("spawn hbr crowd (crash)");
+    assert_eq!(status.signal(), Some(9), "crash@3 dies by SIGKILL");
+
+    let trace = root.join("profile").join("trace.json");
+    fs::create_dir_all(trace.parent().unwrap()).unwrap();
+    let out = Command::new(HBR)
+        .arg("resume")
+        .arg(&ckpt)
+        .arg("--profile-out")
+        .arg(&trace)
+        .output()
+        .expect("spawn hbr resume (profiled)");
+    assert!(
+        out.status.success(),
+        "profiled resume failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let chrome = fs::read_to_string(&trace).expect("resume writes the Chrome trace");
+    assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
+    let summary = fs::read_to_string(root.join("profile").join("BENCH_profile.json"))
+        .expect("resume writes BENCH_profile.json");
+    assert!(summary.contains("\"per_shard\":["), "{summary}");
+    let _ = fs::remove_dir_all(&root);
+}
