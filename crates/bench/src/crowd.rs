@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{mpsc, Barrier, Mutex};
 use std::thread;
 
 use hbr_core::fleet::FleetBuilder;
@@ -144,6 +144,10 @@ struct Cell {
 /// serialized it for the barrier leader.
 type StagedCell = Option<(Vec<u32>, Vec<u8>)>;
 
+/// A checkpoint file being written on its own thread: the epochs done it
+/// records, and the channel its result arrives on.
+type PendingWrite = (u64, mpsc::Receiver<Result<(), SnapshotError>>);
+
 /// The `hbr serve` per-epoch emission hook: called by the barrier
 /// leader with the 1-based epoch number and the fleet-folded pulse.
 pub type EpochHook<'a> = &'a (dyn Fn(u64, &EpochPulse) + Sync);
@@ -156,15 +160,21 @@ pub type EpochHook<'a> = &'a (dyn Fn(u64, &EpochPulse) + Sync);
 pub struct RunControls<'a> {
     /// Write epoch-barrier checkpoints into this directory
     /// (`epoch-N.ckpt` + `MANIFEST.json`). [`None`] disables
-    /// checkpointing entirely.
+    /// checkpointing entirely. Each file is written on its own thread
+    /// while the workers step the next epoch; at most one write is in
+    /// flight, and the run joins the last one before it returns.
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint at every Nth epoch barrier (values `0` and `1` both
     /// mean every barrier). The final barrier, an interrupt and a
     /// scheduled crash always checkpoint regardless.
     pub checkpoint_every: u64,
-    /// Deterministic kill: after the checkpoint at this epoch barrier
-    /// (1-based) hits disk, die via SIGKILL with no flushing — the
-    /// `crash@EPOCH` fault the kill-resume harness drives.
+    /// Deterministic kill: at this epoch barrier (1-based), die via
+    /// SIGKILL with no flushing — the `crash@EPOCH` fault the
+    /// kill-resume harness drives. Checkpoint files are written on a
+    /// writer thread while the next epoch runs; the barrier leader
+    /// waits for the previous write and then for this barrier's own
+    /// (renamed, directory synced, MANIFEST.json updated) before it
+    /// kills, so the latest checkpoint on disk is this barrier's.
     pub crash_after_epoch: Option<u64>,
     /// Honor SIGINT/SIGTERM (armed via [`signal::install`]): finish the
     /// current epoch, write a final checkpoint if a directory is
@@ -387,8 +397,10 @@ fn run_crowd_inner(
     let stop = AtomicBool::new(false);
     let completed = AtomicU64::new(start_epoch);
     // Per-cell snapshot staging for checkpoint barriers: each worker
-    // serializes its own cells, the leader assembles and writes.
+    // serializes its own cells, the leader hands them to a writer.
     let staged: Mutex<Vec<StagedCell>> = Mutex::new((0..cell_count).map(|_| None).collect());
+    // The checkpoint file being written on its own thread, if any.
+    let writing: Mutex<Option<PendingWrite>> = Mutex::new(None);
     // Per-epoch migration manifests, indexed by *source* cell. Each
     // entry pairs a migrant with the fleet-global id its source cell
     // knows it by (the destination appends it to its own id map on
@@ -417,6 +429,7 @@ fn run_crowd_inner(
             let stop = &stop;
             let completed = &completed;
             let staged = &staged;
+            let writing = &writing;
             scope.spawn(move || {
                 // Per-epoch deltas of the engine's monotone scheduled
                 // counter give the profiler its events/sec numerator.
@@ -549,50 +562,81 @@ fn run_crowd_inner(
                     let crash_now = controls.crash_after_epoch == Some(done);
                     let want_checkpoint = controls.checkpoint_dir.is_some()
                         && (done.is_multiple_of(every) || done == EPOCHS || stopping || crash_now);
-                    if want_checkpoint {
+                    if want_checkpoint || crash_now {
                         let checkpoint_start = profiling.map(|p| p.elapsed_us());
-                        {
+                        if want_checkpoint {
+                            // Each worker snapshots its own cells while
+                            // the others snapshot theirs, and takes the
+                            // staging lock only to store the blobs.
+                            let snapshots: Vec<(Vec<u32>, Vec<u8>)> = worker_cells
+                                .iter()
+                                .map(|cell| {
+                                    let scenario =
+                                        cell.scenario.as_ref().expect("cell still running");
+                                    (cell.global_ids.clone(), scenario.snapshot())
+                                })
+                                .collect();
                             let mut slots = staged.lock().expect("staging lock");
-                            for (offset, cell) in worker_cells.iter().enumerate() {
-                                let scenario = cell.scenario.as_ref().expect("cell still running");
-                                slots[base + offset] =
-                                    Some((cell.global_ids.clone(), scenario.snapshot()));
+                            for (slot, snapshot) in slots[base..].iter_mut().zip(snapshots) {
+                                *slot = Some(snapshot);
                             }
                         }
-                        let writer = barrier.wait().is_leader();
-                        if writer {
-                            let dir = controls
-                                .checkpoint_dir
-                                .as_deref()
-                                .expect("checkpoint dir gated above");
-                            let blobs: Vec<(Vec<u32>, Vec<u8>)> = staged
-                                .lock()
-                                .expect("staging lock")
-                                .iter_mut()
-                                .map(|slot| slot.take().expect("every cell staged"))
-                                .collect();
-                            let log = fleet_log.lock().expect("fleet lock");
-                            let write_start = profiling.map(|p| p.elapsed_us());
-                            if let Err(err) = write_checkpoint(dir, config, done, &blobs, &log) {
-                                eprintln!("warning: checkpoint at epoch {done} failed: {err}");
+                        if barrier.wait().is_leader() {
+                            let mut writing = writing.lock().expect("writer lock");
+                            // At most one write in flight: the previous
+                            // one finishes before the next starts.
+                            if let Some(previous) = writing.take() {
+                                finish_write(previous);
                             }
-                            if let (Some(p), Some(start)) = (profiling, write_start) {
-                                p.record_write(
-                                    epoch as u32,
-                                    chunk_index,
-                                    start,
-                                    p.elapsed_us().saturating_sub(start),
+                            if want_checkpoint {
+                                let dir = controls
+                                    .checkpoint_dir
+                                    .clone()
+                                    .expect("checkpoint dir gated above");
+                                let cells: Vec<(Vec<u32>, Vec<u8>)> = staged
+                                    .lock()
+                                    .expect("staging lock")
+                                    .iter_mut()
+                                    .map(|slot| slot.take().expect("every cell staged"))
+                                    .collect();
+                                let head = checkpoint_head(
+                                    config,
+                                    done,
+                                    &fleet_log.lock().expect("fleet lock"),
+                                    cells.len(),
                                 );
+                                // The file is written while the workers
+                                // step the next epoch.
+                                let (sender, result) = mpsc::channel();
+                                scope.spawn(move || {
+                                    let start = profiling.map(|p| p.elapsed_us());
+                                    let written =
+                                        write_checkpoint(&dir, config, done, &head, &cells);
+                                    if let (Some(p), Some(start)) = (profiling, start) {
+                                        // The writer's own lane, one
+                                        // past the last shard's.
+                                        p.record_write(
+                                            epoch as u32,
+                                            shards,
+                                            start,
+                                            p.elapsed_us().saturating_sub(start),
+                                        );
+                                    }
+                                    let _ = sender.send(written);
+                                });
+                                *writing = Some((done, result));
                             }
                             if crash_now {
                                 // Die exactly like kill -9, right after
-                                // the checkpoint hit disk: the whole
-                                // point of the kill-resume harness.
+                                // this barrier's checkpoint (if any) hit
+                                // disk: the whole point of the
+                                // kill-resume harness.
+                                if let Some(own) = writing.take() {
+                                    finish_write(own);
+                                }
                                 signal::hard_abort();
                             }
                         }
-                        // Nobody races ahead while the file is written.
-                        barrier.wait();
                         if let (Some(p), Some(start)) = (profiling, checkpoint_start) {
                             p.record_checkpoint(
                                 epoch as u32,
@@ -601,15 +645,6 @@ fn run_crowd_inner(
                                 p.elapsed_us().saturating_sub(start),
                             );
                         }
-                    } else if crash_now {
-                        // crash@EPOCH with no checkpoint directory:
-                        // still die hard (a test may resume from an
-                        // earlier checkpoint or assert artifact loss).
-                        let killer = barrier.wait().is_leader();
-                        if killer {
-                            signal::hard_abort();
-                        }
-                        barrier.wait();
                     }
                     if stopping {
                         break;
@@ -625,12 +660,27 @@ fn run_crowd_inner(
         }
     });
 
+    // The scope has joined the last writer; report how it went.
+    if let Some(last) = writing.into_inner().expect("writer lock") {
+        finish_write(last);
+    }
     let fleet_log = fleet_log.into_inner().expect("fleet lock");
     CrowdOutcome {
         report: merge_reports(cells, fleet_log),
         epochs_done: completed.load(Ordering::SeqCst),
         truncated: stop.load(Ordering::SeqCst),
         profile: profiler.map(|p| p.finish(config.phones, cell_count, shards, EPOCHS)),
+    }
+}
+
+/// Waits for a checkpoint write and prints its failure, if it failed (a
+/// writer thread that panicked counts as failed).
+fn finish_write((epochs_done, result): PendingWrite) {
+    let written = result
+        .recv()
+        .unwrap_or_else(|_| Err(SnapshotError::Io("checkpoint writer panicked".into())));
+    if let Err(err) = written {
+        eprintln!("warning: checkpoint at epoch {epochs_done} failed: {err}");
     }
 }
 
@@ -873,30 +923,46 @@ pub fn checkpoint_file(dir: &Path, epochs_done: u64) -> PathBuf {
     dir.join(format!("epoch-{epochs_done}.ckpt"))
 }
 
-/// Writes one checkpoint: `epoch-N.ckpt` (atomic write-rename) plus a
-/// refreshed `MANIFEST.json` naming the latest file and recording the
-/// seed/config provenance a human (or a CI gate) wants without parsing
-/// the binary.
-fn write_checkpoint(
-    dir: &Path,
+/// The head of a checkpoint file: magic and version, the `CrowdConfig`,
+/// the epochs done, the fleet-level metrics/event folds and the cell
+/// count. Each cell's `(global-id map, snapshot blob)` follows it.
+fn checkpoint_head(
     config: &CrowdConfig,
     epochs_done: u64,
-    cells: &[(Vec<u32>, Vec<u8>)],
     fleet: &Telemetry,
-) -> Result<(), SnapshotError> {
-    std::fs::create_dir_all(dir).map_err(|e| SnapshotError::Io(e.to_string()))?;
+    cells: usize,
+) -> Vec<u8> {
     let mut w = SnapshotWriter::with_header(CROWD_MAGIC);
     config.snap(&mut w);
     w.put_u64(epochs_done);
     fleet.snap(&mut w);
-    w.put_u64(cells.len() as u64);
-    for (global_ids, blob) in cells {
-        global_ids.snap(&mut w);
-        w.put_bytes(blob);
-    }
-    let envelope = w.into_bytes();
+    w.put_usize(cells);
+    w.into_bytes()
+}
+
+/// Writes one checkpoint: `epoch-N.ckpt` (atomic write-rename), streamed
+/// from its [`checkpoint_head`] and each cell's ids, blob length and blob,
+/// plus a refreshed `MANIFEST.json` naming the latest file and recording
+/// the seed/config provenance a human (or a CI gate) wants without
+/// parsing the binary.
+fn write_checkpoint(
+    dir: &Path,
+    config: &CrowdConfig,
+    epochs_done: u64,
+    head: &[u8],
+    cells: &[(Vec<u32>, Vec<u8>)],
+) -> Result<(), SnapshotError> {
+    std::fs::create_dir_all(dir)?;
     write_atomic(&checkpoint_file(dir, epochs_done), |out| {
-        out.write_all(&envelope)
+        out.write_all(head)?;
+        for (global_ids, blob) in cells {
+            let mut w = SnapshotWriter::new();
+            global_ids.snap(&mut w);
+            w.put_usize(blob.len());
+            out.write_all(&w.into_bytes())?;
+            out.write_all(blob)?;
+        }
+        Ok(())
     })?;
 
     let mode = match config.mode {

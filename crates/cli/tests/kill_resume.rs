@@ -337,3 +337,38 @@ fn resume_writes_its_profile() {
     assert!(summary.contains("\"per_shard\":["), "{summary}");
     let _ = fs::remove_dir_all(&root);
 }
+
+/// A checkpoint that cannot be written is a warning, not the end of the
+/// run: the writer's failure is reported with its epoch, every other
+/// barrier still checkpoints, and the run completes.
+#[test]
+fn a_failed_checkpoint_write_warns_and_the_run_goes_on() {
+    let root = scratch("failed-write");
+    let ckpt = root.join("ckpt");
+    // A directory where epoch 3's temp file should go makes that one
+    // write fail.
+    fs::create_dir_all(ckpt.join("epoch-3.tmp")).unwrap();
+    let out = Command::new(HBR)
+        .arg("crowd")
+        .args(scenario(2))
+        .arg("--checkpoint-dir")
+        .arg(&ckpt)
+        .output()
+        .expect("spawn hbr crowd");
+    assert!(
+        out.status.success(),
+        "a failed checkpoint is only a warning"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("warning: checkpoint at epoch 3 failed: "),
+        "{stderr}"
+    );
+    assert!(!ckpt.join("epoch-3.ckpt").exists());
+    for n in [1, 2, 4, 8] {
+        assert!(ckpt.join(format!("epoch-{n}.ckpt")).is_file(), "epoch-{n}");
+    }
+    let manifest = fs::read_to_string(ckpt.join("MANIFEST.json")).unwrap();
+    assert!(manifest.contains("\"epochs_done\":8"), "{manifest}");
+    let _ = fs::remove_dir_all(&root);
+}

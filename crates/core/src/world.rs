@@ -23,6 +23,7 @@
 //!   never lapses.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::OnceLock;
 
 use hbr_apps::{
     AppId, AppProfile, DeliveryOutcome, Heartbeat, HeartbeatSchedule, ImServer, MessageId,
@@ -655,6 +656,11 @@ impl Device {
 /// ```
 pub struct Scenario {
     config: ScenarioConfig,
+    /// [`config_fingerprint`] of `config`, hashed on the first snapshot
+    /// (or seeded by [`Scenario::restore`]) rather than in `new`, so runs
+    /// that never checkpoint never pay for it. Every field it covers is
+    /// fixed once the scenario is built.
+    fingerprint: OnceLock<u64>,
     sim: Simulation<Event>,
     devices: Vec<Device>,
     field: Field,
@@ -831,6 +837,7 @@ impl Scenario {
 
         let mut world = Scenario {
             config,
+            fingerprint: OnceLock::new(),
             sim: Simulation::new(),
             devices,
             field,
@@ -2984,7 +2991,9 @@ impl Device {
 /// FNV-1a over the `Debug` rendering of every config field that shapes a
 /// run. `faults` is excluded on purpose: the snapshot carries the fault
 /// plan itself (it may have grown via [`Scenario::inject_fault`]) and
-/// restore overwrites the config's plan with the snapshot's. Streaming
+/// restore overwrites the config's plan with the snapshot's. Nothing else
+/// in the config changes after [`Scenario::new`], so a scenario hashes
+/// it at most once (see `Scenario::fingerprint`). Streaming
 /// the formatter through the hasher keeps 100k-device configs from
 /// materialising a giant string.
 fn config_fingerprint(config: &ScenarioConfig) -> u64 {
@@ -3041,7 +3050,11 @@ impl Scenario {
     /// so no [`Migrant`] is ever in flight inside one.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::with_header(SCENARIO_MAGIC);
-        w.put_u64(config_fingerprint(&self.config));
+        w.put_u64(
+            *self
+                .fingerprint
+                .get_or_init(|| config_fingerprint(&self.config)),
+        );
         self.snap_body(&mut w);
         w.into_bytes()
     }
@@ -3067,6 +3080,7 @@ impl Scenario {
             )));
         }
         let mut world = Scenario::new(config);
+        world.fingerprint = OnceLock::from(expected);
         world.unsnap_body(&mut r)?;
         r.finish()?;
         Ok(world)
