@@ -448,7 +448,7 @@ fn run_crowd_inner(
                                 base + offset,
                                 chunk_index,
                                 start,
-                                p.elapsed_us().saturating_sub(start),
+                                p.since(start),
                                 scenario.queue_depth(),
                                 delta,
                             );
@@ -468,12 +468,7 @@ fn run_crowd_inner(
                     let stall_start = profiling.map(|p| p.elapsed_us());
                     let folded = barrier.wait().is_leader();
                     if let (Some(p), Some(start)) = (profiling, stall_start) {
-                        p.record_stall(
-                            epoch as u32,
-                            chunk_index,
-                            start,
-                            p.elapsed_us().saturating_sub(start),
-                        );
+                        p.record_stall(epoch as u32, chunk_index, start, p.since(start));
                     }
                     if folded {
                         let snapshot = pulses.lock().expect("pulse lock").clone();
@@ -615,12 +610,7 @@ fn run_crowd_inner(
                                     if let (Some(p), Some(start)) = (profiling, start) {
                                         // The writer's own lane, one
                                         // past the last shard's.
-                                        p.record_write(
-                                            epoch as u32,
-                                            shards,
-                                            start,
-                                            p.elapsed_us().saturating_sub(start),
-                                        );
+                                        p.record_write(epoch as u32, shards, start, p.since(start));
                                     }
                                     let _ = sender.send(written);
                                 });
@@ -638,12 +628,7 @@ fn run_crowd_inner(
                             }
                         }
                         if let (Some(p), Some(start)) = (profiling, checkpoint_start) {
-                            p.record_checkpoint(
-                                epoch as u32,
-                                chunk_index,
-                                start,
-                                p.elapsed_us().saturating_sub(start),
-                            );
+                            p.record_checkpoint(epoch as u32, chunk_index, start, p.since(start));
                         }
                     }
                     if stopping {
