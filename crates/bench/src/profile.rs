@@ -95,7 +95,7 @@ impl Profiler {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Microseconds from `start_us` (an [`Profiler::elapsed_us`] reading)
+    /// Microseconds from `start_us` (a [`Profiler::elapsed_us`] reading)
     /// until now: the length of a slice that ends now.
     pub fn since(&self, start_us: u64) -> u64 {
         self.elapsed_us().saturating_sub(start_us)
