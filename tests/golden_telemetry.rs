@@ -3,9 +3,9 @@
 //! JSON and JSONL — across runs *and* across sweep thread counts,
 //! pinned to a committed hash, mirroring `golden_trace.rs`.
 //!
-//! A second pin covers a walker-dense roaming crowd hour through the
-//! sharded engine: dozens of moving devices sharing each cell's RNG
-//! stream and a spatial index carried across advances.
+//! Two more pins cover walker-dense crowd hours through the sharded
+//! engine: dozens of moving devices sharing each cell's RNG stream,
+//! once roaming between cells and once pinned to their home cells.
 //!
 //! If an intentional engine or telemetry change shifts the output,
 //! re-run with `HBR_PRINT_GOLDEN=1 cargo test --test golden_telemetry
@@ -42,6 +42,11 @@ const GOLDEN_CROWD_HASH: u64 = 0x28b8_8d4f_1396_9731;
 /// sharded merge, so this pins what the 1-vs-N-shard `cmp` gates cannot
 /// see — a change that lands identically at every shard count.
 const GOLDEN_CROWD_METRICS_HASH: u64 = 0x1b3d_937c_d30e_eed6;
+
+/// The committed fingerprints of the pinned-home crowd hour below: its
+/// render, SLO, events and spans, then its merged metrics.
+const GOLDEN_HOME_CROWD_HASH: u64 = 0xfd43_87d5_b08f_7284;
+const GOLDEN_HOME_CROWD_METRICS_HASH: u64 = 0x6da0_f3d2_0845_b8b3;
 
 /// The same faulted scenario as `golden_trace.rs`, with telemetry on.
 fn faulted_config(seed: u64) -> ScenarioConfig {
@@ -152,12 +157,10 @@ fn telemetry_is_byte_reproducible_across_thread_counts() {
 
 /// About 75 phones per 100 m cell (1 200 phones on 350 m, a 4×4 grid),
 /// a tenth of them random-waypoint walkers: every match and forward
-/// advances several walkers on one cell stream and queries a spatial
-/// index that earlier advances left in place, and roaming moves
-/// walkers between cells at the barriers. Returns the run's rendered
-/// report, SLO, events and spans, then its merged metrics.
+/// advances several walkers on one cell stream, and roaming moves
+/// walkers between cells at the barriers.
 fn walker_dense_crowd() -> (String, String) {
-    let report = run_crowd(&CrowdConfig {
+    crowd_artifacts(&CrowdConfig {
         phones: 1_200,
         relays: 120,
         hours: 1,
@@ -172,7 +175,37 @@ fn walker_dense_crowd() -> (String, String) {
         spans: true,
         shards: Some(2),
         roam: true,
-    });
+    })
+}
+
+/// About 100 phones per 100 m cell (1 600 phones on 400 m, a 4×4 grid)
+/// with roaming off: every device stays in its home cell, but the
+/// walkers wander the whole field, so discovery must drop home relays
+/// that have walked (or been walked away from) out of range, and a
+/// handover must skip the relay that failed it.
+fn pinned_home_crowd() -> (String, String) {
+    crowd_artifacts(&CrowdConfig {
+        phones: 1_600,
+        relays: 160,
+        hours: 1,
+        area_side_m: 400.0,
+        seed: 7,
+        push_mins: 0,
+        mode: Mode::D2dFramework,
+        faults: FaultPlan::new(),
+        trace_capacity: 0,
+        telemetry: true,
+        reliable: true,
+        spans: true,
+        shards: Some(2),
+        roam: false,
+    })
+}
+
+/// Runs a crowd hour and returns its rendered report, SLO, events and
+/// spans, then its merged metrics JSON and Prometheus exposition.
+fn crowd_artifacts(config: &CrowdConfig) -> (String, String) {
+    let report = run_crowd(config);
     let mut out = report.render();
     out.push_str(&format!(
         "{:?} migrations={} lte_handovers={}\n",
@@ -208,6 +241,29 @@ fn walker_dense_crowd_hour_is_pinned() {
         "the walker-dense crowd hour's merged metrics drifted; if the \
          change is intentional, re-run with HBR_PRINT_GOLDEN=1 and update \
          GOLDEN_CROWD_METRICS_HASH"
+    );
+}
+
+#[test]
+fn pinned_home_walker_crowd_hour_is_pinned() {
+    let (text, metrics) = pinned_home_crowd();
+    if std::env::var("HBR_PRINT_GOLDEN").is_ok() {
+        println!("golden home crowd hash: {:#018x}", fnv1a(&text));
+        println!("golden home crowd metrics hash: {:#018x}", fnv1a(&metrics));
+    }
+    assert_eq!(
+        fnv1a(&text),
+        GOLDEN_HOME_CROWD_HASH,
+        "the pinned-home crowd hour drifted; if the engine change is \
+         intentional, re-run with HBR_PRINT_GOLDEN=1 and update \
+         GOLDEN_HOME_CROWD_HASH"
+    );
+    assert_eq!(
+        fnv1a(&metrics),
+        GOLDEN_HOME_CROWD_METRICS_HASH,
+        "the pinned-home crowd hour's merged metrics drifted; if the \
+         change is intentional, re-run with HBR_PRINT_GOLDEN=1 and update \
+         GOLDEN_HOME_CROWD_METRICS_HASH"
     );
 }
 
