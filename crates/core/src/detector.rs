@@ -138,24 +138,10 @@ impl D2dDetector {
         establish + per_send * expected_forwards as f64
     }
 
-    /// Discovery: calls `visit(id, distance)` for every device currently
-    /// within this D2D technology's radio range of `ue`, in no particular
-    /// order. Answered from the field's uniform-grid spatial index, so a
-    /// detection sweep over a dense crowd costs O(n · local density)
-    /// rather than O(n²); the caller keeps the ids it cares about (live
-    /// relays with capacity), orders them, and turns them into
-    /// [`RelayAdvert`]s.
-    pub(crate) fn visit_in_range(
-        &self,
-        field: &Field,
-        ue: DeviceId,
-        visit: impl FnMut(DeviceId, f64),
-    ) {
-        field.visit_within(ue, self.tech.range_m, visit);
-    }
-
     /// Discovery as a list: every device currently within radio range
-    /// of `ue`, nearest first (ties by id).
+    /// of `ue`, nearest first (ties by id), from a scan over the whole
+    /// field. The world does not call this: it walks its relay roster
+    /// and applies the same range test to each relay.
     pub fn discover_in_range(&self, field: &Field, ue: DeviceId) -> Vec<(DeviceId, f64)> {
         field.neighbours_within(ue, self.tech.range_m)
     }

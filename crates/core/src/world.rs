@@ -663,6 +663,10 @@ pub struct Scenario {
     fingerprint: OnceLock<u64>,
     sim: Simulation<Event>,
     devices: Vec<Device>,
+    /// Indices of the relays in `devices`, ascending: husks included,
+    /// derived from the roles and never snapshotted. Discovery walks it
+    /// instead of the whole cell.
+    relays: Vec<usize>,
     field: Field,
     detector: D2dDetector,
     servers: BTreeMap<AppId, ImServer>,
@@ -715,6 +719,13 @@ pub struct Scenario {
     /// closed at each terminal outcome; same pure-observation contract
     /// as `telemetry`.
     spans: SpanRecorder,
+}
+
+/// The indices of the relays among `devices`, ascending.
+fn relay_roster(devices: &[Device]) -> Vec<usize> {
+    (0..devices.len())
+        .filter(|&i| devices[i].role == Role::Relay)
+        .collect()
 }
 
 /// Microsecond timestamp of a sim instant, exactly as [`EventRecord`]s
@@ -839,6 +850,7 @@ impl Scenario {
             config,
             fingerprint: OnceLock::new(),
             sim: Simulation::new(),
+            relays: relay_roster(&devices),
             devices,
             field,
             detector,
@@ -1201,6 +1213,9 @@ impl Scenario {
             self.max_expiration = self.max_expiration.max(app.expiration);
         }
         self.field.insert(id, mobility);
+        if role == Role::Relay {
+            self.relays.push(i);
+        }
         self.devices.push(Device {
             id,
             role,
@@ -1878,30 +1893,27 @@ impl Scenario {
             return;
         };
 
-        // Discover devices in radio range through the field's spatial
-        // index — O(local density), not a scan over the whole world —
-        // keeping only the relays, then build adverts from the live ones
-        // whose aggregation window fits the message's slack (the
-        // delegation policy). Only the kept relays are sorted: adverts
-        // reach the detector in ascending id order, which fixes its RNG
-        // draw order (and with it every seeded experiment). A handover
-        // must avoid the relay that just failed this heartbeat.
-        let mut relays: Vec<usize> = Vec::new();
-        self.detector
-            .visit_in_range(&self.field, self.devices[device].id, |id, _| {
-                let i = id.index() as usize;
-                if self.devices[i].role == Role::Relay && Some(i) != handover_from {
-                    relays.push(i);
-                }
-            });
-        relays.sort_unstable();
-        let adverts: Vec<RelayAdvert> = relays
-            .into_iter()
-            .map(|i| &self.devices[i])
-            .filter(|d| d.is_alive() && !d.departed && now >= d.d2d_down_until)
-            .filter_map(|d| {
-                let scheduler = d.scheduler.as_ref()?;
+        // Discover the relays in radio range: walk the roster, keep the
+        // ones in the field (husks are not) within range of the UE, then
+        // build adverts from the live ones whose aggregation window fits
+        // the message's slack (the delegation policy). The roster is
+        // ascending, so adverts reach the detector in id order, which
+        // fixes its RNG draw order (and with it every seeded
+        // experiment). A handover must avoid the relay that just failed
+        // this heartbeat.
+        let range_m = self.config.stack.d2d.range_m;
+        let adverts: Vec<RelayAdvert> = self
+            .relays
+            .iter()
+            .filter(|&&i| i != device && Some(i) != handover_from)
+            .filter_map(|&i| {
+                let d = &self.devices[i];
                 let position = self.field.position(d.id)?;
+                (ue_pos.distance_to(position) <= range_m).then_some((d, position))
+            })
+            .filter(|(d, _)| d.is_alive() && !d.departed && now >= d.d2d_down_until)
+            .filter_map(|(d, position)| {
+                let scheduler = d.scheduler.as_ref()?;
                 Some((
                     scheduler.period(),
                     RelayAdvert {
@@ -3142,8 +3154,9 @@ impl Scenario {
             }
             devices.push(dev);
         }
+        self.relays = relay_roster(&devices);
         self.devices = devices;
-        self.field = Field::unsnap(r)?;
+        self.field = Field::unsnap(r, n)?;
         self.servers = BTreeMap::unsnap(r)?;
         self.bs = BaseStation::unsnap(r)?;
         self.ledger = RewardLedger::unsnap(r)?;
@@ -3307,6 +3320,26 @@ mod tests {
             bad[at] ^= 0xff;
             let _ = Scenario::restore(config.clone(), &bad);
         }
+
+        // A field track naming a device the snapshot does not hold is
+        // Corrupt, not a world that panics when discovery reaches it.
+        let mut ghost = s.field.clone();
+        let track = ghost.remove(DeviceId::new(2)).expect("device 2 is tracked");
+        ghost.insert(DeviceId::new(200), track);
+        let (mut real, mut fake) = (SnapshotWriter::new(), SnapshotWriter::new());
+        s.field.snap(&mut real);
+        ghost.snap(&mut fake);
+        let (real, fake) = (real.into_bytes(), fake.into_bytes());
+        let at = snap
+            .windows(real.len())
+            .position(|w| w == real)
+            .expect("the field's bytes are in the snapshot");
+        let mut bad = snap.clone();
+        bad[at..at + real.len()].copy_from_slice(&fake);
+        assert!(matches!(
+            Scenario::restore(config.clone(), &bad),
+            Err(SnapshotError::Corrupt(_))
+        ));
 
         // Wrong magic is BadMagic, stale version is BadVersion.
         let mut bad = snap.clone();

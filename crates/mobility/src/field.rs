@@ -1,23 +1,23 @@
 //! The deployment field: every device's mobility track in one place.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{DeviceId, SimRng, SimTime};
 
-use crate::grid::{sort_nearest_first, SpatialGrid};
 use crate::model::Mobility;
 use crate::position::Position;
 
 /// Tracks the mobility model of every device and answers position,
 /// distance and neighbourhood queries at the current simulation time.
 ///
-/// Devices are stored in a `BTreeMap` so iteration order is
-/// deterministic. Advancing touches only the *movers* — the tracks that
-/// are not [`stationary`](Mobility::is_stationary) — in ascending id
-/// order. Stationary models draw no randomness, so the shared RNG sees
-/// exactly the draws, in exactly the order, of advancing every track.
+/// Tracks live in a table indexed by [`DeviceId`], so a position is one
+/// array read. The table is as long as the largest id ever inserted:
+/// memory grows with that id, not with the number of tracks, so the
+/// field suits dense ids (a world's are its device indices, emigrated
+/// husks included). Iteration and snapshots run in ascending id order.
+/// Advancing touches only the *movers* — the tracks that are not
+/// [`stationary`](Mobility::is_stationary) — in ascending id order.
+/// Stationary models draw no randomness, so the shared RNG sees exactly
+/// the draws, in exactly the order, of advancing every track.
 ///
 /// # Examples
 ///
@@ -35,16 +35,14 @@ use crate::position::Position;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Field {
-    tracks: BTreeMap<DeviceId, Mobility>,
+    /// Slot `i` holds device `i`'s track, if it is tracked.
+    tracks: Vec<Option<Mobility>>,
+    /// Number of occupied slots.
+    len: usize,
     /// Ids of the non-stationary tracks, ascending: the only ones
     /// [`advance_to`](Field::advance_to) visits.
     movers: Vec<DeviceId>,
     now: SimTime,
-    /// Spatial index over current positions, built lazily on the first
-    /// neighbourhood query and from then on patched in place as devices
-    /// move, arrive and leave. Interior mutability lets read-only
-    /// queries populate the cache.
-    grid: RefCell<Option<SpatialGrid>>,
 }
 
 impl Field {
@@ -62,9 +60,14 @@ impl Field {
     /// when inserted — mark one built mid-run with
     /// [`Mobility::started_at`].
     pub fn insert(&mut self, device: DeviceId, mobility: Mobility) {
-        let to = mobility.position();
         let moves = !mobility.is_stationary();
-        let replaced = self.tracks.insert(device, mobility);
+        let slot = device.index() as usize;
+        if slot >= self.tracks.len() {
+            self.tracks.resize_with(slot + 1, || None);
+        }
+        if self.tracks[slot].replace(mobility).is_none() {
+            self.len += 1;
+        }
         match (self.movers.binary_search(&device), moves) {
             (Err(slot), true) => self.movers.insert(slot, device),
             (Ok(slot), false) => {
@@ -72,24 +75,16 @@ impl Field {
             }
             _ => {}
         }
-        if let Some(grid) = self.grid.get_mut() {
-            match replaced {
-                Some(old) => grid.relocate(device, old.position(), to),
-                None => grid.insert(device, to),
-            }
-        }
     }
 
     /// Removes a device's track, returning it if present. A stationary
     /// track comes back with its clock caught up to the field's, as if
     /// it had been advanced along with the movers.
     pub fn remove(&mut self, device: DeviceId) -> Option<Mobility> {
-        let removed = self.tracks.remove(&device)?;
+        let removed = self.tracks.get_mut(device.index() as usize)?.take()?;
+        self.len -= 1;
         if let Ok(slot) = self.movers.binary_search(&device) {
             self.movers.remove(slot);
-        }
-        if let Some(grid) = self.grid.get_mut() {
-            grid.remove(device, removed.position());
         }
         Some(if removed.is_stationary() {
             let clock = removed.updated_at().max(self.now);
@@ -101,12 +96,12 @@ impl Field {
 
     /// Number of tracked devices.
     pub fn len(&self) -> usize {
-        self.tracks.len()
+        self.len
     }
 
     /// `true` if no devices are tracked.
     pub fn is_empty(&self) -> bool {
-        self.tracks.is_empty()
+        self.len == 0
     }
 
     /// The instant the field was last advanced to.
@@ -117,31 +112,27 @@ impl Field {
     /// Advances every device's mobility model to `now`. Instants at or
     /// before the current field time are no-ops — the field never rewinds.
     ///
-    /// Only the movers are visited, in ascending id order, and each one
-    /// that changed position is moved within the cached spatial index,
-    /// so the cost scales with the moving devices, not the field.
+    /// Only the movers are visited, in ascending id order, so the cost
+    /// scales with the moving devices, not the field.
     pub fn advance_to(&mut self, now: SimTime, rng: &mut SimRng) {
         if now <= self.now {
             return;
         }
-        let grid = self.grid.get_mut();
         for id in &self.movers {
-            let mobility = self.tracks.get_mut(id).expect("every mover is tracked");
-            let from = mobility.position();
-            mobility.advance_to(now, rng);
-            let to = mobility.position();
-            if to != from {
-                if let Some(grid) = grid.as_mut() {
-                    grid.relocate(*id, from, to);
-                }
-            }
+            self.tracks[id.index() as usize]
+                .as_mut()
+                .expect("every mover is tracked")
+                .advance_to(now, rng);
         }
         self.now = now;
     }
 
     /// The position of `device` as of the last advance, if it is tracked.
     pub fn position(&self, device: DeviceId) -> Option<Position> {
-        self.tracks.get(&device).map(Mobility::position)
+        self.tracks
+            .get(device.index() as usize)?
+            .as_ref()
+            .map(Mobility::position)
     }
 
     /// Distance in metres between two tracked devices.
@@ -149,121 +140,82 @@ impl Field {
         Some(self.position(a)?.distance_to(self.position(b)?))
     }
 
-    /// Calls `visit(id, distance)` for every other device within
-    /// `radius` metres of `device`, in no particular order. Visits
-    /// nothing if `device` is not tracked or the radius is NaN or
-    /// negative.
-    ///
-    /// Answered from a uniform-grid [`SpatialGrid`] index built lazily
-    /// over the current positions and kept current in place by
-    /// [`advance_to`](Field::advance_to), [`insert`](Field::insert) and
-    /// [`remove`](Field::remove), so a detection sweep over the whole
-    /// field costs O(n · local density) instead of O(n²). A caller that
-    /// keeps only some of the neighbours filters here and sorts only
-    /// what it kept.
-    pub fn visit_within(
-        &self,
-        device: DeviceId,
-        radius: f64,
-        mut visit: impl FnMut(DeviceId, f64),
-    ) {
-        let Some(centre) = self.position(device) else {
-            return;
-        };
-        if radius.is_nan() || radius < 0.0 {
-            return;
-        }
-        if radius.is_infinite() {
-            // An unbounded query touches everything anyway; the grid
-            // cannot help.
-            for (id, pos) in self.iter().filter(|(id, _)| *id != device) {
-                visit(id, centre.distance_to(pos));
-            }
-            return;
-        }
-        {
-            let mut cache = self.grid.borrow_mut();
-            // Cells far narrower or wider than the query radius degrade
-            // the scan back towards O(n); resize when out of proportion.
-            // The steady state — the world querying one discovery radius
-            // — never rebuilds here.
-            let unsuitable = |g: &SpatialGrid| {
-                radius > 0.0 && (g.cell_m() < radius / 8.0 || g.cell_m() > radius * 8.0)
-            };
-            if cache.as_ref().is_none_or(unsuitable) {
-                *cache = Some(SpatialGrid::build(radius.max(1.0), self.iter()));
-            }
-        }
-        self.grid
-            .borrow()
-            .as_ref()
-            .expect("grid cache was just populated")
-            .visit_within(device, centre, radius, visit);
-    }
-
     /// All other devices within `radius` metres of `device`, sorted by
-    /// ascending distance (ties broken by device id for determinism):
-    /// [`visit_within`](Field::visit_within), collected and sorted.
-    /// Returns an empty vector if `device` is not tracked. The result is
-    /// identical to [`neighbours_within_scan`](Field::neighbours_within_scan).
+    /// ascending distance (ties broken by device id for determinism),
+    /// from a scan over every track. Returns an empty vector if
+    /// `device` is not tracked or the radius is NaN or negative.
     pub fn neighbours_within(&self, device: DeviceId, radius: f64) -> Vec<(DeviceId, f64)> {
-        let mut out = Vec::new();
-        self.visit_within(device, radius, |id, d| out.push((id, d)));
-        sort_nearest_first(&mut out);
-        out
-    }
-
-    /// Reference implementation of [`neighbours_within`](Field::neighbours_within)
-    /// as a full linear scan. Kept as the oracle the grid's equivalence
-    /// tests compare against.
-    pub fn neighbours_within_scan(&self, device: DeviceId, radius: f64) -> Vec<(DeviceId, f64)> {
         let Some(centre) = self.position(device) else {
             return Vec::new();
         };
         let mut out: Vec<(DeviceId, f64)> = self
-            .tracks
             .iter()
-            .filter(|(id, _)| **id != device)
-            .map(|(id, m)| (*id, centre.distance_to(m.position())))
+            .filter(|(id, _)| *id != device)
+            .map(|(id, pos)| (id, centre.distance_to(pos)))
             .filter(|(_, d)| *d <= radius)
             .collect();
-        sort_nearest_first(&mut out);
+        out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         out
     }
 
     /// Iterates over `(device, position)` pairs in device-id order.
     pub fn iter(&self) -> impl Iterator<Item = (DeviceId, Position)> + '_ {
-        self.tracks.iter().map(|(id, m)| (*id, m.position()))
+        self.tracks().map(|(id, m)| (id, m.position()))
     }
-}
 
-impl Snap for Field {
-    /// The movers list and the spatial-grid cache are derived state: they
-    /// are not serialised, and a restored field rebuilds the list at once
-    /// and the grid on the first neighbourhood query. Tracks are written
-    /// in the layout of a `BTreeMap<DeviceId, Mobility>`, each stationary
-    /// one with its clock caught up to the field's.
-    fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.tracks.len());
-        for (id, mobility) in &self.tracks {
+    /// The tracked `(device, model)` pairs in device-id order.
+    fn tracks(&self) -> impl Iterator<Item = (DeviceId, &Mobility)> + '_ {
+        self.tracks
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, m)| Some((DeviceId::new(slot as u32), m.as_ref()?)))
+    }
+
+    /// Writes the tracks in the layout of a `BTreeMap<DeviceId,
+    /// Mobility>`, each stationary one with its clock caught up to the
+    /// field's, then the field's clock. The movers list is derived state
+    /// and is not written.
+    pub fn snap(&self, w: &mut SnapshotWriter) {
+        w.put_usize(self.len);
+        for (id, mobility) in self.tracks() {
             id.snap(w);
             mobility.snap_at(self.now, w);
         }
         self.now.snap(w);
     }
-    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let tracks: BTreeMap<DeviceId, Mobility> = BTreeMap::unsnap(r)?;
-        let movers = tracks
-            .iter()
-            .filter(|(_, m)| !m.is_stationary())
-            .map(|(id, _)| *id)
-            .collect();
-        Ok(Field {
-            tracks,
-            movers,
-            now: SimTime::unsnap(r)?,
-            grid: RefCell::new(None),
-        })
+
+    /// Reads a field written by [`snap`](Field::snap) whose every id is
+    /// below `ids` (a world passes its device count) and rebuilds the
+    /// movers list. The bound keeps a corrupt id from sizing the table.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Corrupt`] for a track whose id is `ids` or more
+    /// or repeats an earlier one, and whatever reading the records
+    /// returns.
+    pub fn unsnap(r: &mut SnapshotReader<'_>, ids: usize) -> Result<Self, SnapshotError> {
+        let len = r.take_usize()?;
+        if len > ids {
+            return Err(SnapshotError::Corrupt(format!(
+                "field holds {len} tracks for {ids} devices"
+            )));
+        }
+        let mut field = Field::new();
+        for _ in 0..len {
+            let id = DeviceId::unsnap(r)?;
+            if id.index() as usize >= ids {
+                return Err(SnapshotError::Corrupt(format!(
+                    "field track names {id}, beyond the {ids} devices"
+                )));
+            }
+            let mobility = Mobility::unsnap(r)?;
+            if field.position(id).is_some() {
+                return Err(SnapshotError::Corrupt(format!("field track {id} repeats")));
+            }
+            field.insert(id, mobility);
+        }
+        field.now = SimTime::unsnap(r)?;
+        Ok(field)
     }
 }
 
@@ -350,36 +302,21 @@ mod tests {
     }
 
     #[test]
-    fn grid_and_scan_agree_across_mutations() {
+    fn neighbours_follow_advances_and_removals() {
         let mut field = static_field(&[(0, 0.0, 0.0), (1, 3.0, 0.0), (2, 9.0, 9.0)]);
         field.insert(
             dev(3),
             Mobility::linear(Position::new(20.0, 0.0), (-1.0, 0.0)),
         );
-        for radius in [0.0, 2.0, 10.0, 50.0] {
-            assert_eq!(
-                field.neighbours_within(dev(0), radius),
-                field.neighbours_within_scan(dev(0), radius),
-                "radius {radius} before advancing"
-            );
-        }
-        // Moving devices must be moved within the cached index.
+        assert_eq!(field.neighbours_within(dev(0), 10.0), vec![(dev(1), 3.0)]);
         let mut rng = SimRng::seed_from(4);
         field.advance_to(SimTime::from_secs(15), &mut rng);
         assert_eq!(
             field.neighbours_within(dev(0), 10.0),
-            field.neighbours_within_scan(dev(0), 10.0),
+            vec![(dev(1), 3.0), (dev(3), 5.0)]
         );
-        assert!(field
-            .neighbours_within(dev(0), 10.0)
-            .iter()
-            .any(|&(id, _)| id == dev(3)));
-        // So must removal.
         field.remove(dev(1));
-        assert_eq!(
-            field.neighbours_within(dev(0), 10.0),
-            field.neighbours_within_scan(dev(0), 10.0),
-        );
+        assert_eq!(field.neighbours_within(dev(0), 10.0), vec![(dev(3), 5.0)]);
     }
 
     #[test]
@@ -392,7 +329,7 @@ mod tests {
         let mut w = SnapshotWriter::new();
         field.snap(&mut w);
         let bytes = w.into_bytes();
-        let mut restored = Field::unsnap(&mut SnapshotReader::new(&bytes)).unwrap();
+        let mut restored = Field::unsnap(&mut SnapshotReader::new(&bytes), 2).unwrap();
         restored.advance_to(SimTime::from_secs(45), &mut rng);
         assert_eq!(restored.position(dev(1)), Some(Position::new(45.0, 0.0)));
 
@@ -409,6 +346,37 @@ mod tests {
         assert!(field.neighbours_within(dev(0), f64::NAN).is_empty());
         assert!(field.neighbours_within(dev(0), -1.0).is_empty());
         assert_eq!(field.neighbours_within(dev(0), f64::INFINITY).len(), 1);
+    }
+
+    #[test]
+    fn sparse_ids_keep_order_count_and_snapshot_bytes() {
+        let far = dev(70_000);
+        let mut field = static_field(&[(0, 0.0, 0.0)]);
+        field.insert(far, Mobility::linear(Position::ORIGIN, (0.0, 1.0)));
+        let mut rng = SimRng::seed_from(2);
+        field.advance_to(SimTime::from_secs(10), &mut rng);
+        let track = field.remove(dev(0)).expect("tracked");
+        assert_eq!(field.len(), 1);
+        assert_eq!(field.position(dev(0)), None);
+        field.insert(dev(0), track);
+        assert_eq!(field.len(), 2);
+        let ids: Vec<_> = field.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![dev(0), far]);
+
+        let mut w = SnapshotWriter::new();
+        field.snap(&mut w);
+        let bytes = w.into_bytes();
+        let restored = Field::unsnap(&mut SnapshotReader::new(&bytes), 70_001).unwrap();
+        let mut again = SnapshotWriter::new();
+        restored.snap(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        assert_eq!(restored.len(), 2);
+        assert_eq!(restored.position(far), Some(Position::new(0.0, 10.0)));
+        // One id short, the far track is refused before the table grows.
+        assert!(matches!(
+            Field::unsnap(&mut SnapshotReader::new(&bytes), 70_000),
+            Err(SnapshotError::Corrupt(_))
+        ));
     }
 
     #[test]

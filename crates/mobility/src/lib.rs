@@ -34,13 +34,11 @@
 //! ```
 
 pub mod field;
-pub mod grid;
 pub mod model;
 pub mod position;
 pub mod rssi;
 
 pub use field::Field;
-pub use grid::SpatialGrid;
 pub use model::{Bounds, Mobility};
 pub use position::Position;
 pub use rssi::{PathLoss, Rssi};

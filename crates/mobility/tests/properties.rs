@@ -22,12 +22,33 @@ fn cloud(points: &[(f64, f64)]) -> Field {
         .collect()
 }
 
-/// Every tracked device's grid answer equals the brute-force scan.
-fn assert_grid_matches_scan(field: &Field, radius: f64, step: &str) {
+/// Every device within `radius` of `centre_id`, nearest first with ties
+/// by id, built from `iter()` alone: the contract `neighbours_within`
+/// must meet.
+fn brute_force(field: &Field, centre_id: DeviceId, radius: f64) -> Vec<(DeviceId, f64)> {
+    let Some(centre) = field
+        .iter()
+        .find(|(id, _)| *id == centre_id)
+        .map(|(_, p)| p)
+    else {
+        return Vec::new();
+    };
+    let mut out: Vec<(DeviceId, f64)> = field
+        .iter()
+        .filter(|(id, _)| *id != centre_id)
+        .map(|(id, pos)| (id, centre.distance_to(pos)))
+        .filter(|(_, d)| *d <= radius)
+        .collect();
+    out.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    out
+}
+
+/// Every tracked device's neighbour list equals the brute-force one.
+fn assert_matches_brute_force(field: &Field, radius: f64, step: &str) {
     for (id, _) in field.iter() {
         assert_eq!(
             field.neighbours_within(id, radius),
-            field.neighbours_within_scan(id, radius),
+            brute_force(field, id, radius),
             "{id} at radius {radius}, {step}"
         );
     }
@@ -153,15 +174,13 @@ proptest! {
         }
     }
 
-    /// The grid-indexed `neighbours_within` is exactly the brute-force
-    /// scan for any random cloud, query radius and centre, and for
-    /// untracked devices (both return nothing). The cached index is
-    /// queried first and then carried through a sequence of advances,
-    /// each followed by an arrival, a departure and a stationary↔moving
-    /// model swap — the field patches the index in place through all of
-    /// them, never rebuilding it.
+    /// `neighbours_within` equals a brute-force list built from `iter()`
+    /// for any random cloud, query radius and centre, and is empty for
+    /// an untracked device. The field is queried first and then carried
+    /// through a sequence of advances, each followed by an arrival, a
+    /// departure and a stationary↔moving model swap.
     #[test]
-    fn grid_equals_scan(
+    fn neighbours_equal_brute_force_across_mutations(
         points in proptest::collection::vec((0.0f64..200.0, 0.0f64..200.0), 1..60),
         radius in 0.0f64..90.0,
         seed in any::<u64>(),
@@ -171,27 +190,24 @@ proptest! {
         let mut moving: BTreeMap<DeviceId, bool> =
             field.iter().map(|(id, _)| (id, false)).collect();
         // A walker and a drifting device so advancing genuinely moves
-        // positions (stationary clouds would never exercise the patching).
+        // positions (a stationary cloud never changes its answers).
         let walker = DeviceId::new(10_000);
         field.insert(walker, walker_at(100.0, 100.0, SimTime::ZERO));
         field.insert(DeviceId::new(10_001), Mobility::linear(Position::new(0.0, 0.0), (1.3, 0.7)));
         moving.insert(walker, true);
         moving.insert(DeviceId::new(10_001), true);
-        assert_grid_matches_scan(&field, radius, "before any advance");
+        assert_matches_brute_force(&field, radius, "before any advance");
 
         let mut rng = SimRng::seed_from(seed);
         let mut t = SimTime::ZERO;
         for (k, &(secs, pick, x, y)) in steps.iter().enumerate() {
             t += SimDuration::from_secs(secs);
             field.advance_to(t, &mut rng);
-            assert_grid_matches_scan(&field, radius, &format!("after advance {k}"));
+            assert_matches_brute_force(&field, radius, &format!("after advance {k}"));
             mutate(&mut field, &mut moving, DeviceId::new(20_000 + k as u32), (pick, x, y), t);
-            assert_grid_matches_scan(&field, radius, &format!("after mutation {k}"));
+            assert_matches_brute_force(&field, radius, &format!("after mutation {k}"));
         }
-        // Untracked devices: both paths agree on "no neighbours".
-        let untracked = DeviceId::new(99_999);
-        prop_assert!(field.neighbours_within(untracked, radius).is_empty());
-        prop_assert!(field.neighbours_within_scan(untracked, radius).is_empty());
+        prop_assert!(field.neighbours_within(DeviceId::new(99_999), radius).is_empty());
     }
 
     /// Advancing only the movers is indistinguishable from advancing
@@ -228,9 +244,6 @@ proptest! {
             .iter()
             .map(|(id, m)| (*id, !m.is_stationary()))
             .collect();
-        // The index exists from the start, so every advance patches it.
-        let _ = field.neighbours_within(DeviceId::new(0), 30.0);
-
         let mut rng = SimRng::seed_from(seed);
         let mut reference_rng = SimRng::seed_from(seed);
         let mut t = SimTime::ZERO;
@@ -261,10 +274,10 @@ proptest! {
     }
 
     /// Exact-tie distances (lattice clouds put many devices at equal
-    /// range) break by ascending id identically in both paths, and the
-    /// grid honours a radius far smaller or larger than its cell.
+    /// range) break by ascending id, as in the brute-force list, for a
+    /// radius far smaller or larger than the lattice spacing.
     #[test]
-    fn grid_tie_breaking_matches_scan(
+    fn tie_breaking_matches_brute_force(
         n in 2usize..30,
         radius in 0.0f64..12.0,
     ) {
@@ -279,10 +292,10 @@ proptest! {
             .collect();
         for i in 0..2 * n {
             let id = DeviceId::new(i as u32);
-            let grid = field.neighbours_within(id, radius);
-            prop_assert_eq!(&grid, &field.neighbours_within_scan(id, radius));
+            let near = field.neighbours_within(id, radius);
+            prop_assert_eq!(&near, &brute_force(&field, id, radius));
             // Ties are ordered by id: any equal-distance run ascends.
-            for w in grid.windows(2) {
+            for w in near.windows(2) {
                 if w[0].1 == w[1].1 {
                     prop_assert!(w[0].0 < w[1].0);
                 }
