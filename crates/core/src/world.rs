@@ -11,8 +11,9 @@
 //!   and expiration, and each [`Heartbeat`] carries its `size` and
 //!   `expires_at`), a [`CellularRadio`], an [`EnergyMeter`] and
 //!   optionally a finite [`Battery`];
-//! * UEs discover and match relays through the [`D2dDetector`] using live
-//!   positions from the [`Field`];
+//! * UEs discover the relays in range by walking the cell's relay roster
+//!   with live positions from the [`Field`], and match one through the
+//!   [`D2dDetector`];
 //! * relays run Algorithm 1 ([`MessageScheduler`]) anchored to their own
 //!   heartbeat periods and ship aggregated batches over one RRC
 //!   connection per period;

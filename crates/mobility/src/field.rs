@@ -37,8 +37,6 @@ use crate::position::Position;
 pub struct Field {
     /// Slot `i` holds device `i`'s track, if it is tracked.
     tracks: Vec<Option<Mobility>>,
-    /// Number of occupied slots.
-    len: usize,
     /// Ids of the non-stationary tracks, ascending: the only ones
     /// [`advance_to`](Field::advance_to) visits.
     movers: Vec<DeviceId>,
@@ -65,9 +63,7 @@ impl Field {
         if slot >= self.tracks.len() {
             self.tracks.resize_with(slot + 1, || None);
         }
-        if self.tracks[slot].replace(mobility).is_none() {
-            self.len += 1;
-        }
+        self.tracks[slot] = Some(mobility);
         match (self.movers.binary_search(&device), moves) {
             (Err(slot), true) => self.movers.insert(slot, device),
             (Ok(slot), false) => {
@@ -82,7 +78,6 @@ impl Field {
     /// it had been advanced along with the movers.
     pub fn remove(&mut self, device: DeviceId) -> Option<Mobility> {
         let removed = self.tracks.get_mut(device.index() as usize)?.take()?;
-        self.len -= 1;
         if let Ok(slot) = self.movers.binary_search(&device) {
             self.movers.remove(slot);
         }
@@ -96,12 +91,12 @@ impl Field {
 
     /// Number of tracked devices.
     pub fn len(&self) -> usize {
-        self.len
+        self.models().count()
     }
 
     /// `true` if no devices are tracked.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.models().next().is_none()
     }
 
     /// The instant the field was last advanced to.
@@ -160,11 +155,11 @@ impl Field {
 
     /// Iterates over `(device, position)` pairs in device-id order.
     pub fn iter(&self) -> impl Iterator<Item = (DeviceId, Position)> + '_ {
-        self.tracks().map(|(id, m)| (id, m.position()))
+        self.models().map(|(id, m)| (id, m.position()))
     }
 
     /// The tracked `(device, model)` pairs in device-id order.
-    fn tracks(&self) -> impl Iterator<Item = (DeviceId, &Mobility)> + '_ {
+    fn models(&self) -> impl Iterator<Item = (DeviceId, &Mobility)> + '_ {
         self.tracks
             .iter()
             .enumerate()
@@ -176,8 +171,8 @@ impl Field {
     /// field's, then the field's clock. The movers list is derived state
     /// and is not written.
     pub fn snap(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.len);
-        for (id, mobility) in self.tracks() {
+        w.put_usize(self.len());
+        for (id, mobility) in self.models() {
             id.snap(w);
             mobility.snap_at(self.now, w);
         }
@@ -194,14 +189,8 @@ impl Field {
     /// or repeats an earlier one, and whatever reading the records
     /// returns.
     pub fn unsnap(r: &mut SnapshotReader<'_>, ids: usize) -> Result<Self, SnapshotError> {
-        let len = r.take_usize()?;
-        if len > ids {
-            return Err(SnapshotError::Corrupt(format!(
-                "field holds {len} tracks for {ids} devices"
-            )));
-        }
         let mut field = Field::new();
-        for _ in 0..len {
+        for _ in 0..r.take_usize()? {
             let id = DeviceId::unsnap(r)?;
             if id.index() as usize >= ids {
                 return Err(SnapshotError::Corrupt(format!(

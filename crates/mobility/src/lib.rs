@@ -14,8 +14,9 @@
 //! family of [`Mobility`] models (static crowds for the stadium scenario,
 //! random waypoint for ambient movement, linear walks for controlled range
 //! sweeps), a log-distance [`rssi`] path-loss model with its inverse
-//! estimator, and a [`Field`] that tracks every device and answers
-//! neighbourhood queries.
+//! estimator, and a [`Field`] that holds every device's track in a table
+//! indexed by [`DeviceId`](hbr_sim::DeviceId), so a position is one array
+//! read, and answers distance and neighbourhood queries.
 //!
 //! # Examples
 //!
