@@ -138,10 +138,18 @@ impl D2dDetector {
         establish + per_send * expected_forwards as f64
     }
 
+    /// Whether a UE at `ue` hears the beacon of a device at `other`:
+    /// the one radio-range test of discovery. The world applies it to
+    /// each relay of its roster, and [`match_relay`](Self::match_relay)
+    /// drops the adverts that fail it.
+    pub fn hears(&self, ue: Position, other: Position) -> bool {
+        ue.distance_to(other) <= self.tech.range_m
+    }
+
     /// Discovery as a list: every device currently within radio range
     /// of `ue`, nearest first (ties by id), from a scan over the whole
     /// field. The world does not call this: it walks its relay roster
-    /// and applies the same range test to each relay.
+    /// and keeps the relays it [hears](Self::hears).
     pub fn discover_in_range(&self, field: &Field, ue: DeviceId) -> Vec<(DeviceId, f64)> {
         field.neighbours_within(ue, self.tech.range_m)
     }
@@ -167,11 +175,12 @@ impl D2dDetector {
             .iter()
             .filter(|a| a.free_capacity > 0 && a.go_intent > GoIntent::MIN)
             .filter_map(|a| {
-                let true_distance = ue_position.distance_to(a.position);
-                if true_distance > self.tech.range_m {
+                if !self.hears(ue_position, a.position) {
                     return None; // beacon never heard
                 }
-                let rssi = self.channel.measure(true_distance, rng);
+                let rssi = self
+                    .channel
+                    .measure(ue_position.distance_to(a.position), rng);
                 let estimated = self.channel.estimate_distance(rssi);
                 (estimated <= self.config.max_match_distance_m).then_some((a.device, estimated))
             })
@@ -280,6 +289,36 @@ mod tests {
         let adverts = vec![advert(1, 40.0, 5)];
         assert_eq!(
             d.match_relay(Position::ORIGIN, &adverts, 8, 581.0, &mut rng()),
+            MatchDecision::DirectCellular(NoMatchReason::AllCandidatesInadmissible)
+        );
+    }
+
+    #[test]
+    fn beacons_beyond_range_are_never_heard() {
+        let range = TechProfile::wifi_direct().range_m;
+        let d = detector();
+        assert!(d.hears(Position::ORIGIN, Position::new(range, 0.0)));
+        assert!(!d.hears(Position::ORIGIN, Position::new(range + 1e-9, 0.0)));
+        assert!(!d.hears(Position::ORIGIN, Position::new(f64::INFINITY, 0.0)));
+        // A match limit past the radio range leaves only the range test
+        // to drop the far advert.
+        let lenient = D2dDetector::new(
+            FrameworkConfig {
+                max_match_distance_m: 2.0 * range,
+                energy_prejudgment: false,
+                ..FrameworkConfig::default()
+            },
+            TechProfile::wifi_direct(),
+            d.channel,
+        );
+        let near = [advert(1, range - 1.0, 5)];
+        assert!(matches!(
+            lenient.match_relay(Position::ORIGIN, &near, 8, 581.0, &mut rng()),
+            MatchDecision::UseRelay { .. }
+        ));
+        let far = [advert(1, range + 1.0, 5)];
+        assert_eq!(
+            lenient.match_relay(Position::ORIGIN, &far, 8, 581.0, &mut rng()),
             MatchDecision::DirectCellular(NoMatchReason::AllCandidatesInadmissible)
         );
     }

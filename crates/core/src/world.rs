@@ -1895,14 +1895,13 @@ impl Scenario {
         };
 
         // Discover the relays in radio range: walk the roster, keep the
-        // ones in the field (husks are not) within range of the UE, then
+        // ones in the field (husks are not) whose beacon the UE hears, then
         // build adverts from the live ones whose aggregation window fits
         // the message's slack (the delegation policy). The roster is
         // ascending, so adverts reach the detector in id order, which
         // fixes its RNG draw order (and with it every seeded
         // experiment). A handover must avoid the relay that just failed
         // this heartbeat.
-        let range_m = self.config.stack.d2d.range_m;
         let adverts: Vec<RelayAdvert> = self
             .relays
             .iter()
@@ -1910,7 +1909,9 @@ impl Scenario {
             .filter_map(|&i| {
                 let d = &self.devices[i];
                 let position = self.field.position(d.id)?;
-                (ue_pos.distance_to(position) <= range_m).then_some((d, position))
+                self.detector
+                    .hears(ue_pos, position)
+                    .then_some((d, position))
             })
             .filter(|(d, _)| d.is_alive() && !d.departed && now >= d.d2d_down_until)
             .filter_map(|(d, position)| {
