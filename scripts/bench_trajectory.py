@@ -5,12 +5,12 @@
 one per build and shape. Each change appends its rows and never
 rewrites earlier ones. A row times one `hbr crowd` hour at
 `--mode d2d --shards 2` with observation off (only `--slo-out`, for
-`false_dead_seconds`): wall time and peak RSS are medians over fresh
-processes, read from each child's `wait4`.
+`false_dead_seconds`): wall time and peak RSS are medians over three
+fresh processes, read from each child's `wait4`.
 
     python3 scripts/bench_trajectory.py append --hbr PATH --source DIR \\
-        --pr N --build change --base-commit SHA [--runs 3] [--file FILE]
-    python3 scripts/bench_trajectory.py check [FILE]
+        --pr N --build change --base-commit SHA
+    python3 scripts/bench_trajectory.py check
 
 `--source` is the checkout `--hbr` was built from; the row carries its
 non-test line count (`scripts/nontest_lines.py`). `cores` counts the
@@ -32,10 +32,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from nontest_lines import nontest_lines
+import nontest_lines
 
-ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_FILE = ROOT / "BENCH_trajectory.json"
+TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_trajectory.json"
+# Every row's wall time and peak RSS are medians of this many runs.
+RUNS = 3
 
 # The ROADMAP's 10 k (1 km) and 100 k (2 km) hours as (phones, relays,
 # area). The 1 M hour on 5 km joins once dense cells keep presence.
@@ -58,10 +59,6 @@ FIELDS = {
 BUILDS = ("parent", "change")
 
 
-def source_lines(source):
-    return sum(nontest_lines(p) for p in sorted(Path(source).glob("crates/*/src/**/*.rs")))
-
-
 def run_once(hbr, phones, relays, area, work):
     """One crowd hour: (wall s, peak RSS MiB, false-dead s)."""
     cmd = [str(hbr), "crowd", "--mode", "d2d", "--shards", "2", "--hours", "1",
@@ -82,7 +79,7 @@ def measure(args):
     rows = []
     for phones, relays, area in SHAPES:
         runs = []
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             with tempfile.TemporaryDirectory() as work:
                 runs.append(run_once(args.hbr, phones, relays, area, work))
         wall = statistics.median(r[0] for r in runs)
@@ -98,7 +95,7 @@ def measure(args):
             "peak_rss_mib": round(statistics.median(r[1] for r in runs), 1),
             "phone_sim_s_per_s": round(phones * 3600.0 / wall, 1),
             "false_dead_seconds": runs[0][2],
-            "nontest_lines": source_lines(args.source),
+            "nontest_lines": nontest_lines.total(args.source),
         })
         print(json.dumps(rows[-1]))
     return rows
@@ -128,19 +125,19 @@ def row_errors(row):
     return errors
 
 
-def check(path):
-    rows = json.loads(Path(path).read_text())
+def check():
+    rows = json.loads(TRAJECTORY.read_text())
     if not isinstance(rows, list):
-        sys.exit(f"error: {path} is not a JSON array")
+        sys.exit(f"error: {TRAJECTORY.name} is not a JSON array")
     for i, row in enumerate(rows):
         errors = row_errors(row)
         if errors:
-            sys.exit(f"error: {path} row {i}: {'; '.join(errors)}")
-    print(f"{path}: {len(rows)} rows")
+            sys.exit(f"error: {TRAJECTORY.name} row {i}: {'; '.join(errors)}")
+    print(f"{TRAJECTORY.name}: {len(rows)} rows")
 
 
-def write(path, rows):
-    Path(path).write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+def write(rows):
+    TRAJECTORY.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
 
 
 def main():
@@ -152,21 +149,17 @@ def main():
     add.add_argument("--pr", required=True, type=int)
     add.add_argument("--build", required=True, choices=BUILDS)
     add.add_argument("--base-commit", required=True)
-    add.add_argument("--runs", type=int, default=3)
-    add.add_argument("--file", default=DEFAULT_FILE)
-    chk = sub.add_parser("check", help="validate the file's structure")
-    chk.add_argument("file", nargs="?", default=DEFAULT_FILE)
+    sub.add_parser("check", help="validate the file's structure")
     args = parser.parse_args()
     if args.command == "check":
-        check(args.file)
+        check()
         return
-    path = Path(args.file)
-    rows = json.loads(path.read_text()) if path.exists() else []
+    rows = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else []
     rows += measure(args)
     for row in rows:
         if row_errors(row):
             sys.exit(f"error: would write a bad row: {row}")
-    write(path, rows)
+    write(rows)
 
 
 if __name__ == "__main__":

@@ -25,15 +25,27 @@ def nontest_lines(path):
     return count
 
 
-def main():
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
-    per_crate = {}
+def per_crate(root):
+    """Non-test lines of each crate under `root`, by crate name."""
+    root = Path(root)
+    counts = {}
     for path in sorted(root.glob("crates/*/src/**/*.rs")):
         crate = path.relative_to(root / "crates").parts[0]
-        per_crate[crate] = per_crate.get(crate, 0) + nontest_lines(path)
-    for crate, count in sorted(per_crate.items()):
+        counts[crate] = counts.get(crate, 0) + nontest_lines(path)
+    return counts
+
+
+def total(root):
+    """Non-test lines of the whole workspace under `root`."""
+    return sum(per_crate(root).values())
+
+
+def main():
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+    counts = per_crate(root)
+    for crate, count in sorted(counts.items()):
         print(f"{crate:10} {count:6}")
-    print(f"{'total':10} {sum(per_crate.values()):6}")
+    print(f"{'total':10} {sum(counts.values()):6}")
 
 
 if __name__ == "__main__":
