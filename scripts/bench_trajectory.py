@@ -76,12 +76,15 @@ def run_once(hbr, phones, relays, area, work):
 
 
 def measure(args):
+    # Each run starts in its own scratch directory, so resolve the
+    # binary's path first.
+    hbr = args.hbr.resolve()
     rows = []
     for phones, relays, area in SHAPES:
         runs = []
         for _ in range(RUNS):
             with tempfile.TemporaryDirectory() as work:
-                runs.append(run_once(args.hbr, phones, relays, area, work))
+                runs.append(run_once(hbr, phones, relays, area, work))
         wall = statistics.median(r[0] for r in runs)
         rows.append({
             "pr": args.pr,
