@@ -51,6 +51,7 @@ use hbr_core::world::{
     ScenarioConfig, ScenarioReport,
 };
 use hbr_sim::fault::FaultPlan;
+use hbr_sim::json;
 use hbr_sim::signal;
 use hbr_sim::snapshot::{
     write_atomic, Snap, SnapshotError, SnapshotReader, SnapshotWriter, CROWD_MAGIC, FORMAT_VERSION,
@@ -954,23 +955,20 @@ fn write_checkpoint(
         Mode::D2dFramework => "d2d",
         Mode::OriginalCellular => "baseline",
     };
-    let manifest = format!(
-        concat!(
-            "{{\"format_version\":{},\"seed\":{},\"phones\":{},\"relays\":{},",
-            "\"hours\":{},\"mode\":\"{}\",\"roam\":{},\"epochs_done\":{},",
-            "\"epochs_total\":{},\"latest\":\"epoch-{}.ckpt\"}}\n"
-        ),
-        FORMAT_VERSION,
-        config.seed,
-        config.phones,
-        config.relays,
-        config.hours,
-        mode,
-        config.roam,
-        epochs_done,
-        EPOCHS,
-        epochs_done,
-    );
+    let mut manifest = String::new();
+    json::object(&mut manifest, |o| {
+        o.field("format_version", FORMAT_VERSION)
+            .field("seed", config.seed)
+            .field("phones", config.phones)
+            .field("relays", config.relays)
+            .field("hours", config.hours)
+            .field("mode", mode)
+            .field("roam", config.roam)
+            .field("epochs_done", epochs_done)
+            .field("epochs_total", EPOCHS)
+            .field("latest", &*format!("epoch-{epochs_done}.ckpt"));
+    });
+    manifest.push('\n');
     write_atomic(&dir.join("MANIFEST.json"), |out| {
         out.write_all(manifest.as_bytes())
     })

@@ -118,12 +118,20 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io:
     Ok(())
 }
 
-/// One paper-vs-measured shape check; prints a ✓/✗ verdict line and
-/// returns whether it held.
-pub fn check(label: &str, held: bool, detail: impl Display) -> bool {
+/// One paper-vs-measured shape check: prints its ✓/✗ verdict line. A
+/// check that failed then ends the process with exit status 1, so an
+/// experiment binary fails when the paper's shape no longer holds.
+pub fn check(label: &str, held: bool, detail: impl Display) {
+    println!("{}", verdict(label, held, detail));
+    if !held {
+        std::process::exit(1);
+    }
+}
+
+/// The line [`check`] prints.
+fn verdict(label: &str, held: bool, detail: impl Display) -> String {
     let mark = if held { "✓" } else { "✗" };
-    println!("  [{mark}] {label}: {detail}");
-    held
+    format!("  [{mark}] {label}: {detail}")
 }
 
 /// Formats a float with fixed precision for table cells.
@@ -148,8 +156,9 @@ mod tests {
 
     #[test]
     fn check_reports_verdict() {
-        assert!(check("always true", true, "ok"));
-        assert!(!check("always false", false, "nope"));
+        check("always true", true, "ok");
+        assert_eq!(verdict("always true", true, "ok"), "  [✓] always true: ok");
+        assert_eq!(verdict("always false", false, 3), "  [✗] always false: 3");
     }
 
     #[test]

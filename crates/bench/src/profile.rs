@@ -28,6 +28,8 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
+use hbr_sim::json::{self, Fixed};
+
 /// One cell advancing to one epoch boundary on some worker thread.
 #[derive(Debug, Clone, Copy)]
 pub struct CellSample {
@@ -240,54 +242,42 @@ impl CrowdProfile {
     /// The machine-readable summary (`BENCH_profile.json`): run shape,
     /// throughput, per-shard stall totals and the slowest steps.
     pub fn to_summary_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"phones\":{},\"cells\":{},\"shards\":{},\"epochs\":{},",
-            self.phones, self.cells, self.shards, self.epochs
-        ));
-        out.push_str(&format!(
-            "\"total_wall_us\":{},\"events_total\":{},\"events_per_sec\":{:.1},",
-            self.total_wall_us,
-            self.events_total(),
-            self.events_per_sec()
-        ));
-        out.push_str(&format!(
-            "\"max_queue_depth\":{},\"stall_fraction\":{:.4},",
-            self.max_queue_depth(),
-            self.stall_fraction()
-        ));
-        out.push_str("\"per_shard\":[");
         let stalls = self.stall_us_by_shard();
         let checkpoints = us_by_lane(&self.checkpoint_samples);
-        let mut first = true;
-        for shard in 0..self.shards {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let cell_us: u64 = self
-                .cell_samples
-                .iter()
-                .filter(|s| s.shard == shard)
-                .map(|s| s.wall_us)
-                .sum();
-            out.push_str(&format!(
-                "{{\"shard\":{shard},\"cell_us\":{cell_us},\"stall_us\":{},\"checkpoint_us\":{}}}",
-                stalls.get(&shard).copied().unwrap_or(0),
-                checkpoints.get(&shard).copied().unwrap_or(0)
-            ));
-        }
-        out.push_str("],\"slowest\":[");
-        for (i, s) in self.slowest_cells(5).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"cell\":{},\"epoch\":{},\"wall_us\":{},\"queue_depth\":{},\"events\":{}}}",
-                s.cell, s.epoch, s.wall_us, s.queue_depth, s.events
-            ));
-        }
-        out.push_str("]}");
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.field("phones", self.phones)
+                .field("cells", self.cells)
+                .field("shards", self.shards)
+                .field("epochs", self.epochs)
+                .field("total_wall_us", self.total_wall_us)
+                .field("events_total", self.events_total())
+                .field("events_per_sec", Fixed(self.events_per_sec(), 1))
+                .field("max_queue_depth", self.max_queue_depth())
+                .field("stall_fraction", Fixed(self.stall_fraction(), 4))
+                .objects("per_shard", 0..self.shards, |o, shard| {
+                    let cell_us: u64 = self
+                        .cell_samples
+                        .iter()
+                        .filter(|s| s.shard == shard)
+                        .map(|s| s.wall_us)
+                        .sum();
+                    o.field("shard", shard)
+                        .field("cell_us", cell_us)
+                        .field("stall_us", stalls.get(&shard).copied().unwrap_or(0))
+                        .field(
+                            "checkpoint_us",
+                            checkpoints.get(&shard).copied().unwrap_or(0),
+                        );
+                })
+                .objects("slowest", self.slowest_cells(5), |o, s| {
+                    o.field("cell", s.cell)
+                        .field("epoch", s.epoch)
+                        .field("wall_us", s.wall_us)
+                        .field("queue_depth", s.queue_depth)
+                        .field("events", s.events);
+                });
+        });
         out
     }
 

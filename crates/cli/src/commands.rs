@@ -12,6 +12,7 @@ use hbr_baseline::{
 use hbr_bench::{RunControls, EPOCHS};
 use hbr_core::experiment::{ControlledExperiment, ExperimentConfig};
 use hbr_core::world::{EpochPulse, Mode, ScenarioReport};
+use hbr_sim::json::{self, Fixed};
 use hbr_sim::signal;
 use hbr_sim::telemetry::{EventRecord, Span};
 
@@ -367,15 +368,13 @@ fn pulse_emitter(dir: PathBuf) -> impl Fn(u64, &EpochPulse) + Sync {
             prom.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
         }
         let _ = std::fs::write(dir.join("metrics.prom"), prom);
-        let mut line = String::from("{");
-        for (i, (name, value)) in gauges.iter().enumerate() {
-            let key = name.trim_start_matches("hbr_serve_");
-            if i > 0 {
-                line.push(',');
+        let mut line = String::new();
+        json::object(&mut line, |o| {
+            for (name, value) in &gauges {
+                o.field(name.trim_start_matches("hbr_serve_"), *value);
             }
-            line.push_str(&format!("\"{key}\":{value}"));
-        }
-        line.push_str("}\n");
+        });
+        line.push('\n');
         if let Ok(mut f) = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -498,28 +497,26 @@ fn write_slo(
     };
     // A run stopped early carries an explicit marker; complete runs
     // keep the historical byte layout so existing cmp gates still hold.
-    let marker = if truncated { ",\"truncated\":true" } else { "" };
-    let json = format!(
-        "{{\"generated\":{},\"delivered\":{},\"duplicates\":{},\"expired\":{},\
-         \"dropped_dead\":{},\"in_flight\":{},\"retries\":{},\"handovers\":{},\
-         \"requeued\":{},\"migrations\":{},\"lte_handovers\":{},\
-         \"delivery_ratio\":{:.6},\"false_dead_seconds\":{:.3}{marker}}}\n",
-        d.generated,
-        d.delivered,
-        report.duplicates,
-        d.expired,
-        d.dropped_dead,
-        d.in_flight,
-        d.retries,
-        d.handovers,
-        d.requeued,
-        report.migrations,
-        report.lte_handovers,
-        d.ratio(),
-        d.false_dead_secs,
-    );
+    let mut slo = String::new();
+    json::object(&mut slo, |o| {
+        o.field("generated", d.generated)
+            .field("delivered", d.delivered)
+            .field("duplicates", report.duplicates)
+            .field("expired", d.expired)
+            .field("dropped_dead", d.dropped_dead)
+            .field("in_flight", d.in_flight)
+            .field("retries", d.retries)
+            .field("handovers", d.handovers)
+            .field("requeued", d.requeued)
+            .field("migrations", report.migrations)
+            .field("lte_handovers", report.lte_handovers)
+            .field("delivery_ratio", Fixed(d.ratio(), 6))
+            .field("false_dead_seconds", Fixed(d.false_dead_secs, 3))
+            .field("truncated", truncated.then_some(true));
+    });
+    slo.push('\n');
     report_write(
-        std::fs::write(path, json).map(|()| format!("slo      : wrote {path}")),
+        std::fs::write(path, slo).map(|()| format!("slo      : wrote {path}")),
         &format!("SLO report to {path}"),
     )
 }

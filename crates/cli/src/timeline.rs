@@ -13,8 +13,9 @@
 
 use std::collections::BTreeMap;
 
+use hbr_sim::json::Json;
 use hbr_sim::spans::SpanRecord;
-use hbr_sim::telemetry::{parse_jsonl_line, JsonScalar};
+use hbr_sim::TelemetryEvent;
 
 /// What slice of the file to explain.
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,14 +33,10 @@ struct Entry {
     t_us: u64,
     run: String,
     kind: String,
-    fields: BTreeMap<String, JsonScalar>,
+    fields: Json,
 }
 
 impl Entry {
-    fn device(&self) -> Option<u64> {
-        self.fields.get("device").and_then(JsonScalar::as_u64)
-    }
-
     /// Every device id this event names, not just its `device` field:
     /// `relay` (match/depart), and `from_relay`/`to_relay` (handover)
     /// are device ids too — and the sharded merge remaps *all* of them
@@ -49,28 +46,19 @@ impl Entry {
     fn participants(&self) -> impl Iterator<Item = u64> + '_ {
         ["device", "relay", "from_relay", "to_relay"]
             .into_iter()
-            .filter_map(|key| self.fields.get(key).and_then(JsonScalar::as_u64))
+            .filter_map(|key| self.fields[key].num())
     }
 
     fn str(&self, key: &str) -> &str {
-        self.fields
-            .get(key)
-            .and_then(JsonScalar::as_str)
-            .unwrap_or("?")
+        self.fields[key].as_str().unwrap_or("?")
     }
 
     fn num(&self, key: &str) -> u64 {
-        self.fields
-            .get(key)
-            .and_then(JsonScalar::as_u64)
-            .unwrap_or(0)
+        self.fields[key].num().unwrap_or(0)
     }
 
     fn float(&self, key: &str) -> f64 {
-        self.fields
-            .get(key)
-            .and_then(JsonScalar::as_f64)
-            .unwrap_or(0.0)
+        self.fields[key].num().unwrap_or(0.0)
     }
 }
 
@@ -109,24 +97,19 @@ pub fn render_with_spans(
     let mut skipped = 0usize;
     let mut entries: Vec<Entry> = Vec::new();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Some(fields) = parse_jsonl_line(line) else {
+        // A line that is not JSON, or has no `t_us` or `event`, is no
+        // event: it is skipped and counted.
+        let Some(fields) = Json::parse(line) else {
             skipped += 1;
             continue;
         };
-        let (Some(t_us), Some(kind)) = (
-            fields.get("t_us").and_then(JsonScalar::as_u64),
-            fields.get("event").and_then(JsonScalar::as_str),
-        ) else {
+        let (Some(t_us), Some(kind)) = (fields["t_us"].num(), fields["event"].as_str()) else {
             skipped += 1;
             continue;
         };
         entries.push(Entry {
             t_us,
-            run: fields
-                .get("run")
-                .and_then(JsonScalar::as_str)
-                .unwrap_or("")
-                .to_string(),
+            run: fields["run"].as_str().unwrap_or("").to_string(),
             kind: kind.to_string(),
             fields,
         });
@@ -239,25 +222,14 @@ fn render_run(out: &mut String, entries: &[Entry], query: TimelineQuery, spans: 
 
     for entry in entries.iter().filter(|e| in_window(e) && for_device(e)) {
         shown += 1;
+        let kind = entry.kind.as_str();
+        let known = TelemetryEvent::KINDS.contains(&kind);
         *kind_counts
-            .entry(match entry.kind.as_str() {
-                "flush" => "flush",
-                "rrc" => "rrc",
-                "match" => "match",
-                "depart" => "depart",
-                "fallback" => "fallback",
-                "fault" => "fault",
-                "energy" => "energy",
-                "pulse" => "pulse",
-                "retry" => "retry",
-                "handover" => "handover",
-                "migrate" => "migrate",
-                _ => "other",
-            })
+            .entry(if known { kind } else { "other" })
             .or_insert(0) += 1;
 
         let t = secs(entry.t_us);
-        let line = match entry.kind.as_str() {
+        let line = match kind {
             "flush" => {
                 let reason = entry.str("reason");
                 *flush_reasons.entry(reason.to_string()).or_insert(0) += 1;
@@ -304,10 +276,8 @@ fn render_run(out: &mut String, entries: &[Entry], query: TimelineQuery, spans: 
                 // The heartbeat's own span is ground truth when it was
                 // recorded; the nearest plausible fault is only the
                 // guess for span-less streams.
-                let exact = entry
-                    .fields
-                    .get("span")
-                    .and_then(JsonScalar::as_u64)
+                let exact = entry.fields["span"]
+                    .num()
                     .and_then(|span_id| span_cause_chain(spans, entry, span_id));
                 if let Some(chain) = exact {
                     line.push_str(&chain);
@@ -328,7 +298,7 @@ fn render_run(out: &mut String, entries: &[Entry], query: TimelineQuery, spans: 
                     entry.str("kind"),
                     entry.num("index"),
                 );
-                if let Some(d) = entry.device() {
+                if let Some(d) = entry.fields["device"].num::<u64>() {
                     line.push_str(&format!(" on device {d}"));
                 }
                 line
@@ -353,7 +323,7 @@ fn render_run(out: &mut String, entries: &[Entry], query: TimelineQuery, spans: 
                 );
                 // Roaming pulses carry two extra keys; pinned-home
                 // pulses omit them entirely.
-                if let Some(m) = entry.fields.get("migrations").and_then(JsonScalar::as_u64) {
+                if let Some(m) = entry.fields["migrations"].num::<u64>() {
                     line.push_str(&format!(", {m} migration(s)"));
                 }
                 line
@@ -647,6 +617,25 @@ mod tests {
             "missing causal annotation in:\n{out}"
         );
         assert!(out.contains("retry ×1") && out.contains("handover ×1"));
+    }
+
+    /// Nested values parse now, so whether a line is an event is decided
+    /// here: JSON without a numeric `t_us` or a string `event` is skipped
+    /// and counted, and an event carrying a nested value still renders.
+    #[test]
+    fn lines_without_t_us_or_event_are_skipped_and_counted() {
+        let text = format!(
+            "{{\"deep\":{{\"no\":1}}}}\n{{\"t_us\":1}}\n{{\"event\":\"flush\"}}\n[1]\n\
+             {{\"t_us\":\"5\",\"event\":\"flush\"}}\n{SAMPLE}"
+        );
+        let out = render(&text, q(None, None)).unwrap();
+        assert!(out.contains("skipped 5 unparseable line(s)"), "{out}");
+        assert!(out.contains("6 event(s)"), "{out}");
+        let nested =
+            "{\"t_us\":5000000,\"event\":\"match\",\"device\":7,\"relay\":0,\"x\":{\"y\":[1]}}";
+        let out = render(nested, q(None, None)).unwrap();
+        assert!(out.contains("device 7 matched relay 0"), "{out}");
+        assert!(render("{\"deep\":{\"no\":1}}", q(None, None)).is_err());
     }
 
     #[test]

@@ -1926,10 +1926,7 @@ impl Scenario {
                     },
                 ))
             })
-            .filter(|(period, _)| {
-                !self.config.framework.delegation_slack_check
-                    || slack >= *period + Self::DELEGATION_CUSHION
-            })
+            .filter(|&(period, _)| self.delegation_allowed(slack, period))
             .map(|(_, advert)| advert)
             .collect();
 

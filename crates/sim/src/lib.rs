@@ -42,6 +42,7 @@
 pub mod engine;
 pub mod fault;
 pub mod ids;
+pub mod json;
 pub mod rng;
 pub mod signal;
 pub mod snapshot;

@@ -190,12 +190,6 @@ impl SnapshotWriter {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    /// Writes raw bytes with a length prefix.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_usize(b.len());
-        self.buf.extend_from_slice(b);
-    }
 }
 
 /// Cursor over snapshot bytes; every read is checked and returns a

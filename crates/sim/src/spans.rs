@@ -18,11 +18,11 @@
 //! this artifact.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
+use crate::json::{self, Json};
 use crate::snap_struct;
 use crate::snapshot::SnapshotError;
-use crate::telemetry::{merge_sorted_runs, push_json_string};
+use crate::telemetry::merge_sorted_runs;
 
 /// One lifecycle annotation inside a span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,42 +78,23 @@ impl Span {
     /// without a temporary `String`; `Some(run)` opens it with a `"run"`
     /// key, like [`crate::telemetry::EventRecord::write_jsonl`].
     pub fn write_jsonl(&self, run: Option<&str>, out: &mut String) {
-        out.push('{');
-        if let Some(run) = run {
-            out.push_str("\"run\":");
-            push_json_string(out, run);
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"id\":{},\"device\":{},\"start_us\":{}",
-            self.id, self.device, self.start_us
-        );
-        if let Some(end) = self.end_us {
-            let latency = end.saturating_sub(self.start_us);
-            let _ = write!(out, ",\"end_us\":{end},\"latency_us\":{latency}");
-        }
-        if let Some(outcome) = self.outcome {
-            let _ = write!(out, ",\"outcome\":\"{outcome}\"");
-        }
-        let _ = write!(out, ",\"retries\":{},\"events\":[", self.retries);
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"t_us\":{},\"kind\":\"{}\"", ev.t_us, ev.kind);
-            if let Some(cause) = ev.cause {
-                let _ = write!(out, ",\"cause\":\"{cause}\"");
-            }
-            if let Some(attempt) = ev.attempt {
-                let _ = write!(out, ",\"attempt\":{attempt}");
-            }
-            if let Some(relay) = ev.relay {
-                let _ = write!(out, ",\"relay\":{relay}");
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
+        json::object(out, |o| {
+            o.field("run", run)
+                .field("id", self.id)
+                .field("device", self.device)
+                .field("start_us", self.start_us)
+                .field("end_us", self.end_us)
+                .field("latency_us", self.latency_us())
+                .field("outcome", self.outcome)
+                .field("retries", self.retries)
+                .objects("events", &self.events, |o, ev| {
+                    o.field("t_us", ev.t_us)
+                        .field("kind", ev.kind)
+                        .field("cause", ev.cause)
+                        .field("attempt", ev.attempt)
+                        .field("relay", ev.relay);
+                });
+        });
     }
 
     /// The artifact order's key: a total order over spans, since device
@@ -150,83 +131,34 @@ pub struct SpanEventRecord {
     pub relay: Option<u32>,
 }
 
-fn parse_scalar_fields(text: &str, mut visit: impl FnMut(&str, &str)) {
-    // Flat `"key":value` scanner for the subset this module emits:
-    // unsigned integers and simple (escape-free) strings.
-    let mut rest = text;
-    while let Some(start) = rest.find('"') {
-        let after_key = &rest[start + 1..];
-        let Some(key_end) = after_key.find('"') else {
-            return;
-        };
-        let key = &after_key[..key_end];
-        let after = &after_key[key_end + 1..];
-        let Some(stripped) = after.strip_prefix(':') else {
-            rest = after;
-            continue;
-        };
-        let value_end = if let Some(inner) = stripped.strip_prefix('"') {
-            match inner.find('"') {
-                Some(e) => e + 2,
-                None => return,
-            }
-        } else {
-            stripped.find([',', '}', ']']).unwrap_or(stripped.len())
-        };
-        visit(key, stripped[..value_end].trim_matches('"'));
-        rest = &stripped[value_end..];
-    }
-}
-
 impl SpanRecord {
-    /// Parses one line produced by [`Span::to_jsonl`] (optionally
-    /// wrapped with a leading `"run":"..."` label by the CLI writer).
-    /// Returns `None` for lines that are not span records.
+    /// Reads one line produced by [`Span::write_jsonl`], with or without
+    /// its run label, through [`Json::parse`]. Returns `None` for lines
+    /// that are not span records (no `id`).
     pub fn from_jsonl(line: &str) -> Option<Self> {
-        let line = line.trim();
-        let body = line.strip_prefix('{')?.strip_suffix('}')?;
-        let (head, events) = match body.split_once("\"events\":[") {
-            Some((head, tail)) => (head, tail.strip_suffix(']')?),
-            None => (body, ""),
-        };
-        let mut record = SpanRecord::default();
-        let mut saw_id = false;
-        parse_scalar_fields(head, |key, value| match key {
-            "id" => {
-                if let Ok(v) = value.parse() {
-                    record.id = v;
-                    saw_id = true;
-                }
-            }
-            "device" => record.device = value.parse().unwrap_or_default(),
-            "start_us" => record.start_us = value.parse().unwrap_or_default(),
-            "end_us" => record.end_us = value.parse().ok(),
-            "latency_us" => record.latency_us = value.parse().ok(),
-            "outcome" => record.outcome = value.to_string(),
-            "retries" => record.retries = value.parse().unwrap_or_default(),
-            "run" => record.run = value.to_string(),
-            _ => {}
-        });
-        if !saw_id {
-            return None;
-        }
-        for chunk in events.split("},{") {
-            let chunk = chunk.trim_start_matches('{').trim_end_matches('}');
-            if chunk.is_empty() {
-                continue;
-            }
-            let mut ev = SpanEventRecord::default();
-            parse_scalar_fields(chunk, |key, value| match key {
-                "t_us" => ev.t_us = value.parse().unwrap_or_default(),
-                "kind" => ev.kind = value.to_string(),
-                "cause" => ev.cause = Some(value.to_string()),
-                "attempt" => ev.attempt = value.parse().ok(),
-                "relay" => ev.relay = value.parse().ok(),
-                _ => {}
-            });
-            record.events.push(ev);
-        }
-        Some(record)
+        let tree = Json::parse(line)?;
+        let text = |value: &Json| value.as_str().unwrap_or("").to_string();
+        let events = tree["events"].as_array().unwrap_or(&[]);
+        Some(SpanRecord {
+            id: tree["id"].num()?,
+            device: tree["device"].num().unwrap_or_default(),
+            start_us: tree["start_us"].num().unwrap_or_default(),
+            end_us: tree["end_us"].num(),
+            latency_us: tree["latency_us"].num(),
+            outcome: text(&tree["outcome"]),
+            retries: tree["retries"].num().unwrap_or_default(),
+            events: events
+                .iter()
+                .map(|ev| SpanEventRecord {
+                    t_us: ev["t_us"].num().unwrap_or_default(),
+                    kind: text(&ev["kind"]),
+                    cause: ev["cause"].as_str().map(str::to_string),
+                    attempt: ev["attempt"].num(),
+                    relay: ev["relay"].num(),
+                })
+                .collect(),
+            run: text(&tree["run"]),
+        })
     }
 }
 
@@ -439,6 +371,7 @@ fn check_open_slots(rec: &SpanRecorder) -> Result<(), SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::rewritten;
     use crate::snapshot::{Snap, SnapshotReader, SnapshotWriter};
 
     #[test]
@@ -589,6 +522,56 @@ mod tests {
             bare.to_jsonl(),
             r#"{"id":3,"device":0,"start_us":0,"end_us":0,"latency_us":0,"outcome":"expired","retries":0,"events":[]}"#
         );
+    }
+
+    /// A span with every optional field, one with none, and a run label
+    /// that needs escaping read back through [`Json::parse`] into the
+    /// same values, and write back out byte for byte.
+    #[test]
+    fn span_lines_round_trip_through_the_reader() {
+        let full = Span {
+            id: 1 << 40 | 7,
+            device: 3,
+            start_us: 100,
+            end_us: Some(2_100),
+            outcome: Some("accepted"),
+            retries: 1,
+            events: vec![SpanEvent {
+                t_us: 160,
+                kind: "retry",
+                cause: Some("transfer-failed"),
+                attempt: Some(1),
+                relay: Some(9),
+            }],
+        };
+        let bare = Span {
+            end_us: None,
+            outcome: None,
+            events: vec![SpanEvent {
+                cause: None,
+                attempt: None,
+                relay: None,
+                ..full.events[0].clone()
+            }],
+            ..full.clone()
+        };
+        for span in [full, bare] {
+            for run in [None, Some("d2d \"µ\"\\\t")] {
+                let mut line = String::new();
+                span.write_jsonl(run, &mut line);
+                assert_eq!(rewritten(&line), line);
+                let record = SpanRecord::from_jsonl(&line).expect("parses");
+                assert_eq!(record.run, run.unwrap_or(""));
+                assert_eq!((record.id, record.device), (span.id, span.device));
+                assert_eq!(record.end_us, span.end_us);
+                assert_eq!(record.latency_us, span.latency_us());
+                assert_eq!(record.outcome, span.outcome.unwrap_or(""));
+                let (got, want) = (&record.events[0], &span.events[0]);
+                assert_eq!((got.t_us, got.kind.as_str()), (want.t_us, want.kind));
+                assert_eq!(got.cause.as_deref(), want.cause);
+                assert_eq!((got.attempt, got.relay), (want.attempt, want.relay));
+            }
+        }
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //! Exported artifacts may contain **no wall-clock values**: every time
 //! is a [`SimTime`], every count an integer, every float derived from
 //! simulated quantities. Map iteration uses `BTreeMap`, merges happen
-//! in caller-defined (input) order, and float formatting uses Rust's
-//! shortest-roundtrip `{}` — so two runs of the same scenario produce
-//! byte-identical files, regardless of machine or thread count.
+//! in caller-defined (input) order, and floats follow the float rule of
+//! [`crate::json`] (Rust's shortest-roundtrip `{}`) — so two runs of the
+//! same scenario produce byte-identical files, regardless of machine or
+//! thread count. Every JSON artifact here is written through
+//! [`crate::json`]'s field writer.
 //!
 //! # Examples
 //!
@@ -47,6 +49,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{self, Fields, Float};
 use crate::snapshot::{intern_bounds, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::SimTime;
 use crate::{snap_enum, snap_struct};
@@ -391,42 +394,29 @@ impl MetricsSnapshot {
     /// Renders the snapshot as one JSON object:
     /// `{"counters":{...},"gauges":{...},"histograms":{name:{"bounds":[..],"counts":[..],"count":n,"sum":x}}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, n)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(name), n);
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(name), json_f64(*v));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{{\"bounds\":[", json_string(name));
-            for (j, b) in h.bounds.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.object("counters", |o| {
+                for (name, n) in &self.counters {
+                    o.field(name, *n);
                 }
-                out.push_str(&json_f64(*b));
-            }
-            out.push_str("],\"counts\":[");
-            for (j, c) in h.counts.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            })
+            .object("gauges", |o| {
+                for (name, v) in &self.gauges {
+                    o.field(name, *v);
                 }
-                let _ = write!(out, "{c}");
-            }
-            let _ = write!(out, "],\"count\":{},\"sum\":{}}}", h.count, json_f64(h.sum));
-        }
-        out.push_str("}}");
+            })
+            .object("histograms", |o| {
+                for (name, h) in &self.histograms {
+                    o.object(name, |o| {
+                        o.field("bounds", h.bounds)
+                            .field("counts", h.counts())
+                            .field("count", h.count)
+                            .field("sum", h.sum);
+                    });
+                }
+            });
+        });
         out
     }
 
@@ -449,7 +439,7 @@ impl MetricsSnapshot {
         for (name, v) in &self.gauges {
             let (base, _) = split_labels(name);
             family_header(&mut out, &mut family, base, "gauge");
-            let _ = writeln!(out, "{name} {}", json_f64(*v));
+            let _ = writeln!(out, "{name} {}", Float(*v));
         }
         family = None;
         for (name, h) in &self.histograms {
@@ -458,7 +448,7 @@ impl MetricsSnapshot {
             let mut cumulative = 0u64;
             for (bound, count) in h.bounds.iter().zip(&h.counts) {
                 cumulative += count;
-                let le = json_f64(*bound);
+                let le = Float(*bound);
                 let _ = writeln!(
                     out,
                     "{base}_bucket{{{}le=\"{le}\"}} {cumulative}",
@@ -477,7 +467,7 @@ impl MetricsSnapshot {
                 format!("{{{labels}}}")
             };
             let _ = writeln!(out, "{base}_count{suffix} {}", h.count);
-            let _ = writeln!(out, "{base}_sum{suffix} {}", json_f64(h.sum));
+            let _ = writeln!(out, "{base}_sum{suffix} {}", Float(h.sum));
         }
         out
     }
@@ -516,50 +506,6 @@ fn prefix_labels(labels: &str) -> String {
     } else {
         format!("{labels},")
     }
-}
-
-/// Formats a float for JSON: Rust's shortest-roundtrip `{}` notation is
-/// deterministic across platforms, with integral values kept integral
-/// (`3` not `3.0` would be ambiguous with counters, so keep the `.0`).
-pub fn json_f64(v: f64) -> String {
-    let mut out = String::new();
-    push_json_f64(&mut out, v);
-    out
-}
-
-/// Appends [`json_f64`]`(v)` to `out` without a temporary `String`.
-pub fn push_json_f64(out: &mut String, v: f64) {
-    let _ = if v == v.trunc() && v.abs() < 1e15 {
-        write!(out, "{v:.1}")
-    } else {
-        write!(out, "{v}")
-    };
-}
-
-/// JSON-escapes and quotes a string.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_json_string(&mut out, s);
-    out
-}
-
-/// Appends [`json_string`]`(s)` to `out` without a temporary `String`.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One typed telemetry event. Every variant carries enough context to
@@ -704,41 +650,65 @@ pub enum TelemetryEvent {
     },
 }
 
+/// `TelemetryEvent`'s wire format, listed once: each variant's snapshot
+/// tag, its JSONL `event` label and its fields in wire order. The
+/// snapshot ([`snap_enum!`](crate::snap_enum)), [`TelemetryEvent::kind`]
+/// and the JSONL line are all generated from the one list, so a field
+/// sits in the same place in both formats; an absent optional field is
+/// left out of the line.
+macro_rules! event_wire {
+    ($($tag:literal => $variant:ident $label:literal { $($field:ident),+ $(,)? }),+ $(,)?) => {
+        snap_enum!(TelemetryEvent "telemetry event" { $($tag => $variant { $($field),+ }),+ });
+
+        impl TelemetryEvent {
+            /// Every variant's `event` label, in tag order.
+            pub const KINDS: &'static [&'static str] = &[$($label),+];
+
+            /// The event's kind tag, as serialized in the `event` field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TelemetryEvent::$variant { .. } => $label,)+
+                }
+            }
+
+            /// Writes the variant's fields, in wire order.
+            fn write_fields(&self, o: &mut Fields<'_>) {
+                match self {
+                    $(TelemetryEvent::$variant { $($field),+ } => {
+                        $(o.field(stringify!($field), *$field);)+
+                    })+
+                }
+            }
+        }
+    };
+}
+
+event_wire! {
+    0 => Flush "flush" { device, reason, buffered, own, bytes },
+    1 => RrcTransition "rrc" { device, from, to, dwell_secs },
+    2 => RelayMatch "match" { device, relay },
+    3 => RelayDepart "depart" { device, relay },
+    4 => Fallback "fallback" { device, cause, span },
+    5 => Retry "retry" { device, cause, attempt },
+    6 => Handover "handover" { device, from_relay, to_relay },
+    7 => FaultInjected "fault" { index, kind, device },
+    8 => EnergyPhase "energy" { device, group, uah },
+    9 => Migrate "migrate" { device, from_cell, to_cell },
+    10 => FleetPulse "pulse" {
+        epoch,
+        cells,
+        forwards,
+        fallbacks,
+        outage_queued,
+        l3,
+        delivered,
+        retries,
+        migrations,
+        lte_handovers,
+    },
+}
+
 impl TelemetryEvent {
-    /// The event's kind tag, as serialized in the `event` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TelemetryEvent::Flush { .. } => "flush",
-            TelemetryEvent::RrcTransition { .. } => "rrc",
-            TelemetryEvent::RelayMatch { .. } => "match",
-            TelemetryEvent::RelayDepart { .. } => "depart",
-            TelemetryEvent::Fallback { .. } => "fallback",
-            TelemetryEvent::Retry { .. } => "retry",
-            TelemetryEvent::Handover { .. } => "handover",
-            TelemetryEvent::FaultInjected { .. } => "fault",
-            TelemetryEvent::EnergyPhase { .. } => "energy",
-            TelemetryEvent::Migrate { .. } => "migrate",
-            TelemetryEvent::FleetPulse { .. } => "pulse",
-        }
-    }
-
-    /// The device the event concerns, if device-scoped.
-    pub fn device(&self) -> Option<u32> {
-        match self {
-            TelemetryEvent::Flush { device, .. }
-            | TelemetryEvent::RrcTransition { device, .. }
-            | TelemetryEvent::RelayMatch { device, .. }
-            | TelemetryEvent::RelayDepart { device, .. }
-            | TelemetryEvent::Fallback { device, .. }
-            | TelemetryEvent::Retry { device, .. }
-            | TelemetryEvent::Handover { device, .. }
-            | TelemetryEvent::EnergyPhase { device, .. }
-            | TelemetryEvent::Migrate { device, .. } => Some(*device),
-            TelemetryEvent::FaultInjected { device, .. } => *device,
-            TelemetryEvent::FleetPulse { .. } => None,
-        }
-    }
-
     /// Rewrites every device index the event carries through `map` —
     /// how the sharded crowd engine translates a cell's local indices
     /// back to fleet-global ones before merging per-cell event streams.
@@ -796,131 +766,17 @@ impl EventRecord {
     /// Appends [`EventRecord::to_jsonl`]'s line to `out` (no trailing
     /// newline) without a temporary `String`. With `Some(run)` the line
     /// opens with a `"run"` key, which keeps the `both`-mode streams of
-    /// one file apart and stays parseable by [`parse_jsonl_line`].
+    /// one file apart.
     pub fn write_jsonl(&self, run: Option<&str>, out: &mut String) {
-        out.push('{');
-        if let Some(run) = run {
-            out.push_str("\"run\":");
-            push_json_string(out, run);
-            out.push(',');
-        }
-        let t_us = self.time.saturating_since(SimTime::ZERO).as_micros();
-        let _ = write!(out, "\"t_us\":{t_us},\"event\":");
-        push_json_string(out, self.event.kind());
-        match &self.event {
-            TelemetryEvent::Flush {
-                device,
-                reason,
-                buffered,
-                own,
-                bytes,
-            } => {
-                let _ = write!(out, ",\"device\":{device},\"reason\":");
-                push_json_string(out, reason);
-                let _ = write!(
-                    out,
-                    ",\"buffered\":{buffered},\"own\":{own},\"bytes\":{bytes}"
-                );
-            }
-            TelemetryEvent::RrcTransition {
-                device,
-                from,
-                to,
-                dwell_secs,
-            } => {
-                let _ = write!(out, ",\"device\":{device},\"from\":");
-                push_json_string(out, from);
-                out.push_str(",\"to\":");
-                push_json_string(out, to);
-                out.push_str(",\"dwell_secs\":");
-                push_json_f64(out, *dwell_secs);
-            }
-            TelemetryEvent::RelayMatch { device, relay }
-            | TelemetryEvent::RelayDepart { device, relay } => {
-                let _ = write!(out, ",\"device\":{device},\"relay\":{relay}");
-            }
-            TelemetryEvent::Fallback {
-                device,
-                cause,
-                span,
-            } => {
-                let _ = write!(out, ",\"device\":{device},\"cause\":");
-                push_json_string(out, cause);
-                if let Some(span) = span {
-                    let _ = write!(out, ",\"span\":{span}");
-                }
-            }
-            TelemetryEvent::Retry {
-                device,
-                cause,
-                attempt,
-            } => {
-                let _ = write!(out, ",\"device\":{device},\"cause\":");
-                push_json_string(out, cause);
-                let _ = write!(out, ",\"attempt\":{attempt}");
-            }
-            TelemetryEvent::Handover {
-                device,
-                from_relay,
-                to_relay,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"device\":{device},\"from_relay\":{from_relay},\"to_relay\":{to_relay}"
-                );
-            }
-            TelemetryEvent::FaultInjected {
-                index,
-                kind,
-                device,
-            } => {
-                let _ = write!(out, ",\"index\":{index},\"kind\":");
-                push_json_string(out, kind);
-                if let Some(d) = device {
-                    let _ = write!(out, ",\"device\":{d}");
-                }
-            }
-            TelemetryEvent::EnergyPhase { device, group, uah } => {
-                let _ = write!(out, ",\"device\":{device},\"group\":");
-                push_json_string(out, group);
-                out.push_str(",\"uah\":");
-                push_json_f64(out, *uah);
-            }
-            TelemetryEvent::Migrate {
-                device,
-                from_cell,
-                to_cell,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"device\":{device},\"from_cell\":{from_cell},\"to_cell\":{to_cell}"
-                );
-            }
-            TelemetryEvent::FleetPulse {
-                epoch,
-                cells,
-                forwards,
-                fallbacks,
-                outage_queued,
-                l3,
-                delivered,
-                retries,
-                migrations,
-                lte_handovers,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"epoch\":{epoch},\"cells\":{cells},\"forwards\":{forwards},\"fallbacks\":{fallbacks},\"outage_queued\":{outage_queued},\"l3\":{l3},\"delivered\":{delivered},\"retries\":{retries}"
-                );
-                if let Some(m) = migrations {
-                    let _ = write!(out, ",\"migrations\":{m}");
-                }
-                if let Some(h) = lte_handovers {
-                    let _ = write!(out, ",\"lte_handovers\":{h}");
-                }
-            }
-        }
-        out.push('}');
+        json::object(out, |o| {
+            o.field("run", run)
+                .field(
+                    "t_us",
+                    self.time.saturating_since(SimTime::ZERO).as_micros(),
+                )
+                .field("event", self.event.kind());
+            self.event.write_fields(o);
+        });
     }
 }
 
@@ -1144,31 +1000,6 @@ fn write_implied_metrics(m: &mut MetricsRegistry, event: &TelemetryEvent) {
     }
 }
 
-snap_enum!(TelemetryEvent "telemetry event" {
-    0 => Flush { device, reason, buffered, own, bytes },
-    1 => RrcTransition { device, from, to, dwell_secs },
-    2 => RelayMatch { device, relay },
-    3 => RelayDepart { device, relay },
-    4 => Fallback { device, cause, span },
-    5 => Retry { device, cause, attempt },
-    6 => Handover { device, from_relay, to_relay },
-    7 => FaultInjected { index, kind, device },
-    8 => EnergyPhase { device, group, uah },
-    9 => Migrate { device, from_cell, to_cell },
-    10 => FleetPulse {
-        epoch,
-        cells,
-        forwards,
-        fallbacks,
-        outage_queued,
-        l3,
-        delivered,
-        retries,
-        migrations,
-        lte_handovers,
-    },
-});
-
 snap_struct!(EventRecord { time, event });
 
 impl Snap for EventLog {
@@ -1206,159 +1037,11 @@ impl Snap for EventLog {
 
 snap_struct!(Telemetry { metrics, events });
 
-/// A scalar parsed back out of a JSONL event line.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonScalar {
-    /// A quoted string (unescaped).
-    Str(String),
-    /// A number, kept as its raw token for lossless integer reads.
-    Num(String),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl JsonScalar {
-    /// The value as a string slice, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an unsigned integer, if it parses as one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonScalar::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a float, if it parses as one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonScalar::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object line (as produced by
-/// [`EventRecord::to_jsonl`]) into a field map. Returns [`None`] on
-/// malformed input or non-scalar values — the timeline reader skips
-/// such lines rather than guessing.
-pub fn parse_jsonl_line(line: &str) -> Option<BTreeMap<String, JsonScalar>> {
-    let line = line.trim();
-    let body = line.strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = BTreeMap::new();
-    let mut chars = body.char_indices().peekable();
-    loop {
-        // Skip whitespace and a separating comma.
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        let Some(&(start, c)) = chars.peek() else {
-            break;
-        };
-        if c != '"' {
-            return None;
-        }
-        let key_end = scan_string(body, start)?;
-        let key = unescape(&body[start + 1..key_end])?;
-        // Advance past the key and the colon.
-        while matches!(chars.peek(), Some((i, _)) if *i <= key_end) {
-            chars.next();
-        }
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-        match chars.next() {
-            Some((_, ':')) => {}
-            _ => return None,
-        }
-        while matches!(chars.peek(), Some((_, c)) if c.is_whitespace()) {
-            chars.next();
-        }
-        let (vstart, vc) = *chars.peek()?;
-        let value = if vc == '"' {
-            let vend = scan_string(body, vstart)?;
-            while matches!(chars.peek(), Some((i, _)) if *i <= vend) {
-                chars.next();
-            }
-            JsonScalar::Str(unescape(&body[vstart + 1..vend])?)
-        } else {
-            let mut vend = body.len();
-            for (i, c) in body[vstart..].char_indices() {
-                if c == ',' {
-                    vend = vstart + i;
-                    break;
-                }
-            }
-            while matches!(chars.peek(), Some((i, _)) if *i < vend) {
-                chars.next();
-            }
-            let raw = body[vstart..vend].trim();
-            match raw {
-                "true" => JsonScalar::Bool(true),
-                "false" => JsonScalar::Bool(false),
-                "null" => JsonScalar::Null,
-                num if num.parse::<f64>().is_ok() => JsonScalar::Num(num.to_string()),
-                _ => return None,
-            }
-        };
-        fields.insert(key, value);
-    }
-    Some(fields)
-}
-
-/// Finds the closing quote of the string starting at `open` (which must
-/// index a `"`), honouring backslash escapes. Returns the index of the
-/// closing quote.
-fn scan_string(s: &str, open: usize) -> Option<usize> {
-    let bytes = s.as_bytes();
-    let mut i = open + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(i),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// Undoes [`json_string`]'s escaping.
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            't' => out.push('\t'),
-            '/' => out.push('/'),
-            'u' => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::rewritten;
+    use crate::json::Json;
 
     #[test]
     fn histogram_buckets_are_inclusive_upper_bounds() {
@@ -1498,16 +1181,19 @@ mod tests {
             },
         };
         let line = record.to_jsonl();
-        let fields = parse_jsonl_line(&line).expect("line parses");
-        assert_eq!(fields["t_us"].as_u64(), Some(812_500_000));
-        assert_eq!(fields["event"].as_str(), Some("flush"));
-        assert_eq!(fields["device"].as_u64(), Some(7));
-        assert_eq!(fields["reason"].as_str(), Some("capacity"));
-        assert_eq!(fields["buffered"].as_u64(), Some(8));
+        let tree = Json::parse(&line).expect("line parses");
+        assert_eq!(tree["t_us"].num(), Some(812_500_000u64));
+        assert_eq!(tree["event"].as_str(), Some("flush"));
+        assert_eq!(tree["device"].num(), Some(7u32));
+        assert_eq!(tree["reason"].as_str(), Some("capacity"));
+        assert_eq!(tree["buffered"].num(), Some(8usize));
     }
 
+    /// Every variant's line, bare and behind a run label that needs
+    /// escaping, reads back through [`Json::parse`] with its `event`
+    /// label and writes back out byte for byte.
     #[test]
-    fn every_event_kind_serializes_and_parses() {
+    fn every_event_kind_round_trips_through_the_reader() {
         let events = [
             TelemetryEvent::Flush {
                 device: 0,
@@ -1575,18 +1261,23 @@ mod tests {
         ];
         for event in events {
             let kind = event.kind();
-            let line = EventRecord {
+            let record = EventRecord {
                 time: SimTime::from_secs(1),
                 event,
+            };
+            for run in [None, Some("d2d \"µ\"\\\n")] {
+                let mut line = String::new();
+                record.write_jsonl(run, &mut line);
+                let tree = Json::parse(&line).unwrap_or_else(|| panic!("parse {line}"));
+                assert_eq!(tree["event"].as_str(), Some(kind));
+                assert_eq!(tree["run"].as_str(), run);
+                assert_eq!(rewritten(&line), line);
             }
-            .to_jsonl();
-            let fields = parse_jsonl_line(&line).unwrap_or_else(|| panic!("parse {line}"));
-            assert_eq!(fields["event"].as_str(), Some(kind), "{line}");
         }
     }
 
     /// The exact line of every variant, each optional field both present
-    /// and absent, and a float in each `json_f64` form.
+    /// and absent, and a float in each form of the float rule.
     #[test]
     fn every_event_line_is_pinned() {
         let pulse = |migrations, lte_handovers| TelemetryEvent::FleetPulse {
@@ -1753,8 +1444,8 @@ mod tests {
         }
         assert!(telemetry.metrics.snapshot().is_empty(), "metrics stay off");
         let log = &telemetry.events;
-        let devices: Vec<_> = log.trace().iter().map(|r| r.event.device()).collect();
-        assert_eq!(devices, [Some(7), Some(8), Some(9)]);
+        let times: Vec<_> = log.trace().iter().map(|r| r.time).collect();
+        assert_eq!(times, [7, 8, 9].map(SimTime::from_secs));
         assert_eq!(log.records(), log.trace());
         assert_eq!(log.trace_dropped(), 7);
         assert_eq!(log.clone().into_records(), log.trace());
@@ -1849,36 +1540,6 @@ mod tests {
         );
         assert_eq!(m.counter("hbr_fleet_epochs_total"), 1);
         assert_eq!(telemetry.events.records().len(), 6);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse_jsonl_line("not json").is_none());
-        assert!(parse_jsonl_line("{\"unterminated\":\"").is_none());
-        assert!(parse_jsonl_line("{\"deep\":{\"no\":1}}").is_none());
-        assert!(parse_jsonl_line("{}")
-            .map(|m| m.is_empty())
-            .unwrap_or(false));
-    }
-
-    #[test]
-    fn parse_handles_escapes_and_scalars() {
-        let fields =
-            parse_jsonl_line("{\"s\":\"a\\\"b\\n\",\"n\":-1.5,\"b\":true,\"z\":null}").unwrap();
-        assert_eq!(fields["s"].as_str(), Some("a\"b\n"));
-        assert_eq!(fields["n"].as_f64(), Some(-1.5));
-        assert_eq!(fields["b"], JsonScalar::Bool(true));
-        assert_eq!(fields["z"], JsonScalar::Null);
-    }
-
-    #[test]
-    fn json_f64_keeps_integral_values_marked() {
-        assert_eq!(json_f64(3.0), "3.0");
-        assert_eq!(json_f64(3.25), "3.25");
-        assert_eq!(json_f64(0.1), "0.1");
-        assert_eq!(json_f64(-2.0), "-2.0");
-        assert_eq!(json_f64(1.5e15), "1500000000000000");
-        assert_eq!(json_string("a\"b\\c\n\u{1}"), "\"a\\\"b\\\\c\\n\\u0001\"");
     }
 
     #[test]
