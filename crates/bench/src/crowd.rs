@@ -1077,3 +1077,73 @@ pub fn resume_crowd(
     };
     Ok(run_crowd_inner(&config, controls, Some(resume)))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hbr_core::world::ChaosMutation;
+    use std::time::{Duration, Instant};
+
+    /// The dense two-shard hour the checker first tripped on: 1 600
+    /// phones on 200 m, four cells, two per worker.
+    fn dense_hour() -> CrowdConfig {
+        CrowdConfig {
+            phones: 1600,
+            relays: 160,
+            hours: 1,
+            area_side_m: 200.0,
+            seed: 7,
+            push_mins: 0,
+            mode: Mode::D2dFramework,
+            faults: FaultPlan::new(),
+            trace_capacity: 0,
+            telemetry: false,
+            reliable: true,
+            spans: false,
+            shards: Some(2),
+            roam: false,
+        }
+    }
+
+    /// One panicking cell must end the run with its panic, not leave the
+    /// other worker waiting for it forever. Cell 3 runs a scheduler that
+    /// ignores its capacity flush under the checker, so it panics in the
+    /// first epoch while cells 0–2 (checker off) run clean.
+    #[test]
+    fn a_panicking_cell_ends_the_run_instead_of_hanging_it() {
+        let config = dense_hour();
+        let duration = SimDuration::from_secs(config.hours * 3600);
+        let cells: Vec<Cell> = cell_setups(&config, duration)
+            .into_iter()
+            .enumerate()
+            .map(|(index, (mut cell_config, global_ids))| {
+                let broken = index == 3;
+                cell_config.check_invariants = Some(broken);
+                cell_config.mutation = broken.then_some(ChaosMutation::IgnoreCapacityFlush);
+                Cell {
+                    scenario: Some(Scenario::new(cell_config)),
+                    report: None,
+                    global_ids,
+                }
+            })
+            .collect();
+        assert_eq!(cells.len(), 4, "the 200 m area is a 2×2 grid");
+        let resume = ResumeState {
+            epochs_done: 0,
+            cells,
+            fleet: Telemetry::new(false, 0),
+        };
+        let run = thread::spawn(move || {
+            run_crowd_inner(&config, &RunControls::default(), Some(resume));
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !run.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "the run still hangs 60 s after cell 3 panicked"
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
+        assert!(run.join().is_err(), "cell 3's panic must reach the caller");
+    }
+}
