@@ -16,15 +16,18 @@
 //! - its own telemetry registry and event log,
 //! - its own slice of the deployment field (only its devices).
 //!
-//! Shards are *worker threads over cells*: `--shards S` spreads the
-//! cells across `S` threads that advance in lockstep through a fixed
-//! number of epoch barriers. At each barrier every cell publishes an
-//! [`EpochPulse`] (its cross-shard "message"); one thread folds the
-//! pulses **in cell order** into a fleet-level digest, recorded as a
-//! `FleetPulse` telemetry event and `hbr_fleet_*` gauges. Because the
-//! partition, the per-cell seeds and the fold order are all functions
-//! of the scenario alone, the merged report, metrics snapshot and
-//! event stream cannot depend on how many threads carried the cells.
+//! Shards are *worker threads over cells*, forked and joined once per
+//! epoch: `--shards S` splits the cells into `S` contiguous chunks, and
+//! each epoch the calling thread spawns one scoped worker per chunk to
+//! step its cells to the next of a fixed number of epoch barriers, then
+//! joins them. Every cell returns an [`EpochPulse`] (its cross-shard
+//! "message"); the calling thread folds the pulses **in cell order**
+//! into a fleet-level digest, recorded as a `FleetPulse` telemetry
+//! event and `hbr_fleet_*` gauges. Because the partition, the per-cell
+//! seeds and the fold order are all functions of the scenario alone,
+//! the merged report, metrics snapshot and event stream cannot depend
+//! on how many threads carried the cells. A worker's panic resumes on
+//! the calling thread at the join, so one failing cell ends the run.
 //!
 //! Determinism rules, in one place:
 //!
@@ -40,10 +43,9 @@
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
+use std::panic;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Barrier, Mutex};
-use std::thread;
+use std::thread::{self, ScopedJoinHandle};
 
 use hbr_core::fleet::FleetBuilder;
 use hbr_core::world::{
@@ -132,25 +134,61 @@ pub fn auto_shards(cells: usize) -> usize {
     sweep_threads().clamp(1, cells.max(1))
 }
 
-/// One populated cell: its engine, and the map from cell-local device
-/// indices back to fleet-global ones.
+/// One populated cell: its engine, the map from cell-local device
+/// indices back to fleet-global ones, and the migrants bound for it at
+/// the current barrier.
 struct Cell {
     scenario: Option<Scenario>,
-    report: Option<ScenarioReport>,
     global_ids: Vec<u32>,
+    /// Migrants routed here at this barrier, each with its fleet-global
+    /// id, admitted before the next epoch.
+    arrivals: Vec<(u32, Migrant)>,
+    /// The engine's scheduled-event count at the last profiled step.
+    events_seen: u64,
 }
 
-/// A cell's staged checkpoint contribution — its fleet-global id map
-/// plus its serialized scenario snapshot — once the worker has
-/// serialized it for the barrier leader.
-type StagedCell = Option<(Vec<u32>, Vec<u8>)>;
+impl Cell {
+    fn new(scenario: Scenario, global_ids: Vec<u32>) -> Self {
+        Cell {
+            scenario: Some(scenario),
+            global_ids,
+            arrivals: Vec::new(),
+            events_seen: 0,
+        }
+    }
 
-/// A checkpoint file being written on its own thread: the epochs done it
-/// records, and the channel its result arrives on.
-type PendingWrite = (u64, mpsc::Receiver<Result<(), SnapshotError>>);
+    /// Admits this barrier's migrants at the barrier instant `now`.
+    fn admit_arrivals(&mut self, now: SimTime) {
+        if !self.arrivals.is_empty() {
+            let (ids, migrants): (Vec<u32>, Vec<Migrant>) = self.arrivals.drain(..).unzip();
+            let scenario = self.scenario.as_mut().expect("cell still running");
+            scenario.immigrate(migrants, now);
+            self.global_ids.extend(ids);
+        }
+    }
 
-/// The `hbr serve` per-epoch emission hook: called by the barrier
-/// leader with the 1-based epoch number and the fleet-folded pulse.
+    /// The cell's checkpoint contribution: its id map and scenario blob.
+    fn snapshot(&self) -> (Vec<u32>, Vec<u8>) {
+        let scenario = self.scenario.as_ref().expect("cell still running");
+        (self.global_ids.clone(), scenario.snapshot())
+    }
+
+    /// Completes the cell's scenario into a report in fleet order, with
+    /// the id map that names its rows.
+    fn complete(&mut self) -> (Vec<u32>, ScenarioReport) {
+        let mut report = self.scenario.take().expect("cell still running").complete();
+        to_fleet_order(&mut report, &self.global_ids);
+        (std::mem::take(&mut self.global_ids), report)
+    }
+}
+
+/// A checkpoint file being written on its own scoped thread: the epochs
+/// done it records, and the handle its result is joined from.
+type PendingWrite<'scope> = (u64, ScopedJoinHandle<'scope, Result<(), SnapshotError>>);
+
+/// The `hbr serve` per-epoch emission hook: called on the engine's
+/// calling thread after each epoch's join, with the 1-based epoch
+/// number and the fleet-folded pulse.
 pub type EpochHook<'a> = &'a (dyn Fn(u64, &EpochPulse) + Sync);
 
 /// Knobs that shape how a crowd run *executes* without changing what it
@@ -172,17 +210,18 @@ pub struct RunControls<'a> {
     /// Deterministic kill: at this epoch barrier (1-based), die via
     /// SIGKILL with no flushing — the `crash@EPOCH` fault the
     /// kill-resume harness drives. Checkpoint files are written on a
-    /// writer thread while the next epoch runs; the barrier leader
-    /// waits for the previous write and then for this barrier's own
+    /// writer thread while the next epoch runs; the engine's calling
+    /// thread joins the previous write and then this barrier's own
     /// (renamed, directory synced, MANIFEST.json updated) before it
     /// kills, so the latest checkpoint on disk is this barrier's.
     pub crash_after_epoch: Option<u64>,
-    /// Honor SIGINT/SIGTERM (armed via [`signal::install`]): finish the
-    /// current epoch, write a final checkpoint if a directory is
-    /// configured, and return early with `truncated = true`.
+    /// Honor SIGINT/SIGTERM (armed via [`signal::install`]): the flag is
+    /// sampled after each epoch's join, so the current epoch finishes;
+    /// then write a final checkpoint if a directory is configured, and
+    /// return early with `truncated = true`.
     pub heed_signals: bool,
-    /// Called by the barrier leader after each epoch fold with the
-    /// 1-based epoch number and the fleet-folded pulse — the `hbr
+    /// Called on the engine's calling thread after each epoch fold with
+    /// the 1-based epoch number and the fleet-folded pulse — the `hbr
     /// serve` emission hook. Must not touch scenario state.
     pub on_epoch: Option<EpochHook<'a>>,
     /// Attach the wall-clock shard profiler; the outcome then carries
@@ -350,6 +389,12 @@ struct ResumeState {
 /// The sharded run behind every public entry point. A profiled run's
 /// clock starts before the cells are built, and its profile carries the
 /// cell and shard counts this run actually used.
+///
+/// The calling thread drives the epochs. Each epoch, scoped workers step
+/// their chunk of cells to the barrier and are joined; this thread folds
+/// their pulses, routes the migrants and hands checkpoints to a writer;
+/// a second pass admits the migrants and takes the snapshots when there
+/// is anything to admit or snapshot.
 fn run_crowd_inner(
     config: &CrowdConfig,
     controls: &RunControls<'_>,
@@ -358,16 +403,12 @@ fn run_crowd_inner(
     let profiler = controls.profile.then(Profiler::new);
     let profiling = profiler.as_ref();
     let duration = SimDuration::from_secs(config.hours * 3600);
-    let (start_epoch, mut cells, fleet_init) = match resume {
+    let (start_epoch, mut cells, mut fleet_log) = match resume {
         Some(state) => (state.epochs_done, state.cells, state.fleet),
         None => {
             let cells = cell_setups(config, duration)
                 .into_iter()
-                .map(|(cell_config, global_ids)| Cell {
-                    scenario: Some(Scenario::new(cell_config)),
-                    report: None,
-                    global_ids,
-                })
+                .map(|(cell_config, global_ids)| Cell::new(Scenario::new(cell_config), global_ids))
                 .collect();
             (0, cells, Telemetry::new(config.telemetry, 0))
         }
@@ -390,280 +431,205 @@ fn run_crowd_inner(
         })
         .collect();
 
-    let pulses: Mutex<Vec<EpochPulse>> = Mutex::new(vec![EpochPulse::default(); cell_count]);
-    let fleet_log = Mutex::new(fleet_init);
-    // Set once by the barrier leader (between the two epoch barriers)
-    // when an interrupt arrives; read by every worker after the second
-    // barrier, so all of them agree on stopping at the same epoch.
-    let stop = AtomicBool::new(false);
-    let completed = AtomicU64::new(start_epoch);
-    // Per-cell snapshot staging for checkpoint barriers: each worker
-    // serializes its own cells, the leader hands them to a writer.
-    let staged: Mutex<Vec<StagedCell>> = Mutex::new((0..cell_count).map(|_| None).collect());
-    // The checkpoint file being written on its own thread, if any.
-    let writing: Mutex<Option<PendingWrite>> = Mutex::new(None);
-    // Per-epoch migration manifests, indexed by *source* cell. Each
-    // entry pairs a migrant with the fleet-global id its source cell
-    // knows it by (the destination appends it to its own id map on
-    // admission). Filled between run_until and the first barrier,
-    // drained — in ascending source-cell order — before the second, so
-    // an epoch's manifests can never mix with the next epoch's.
-    let manifests: Mutex<Vec<Vec<(u32, Migrant)>>> =
-        Mutex::new((0..cell_count).map(|_| Vec::new()).collect());
-
     // Contiguous chunks of cells per worker; the chunk layout only
     // affects which thread runs a cell, never the cell's behaviour.
-    // The barrier must match the worker count, which ceil-division can
-    // leave below the requested shard count.
     let chunk = cell_count.div_ceil(shards);
-    let workers = cell_count.div_ceil(chunk);
-    let barrier = Barrier::new(workers);
-    thread::scope(|scope| {
-        for (chunk_index, worker_cells) in cells.chunks_mut(chunk).enumerate() {
-            let base = chunk_index * chunk;
-            let pulses = &pulses;
-            let fleet_log = &fleet_log;
-            let barrier = &barrier;
-            let boundaries = &boundaries;
-            let manifests = &manifests;
-            let roam = config.roam;
-            let stop = &stop;
-            let completed = &completed;
-            let staged = &staged;
-            let writing = &writing;
-            scope.spawn(move || {
-                // Per-epoch deltas of the engine's monotone scheduled
-                // counter give the profiler its events/sec numerator.
-                let mut last_events = vec![0u64; worker_cells.len()];
-                for (epoch, &limit) in boundaries.iter().enumerate().skip(start_epoch as usize) {
-                    for (offset, cell) in worker_cells.iter_mut().enumerate() {
-                        let scenario = cell.scenario.as_mut().expect("cell still running");
-                        let step_start = profiling.map(|p| p.elapsed_us());
-                        scenario.run_until(limit);
-                        if let (Some(p), Some(start)) = (profiling, step_start) {
-                            let total = scenario.events_scheduled();
-                            let delta = total - last_events[offset];
-                            last_events[offset] = total;
-                            p.record_cell(
-                                epoch as u32,
-                                base + offset,
-                                chunk_index,
-                                start,
-                                p.since(start),
-                                scenario.queue_depth(),
-                                delta,
-                            );
-                        }
-                        if roam {
-                            let migrants = scenario.emigrate(limit);
-                            if !migrants.is_empty() {
-                                let mut published = manifests.lock().expect("manifest lock");
-                                for migrant in migrants {
-                                    let global = cell.global_ids[migrant.source_index() as usize];
-                                    published[base + offset].push((global, migrant));
-                                }
-                            }
-                        }
-                        pulses.lock().expect("pulse lock")[base + offset] = scenario.pulse();
-                    }
-                    let stall_start = profiling.map(|p| p.elapsed_us());
-                    let folded = barrier.wait().is_leader();
-                    if let (Some(p), Some(start)) = (profiling, stall_start) {
-                        p.record_stall(epoch as u32, chunk_index, start, p.since(start));
-                    }
-                    if folded {
-                        let snapshot = pulses.lock().expect("pulse lock").clone();
-                        let mut fleet = EpochPulse::default();
-                        for pulse in &snapshot {
-                            fleet.absorb(pulse);
-                        }
-                        // The leader alone samples the interrupt flag,
-                        // between the barriers, so every worker later
-                        // reads one agreed-upon verdict for this epoch.
-                        if controls.heed_signals && signal::interrupted() {
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        if let Some(on_epoch) = controls.on_epoch {
-                            on_epoch(epoch as u64 + 1, &fleet);
-                        }
-                        fleet_log.lock().expect("fleet lock").record(
-                            limit,
-                            TelemetryEvent::FleetPulse {
-                                epoch: epoch as u32,
-                                cells: snapshot.len() as u32,
-                                forwards: fleet.forwards,
-                                fallbacks: fleet.fallbacks,
-                                outage_queued: fleet.outage_queued,
-                                l3: fleet.l3,
-                                delivered: fleet.delivered,
-                                retries: fleet.retries,
-                                migrations: roam.then_some(fleet.migrations),
-                                lte_handovers: roam.then_some(fleet.lte_handovers),
-                            },
+    let mut epochs_done = start_epoch;
+    let mut truncated = false;
+    let reports = thread::scope(|scope| {
+        // The checkpoint file being written on its own thread, if any.
+        let mut writing: Option<PendingWrite<'_>> = None;
+        for (epoch, &limit) in boundaries.iter().enumerate().skip(start_epoch as usize) {
+            let stepped = fork_join(&mut cells, chunk, |worker, cells| {
+                let mut pulses = Vec::with_capacity(cells.len());
+                let mut migrants = Vec::new();
+                for (offset, cell) in cells.iter_mut().enumerate() {
+                    let scenario = cell.scenario.as_mut().expect("cell still running");
+                    let step_start = profiling.map(|p| p.elapsed_us());
+                    scenario.run_until(limit);
+                    if let (Some(p), Some(start)) = (profiling, step_start) {
+                        // Per-epoch deltas of the engine's monotone
+                        // scheduled counter: the events/sec numerator.
+                        let total = scenario.events_scheduled();
+                        p.record_cell(
+                            epoch as u32,
+                            worker * chunk + offset,
+                            worker,
+                            start,
+                            p.since(start),
+                            scenario.queue_depth(),
+                            total - cell.events_seen,
                         );
+                        cell.events_seen = total;
                     }
-                    // Apply this epoch's migration manifests to the
-                    // cells this worker carries: scan source cells in
-                    // ascending order (every worker scans the same way,
-                    // so admission order — and thus the new local ids —
-                    // is a pure function of the scenario), extract the
-                    // migrants bound for an owned cell, and admit them
-                    // at the barrier instant.
-                    if roam {
-                        let mut incoming: Vec<(usize, Vec<u32>, Vec<Migrant>)> = Vec::new();
-                        {
-                            let mut published = manifests.lock().expect("manifest lock");
-                            for (offset, _) in worker_cells.iter().enumerate() {
-                                let dest = base + offset;
-                                let mut ids = Vec::new();
-                                let mut migrants = Vec::new();
-                                for bucket in published.iter_mut() {
-                                    let mut i = 0;
-                                    while i < bucket.len() {
-                                        if bucket[i].1.to_cell() == dest {
-                                            let (global, migrant) = bucket.remove(i);
-                                            ids.push(global);
-                                            migrants.push(migrant);
-                                        } else {
-                                            i += 1;
-                                        }
-                                    }
-                                }
-                                if !migrants.is_empty() {
-                                    incoming.push((offset, ids, migrants));
-                                }
-                            }
-                        }
-                        for (offset, ids, migrants) in incoming {
-                            let cell = &mut worker_cells[offset];
-                            let scenario = cell.scenario.as_mut().expect("cell still running");
-                            scenario.immigrate(migrants, limit);
-                            cell.global_ids.extend(ids);
-                        }
+                    // Emigrate before the pulse, which counts this
+                    // barrier's migrations. Each migrant travels with
+                    // the fleet-global id its source cell knows it by.
+                    for migrant in scenario.emigrate(limit) {
+                        migrants.push((cell.global_ids[migrant.source_index() as usize], migrant));
                     }
-                    // Second barrier: nobody starts the next epoch until
-                    // the fold has read this epoch's pulses and every
-                    // manifest has been drained.
-                    barrier.wait();
-                    let done = epoch as u64 + 1;
-                    completed.store(done, Ordering::SeqCst);
-                    let stopping = stop.load(Ordering::SeqCst);
-
-                    // Checkpoint barrier. Every worker evaluates the
-                    // same predicate over shared state, so barrier
-                    // counts always agree. Snapshots are pure
-                    // observation — a checkpointing run stays
-                    // byte-identical to one without.
-                    let every = controls.checkpoint_every.max(1);
-                    let crash_now = controls.crash_after_epoch == Some(done);
-                    let want_checkpoint = controls.checkpoint_dir.is_some()
-                        && (done.is_multiple_of(every) || done == EPOCHS || stopping || crash_now);
-                    if want_checkpoint || crash_now {
-                        let checkpoint_start = profiling.map(|p| p.elapsed_us());
-                        if want_checkpoint {
-                            // Each worker snapshots its own cells while
-                            // the others snapshot theirs, and takes the
-                            // staging lock only to store the blobs.
-                            let snapshots: Vec<(Vec<u32>, Vec<u8>)> = worker_cells
-                                .iter()
-                                .map(|cell| {
-                                    let scenario =
-                                        cell.scenario.as_ref().expect("cell still running");
-                                    (cell.global_ids.clone(), scenario.snapshot())
-                                })
-                                .collect();
-                            let mut slots = staged.lock().expect("staging lock");
-                            for (slot, snapshot) in slots[base..].iter_mut().zip(snapshots) {
-                                *slot = Some(snapshot);
-                            }
-                        }
-                        if barrier.wait().is_leader() {
-                            let mut writing = writing.lock().expect("writer lock");
-                            // At most one write in flight: the previous
-                            // one finishes before the next starts.
-                            if let Some(previous) = writing.take() {
-                                finish_write(previous);
-                            }
-                            if want_checkpoint {
-                                let dir = controls
-                                    .checkpoint_dir
-                                    .clone()
-                                    .expect("checkpoint dir gated above");
-                                let cells: Vec<(Vec<u32>, Vec<u8>)> = staged
-                                    .lock()
-                                    .expect("staging lock")
-                                    .iter_mut()
-                                    .map(|slot| slot.take().expect("every cell staged"))
-                                    .collect();
-                                let head = checkpoint_head(
-                                    config,
-                                    done,
-                                    &fleet_log.lock().expect("fleet lock"),
-                                    cells.len(),
-                                );
-                                // The file is written while the workers
-                                // step the next epoch.
-                                let (sender, result) = mpsc::channel();
-                                scope.spawn(move || {
-                                    let start = profiling.map(|p| p.elapsed_us());
-                                    let written =
-                                        write_checkpoint(&dir, config, done, &head, &cells);
-                                    if let (Some(p), Some(start)) = (profiling, start) {
-                                        // The writer's own lane, one
-                                        // past the last shard's.
-                                        p.record_write(epoch as u32, shards, start, p.since(start));
-                                    }
-                                    let _ = sender.send(written);
-                                });
-                                *writing = Some((done, result));
-                            }
-                            if crash_now {
-                                // Die exactly like kill -9, right after
-                                // this barrier's checkpoint (if any) hit
-                                // disk: the whole point of the
-                                // kill-resume harness.
-                                if let Some(own) = writing.take() {
-                                    finish_write(own);
-                                }
-                                signal::hard_abort();
-                            }
-                        }
-                        if let (Some(p), Some(start)) = (profiling, checkpoint_start) {
-                            p.record_checkpoint(epoch as u32, chunk_index, start, p.since(start));
-                        }
-                    }
-                    if stopping {
-                        break;
-                    }
+                    pulses.push(scenario.pulse());
                 }
-                for cell in worker_cells.iter_mut() {
-                    let scenario = cell.scenario.take().expect("cell still running");
-                    let mut report = scenario.complete();
-                    to_fleet_order(&mut report, &cell.global_ids);
-                    cell.report = Some(report);
-                }
+                (pulses, migrants, profiling.map(|p| p.elapsed_us()))
             });
+
+            // Fold in cell order, and route each migrant to its
+            // destination in ascending source-cell order (emission order
+            // within one source): admission order fixes the new local
+            // ids, so it is a pure function of the scenario.
+            let joined = profiling.map_or(0, |p| p.elapsed_us());
+            let mut fleet = EpochPulse::default();
+            for (worker, (pulses, migrants, stepped_us)) in stepped.into_iter().enumerate() {
+                if let (Some(p), Some(start)) = (profiling, stepped_us) {
+                    p.record_stall(epoch as u32, worker, start, joined.saturating_sub(start));
+                }
+                for pulse in &pulses {
+                    fleet.absorb(pulse);
+                }
+                for (global, migrant) in migrants {
+                    cells[migrant.to_cell()].arrivals.push((global, migrant));
+                }
+            }
+            let stopping = controls.heed_signals && signal::interrupted();
+            if let Some(on_epoch) = controls.on_epoch {
+                on_epoch(epoch as u64 + 1, &fleet);
+            }
+            fleet_log.record(
+                limit,
+                TelemetryEvent::FleetPulse {
+                    epoch: epoch as u32,
+                    cells: cell_count as u32,
+                    forwards: fleet.forwards,
+                    fallbacks: fleet.fallbacks,
+                    outage_queued: fleet.outage_queued,
+                    l3: fleet.l3,
+                    delivered: fleet.delivered,
+                    retries: fleet.retries,
+                    migrations: config.roam.then_some(fleet.migrations),
+                    lte_handovers: config.roam.then_some(fleet.lte_handovers),
+                },
+            );
+            let done = epoch as u64 + 1;
+            epochs_done = done;
+            truncated = stopping;
+
+            // Snapshots are pure observation — a checkpointing run stays
+            // byte-identical to one without.
+            let every = controls.checkpoint_every.max(1);
+            let crash_now = controls.crash_after_epoch == Some(done);
+            let checkpoint_dir = controls
+                .checkpoint_dir
+                .as_deref()
+                .filter(|_| done.is_multiple_of(every) || done == EPOCHS || stopping || crash_now);
+            let staged = if config.roam || checkpoint_dir.is_some() {
+                fork_join(&mut cells, chunk, |_, cells| {
+                    for cell in cells.iter_mut() {
+                        cell.admit_arrivals(limit);
+                    }
+                    checkpoint_dir.map(|_| {
+                        let start = profiling.map(|p| p.elapsed_us());
+                        let snapshots: Vec<(Vec<u32>, Vec<u8>)> =
+                            cells.iter().map(Cell::snapshot).collect();
+                        (snapshots, start)
+                    })
+                })
+            } else {
+                Vec::new()
+            };
+            if let Some(dir) = checkpoint_dir {
+                // At most one write in flight: the previous one
+                // finishes before the next starts.
+                if let Some(previous) = writing.take() {
+                    finish_write(previous);
+                }
+                let (snapshots, starts): (Vec<_>, Vec<_>) = staged.into_iter().flatten().unzip();
+                let snapshots: Vec<(Vec<u32>, Vec<u8>)> = snapshots.into_iter().flatten().collect();
+                let head = checkpoint_head(config, done, &fleet_log, snapshots.len());
+                // The file is written while the workers step the next
+                // epoch.
+                let writer = scope.spawn(move || {
+                    let start = profiling.map(|p| p.elapsed_us());
+                    let written = write_checkpoint(dir, config, done, &head, &snapshots);
+                    if let (Some(p), Some(start)) = (profiling, start) {
+                        // The writer's own lane, one past the last shard's.
+                        p.record_write(epoch as u32, shards, start, p.since(start));
+                    }
+                    written
+                });
+                writing = Some((done, writer));
+                for (worker, start) in starts.into_iter().enumerate() {
+                    if let (Some(p), Some(start)) = (profiling, start) {
+                        p.record_checkpoint(epoch as u32, worker, start, p.since(start));
+                    }
+                }
+            }
+            if crash_now {
+                // Die exactly like kill -9, right after this barrier's
+                // checkpoint (if any) hit disk: the whole point of the
+                // kill-resume harness.
+                if let Some(own) = writing.take() {
+                    finish_write(own);
+                }
+                signal::hard_abort();
+            }
+            if stopping {
+                break;
+            }
         }
+        let reports: Vec<(Vec<u32>, ScenarioReport)> = fork_join(&mut cells, chunk, |_, cells| {
+            cells.iter_mut().map(Cell::complete).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        // The cells completed while the last file was written; report
+        // how it went.
+        if let Some(last) = writing {
+            finish_write(last);
+        }
+        reports
     });
 
-    // The scope has joined the last writer; report how it went.
-    if let Some(last) = writing.into_inner().expect("writer lock") {
-        finish_write(last);
-    }
-    let fleet_log = fleet_log.into_inner().expect("fleet lock");
     CrowdOutcome {
-        report: merge_reports(cells, fleet_log),
-        epochs_done: completed.load(Ordering::SeqCst),
-        truncated: stop.load(Ordering::SeqCst),
+        report: merge_reports(reports, fleet_log),
+        epochs_done,
+        truncated,
         profile: profiler.map(|p| p.finish(config.phones, cell_count, shards, EPOCHS)),
     }
 }
 
+/// Runs `work` on each worker's contiguous chunk of cells, every chunk on
+/// a scoped thread of its own, and returns the results in chunk order. A
+/// worker's panic resumes on the calling thread once every worker has
+/// finished its chunk, so one failing cell ends the run.
+fn fork_join<T: Send>(
+    cells: &mut [Cell],
+    chunk: usize,
+    work: impl Fn(usize, &mut [Cell]) -> T + Sync,
+) -> Vec<T> {
+    let work = &work;
+    thread::scope(|scope| {
+        let workers: Vec<_> = cells
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(worker, cells)| scope.spawn(move || work(worker, cells)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
 /// Waits for a checkpoint write and prints its failure, if it failed (a
 /// writer thread that panicked counts as failed).
-fn finish_write((epochs_done, result): PendingWrite) {
-    let written = result
-        .recv()
+fn finish_write((epochs_done, writer): PendingWrite<'_>) {
+    let written = writer
+        .join()
         .unwrap_or_else(|_| Err(SnapshotError::Io("checkpoint writer panicked".into())));
     if let Err(err) = written {
         eprintln!("warning: checkpoint at epoch {epochs_done} failed: {err}");
@@ -715,12 +681,10 @@ fn retarget(kind: hbr_sim::fault::FaultKind, local: DeviceId) -> hbr_sim::fault:
 
 /// Folds the finished cells (in cell order) plus the fleet log into one
 /// report shaped exactly like an unsharded [`ScenarioReport`].
-fn merge_reports(cells: Vec<Cell>, fleet_log: Telemetry) -> ScenarioReport {
-    let mut reports: Vec<(Vec<u32>, ScenarioReport)> = cells
-        .into_iter()
-        .map(|c| (c.global_ids, c.report.expect("cell finished")))
-        .collect();
-
+fn merge_reports(
+    mut reports: Vec<(Vec<u32>, ScenarioReport)>,
+    fleet_log: Telemetry,
+) -> ScenarioReport {
     let fleet_snapshot = fleet_log.metrics.snapshot();
     let metrics = crate::merge_snapshots(
         reports
@@ -730,24 +694,8 @@ fn merge_reports(cells: Vec<Cell>, fleet_log: Telemetry) -> ScenarioReport {
     );
 
     let mut merged = ScenarioReport {
-        devices: Vec::new(),
-        total_l3: 0,
-        total_rrc: 0,
-        delivered: 0,
-        rejected_expired: 0,
-        duplicates: 0,
-        offline_secs: 0.0,
-        pushes_delivered: 0,
-        pushes_missed: 0,
-        total_energy_uah: 0.0,
-        trace: Vec::new(),
-        trace_dropped: 0,
         metrics,
-        events: Vec::new(),
-        delivery: None,
-        spans: SpanRecorder::disabled(),
-        migrations: 0,
-        lte_handovers: 0,
+        ..ScenarioReport::default()
     };
 
     // A roaming device leaves one row per cell it lived in: the counters
@@ -1047,7 +995,9 @@ pub fn load_checkpoint(path: &Path) -> Result<CrowdCheckpoint, SnapshotError> {
 ///
 /// Any [`SnapshotError`] from a cell restore — including
 /// [`SnapshotError::ConfigMismatch`] when the checkpoint's embedded
-/// config no longer reproduces the cell a blob was taken from.
+/// config no longer reproduces the cell a blob was taken from — and
+/// [`SnapshotError::Corrupt`] when a cell's fleet-id map does not fit
+/// its restored devices or names a phone outside the fleet.
 pub fn resume_crowd(
     checkpoint: CrowdCheckpoint,
     controls: &RunControls<'_>,
@@ -1063,12 +1013,22 @@ pub fn resume_crowd(
         )));
     }
     let mut cells = Vec::with_capacity(setups.len());
-    for ((cell_config, _), (global_ids, blob)) in setups.into_iter().zip(checkpoint.cells) {
-        cells.push(Cell {
-            scenario: Some(Scenario::restore(cell_config, &blob)?),
-            report: None,
-            global_ids,
-        });
+    for (index, ((cell_config, _), (global_ids, blob))) in
+        setups.into_iter().zip(checkpoint.cells).enumerate()
+    {
+        let scenario = Scenario::restore(cell_config, &blob)?;
+        // One fleet id per device row. Repeats are legal: a device that
+        // roamed out and back holds a husk and a live row in one cell.
+        let largest = global_ids.iter().copied().max().unwrap_or(0);
+        if global_ids.len() != scenario.device_count() || largest as usize >= config.phones {
+            return Err(SnapshotError::Corrupt(format!(
+                "cell {index} maps {} fleet ids (largest {largest}) onto {} devices of a {}-phone fleet",
+                global_ids.len(),
+                scenario.device_count(),
+                config.phones
+            )));
+        }
+        cells.push(Cell::new(scenario, global_ids));
     }
     let resume = ResumeState {
         epochs_done: checkpoint.epochs_done,
@@ -1120,11 +1080,7 @@ mod tests {
                 let broken = index == 3;
                 cell_config.check_invariants = Some(broken);
                 cell_config.mutation = broken.then_some(ChaosMutation::IgnoreCapacityFlush);
-                Cell {
-                    scenario: Some(Scenario::new(cell_config)),
-                    report: None,
-                    global_ids,
-                }
+                Cell::new(Scenario::new(cell_config), global_ids)
             })
             .collect();
         assert_eq!(cells.len(), 4, "the 200 m area is a 2×2 grid");
@@ -1145,5 +1101,45 @@ mod tests {
             thread::sleep(Duration::from_millis(10));
         }
         assert!(run.join().is_err(), "cell 3's panic must reach the caller");
+    }
+
+    /// A cell's fleet-id map must fit the cell it was saved with: one id
+    /// short, one extra, or one naming a phone outside the fleet makes
+    /// the checkpoint `Corrupt` instead of a panic or a wrong report.
+    #[test]
+    fn resume_refuses_an_id_map_that_does_not_fit_its_cell() {
+        let dir = std::env::temp_dir().join(format!("hbr-crowd-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CrowdConfig {
+            phones: 200,
+            relays: 40,
+            area_side_m: 300.0,
+            roam: true,
+            ..dense_hour()
+        };
+        let controls = RunControls {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 4,
+            ..RunControls::default()
+        };
+        run_crowd_controlled(&config, &controls);
+        let edits: [fn(&mut Vec<u32>); 3] = [
+            |ids| ids.truncate(ids.len() - 1),
+            |ids| ids.push(ids[0]),
+            |ids| ids[0] = 999_999,
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut checkpoint =
+                load_checkpoint(&checkpoint_file(&dir, 4)).expect("checkpoint loads");
+            edit(&mut checkpoint.cells[0].0);
+            assert!(
+                matches!(
+                    resume_crowd(checkpoint, &RunControls::default()),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "edit {i} must be refused"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

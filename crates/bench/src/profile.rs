@@ -4,8 +4,8 @@
 //! is everything the first plane is not: where lifecycle spans are
 //! sim-time, deterministic and byte-identical at any shard count, this
 //! module measures *host* time — how long each cell's epoch step took
-//! on the machine that ran it, how long each shard sat at the epoch
-//! barrier waiting for its slowest peer, how deep the per-cell event
+//! on the machine that ran it, how long each shard sat idle at the
+//! epoch's join waiting for its slowest peer, how deep the per-cell event
 //! queues ran. Its output is **explicitly non-deterministic** (two runs
 //! of the same seed produce different numbers) and therefore lives in
 //! its own artifacts, far away from anything golden-pinned:
@@ -64,8 +64,10 @@ pub struct LaneSample {
     pub wall_us: u64,
 }
 
-/// Collects samples from the worker threads. All methods take `&self`;
-/// the short mutex section is the whole synchronization story.
+/// Collects samples from the workers (cell steps), the engine's calling
+/// thread (stalls and checkpoint parts, at each join) and the checkpoint
+/// writer (file writes). All methods take `&self`; the short mutex
+/// section is the whole synchronization story.
 pub struct Profiler {
     start: Instant,
     cells: Mutex<Vec<CellSample>>,
@@ -126,13 +128,14 @@ impl Profiler {
         });
     }
 
-    /// Records one shard's barrier wait.
+    /// Records one shard's barrier stall: its wait from the end of its
+    /// last cell step to the epoch's join.
     pub fn record_stall(&self, epoch: u32, shard: usize, start_us: u64, wall_us: u64) {
         push_lane(&self.stalls, epoch, shard, start_us, wall_us);
     }
 
-    /// Records one shard's part of a checkpoint barrier: from the end of
-    /// the epoch's second barrier until it steps its cells again.
+    /// Records one shard's part of a checkpoint barrier: from the start
+    /// of its snapshots until the file is handed to the writer.
     pub fn record_checkpoint(&self, epoch: u32, shard: usize, start_us: u64, wall_us: u64) {
         push_lane(&self.checkpoints, epoch, shard, start_us, wall_us);
     }
@@ -183,7 +186,7 @@ pub struct CrowdProfile {
     pub total_wall_us: u64,
     /// Every cell-epoch step.
     pub cell_samples: Vec<CellSample>,
-    /// Every barrier wait.
+    /// Every barrier stall, one per shard per epoch.
     pub stall_samples: Vec<LaneSample>,
     /// Every shard's part of every checkpoint barrier.
     pub checkpoint_samples: Vec<LaneSample>,

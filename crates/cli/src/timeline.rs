@@ -9,9 +9,12 @@
 //! span id cite the *exact* cause chain recorded on the heartbeat's
 //! lifecycle span instead of the nearest-fault guess. The rendering is
 //! pure string work over the parsed lines, so the same files always
-//! produce the same text.
+//! produce the same text. Both files are read a line at a time, and
+//! only what the report can print is kept.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 
 use hbr_sim::json::Json;
 use hbr_sim::spans::SpanRecord;
@@ -28,6 +31,25 @@ pub struct TimelineQuery {
     pub device: Option<u32>,
 }
 
+impl TimelineQuery {
+    /// Whether the report shows `entry`: inside the window, and naming
+    /// the device.
+    fn shows(&self, entry: &Entry) -> bool {
+        let us = |secs: u64| secs.saturating_mul(1_000_000);
+        let in_window = self.around_secs.is_none_or(|centre| {
+            let lo = us(centre.saturating_sub(self.window_secs));
+            (lo..=us(centre.saturating_add(self.window_secs))).contains(&entry.t_us)
+        });
+        // Device-less events (global faults) always stay; an event
+        // naming any device keeps only the timelines it names.
+        let for_device = self.device.is_none_or(|want| {
+            let mut named = entry.participants().peekable();
+            named.peek().is_none() || named.any(|have| have == u64::from(want))
+        });
+        in_window && for_device
+    }
+}
+
 /// One parsed event line, ready to render.
 struct Entry {
     t_us: u64,
@@ -37,6 +59,20 @@ struct Entry {
 }
 
 impl Entry {
+    /// Parses one line; [`None`] when it is not JSON or has no numeric
+    /// `t_us` or string `event`, i.e. when it is no event.
+    fn parse(line: &str) -> Option<Self> {
+        let fields = Json::parse(line)?;
+        let t_us = fields["t_us"].num()?;
+        let kind = fields["event"].as_str()?.to_string();
+        Some(Entry {
+            t_us,
+            run: fields["run"].as_str().unwrap_or("").to_string(),
+            kind,
+            fields,
+        })
+    }
+
     /// Every device id this event names, not just its `device` field:
     /// `relay` (match/depart), and `from_relay`/`to_relay` (handover)
     /// are device ids too — and the sharded merge remaps *all* of them
@@ -84,79 +120,88 @@ fn secs(t_us: u64) -> f64 {
     t_us as f64 / 1_000_000.0
 }
 
-/// Renders the timeline for `text`, consulting `spans` (the parsed
-/// `--spans-out` records) for exact fallback cause chains.
-///
-/// Returns the finished report, or an error when no line parses at all
-/// (almost certainly not an `--events-out` file).
-pub fn render_with_spans(
-    text: &str,
+/// What one query keeps of an events file: every run in first-appearance
+/// order (the writer emits one contiguous block per run), each with the
+/// entries the query shows plus all of the run's faults, which fallbacks
+/// are matched against so that one at the window's edge still finds its
+/// cause; and the count of lines that were no event.
+struct Timeline {
     query: TimelineQuery,
-    spans: &[SpanRecord],
-) -> Result<String, String> {
-    let mut skipped = 0usize;
-    let mut entries: Vec<Entry> = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        // A line that is not JSON, or has no `t_us` or `event`, is no
-        // event: it is skipped and counted.
-        let Some(fields) = Json::parse(line) else {
-            skipped += 1;
-            continue;
-        };
-        let (Some(t_us), Some(kind)) = (fields["t_us"].num(), fields["event"].as_str()) else {
-            skipped += 1;
-            continue;
-        };
-        entries.push(Entry {
-            t_us,
-            run: fields["run"].as_str().unwrap_or("").to_string(),
-            kind: kind.to_string(),
-            fields,
-        });
-    }
-    if entries.is_empty() {
-        return Err(format!(
-            "no events found ({skipped} unparseable line(s)) — is this an --events-out file?"
-        ));
-    }
+    runs: Vec<(String, Vec<Entry>)>,
+    skipped: usize,
+}
 
-    // Split into runs, preserving first-appearance order (the writer
-    // emits one contiguous block per run).
-    let mut runs: Vec<(String, Vec<Entry>)> = Vec::new();
-    for entry in entries {
-        match runs.iter_mut().find(|(name, _)| *name == entry.run) {
-            Some((_, bucket)) => bucket.push(entry),
-            None => runs.push((entry.run.clone(), vec![entry])),
+impl Timeline {
+    /// Reads an events file line by line, dropping what the query does
+    /// not keep. Fails when no line is an event at all (almost certainly
+    /// not an `--events-out` file).
+    fn read(input: impl BufRead, query: TimelineQuery) -> Result<Self, String> {
+        let (mut runs, mut skipped, mut events) = (Vec::<(String, Vec<Entry>)>::new(), 0, 0);
+        for line in input.lines() {
+            let line = line.map_err(|e| format!("cannot read events: {e}"))?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let Some(entry) = Entry::parse(&line) else {
+                skipped += 1;
+                continue;
+            };
+            events += 1;
+            if !runs.iter().any(|(name, _)| *name == entry.run) {
+                runs.push((entry.run.clone(), Vec::new()));
+            }
+            if entry.kind == "fault" || query.shows(&entry) {
+                let run = runs.iter_mut().find(|(name, _)| *name == entry.run);
+                run.expect("run registered").1.push(entry);
+            }
         }
+        if events == 0 {
+            return Err(format!(
+                "no events found ({skipped} unparseable line(s)) — is this an --events-out file?"
+            ));
+        }
+        Ok(Timeline {
+            query,
+            runs,
+            skipped,
+        })
     }
 
-    let mut out = String::new();
-    if let Some(centre) = query.around_secs {
-        out.push_str(&format!(
-            "window: {}..{} s (around {centre}, ±{} s)",
-            centre.saturating_sub(query.window_secs),
-            centre.saturating_add(query.window_secs),
-            query.window_secs
-        ));
-    } else {
-        out.push_str("window: whole file");
-    }
-    if let Some(d) = query.device {
-        out.push_str(&format!(", device {d} (+ global faults)"));
-    }
-    out.push('\n');
-    if skipped > 0 {
-        out.push_str(&format!("note: skipped {skipped} unparseable line(s)\n"));
-    }
-
-    for (name, entries) in &runs {
+    /// Renders the report, consulting `spans` (the `--spans-out` records)
+    /// for exact fallback cause chains.
+    fn render(&self, spans: &[SpanRecord]) -> String {
+        let query = self.query;
+        let mut out = String::new();
+        if let Some(centre) = query.around_secs {
+            out.push_str(&format!(
+                "window: {}..{} s (around {centre}, ±{} s)",
+                centre.saturating_sub(query.window_secs),
+                centre.saturating_add(query.window_secs),
+                query.window_secs
+            ));
+        } else {
+            out.push_str("window: whole file");
+        }
+        if let Some(d) = query.device {
+            out.push_str(&format!(", device {d} (+ global faults)"));
+        }
         out.push('\n');
-        if !name.is_empty() {
-            out.push_str(&format!("── run: {name} ──\n"));
+        if self.skipped > 0 {
+            out.push_str(&format!(
+                "note: skipped {} unparseable line(s)\n",
+                self.skipped
+            ));
         }
-        render_run(&mut out, entries, query, spans);
+
+        for (name, entries) in &self.runs {
+            out.push('\n');
+            if !name.is_empty() {
+                out.push_str(&format!("── run: {name} ──\n"));
+            }
+            render_run(&mut out, entries, query, spans);
+        }
+        out
     }
-    Ok(out)
 }
 
 /// The exact cause chain a fallback's lifecycle span recorded up to the
@@ -189,30 +234,6 @@ fn span_cause_chain(spans: &[SpanRecord], entry: &Entry, span_id: u64) -> Option
 }
 
 fn render_run(out: &mut String, entries: &[Entry], query: TimelineQuery, spans: &[SpanRecord]) {
-    let (lo_us, hi_us) = match query.around_secs {
-        Some(centre) => (
-            centre
-                .saturating_sub(query.window_secs)
-                .saturating_mul(1_000_000),
-            centre
-                .saturating_add(query.window_secs)
-                .saturating_mul(1_000_000),
-        ),
-        None => (0, u64::MAX),
-    };
-    let in_window = |e: &Entry| e.t_us >= lo_us && e.t_us <= hi_us;
-    let for_device = |e: &Entry| match query.device {
-        Some(want) => {
-            let mut named = e.participants().peekable();
-            // Device-less events (global faults) always stay; an event
-            // naming any device keeps only the timelines it names.
-            named.peek().is_none() || named.any(|have| have == u64::from(want))
-        }
-        None => true,
-    };
-
-    // Faults are matched against the whole run, not just the window, so
-    // a fallback at the window's edge still finds its cause.
     let faults: Vec<&Entry> = entries.iter().filter(|e| e.kind == "fault").collect();
 
     let mut shown = 0usize;
@@ -220,7 +241,7 @@ fn render_run(out: &mut String, entries: &[Entry], query: TimelineQuery, spans: 
     let mut flush_reasons: BTreeMap<String, usize> = BTreeMap::new();
     let mut fallback_causes: BTreeMap<String, usize> = BTreeMap::new();
 
-    for entry in entries.iter().filter(|e| in_window(e) && for_device(e)) {
+    for entry in entries.iter().filter(|e| query.shows(e)) {
         shown += 1;
         let kind = entry.kind.as_str();
         let known = TelemetryEvent::KINDS.contains(&kind);
@@ -387,31 +408,50 @@ pub fn run(
     device: Option<u32>,
     spans_file: Option<&str>,
 ) -> Result<(), String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    let spans: Vec<SpanRecord> = match spans_file {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))?
-            .lines()
-            .filter_map(SpanRecord::from_jsonl)
-            .collect(),
-        None => Vec::new(),
+    let open = |path: &str| {
+        File::open(path)
+            .map(BufReader::new)
+            .map_err(|e| format!("cannot read {path}: {e}"))
     };
-    let report = render_with_spans(
-        &text,
-        TimelineQuery {
-            around_secs: around,
-            window_secs: window,
-            device,
-        },
-        &spans,
-    )?;
-    print!("{report}");
+    let query = TimelineQuery {
+        around_secs: around,
+        window_secs: window,
+        device,
+    };
+    let timeline = Timeline::read(open(file)?, query)?;
+    let mut spans = Vec::new();
+    if let Some(path) = spans_file {
+        let reader = open(path)?;
+        // Keep only the spans a shown fallback cites.
+        let cited: BTreeSet<u64> = timeline
+            .runs
+            .iter()
+            .flat_map(|(_, entries)| entries.iter().filter(|e| e.kind == "fallback"))
+            .filter_map(|entry| entry.fields["span"].num())
+            .collect();
+        if !cited.is_empty() {
+            for line in reader.lines() {
+                let line = line.map_err(|e| format!("cannot read {path}: {e}"))?;
+                spans.extend(SpanRecord::from_jsonl(&line).filter(|span| cited.contains(&span.id)));
+            }
+        }
+    }
+    print!("{}", timeline.render(&spans));
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reads `text` as an events file and renders it with `spans`.
+    fn render_with_spans(
+        text: &str,
+        query: TimelineQuery,
+        spans: &[SpanRecord],
+    ) -> Result<String, String> {
+        Ok(Timeline::read(text.as_bytes(), query)?.render(spans))
+    }
 
     /// Span-less rendering, as `hbr timeline` without `--spans` runs it.
     fn render(text: &str, query: TimelineQuery) -> Result<String, String> {

@@ -372,7 +372,7 @@ impl EpochPulse {
 }
 
 /// Aggregate scenario results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioReport {
     /// Per-device rows, in device order.
     pub devices: Vec<DeviceReport>,
@@ -1298,6 +1298,11 @@ impl Scenario {
     /// with telemetry on, else just the trace (empty when both are off).
     pub fn events_so_far(&self) -> &[EventRecord] {
         self.telemetry.events.records()
+    }
+
+    /// Devices this cell holds, husks of devices that roamed out included.
+    pub fn device_count(&self) -> usize {
+        self.devices.len()
     }
 
     /// Events currently pending in the engine queue — the backlog the

@@ -4,9 +4,11 @@
 `BENCH_trajectory.json` at the repository root is a JSON array of rows,
 one per build and shape. Each change appends its rows and never
 rewrites earlier ones. A row times one `hbr crowd` hour at
-`--mode d2d --shards 2` with observation off (only `--slo-out`, for
-`false_dead_seconds`): wall time and peak RSS are medians over three
-fresh processes, read from each child's `wait4`.
+`--mode d2d --shards 2` with `--slo-out` (for `false_dead_seconds`):
+wall time and peak RSS are medians over three fresh processes, read
+from each child's `wait4`. A row with an `artifacts` key also wrote
+those artifacts (`--metrics-out`, `--events-out`, `--spans-out`); a
+row without one ran with observation off.
 
     python3 scripts/bench_trajectory.py append --hbr PATH --source DIR \\
         --pr N --build change --base-commit SHA
@@ -17,8 +19,9 @@ non-test line count (`scripts/nontest_lines.py`). `cores` counts the
 CPUs the process may run on (`sched_getaffinity`), which is Rust's
 `available_parallelism` on a host without a CPU quota. `check` validates
 structure only: every row has the keys below with the right types,
-numbers are finite and non-negative, and `cores` is at least 1. It
-exits 1 naming the first bad row.
+numbers are finite and non-negative, `cores` is at least 1, and an
+`artifacts` key, where present, lists distinct artifact names. It exits
+1 naming the first bad row.
 """
 
 import argparse
@@ -38,9 +41,19 @@ TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_trajectory.json"
 # Every row's wall time and peak RSS are medians of this many runs.
 RUNS = 3
 
+# The artifact files a row may write, by the name its `artifacts` key
+# lists.
+ARTIFACTS = {"metrics": "metrics.json", "events": "events.jsonl", "spans": "spans.jsonl"}
+
 # The ROADMAP's 10 k (1 km) and 100 k (2 km) hours as (phones, relays,
-# area). The 1 M hour on 5 km joins once dense cells keep presence.
-SHAPES = ((10_000, 1_000, 1000.0), (100_000, 10_000, 2000.0))
+# area, artifacts): both with observation off, and the 10 k hour again
+# with every artifact on. The 1 M hour on 5 km joins once dense cells
+# keep presence.
+SHAPES = (
+    (10_000, 1_000, 1000.0, ()),
+    (100_000, 10_000, 2000.0, ()),
+    (10_000, 1_000, 1000.0, tuple(ARTIFACTS)),
+)
 
 FIELDS = {
     "pr": int,
@@ -59,11 +72,13 @@ FIELDS = {
 BUILDS = ("parent", "change")
 
 
-def run_once(hbr, phones, relays, area, work):
+def run_once(hbr, phones, relays, area, artifacts, work):
     """One crowd hour: (wall s, peak RSS MiB, false-dead s)."""
     cmd = [str(hbr), "crowd", "--mode", "d2d", "--shards", "2", "--hours", "1",
            "--phones", str(phones), "--relays", str(relays), "--area", f"{area:g}",
            "--slo-out", "slo.json"]
+    for name in artifacts:
+        cmd += [f"--{name}-out", ARTIFACTS[name]]
     env = dict(os.environ, HBR_CHECK_INVARIANTS="0")
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL)
@@ -80,11 +95,11 @@ def measure(args):
     # binary's path first.
     hbr = args.hbr.resolve()
     rows = []
-    for phones, relays, area in SHAPES:
+    for phones, relays, area, artifacts in SHAPES:
         runs = []
         for _ in range(RUNS):
             with tempfile.TemporaryDirectory() as work:
-                runs.append(run_once(hbr, phones, relays, area, work))
+                runs.append(run_once(hbr, phones, relays, area, artifacts, work))
         wall = statistics.median(r[0] for r in runs)
         rows.append({
             "pr": args.pr,
@@ -100,6 +115,8 @@ def measure(args):
             "false_dead_seconds": runs[0][2],
             "nontest_lines": nontest_lines.total(args.source),
         })
+        if artifacts:
+            rows[-1]["artifacts"] = list(artifacts)
         print(json.dumps(rows[-1]))
     return rows
 
@@ -125,6 +142,11 @@ def row_errors(row):
             errors.append(f"build is {row['build']!r}, not one of {BUILDS}")
         if not row["base_commit"]:
             errors.append("base_commit is empty")
+        artifacts = row.get("artifacts", [])
+        if not (isinstance(artifacts, list)
+                and all(isinstance(a, str) and a in ARTIFACTS for a in artifacts)
+                and len(set(artifacts)) == len(artifacts)):
+            errors.append(f"artifacts is {artifacts!r}, not distinct names from {sorted(ARTIFACTS)}")
     return errors
 
 
