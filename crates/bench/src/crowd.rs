@@ -173,12 +173,21 @@ impl Cell {
         (self.global_ids.clone(), scenario.snapshot())
     }
 
-    /// Completes the cell's scenario into a report in fleet order, with
-    /// the id map that names its rows.
+    /// Completes the cell on its worker into its report and the id map
+    /// that names the report's rows. Events, trace and spans get
+    /// fleet-global device ids, and the spans are sorted into artifact
+    /// order (events and trace already are in time order), so
+    /// `merge_reports` only merges sorted runs.
     fn complete(&mut self) -> (Vec<u32>, ScenarioReport) {
         let mut report = self.scenario.take().expect("cell still running").complete();
-        to_fleet_order(&mut report, &self.global_ids);
-        (std::mem::take(&mut self.global_ids), report)
+        let global_ids = std::mem::take(&mut self.global_ids);
+        let global = |local: u32| global_ids[local as usize];
+        for record in report.events.iter_mut().chain(&mut report.trace) {
+            record.event.remap_devices(global);
+        }
+        report.spans.remap_devices(global);
+        report.spans.sort();
+        (global_ids, report)
     }
 }
 
@@ -741,7 +750,7 @@ fn merge_reports(
         traces.push(std::mem::take(&mut report.trace));
         spans.push(std::mem::take(&mut report.spans));
     }
-    // Each cell's records arrive remapped and sorted (`to_fleet_order`),
+    // Each cell's records arrive remapped and sorted (`Cell::complete`),
     // so a merge of sorted runs with ties in cell order — the fleet's
     // pulses last — gives exactly the stable time sort of their
     // concatenation: the merged timeline is a pure function of the
@@ -761,19 +770,6 @@ fn merge_reports(
         *ratio = d.ratio();
     }
     merged
-}
-
-/// Finishes a cell's records on its own worker: events, trace and spans
-/// get fleet-global device ids, and the spans are sorted into artifact
-/// order (events and trace already are in time order), so
-/// `merge_reports` only merges sorted runs.
-fn to_fleet_order(report: &mut ScenarioReport, global_ids: &[u32]) {
-    let global = |local: u32| global_ids[local as usize];
-    for record in report.events.iter_mut().chain(&mut report.trace) {
-        record.event.remap_devices(global);
-    }
-    report.spans.remap_devices(global);
-    report.spans.sort();
 }
 
 /// Folds a later cell-order row for the same fleet-global device into
