@@ -186,7 +186,7 @@ pub struct CrowdProfile {
     pub total_wall_us: u64,
     /// Every cell-epoch step.
     pub cell_samples: Vec<CellSample>,
-    /// Every barrier stall, one per shard per epoch.
+    /// Every barrier stall, one per worker per epoch.
     pub stall_samples: Vec<LaneSample>,
     /// Every shard's part of every checkpoint barrier.
     pub checkpoint_samples: Vec<LaneSample>,
