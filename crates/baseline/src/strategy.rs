@@ -121,7 +121,7 @@ fn execute(
         for (s, seg) in &out.activity.segments {
             meter.add_segment(*s, *seg);
         }
-        l3 += out.activity.messages.len() as u64 + extra_l3_per_tx;
+        l3 += out.activity.message_count() as u64 + extra_l3_per_tx;
         transmissions += 1;
         last = out.delivered_at;
     }
@@ -129,7 +129,7 @@ fn execute(
     for (s, seg) in &tail.segments {
         meter.add_segment(*s, *seg);
     }
-    l3 += tail.messages.len() as u64;
+    l3 += tail.message_count() as u64;
 
     let (max_gap, offline) =
         presence_stats(refresh_times, workload.app.expiration, workload.duration);

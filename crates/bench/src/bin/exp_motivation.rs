@@ -37,7 +37,7 @@ fn main() {
         };
         let out = radio.transmit(at.max(last), bytes);
         last = out.delivered_at;
-        let l3 = out.activity.messages.len() as u64;
+        let l3 = out.activity.message_count() as u64;
         if is_hb {
             hb_bytes += bytes as u64;
             hb_l3 += l3;
@@ -49,7 +49,7 @@ fn main() {
     // Attribute release/demotion tails to whoever triggered them last —
     // aggregate them proportionally instead for a fair split.
     let tail = radio.finalize(last + SimDuration::from_secs(60));
-    let tail_l3 = tail.messages.len() as u64;
+    let tail_l3 = tail.message_count() as u64;
     let hb_l3 = hb_l3 + tail_l3 * hb_l3 / (hb_l3 + data_l3).max(1);
 
     let byte_share = hb_bytes as f64 / (hb_bytes + data_bytes) as f64;

@@ -50,8 +50,7 @@ impl BaseStation {
 
     /// Records one radio's activity burst at the cell.
     pub fn record(&mut self, device: DeviceId, activity: &RadioActivity, new_connections: u32) {
-        self.capture
-            .record_all(device, activity.messages.iter().copied());
+        self.capture.record_all(device, activity.messages());
         self.rrc_connections += u64::from(new_connections);
     }
 

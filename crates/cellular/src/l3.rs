@@ -11,9 +11,13 @@ use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{snap_struct, DeviceId, SimTime};
 
 /// A layer-3 RRC control message, as NetOptiMaster would label it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// The default, `RrcConnectionRequest`, only fills the unused slots of
+/// an inline message list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum L3Message {
     /// UE → network: asks for an RRC connection.
+    #[default]
     RrcConnectionRequest,
     /// Network → UE: grants the connection.
     RrcConnectionSetup,

@@ -31,7 +31,7 @@
 //! let mut radio = CellularRadio::new(RrcConfig::wcdma_galaxy_s4());
 //! let outcome = radio.transmit(SimTime::ZERO, 74); // one WeChat heartbeat
 //! assert_eq!(outcome.rrc_connections, 1);
-//! assert!(!outcome.activity.messages.is_empty());
+//! assert!(outcome.activity.message_count() > 0);
 //! ```
 
 pub mod bs;

@@ -13,15 +13,16 @@
 
 use hbr_energy::{MilliAmps, Phase, Segment};
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
-use hbr_sim::{snap_enum, snap_struct, SimDuration, SimTime};
+use hbr_sim::{snap_enum, snap_struct, InlineVec, SimDuration, SimTime};
 
 use crate::config::RrcConfig;
 use crate::l3::L3Message;
 
-/// The RRC protocol state of a radio (§II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The RRC protocol state of a radio (§II-B); a new radio is idle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RrcState {
     /// No RRC connection; the radio only listens to paging.
+    #[default]
     Idle,
     /// Dedicated channel: full power, full rate (WCDMA CELL_DCH / LTE
     /// CONNECTED).
@@ -60,7 +61,7 @@ snap_enum!(RrcState "rrc state" { 0 => Idle, 1 => CellDch, 2 => CellFach });
 
 /// One observed RRC state change, with how long the radio dwelt in the
 /// state it left — the raw material for state-residency histograms.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RrcTransitionRecord {
     /// When the radio entered `to`.
     pub at: SimTime,
@@ -73,23 +74,46 @@ pub struct RrcTransitionRecord {
 }
 
 /// Energy segments and layer-3 messages produced by radio operations,
-/// stamped with absolute times.
+/// stamped with absolute times, held inline.
+///
+/// The bounds follow from the state machine: one call settles at most
+/// a DCH tail and a FACH tail ([`CellularRadio::advance`] leaves each
+/// state at most once before it reaches IDLE or `now`), then a transfer
+/// adds its promotion and its active segment — 4 segments. The
+/// handshake is at most 9 messages: demotion 1 and release 2 while
+/// settling, establishment 5, and a page 1. The transitions are at most
+/// 3: DCH → FACH, FACH → IDLE, IDLE → DCH. What grows with the payload,
+/// the volume-driven reconfigurations, is carried as a count.
 #[derive(Debug, Clone, Default)]
 pub struct RadioActivity {
     /// `(absolute start, segment)` pairs to feed an `EnergyMeter`.
-    pub segments: Vec<(SimTime, Segment)>,
-    /// Timestamped layer-3 messages to feed a `SignalingCapture`.
-    pub messages: Vec<(SimTime, L3Message)>,
+    pub segments: InlineVec<(SimTime, Segment), 4>,
+    /// The timestamped handshake messages, in capture order.
+    pub handshake: InlineVec<(SimTime, L3Message), 9>,
+    /// How many volume-driven `TransportChannelReconfiguration`s follow
+    /// the handshake, all at [`RadioActivity::volume_at`].
+    pub volume_messages: usize,
+    /// When the volume-driven messages are sent: the transfer's start.
+    pub volume_at: SimTime,
     /// RRC state changes this activity caused, in time order.
-    pub transitions: Vec<RrcTransitionRecord>,
+    pub transitions: InlineVec<RrcTransitionRecord, 3>,
 }
 
 impl RadioActivity {
-    /// Appends all records of `other`.
-    pub fn extend(&mut self, other: RadioActivity) {
-        self.segments.extend(other.segments);
-        self.messages.extend(other.messages);
-        self.transitions.extend(other.transitions);
+    /// Every layer-3 message, in capture order: the handshake, then the
+    /// volume-driven reconfigurations. Feed these to a
+    /// [`SignalingCapture`](crate::SignalingCapture).
+    pub fn messages(&self) -> impl Iterator<Item = (SimTime, L3Message)> + '_ {
+        let volume = (self.volume_at, L3Message::TransportChannelReconfiguration);
+        self.handshake
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(volume, self.volume_messages))
+    }
+
+    /// How many layer-3 messages [`RadioActivity::messages`] yields.
+    pub fn message_count(&self) -> usize {
+        self.handshake.len() + self.volume_messages
     }
 
     fn push_segment(
@@ -276,8 +300,14 @@ impl CellularRadio {
     /// before reading time-sensitive state.
     pub fn advance(&mut self, now: SimTime) -> RadioActivity {
         let mut activity = RadioActivity::default();
+        self.advance_into(&mut activity, now);
+        activity
+    }
+
+    /// [`CellularRadio::advance`], appending to `activity`.
+    fn advance_into(&mut self, activity: &mut RadioActivity, now: SimTime) {
         if now <= self.accounted_until {
-            return activity;
+            return;
         }
         loop {
             match self.state {
@@ -309,14 +339,14 @@ impl CellularRadio {
                     self.accounted_until = demote_at;
                     if self.cfg.has_fach() {
                         for m in self.cfg.demotion_messages() {
-                            activity.messages.push((demote_at, *m));
+                            activity.handshake.push((demote_at, *m));
                         }
-                        self.enter(&mut activity, demote_at, RrcState::CellFach);
+                        self.enter(activity, demote_at, RrcState::CellFach);
                     } else {
                         for m in self.cfg.release_messages() {
-                            activity.messages.push((demote_at, *m));
+                            activity.handshake.push((demote_at, *m));
                         }
-                        self.enter(&mut activity, demote_at, RrcState::Idle);
+                        self.enter(activity, demote_at, RrcState::Idle);
                     }
                 }
                 RrcState::CellFach => {
@@ -341,13 +371,12 @@ impl CellularRadio {
                     );
                     self.accounted_until = release_at;
                     for m in self.cfg.release_messages() {
-                        activity.messages.push((release_at, *m));
+                        activity.handshake.push((release_at, *m));
                     }
-                    self.enter(&mut activity, release_at, RrcState::Idle);
+                    self.enter(activity, release_at, RrcState::Idle);
                 }
             }
         }
-        activity
     }
 
     /// Transmits `bytes` of payload starting at `now`.
@@ -361,8 +390,19 @@ impl CellularRadio {
     /// (i.e. `now` before the last `delivered_at`) queues behind it: the
     /// radio serialises, exactly like the single TX chain in a phone.
     pub fn transmit(&mut self, now: SimTime, bytes: usize) -> TransmitOutcome {
+        self.transmit_after(RadioActivity::default(), now, bytes)
+    }
+
+    /// [`CellularRadio::transmit`], appending to what `activity` already
+    /// holds.
+    fn transmit_after(
+        &mut self,
+        mut activity: RadioActivity,
+        now: SimTime,
+        bytes: usize,
+    ) -> TransmitOutcome {
         let now = now.max(self.accounted_until);
-        let mut activity = self.advance(now);
+        self.advance_into(&mut activity, now);
         let mut new_connections = 0u32;
 
         let transfer_start = match self.state {
@@ -377,7 +417,7 @@ impl CellularRadio {
                     let offset = SimDuration::from_micros(
                         self.cfg.promotion_delay.as_micros() * i as u64 / n.max(1),
                     );
-                    activity.messages.push((now + offset, *m));
+                    activity.handshake.push((now + offset, *m));
                 }
                 activity.push_segment(
                     now,
@@ -389,7 +429,7 @@ impl CellularRadio {
             }
             RrcState::CellFach => {
                 for m in self.cfg.repromotion_messages() {
-                    activity.messages.push((now, *m));
+                    activity.handshake.push((now, *m));
                 }
                 activity.push_segment(
                     now,
@@ -409,11 +449,8 @@ impl CellularRadio {
             self.cfg.active_current,
             Phase::CellularActive,
         );
-        for _ in 0..self.cfg.volume_messages(bytes) {
-            activity
-                .messages
-                .push((transfer_start, L3Message::TransportChannelReconfiguration));
-        }
+        activity.volume_messages = self.cfg.volume_messages(bytes);
+        activity.volume_at = transfer_start;
 
         let delivered_at = transfer_start + duration;
         let busy = (delivered_at - now).as_secs_f64();
@@ -475,16 +512,13 @@ impl CellularRadio {
     /// power).
     pub fn receive_paged(&mut self, now: SimTime, bytes: usize) -> TransmitOutcome {
         let now = now.max(self.accounted_until);
-        let needs_page = self.state_at(now) == RrcState::Idle;
-        let mut outcome = self.transmit(now, bytes);
-        if needs_page {
-            // The page precedes the connection request in the capture.
-            outcome
-                .activity
-                .messages
-                .insert(0, (now, L3Message::PagingType1));
+        let mut activity = RadioActivity::default();
+        if self.state_at(now) == RrcState::Idle {
+            // The page comes first in the capture, ahead of the settled
+            // tail's messages and the connection request.
+            activity.handshake.push((now, L3Message::PagingType1));
         }
-        outcome
+        self.transmit_after(activity, now, bytes)
     }
 }
 
@@ -554,9 +588,9 @@ mod tests {
     fn full_cycle_signaling_is_eight_messages() {
         let mut r = radio();
         let out = r.transmit(SimTime::ZERO, 74);
-        assert_eq!(out.activity.messages.len(), 5, "establishment = 5 msgs");
+        assert_eq!(out.activity.message_count(), 5, "establishment = 5 msgs");
         let tail = r.finalize(SimTime::from_secs(60));
-        assert_eq!(tail.messages.len(), 3, "demotion 1 + release 2");
+        assert_eq!(tail.message_count(), 3, "demotion 1 + release 2");
         assert_eq!(out.rrc_connections, 1);
     }
 
@@ -570,9 +604,8 @@ mod tests {
         assert_eq!(second.rrc_connections, 0);
         assert!(second
             .activity
-            .messages
-            .iter()
-            .all(|(_, m)| *m != L3Message::RrcConnectionRequest));
+            .messages()
+            .all(|(_, m)| m != L3Message::RrcConnectionRequest));
         assert_eq!(r.connections(), 1);
     }
 
@@ -587,9 +620,8 @@ mod tests {
         assert_eq!(second.rrc_connections, 0);
         assert!(second
             .activity
-            .messages
-            .iter()
-            .any(|(_, m)| *m == L3Message::CellUpdate));
+            .messages()
+            .any(|(_, m)| m == L3Message::CellUpdate));
     }
 
     #[test]
@@ -634,11 +666,75 @@ mod tests {
         let out = r.transmit(SimTime::ZERO, 3_000);
         let reconfigs = out
             .activity
-            .messages
-            .iter()
+            .messages()
             .filter(|(_, m)| *m == L3Message::TransportChannelReconfiguration)
             .count();
         assert_eq!(reconfigs, 2);
+    }
+
+    #[test]
+    fn a_payload_past_the_inline_capacity_is_captured_in_full() {
+        // A paged download whose reconfigurations alone outnumber the
+        // inline handshake: the capture still lists every message, in
+        // the order the radio produced them.
+        use crate::bs::BaseStation;
+        use hbr_sim::DeviceId;
+        let cfg = RrcConfig::wcdma_galaxy_s4();
+        let mut r = CellularRadio::new(cfg.clone());
+        let mut bs = BaseStation::new();
+        let first = r.transmit(SimTime::ZERO, 74);
+        bs.record(DeviceId::new(0), &first.activity, first.rrc_connections);
+        let out = r.receive_paged(SimTime::from_secs(100), 30_000);
+        bs.record(DeviceId::new(0), &out.activity, out.rrc_connections);
+
+        let ms = SimTime::from_millis;
+        let establish = |from: u64| {
+            cfg.establishment_messages()
+                .iter()
+                .enumerate()
+                .map(move |(i, m)| (ms(from + 400 * i as u64), *m))
+        };
+        let mut expected: Vec<_> = establish(0).collect();
+        expected.extend([
+            (ms(100_000), L3Message::PagingType1),
+            (ms(5_200), L3Message::RadioBearerReconfiguration),
+            (ms(7_700), L3Message::RrcConnectionRelease),
+            (ms(7_700), L3Message::RrcConnectionReleaseComplete),
+        ]);
+        expected.extend(establish(100_000));
+        let reconfiguration = (ms(102_000), L3Message::TransportChannelReconfiguration);
+        expected.extend(std::iter::repeat_n(reconfiguration, 29));
+        let captured: Vec<_> = bs
+            .capture()
+            .entries()
+            .iter()
+            .map(|e| (e.time, e.message))
+            .collect();
+        assert_eq!(captured, expected);
+        assert_eq!(out.activity.message_count(), 38);
+    }
+
+    #[test]
+    #[should_panic(expected = "over its capacity of 4")]
+    fn a_fifth_segment_overflows_the_activity() {
+        let mut activity = RadioActivity::default();
+        for s in 0..5 {
+            activity.push_segment(
+                SimTime::from_secs(s),
+                SimDuration::from_secs(1),
+                MilliAmps::new(1.0),
+                Phase::CellularTail,
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "over its capacity of 9")]
+    fn a_tenth_handshake_message_overflows_the_activity() {
+        let mut activity = RadioActivity::default();
+        activity
+            .handshake
+            .extend([(SimTime::ZERO, L3Message::CellUpdate); 10]);
     }
 
     #[test]
@@ -654,7 +750,7 @@ mod tests {
 
     impl RadioActivity {
         fn activity_messages_contains(&self, needle: L3Message) -> bool {
-            self.messages.iter().any(|(_, m)| *m == needle)
+            self.messages().any(|(_, m)| m == needle)
         }
     }
 
@@ -697,8 +793,8 @@ mod tests {
         let mut r = radio();
         let out = r.receive_paged(SimTime::ZERO, 512);
         assert_eq!(out.rrc_connections, 1);
-        assert_eq!(out.activity.messages[0].1, L3Message::PagingType1);
-        assert_eq!(out.activity.messages[1].1, L3Message::RrcConnectionRequest);
+        assert_eq!(out.activity.handshake[0].1, L3Message::PagingType1);
+        assert_eq!(out.activity.handshake[1].1, L3Message::RrcConnectionRequest);
     }
 
     #[test]
@@ -710,9 +806,8 @@ mod tests {
         assert_eq!(out.rrc_connections, 0);
         assert!(out
             .activity
-            .messages
-            .iter()
-            .all(|(_, m)| *m != L3Message::PagingType1));
+            .messages()
+            .all(|(_, m)| m != L3Message::PagingType1));
     }
 
     #[test]
@@ -723,7 +818,7 @@ mod tests {
         assert!(!first.segments.is_empty());
         let second = r.advance(SimTime::from_secs(60));
         assert!(second.segments.is_empty());
-        assert!(second.messages.is_empty());
+        assert_eq!(second.message_count(), 0);
     }
 
     #[test]

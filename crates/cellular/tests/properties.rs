@@ -20,14 +20,14 @@ fn run_workload(
         for (s, seg) in &out.activity.segments {
             meter.add_segment(*s, *seg);
         }
-        messages.extend(out.activity.messages);
+        messages.extend(out.activity.messages());
         t = out.delivered_at;
     }
     let fin = radio.finalize(t + SimDuration::from_secs(60));
     for (s, seg) in &fin.segments {
         meter.add_segment(*s, *seg);
     }
-    messages.extend(fin.messages);
+    messages.extend(fin.messages());
     (messages, meter, radio.connections())
 }
 

@@ -353,7 +353,7 @@ impl StackHarness {
 
     /// The relay flushes its batch to the server at `at`.
     fn flush_relay(&mut self, at: SimTime) -> String {
-        let batch = self.scheduler.take_batch_at(at);
+        let batch: Vec<Heartbeat> = self.scheduler.take_batch_at(at).collect();
         let ids: Vec<MessageId> = batch.iter().map(|hb| hb.id).collect();
         let mut accepted = 0usize;
         for hb in batch {
@@ -420,7 +420,7 @@ impl System for StackHarness {
             }
             Stim::Depart => {
                 self.relay_mode = RelayMode::Departed;
-                let batch = self.scheduler.take_batch();
+                let batch: Vec<Heartbeat> = self.scheduler.take_batch().collect();
                 let retracted = self.retract(batch.iter().map(|hb| hb.id));
                 let mut recoveries = Vec::new();
                 for hb in batch {
@@ -478,7 +478,8 @@ impl System for StackHarness {
             fired += 1;
             // Tie order at one instant: feedback sweeps, then ledger
             // retries, then scheduler flushes.
-            let expired = self.feedback.take_expired(due);
+            let mut expired = Vec::new();
+            self.feedback.take_expired(due, &mut expired);
             if !expired.is_empty() {
                 for pending in expired {
                     if self.ledger.entry(pending.heartbeat.id).is_some() {
@@ -487,7 +488,8 @@ impl System for StackHarness {
                 }
                 continue;
             }
-            let due_retries = self.ledger.take_due(due);
+            let mut due_retries = Vec::new();
+            self.ledger.take_due(due, &mut due_retries);
             if !due_retries.is_empty() {
                 for hb in due_retries {
                     self.try_forward(hb, due);

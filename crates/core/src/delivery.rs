@@ -286,22 +286,16 @@ impl DeliveryLedger {
         }
     }
 
-    /// Pops every entry whose scheduled retry is due at `now`, clearing
-    /// the timer (stale retry events are therefore harmless no-ops).
-    pub fn take_due(&mut self, now: SimTime) -> Vec<Heartbeat> {
-        let due: Vec<MessageId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.next_retry.is_some_and(|t| t <= now))
-            .map(|(id, _)| *id)
-            .collect();
-        due.iter()
-            .filter_map(|id| {
-                let e = self.entries.get_mut(id)?;
+    /// Appends to `due`, in id order, the heartbeat of every entry whose
+    /// scheduled retry is due at `now`, clearing the timer (stale retry
+    /// events are therefore harmless no-ops).
+    pub fn take_due(&mut self, now: SimTime, due: &mut Vec<Heartbeat>) {
+        for e in self.entries.values_mut() {
+            if e.next_retry.is_some_and(|t| t <= now) {
                 e.next_retry = None;
-                Some(e.heartbeat)
-            })
-            .collect()
+                due.push(e.heartbeat);
+            }
+        }
     }
 
     /// The earliest scheduled retry, if any — for event scheduling.
@@ -487,11 +481,14 @@ mod tests {
         l.plan_retry(a.id, SimTime::from_secs(0), &p, m, &mut r);
         l.plan_retry(b.id, SimTime::from_secs(100), &p, m, &mut r);
         assert_eq!(l.next_retry(), Some(SimTime::from_secs(5)));
-        let due = l.take_due(SimTime::from_secs(5));
+        let mut due = Vec::new();
+        l.take_due(SimTime::from_secs(5), &mut due);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].id, a.id);
         // The popped timer is cleared: a stale event finds nothing due.
-        assert!(l.take_due(SimTime::from_secs(5)).is_empty());
+        due.clear();
+        l.take_due(SimTime::from_secs(5), &mut due);
+        assert!(due.is_empty());
         assert_eq!(l.next_retry(), Some(SimTime::from_secs(105)));
     }
 

@@ -171,7 +171,12 @@ impl D2dDetector {
             return MatchDecision::DirectCellular(NoMatchReason::NoRelaysDiscovered);
         }
 
-        let mut candidates: Vec<(DeviceId, f64)> = adverts
+        // Every admissible advert costs one channel draw, in advert
+        // order, so the scan always runs to the end; the nearest
+        // estimate wins, ties by id. total_cmp: a degenerate channel
+        // draw (NaN estimate) must never panic the matcher; NaN ranks
+        // last and loses to real distances.
+        let nearest = adverts
             .iter()
             .filter(|a| a.free_capacity > 0 && a.go_intent > GoIntent::MIN)
             .filter_map(|a| {
@@ -184,16 +189,10 @@ impl D2dDetector {
                 let estimated = self.channel.estimate_distance(rssi);
                 (estimated <= self.config.max_match_distance_m).then_some((a.device, estimated))
             })
-            .collect();
-
-        if candidates.is_empty() {
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let Some((relay, estimated_distance_m)) = nearest else {
             return MatchDecision::DirectCellular(NoMatchReason::AllCandidatesInadmissible);
-        }
-
-        // total_cmp: a degenerate channel draw (NaN estimate) must never
-        // panic the matcher; NaN sorts last and loses to real distances.
-        candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let (relay, estimated_distance_m) = candidates[0];
+        };
 
         if self.config.energy_prejudgment {
             let predicted = self
@@ -261,6 +260,32 @@ mod tests {
             }
             other => panic!("expected a relay match, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_admissible_advert_costs_one_draw_in_advert_order() {
+        // With shadowing on, each advert with free capacity draws once,
+        // in advert order, even after the eventual winner: the stream
+        // ends where three draws for the admissible three leave it.
+        let d = D2dDetector::new(
+            FrameworkConfig::default(),
+            TechProfile::wifi_direct(),
+            PathLoss::indoor_wifi(),
+        );
+        let adverts = [
+            advert(1, 2.0, 5),
+            advert(2, 9.0, 5),
+            advert(3, 1.0, 0),
+            advert(4, 5.0, 5),
+        ];
+        let mut used = rng();
+        let decision = d.match_relay(Position::ORIGIN, &adverts, 8, 581.0, &mut used);
+        assert!(matches!(decision, MatchDecision::UseRelay { .. }));
+        let mut reference = rng();
+        for x in [2.0, 9.0, 5.0] {
+            d.channel.measure(x, &mut reference);
+        }
+        assert_eq!(used.unit(), reference.unit());
     }
 
     #[test]

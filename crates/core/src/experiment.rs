@@ -382,9 +382,9 @@ impl ControlledExperiment {
         relay_id: DeviceId,
         at: SimTime,
     ) {
-        let batch = scheduler.take_batch_at(at);
         // Aggregate payload: the relay's own heartbeat plus the batch.
-        let bytes = cfg.message_size + batch.iter().map(|hb| hb.size).sum::<usize>();
+        let batch = scheduler.take_batch_at(at);
+        let bytes = cfg.message_size + batch.map(|hb| hb.size).sum::<usize>();
         let out = radio.transmit(at, bytes);
         for (s, seg) in &out.activity.segments {
             meter.add_segment(*s, *seg);

@@ -104,37 +104,28 @@ impl FeedbackTracker {
             .count()
     }
 
-    /// Pops every pending forward whose deadline has passed at `now`;
-    /// the caller must re-send each returned heartbeat over cellular.
-    pub fn expire_due(&mut self, now: SimTime) -> Vec<PendingForward> {
-        let due: Vec<MessageId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(id, _)| *id)
-            .collect();
-        let out: Vec<PendingForward> = due
-            .iter()
-            .filter_map(|id| self.pending.remove(id))
-            .collect();
-        self.fallbacks += out.len() as u64;
-        out
+    /// Moves every pending forward whose deadline has passed at `now`
+    /// onto `due`, in id order; the caller must re-send each of those
+    /// heartbeats over cellular.
+    pub fn expire_due(&mut self, now: SimTime, due: &mut Vec<PendingForward>) {
+        let before = due.len();
+        self.take_expired(now, due);
+        self.fallbacks += (due.len() - before) as u64;
     }
 
-    /// Pops every pending forward whose deadline has passed at `now`
-    /// *without* counting them as fallbacks — the reliable-delivery
-    /// layer uses this so a timed-out forward that is successfully
-    /// retried over D2D is not double-counted as a cellular fallback.
-    pub fn take_expired(&mut self, now: SimTime) -> Vec<PendingForward> {
-        let due: Vec<MessageId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(id, _)| *id)
-            .collect();
-        due.iter()
-            .filter_map(|id| self.pending.remove(id))
-            .collect()
+    /// Moves every pending forward whose deadline has passed at `now`
+    /// onto `due`, in id order, *without* counting them as fallbacks —
+    /// the reliable-delivery layer uses this so a timed-out forward that
+    /// is successfully retried over D2D is not double-counted as a
+    /// cellular fallback.
+    pub fn take_expired(&mut self, now: SimTime, due: &mut Vec<PendingForward>) {
+        self.pending.retain(|_, p| {
+            let expired = p.deadline <= now;
+            if expired {
+                due.push(p.clone());
+            }
+            !expired
+        });
     }
 
     /// Removes pending forwards without confirming them or counting them
@@ -224,6 +215,18 @@ mod tests {
         FeedbackTracker::new(SimDuration::from_secs(30))
     }
 
+    fn expire_due(t: &mut FeedbackTracker, now: SimTime) -> Vec<PendingForward> {
+        let mut due = Vec::new();
+        t.expire_due(now, &mut due);
+        due
+    }
+
+    fn take_expired(t: &mut FeedbackTracker, now: SimTime) -> Vec<PendingForward> {
+        let mut due = Vec::new();
+        t.take_expired(now, &mut due);
+        due
+    }
+
     #[test]
     fn confirmation_clears_pending() {
         let mut t = tracker();
@@ -234,7 +237,7 @@ mod tests {
         assert_eq!(t.pending_count(), 1);
         assert_eq!(t.on_delivered([h.id]), 1);
         assert_eq!(t.pending_count(), 0);
-        assert!(t.expire_due(SimTime::from_secs(100)).is_empty());
+        assert!(expire_due(&mut t, SimTime::from_secs(100)).is_empty());
     }
 
     #[test]
@@ -244,10 +247,10 @@ mod tests {
         let h = hb(&mut ids);
         t.on_forward(h, SimTime::from_secs(10));
         assert!(
-            t.expire_due(SimTime::from_secs(39)).is_empty(),
+            expire_due(&mut t, SimTime::from_secs(39)).is_empty(),
             "not due yet"
         );
-        let due = t.expire_due(SimTime::from_secs(40));
+        let due = expire_due(&mut t, SimTime::from_secs(40));
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].heartbeat.id, h.id);
         assert_eq!(t.fallbacks(), 1);
@@ -264,7 +267,7 @@ mod tests {
         t.on_forward(a, SimTime::from_secs(0));
         t.on_forward(b, SimTime::from_secs(20));
         assert_eq!(t.next_deadline(), Some(SimTime::from_secs(30)));
-        let due = t.expire_due(SimTime::from_secs(30));
+        let due = expire_due(&mut t, SimTime::from_secs(30));
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].heartbeat.id, a.id);
         assert_eq!(t.pending_count(), 1);
@@ -299,7 +302,7 @@ mod tests {
         let mut ids = MessageIdGen::new();
         let h = hb(&mut ids);
         t.on_forward(h, SimTime::from_secs(10));
-        let due = t.take_expired(SimTime::from_secs(40));
+        let due = take_expired(&mut t, SimTime::from_secs(40));
         assert_eq!(due.len(), 1);
         assert_eq!(t.fallbacks(), 0, "retry path is not a fallback");
         assert_eq!(t.pending_count(), 0);
@@ -323,8 +326,7 @@ mod tests {
         );
         assert_eq!(t.fallbacks(), 0);
         // The retracted deadline no longer fires.
-        assert!(t
-            .expire_due(SimTime::from_secs(30))
+        assert!(expire_due(&mut t, SimTime::from_secs(30))
             .iter()
             .all(|p| p.heartbeat.id == b.id));
     }

@@ -259,13 +259,13 @@ impl MessageScheduler {
     }
 
     /// Takes the buffered batch for transmission and stops collecting
-    /// until [`MessageScheduler::begin_period`]. The batch is returned in
-    /// arrival order. `take_batch_at` records flush statistics against
-    /// the given instant; the plain [`MessageScheduler::take_batch`]
-    /// records none (used for initialisation).
-    pub fn take_batch_at(&mut self, now: SimTime) -> Vec<Heartbeat> {
-        self.collecting = false;
-        self.earliest_expiry = None;
+    /// until [`MessageScheduler::begin_period`]. The batch drains out of
+    /// the scheduler's own buffer in arrival order (dropping the
+    /// iterator early still empties it), so the buffer keeps its
+    /// capacity. `take_batch_at` records flush statistics against the
+    /// given instant; the plain [`MessageScheduler::take_batch`] records
+    /// none (used for initialisation and departures).
+    pub fn take_batch_at(&mut self, now: SimTime) -> impl ExactSizeIterator<Item = Heartbeat> + '_ {
         self.stats.flushes += 1;
         self.stats.batch_sizes.record(self.buffer.len() as f64);
         for (arrived, _) in &self.buffer {
@@ -273,14 +273,14 @@ impl MessageScheduler {
                 .queueing_delay_secs
                 .record(now.saturating_since(*arrived).as_secs_f64());
         }
-        self.buffer.drain(..).map(|(_, hb)| hb).collect()
+        self.take_batch()
     }
 
     /// Takes the buffered batch without recording flush statistics.
-    pub fn take_batch(&mut self) -> Vec<Heartbeat> {
+    pub fn take_batch(&mut self) -> impl ExactSizeIterator<Item = Heartbeat> + '_ {
         self.collecting = false;
         self.earliest_expiry = None;
-        self.buffer.drain(..).map(|(_, hb)| hb).collect()
+        self.buffer.drain(..).map(|(_, hb)| hb)
     }
 
     /// Starts the next period at `start` and resumes collecting.
@@ -454,8 +454,7 @@ mod tests {
         let mut ids = MessageIdGen::new();
         s.on_arrival(SimTime::from_secs(10), hb(&mut ids, 10, 900));
         s.on_arrival(SimTime::from_secs(20), hb(&mut ids, 20, 900));
-        let batch = s.take_batch();
-        assert_eq!(batch.len(), 2);
+        assert_eq!(s.take_batch().len(), 2);
         assert!(!s.is_collecting());
         assert_eq!(
             s.on_arrival(SimTime::from_secs(30), hb(&mut ids, 30, 900)),
@@ -493,7 +492,7 @@ mod tests {
             s.on_arrival(SimTime::from_secs(k), hb(&mut ids, k, 900));
         }
         s.on_arrival(SimTime::from_secs(5), hb(&mut ids, 5, 900));
-        s.take_batch();
+        let _ = s.take_batch();
         assert_eq!(s.go_intent(), GoIntent::MIN, "not collecting → intent 0");
     }
 
@@ -538,8 +537,7 @@ mod tests {
         let mut ids = MessageIdGen::new();
         s.on_arrival(SimTime::from_secs(10), hb(&mut ids, 10, 900));
         s.on_arrival(SimTime::from_secs(30), hb(&mut ids, 30, 900));
-        let batch = s.take_batch_at(SimTime::from_secs(50));
-        assert_eq!(batch.len(), 2);
+        assert_eq!(s.take_batch_at(SimTime::from_secs(50)).len(), 2);
         s.on_arrival(SimTime::from_secs(60), hb(&mut ids, 60, 900));
         let stats = s.stats();
         assert_eq!(stats.flushes, 1);

@@ -37,15 +37,15 @@ use hbr_mobility::{Bounds, Field, Mobility, PathLoss, Position};
 use hbr_sim::fault::{fault_stream_seed, retry_stream_seed, FaultKind, FaultPlan};
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter, SCENARIO_MAGIC};
 use hbr_sim::telemetry::{
-    EventRecord, MetricsSnapshot, SpanRecorder, Telemetry, TelemetryEvent, LATENCY_BUCKETS,
-    RETRY_DEPTH_BUCKETS, SIZE_BUCKETS,
+    labelled, EventRecord, MetricsSnapshot, SpanRecorder, Telemetry, TelemetryEvent,
+    LATENCY_BUCKETS, RETRY_DEPTH_BUCKETS, SIZE_BUCKETS,
 };
 use hbr_sim::{snap_enum, DeviceId, SimDuration, SimRng, SimTime, Simulation};
 
 use crate::config::{FrameworkConfig, RadioStack};
 use crate::delivery::{BackoffPolicy, DeliveryLedger, RetryReason};
 use crate::detector::{D2dDetector, MatchDecision, RelayAdvert};
-use crate::feedback::FeedbackTracker;
+use crate::feedback::{FeedbackTracker, PendingForward};
 use crate::incentive::RewardLedger;
 use crate::invariant::{self, DeviceProbe, InvariantChecker};
 use crate::scheduler::{FlushReason, MessageScheduler, ScheduleDecision};
@@ -720,6 +720,27 @@ pub struct Scenario {
     /// closed at each terminal outcome; same pure-observation contract
     /// as `telemetry`.
     spans: SpanRecorder,
+    /// Buffers the handlers reuse, so that handling an event allocates
+    /// nothing once they have grown to the cell's largest step.
+    scratch: Scratch,
+}
+
+/// The scenario's reusable buffers. A handler takes one with
+/// `mem::take`, fills and drains it, and puts it back empty before it
+/// returns, on every path; a nested handler that finds one taken gets a
+/// fresh one, which is only slower. Never snapshotted: between events
+/// every buffer is empty.
+#[derive(Default)]
+struct Scratch {
+    /// Discovery's adverts for one matching round.
+    adverts: Vec<RelayAdvert>,
+    /// Heartbeats leaving a relay's buffer: a flush's collected batch
+    /// followed by the relay's own, or a departing relay's batch.
+    batch: Vec<Heartbeat>,
+    /// Forwards whose feedback deadline passed, for one sweep.
+    expired: Vec<PendingForward>,
+    /// Heartbeats whose backoff expired, for one retry sweep.
+    due: Vec<Heartbeat>,
 }
 
 /// The indices of the relays among `devices`, ascending.
@@ -880,6 +901,7 @@ impl Scenario {
             checker,
             telemetry,
             spans,
+            scratch: Scratch::default(),
         };
 
         for (index, fault) in world.config.faults.events().iter().enumerate() {
@@ -1056,14 +1078,7 @@ impl Scenario {
         // the boundary (the PR 5 departure path handles the batch).
         if self.devices[i].role == Role::Relay {
             self.detach_all_members(limit, i);
-            let batch = self.devices[i]
-                .scheduler
-                .as_mut()
-                .expect("relay has a scheduler")
-                .take_batch();
-            if self.reliable() {
-                self.requeue_dropped_batch(limit, i, batch, "relay-migrated");
-            }
+            self.drop_batch(limit, i, "relay-migrated");
         } else if self.devices[i].attached_to.is_some() || self.devices[i].link.is_some() {
             self.detach_ue(i, limit);
         }
@@ -1088,26 +1103,25 @@ impl Scenario {
         self.record_radio(i, &tail, 0);
         self.bs.record(id, &tail, 0);
         let connected = self.devices[i].radio.state_at(limit) != RrcState::Idle;
-        let mut messages = vec![
+        let mut handover = RadioActivity::default();
+        handover.handshake.extend([
             (limit, L3Message::CellUpdate),
             (limit, L3Message::CellUpdateConfirm),
-        ];
+        ]);
         if connected {
-            messages.push((limit, L3Message::RadioBearerReconfiguration));
-            messages.push((limit, L3Message::TransportChannelReconfiguration));
+            handover.handshake.extend([
+                (limit, L3Message::RadioBearerReconfiguration),
+                (limit, L3Message::TransportChannelReconfiguration),
+            ]);
         }
-        let handover = RadioActivity {
-            messages,
-            ..RadioActivity::default()
-        };
         self.bs.record(id, &handover, 0);
         self.migrations += 1;
         self.lte_handovers += 1;
         if self.telemetry.metrics.is_enabled() {
             let rrc = if connected { "connected" } else { "idle" };
-            self.telemetry
-                .metrics
-                .incr(&format!("hbr_lte_handover_total{{rrc=\"{rrc}\"}}"));
+            labelled("hbr_lte_handover_total", "rrc", rrc, |name| {
+                self.telemetry.metrics.incr(name)
+            });
         }
         self.telemetry.record(
             limit,
@@ -1427,11 +1441,11 @@ impl Scenario {
     /// runs with spans off render byte-identical telemetry.
     fn close_span(&mut self, id: MessageId, at: SimTime, outcome: &'static str) {
         if let Some((latency_us, retries)) = self.spans.close(id.raw(), span_us(at), outcome) {
-            self.telemetry.metrics.observe(
-                &format!("hbr_delivery_latency_us{{outcome=\"{outcome}\"}}"),
-                LATENCY_BUCKETS,
-                latency_us as f64,
-            );
+            labelled("hbr_delivery_latency_us", "outcome", outcome, |name| {
+                self.telemetry
+                    .metrics
+                    .observe(name, LATENCY_BUCKETS, latency_us as f64)
+            });
             self.telemetry.metrics.observe(
                 "hbr_retry_chain_depth",
                 RETRY_DEPTH_BUCKETS,
@@ -1519,14 +1533,7 @@ impl Scenario {
                 self.detach_all_members(now, idx);
                 // Its collected batch leaves with it; the sources'
                 // feedback timers rescue those heartbeats (§III-A).
-                let dropped = self.devices[idx]
-                    .scheduler
-                    .as_mut()
-                    .expect("relay has a scheduler")
-                    .take_batch();
-                if self.reliable() {
-                    self.requeue_dropped_batch(now, idx, dropped, "relay-departed");
-                }
+                self.drop_batch(now, idx, "relay-departed");
                 // The departed phone still keeps its *own* presence alive
                 // over its cellular radio.
                 let own = std::mem::take(&mut self.devices[idx].own_pending);
@@ -1596,38 +1603,40 @@ impl Scenario {
         }
     }
 
-    /// Reliable delivery does not discard a leaving relay's batch: each
-    /// heartbeat is re-queued to its source for a backed-off retry that
-    /// avoids the departed relay. Shared by the departure fault and
-    /// cross-cell migration teardown (`cause` labels the span).
-    fn requeue_dropped_batch(
-        &mut self,
-        now: SimTime,
-        relay_idx: usize,
-        dropped: Vec<Heartbeat>,
-        cause: &'static str,
-    ) {
-        for hb in dropped {
-            let src = hb.source.index() as usize;
-            // The feedback deadline armed at forward time is now stale;
-            // retract it so the sweep cannot double-rescue what this
-            // path re-sends.
-            self.devices[src].feedback.retract([hb.id]);
-            if !self.devices[src].is_alive() {
-                self.drop_dead(now, &hb);
-                continue;
+    /// Empties a leaving relay's buffered batch. Reliable delivery does
+    /// not discard it: each heartbeat is re-queued to its source for a
+    /// backed-off retry that avoids the departed relay. Shared by the
+    /// departure fault and cross-cell migration teardown (`cause`
+    /// labels the span).
+    fn drop_batch(&mut self, now: SimTime, relay_idx: usize, cause: &'static str) {
+        let mut dropped = std::mem::take(&mut self.scratch.batch);
+        let scheduler = self.devices[relay_idx].scheduler.as_mut();
+        dropped.extend(scheduler.expect("relay has a scheduler").take_batch());
+        if self.reliable() {
+            for &hb in &dropped {
+                let src = hb.source.index() as usize;
+                // The feedback deadline armed at forward time is now stale;
+                // retract it so the sweep cannot double-rescue what this
+                // path re-sends.
+                self.devices[src].feedback.retract([hb.id]);
+                if !self.devices[src].is_alive() {
+                    self.drop_dead(now, &hb);
+                    continue;
+                }
+                self.requeued += 1;
+                self.spans.annotate(
+                    hb.id.raw(),
+                    span_us(now),
+                    "requeued",
+                    Some(cause),
+                    None,
+                    Some(self.devices[relay_idx].id.index()),
+                );
+                self.recover(now, src, hb, RetryReason::RelayDeparted, Some(relay_idx));
             }
-            self.requeued += 1;
-            self.spans.annotate(
-                hb.id.raw(),
-                span_us(now),
-                "requeued",
-                Some(cause),
-                None,
-                Some(self.devices[relay_idx].id.index()),
-            );
-            self.recover(now, src, hb, RetryReason::RelayDeparted, Some(relay_idx));
         }
+        dropped.clear();
+        self.scratch.batch = dropped;
     }
 
     /// Tears down a UE's attachment (fault path) and reroutes anything
@@ -1636,9 +1645,19 @@ impl Scenario {
         if self.devices[device].attached_to.is_some() || self.devices[device].link.is_some() {
             self.detach_ue(device, now);
         }
-        let pending = std::mem::take(&mut self.devices[device].pending_until_ready);
-        for hb in pending {
+        let mut pending = std::mem::take(&mut self.devices[device].pending_until_ready);
+        for hb in pending.drain(..) {
             self.send_cellular(now, device, hb);
+        }
+        self.return_pending_until_ready(device, pending);
+    }
+
+    /// Hands a drained `pending_until_ready` queue back to `device` so it
+    /// keeps its capacity — unless the device queued afresh meanwhile.
+    fn return_pending_until_ready(&mut self, device: usize, drained: Vec<Heartbeat>) {
+        let queue = &mut self.devices[device].pending_until_ready;
+        if queue.is_empty() {
+            *queue = drained;
         }
     }
 
@@ -1685,7 +1704,7 @@ impl Scenario {
             );
             if relayed {
                 self.devices[src].delivery.feedback_confirmed([hb.id]);
-                self.devices[src].feedback.on_delivered(vec![hb.id]);
+                self.devices[src].feedback.on_delivered([hb.id]);
                 self.spans.annotate(
                     hb.id.raw(),
                     span_us(now),
@@ -1907,7 +1926,8 @@ impl Scenario {
         // fixes its RNG draw order (and with it every seeded
         // experiment). A handover must avoid the relay that just failed
         // this heartbeat.
-        let adverts: Vec<RelayAdvert> = self
+        let mut adverts = std::mem::take(&mut self.scratch.adverts);
+        let found = self
             .relays
             .iter()
             .filter(|&&i| i != device && Some(i) != handover_from)
@@ -1932,8 +1952,8 @@ impl Scenario {
                 ))
             })
             .filter(|&(period, _)| self.delegation_allowed(slack, period))
-            .map(|(_, advert)| advert)
-            .collect();
+            .map(|(_, advert)| advert);
+        adverts.extend(found);
 
         // The UE pays a discovery scan whenever it has to (re)match. Only
         // the relay that ends up matched pays its responder cost (the
@@ -1958,6 +1978,8 @@ impl Scenario {
                 dev_rng,
             )
         };
+        adverts.clear();
+        self.scratch.adverts = adverts;
 
         match decision {
             MatchDecision::UseRelay { relay, .. } => {
@@ -2041,8 +2063,8 @@ impl Scenario {
         if still_establishing {
             return;
         }
-        let pending = std::mem::take(&mut self.devices[device].pending_until_ready);
-        for hb in pending {
+        let mut pending = std::mem::take(&mut self.devices[device].pending_until_ready);
+        for hb in pending.drain(..) {
             // A failed forward can close the link and detach the UE
             // mid-batch, so re-check the attachment for every message.
             match (
@@ -2053,6 +2075,7 @@ impl Scenario {
                 _ => self.send_cellular(now, device, hb),
             }
         }
+        self.return_pending_until_ready(device, pending);
     }
 
     fn forward_over_link(&mut self, now: SimTime, device: usize, relay_idx: usize, hb: Heartbeat) {
@@ -2116,13 +2139,14 @@ impl Scenario {
             Some(relay_gid),
         );
         if self.telemetry.is_enabled() {
-            self.telemetry.metrics.incr(&format!(
-                "hbr_d2d_transfer_total{{result=\"{}\"}}",
-                outcome.result_label()
-            ));
+            labelled(
+                "hbr_d2d_transfer_total",
+                "result",
+                outcome.result_label(),
+                |name| self.telemetry.metrics.incr(name),
+            );
         }
-        let sender_segments = outcome.sender.segments.clone();
-        self.apply_activity(device, &sender_segments);
+        self.apply_activity(device, &outcome.sender.segments);
 
         // Arm the fallback timer regardless of link-layer success: the UE
         // only learns the truth through delivery feedback (§III-A).
@@ -2240,16 +2264,31 @@ impl Scenario {
         if !self.devices[device].is_alive() {
             return; // dead relays transmit nothing; UEs' timers rescue
         }
-        let (batch, own) = {
-            let dev = &mut self.devices[device];
-            let scheduler = dev.scheduler.as_mut().expect("relay has a scheduler");
-            let batch = scheduler.take_batch_at(now);
-            let own = std::mem::take(&mut dev.own_pending);
-            (batch, own)
-        };
-        if batch.is_empty() && own.is_empty() {
-            return;
+        let mut hbs = std::mem::take(&mut self.scratch.batch);
+        let dev = &mut self.devices[device];
+        let scheduler = dev.scheduler.as_mut().expect("relay has a scheduler");
+        hbs.extend(scheduler.take_batch_at(now));
+        let buffered = hbs.len();
+        hbs.append(&mut dev.own_pending);
+        if !hbs.is_empty() {
+            self.send_batch(now, device, reason, &mut hbs, buffered);
         }
+        hbs.clear();
+        self.scratch.batch = hbs;
+    }
+
+    /// Ships one flush of `device`: `hbs` holds the collected batch (its
+    /// first `buffered` heartbeats) followed by the relay's own.
+    fn send_batch(
+        &mut self,
+        now: SimTime,
+        device: usize,
+        reason: FlushReason,
+        hbs: &mut [Heartbeat],
+        buffered: usize,
+    ) {
+        let own = hbs.len() - buffered;
+        let bytes: usize = hbs.iter().map(|h| h.size).sum();
         if now < self.outage_until {
             // The cell is down: the flush cannot leave the relay. Queue
             // every heartbeat for the post-outage drain (which also
@@ -2259,13 +2298,13 @@ impl Scenario {
                 TelemetryEvent::Flush {
                     device: self.devices[device].id.index(),
                     reason: "outage-queued",
-                    buffered: batch.len(),
-                    own: own.len(),
-                    bytes: batch.iter().chain(own.iter()).map(|h| h.size).sum(),
+                    buffered,
+                    own,
+                    bytes,
                 },
             );
             let relay_gid = self.devices[device].id.index();
-            for hb in batch.into_iter().chain(own) {
+            for &hb in hbs.iter() {
                 self.spans.annotate(
                     hb.id.raw(),
                     span_us(now),
@@ -2278,21 +2317,17 @@ impl Scenario {
             }
             return;
         }
-        let bytes: usize = batch.iter().chain(own.iter()).map(|h| h.size).sum();
         self.telemetry.record(
             now,
             TelemetryEvent::Flush {
                 device: self.devices[device].id.index(),
                 reason: reason.label(),
-                buffered: batch.len(),
-                own: own.len(),
+                buffered,
+                own,
                 bytes,
             },
         );
-        let out = {
-            let dev = &mut self.devices[device];
-            dev.radio.transmit(now, bytes)
-        };
+        let out = self.devices[device].radio.transmit(now, bytes);
         self.apply_activity(device, &out.activity.segments);
         self.record_radio(device, &out.activity, out.rrc_connections);
         self.bs
@@ -2300,12 +2335,11 @@ impl Scenario {
 
         let delivered_at = out.delivered_at;
         self.ledger
-            .credit_forwards(self.devices[device].id, batch.len() as u64);
+            .credit_forwards(self.devices[device].id, buffered as u64);
 
-        // Deliver to the IM servers and send feedback to the source UEs.
+        // Deliver to the IM servers.
         let relay_gid = self.devices[device].id.index();
-        let mut by_source: BTreeMap<DeviceId, Vec<hbr_apps::MessageId>> = BTreeMap::new();
-        for hb in batch.iter().chain(own.iter()) {
+        for hb in hbs.iter() {
             self.spans.annotate(
                 hb.id.raw(),
                 span_us(now),
@@ -2327,26 +2361,29 @@ impl Scenario {
                 );
             }
             self.deliver(hb, delivered_at);
-            by_source.entry(hb.source).or_default().push(hb.id);
         }
-        for (source, ids) in by_source {
-            let idx = source.index() as usize;
+        // Send feedback to the source UEs, one `Delivered(ids)` per
+        // source in ascending id order; the sort is stable, so each
+        // source's ids keep their batch order.
+        hbs.sort_by_key(|hb| hb.source);
+        for group in hbs.chunk_by(|a, b| a.source == b.source) {
+            let idx = group[0].source.index() as usize;
             if idx != device {
-                self.devices[idx]
-                    .delivery
-                    .feedback_confirmed(ids.iter().copied());
+                let ids = group.iter().map(|hb| hb.id);
+                self.devices[idx].delivery.feedback_confirmed(ids.clone());
                 self.devices[idx].feedback.on_delivered(ids);
             }
         }
     }
 
     fn on_feedback_sweep(&mut self, now: SimTime, device: usize) {
+        let mut due = std::mem::take(&mut self.scratch.expired);
         if self.reliable() {
             // A feedback miss means the relay failed us: detach, remember
             // the relay to avoid, and run the backoff/handover path
             // instead of the legacy one-shot cellular rescue.
-            let due = self.devices[device].feedback.take_expired(now);
-            for pending in due {
+            self.devices[device].feedback.take_expired(now, &mut due);
+            for pending in due.drain(..) {
                 let failed = self.devices[device].attached_to;
                 if failed.is_some() {
                     self.detach_ue(device, now);
@@ -2359,12 +2396,13 @@ impl Scenario {
                     failed,
                 );
             }
-            return;
+        } else {
+            self.devices[device].feedback.expire_due(now, &mut due);
+            for pending in due.drain(..) {
+                self.degrade_to_cellular(now, device, pending.heartbeat, "feedback-timeout");
+            }
         }
-        let due = self.devices[device].feedback.expire_due(now);
-        for pending in due {
-            self.degrade_to_cellular(now, device, pending.heartbeat, "feedback-timeout");
-        }
+        self.scratch.expired = due;
     }
 
     /// Exhausted (or inapplicable) D2D recovery: one cellular rescue,
@@ -2443,10 +2481,12 @@ impl Scenario {
     /// advanced or retired since keep no timer, so stale events find
     /// nothing due and fall through harmlessly.
     fn on_delivery_retry(&mut self, now: SimTime, device: usize) {
-        let due = self.devices[device].delivery.take_due(now);
-        for hb in due {
+        let mut due = std::mem::take(&mut self.scratch.due);
+        self.devices[device].delivery.take_due(now, &mut due);
+        for hb in due.drain(..) {
             self.attempt_redelivery(now, device, hb);
         }
+        self.scratch.due = due;
     }
 
     /// One D2D re-attempt for a heartbeat whose backoff expired: reuse a

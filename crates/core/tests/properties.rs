@@ -102,8 +102,7 @@ proptest! {
                 accepted.push(h.id);
             }
         }
-        let batch = s.take_batch();
-        let batch_ids: Vec<_> = batch.iter().map(|h| h.id).collect();
+        let batch_ids: Vec<_> = s.take_batch().map(|h| h.id).collect();
         prop_assert_eq!(batch_ids, accepted);
         prop_assert!(!s.is_collecting());
         prop_assert_eq!(s.collected(), 0);
@@ -133,7 +132,8 @@ proptest! {
         let hits = tracker.on_delivered(confirmed.iter().copied());
         prop_assert_eq!(hits, confirmed.len());
 
-        let rescued = tracker.expire_due(SimTime::from_secs(100_000));
+        let mut rescued = Vec::new();
+        tracker.expire_due(SimTime::from_secs(100_000), &mut rescued);
         prop_assert_eq!(rescued.len() + confirmed.len(), n);
         for r in &rescued {
             prop_assert!(!confirmed.contains(&r.heartbeat.id));

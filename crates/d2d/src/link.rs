@@ -202,8 +202,8 @@ impl D2dLink {
                 success: false,
                 sender,
                 receiver: D2dActivity {
-                    segments: Vec::new(),
                     done_at: completed_at,
+                    ..D2dActivity::default()
                 },
                 completed_at,
             };

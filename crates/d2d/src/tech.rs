@@ -22,7 +22,7 @@
 //! β = 0.02, keeping 1×–5× heartbeat payloads near-flat (Fig. 13).
 
 use hbr_energy::{MilliAmps, Phase, Segment};
-use hbr_sim::{SimDuration, SimTime};
+use hbr_sim::{InlineVec, SimDuration, SimTime};
 
 /// Which end of a D2D exchange a device is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,11 +45,15 @@ pub enum D2dTechnology {
 }
 
 /// Absolute-time energy segments produced by one D2D phase, plus the
-/// instant the phase completes.
-#[derive(Debug, Clone, Default)]
+/// instant the phase completes, held inline.
+///
+/// At most 2 segments: a transfer's spike and settle (the two-segment
+/// [`TransferShape`]), or a link establishment's discovery plus
+/// connection; every other phase is one segment.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct D2dActivity {
     /// `(absolute start, segment)` pairs for the device's energy meter.
-    pub segments: Vec<(SimTime, Segment)>,
+    pub segments: InlineVec<(SimTime, Segment), 2>,
     /// When the phase finishes.
     pub done_at: SimTime,
 }
@@ -498,6 +502,19 @@ mod tests {
         ] {
             assert_eq!(TechProfile::for_technology(t).technology, t);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "over its capacity of 2")]
+    fn a_third_segment_overflows_the_activity() {
+        let w = TechProfile::wifi_direct();
+        let mut a = w.send(SimTime::ZERO, 54, 1.0);
+        a.push(
+            a.done_at,
+            w.connection_duration,
+            w.idle_current,
+            Phase::D2dIdle,
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@ use std::fmt;
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Fine-grained activity that a current segment is attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Phase {
     /// OS / screen-off floor current, always flowing.
+    #[default]
     Baseline,
     /// Scanning for D2D peers (Wi-Fi Direct `discoverPeers`).
     D2dDiscovery,

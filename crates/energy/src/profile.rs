@@ -11,8 +11,9 @@ use hbr_sim::{snap_struct, SimDuration};
 use crate::phase::Phase;
 use crate::units::{MicroAmpHours, MilliAmps};
 
-/// One constant-current stretch within a profile.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One constant-current stretch within a profile. The default is an
+/// empty baseline stretch.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Segment {
     /// Start offset relative to the profile anchor.
     pub offset: SimDuration,

@@ -42,6 +42,7 @@
 pub mod engine;
 pub mod fault;
 pub mod ids;
+pub mod inline;
 pub mod json;
 pub mod rng;
 pub mod signal;
@@ -54,6 +55,7 @@ pub mod time;
 pub use engine::{FiredEvent, Simulation};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use ids::DeviceId;
+pub use inline::InlineVec;
 pub use rng::SimRng;
 pub use snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter, FORMAT_VERSION};
 pub use spans::{Span, SpanEvent, SpanRecord, SpanRecorder};

@@ -46,6 +46,7 @@
 //! assert!(snap.to_prometheus().contains("bucket"));
 //! ```
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -927,13 +928,39 @@ impl Telemetry {
     }
 }
 
+/// Calls `f` with the labelled series name `base{label="value"}`,
+/// composed in a buffer this thread reuses, so recording into a
+/// labelled series allocates only when the series is new.
+///
+/// # Examples
+///
+/// ```
+/// use hbr_sim::telemetry::{labelled, MetricsRegistry};
+///
+/// let mut m = MetricsRegistry::enabled();
+/// labelled("hbr_flush_total", "reason", "capacity", |name| m.incr(name));
+/// assert_eq!(m.snapshot().counter("hbr_flush_total{reason=\"capacity\"}"), 1);
+/// ```
+pub fn labelled<R>(base: &str, label: &str, value: &str, f: impl FnOnce(&str) -> R) -> R {
+    thread_local! {
+        static NAME: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    NAME.with_borrow_mut(|name| {
+        name.clear();
+        for part in [base, "{", label, "=\"", value, "\"}"] {
+            name.push_str(part);
+        }
+        f(name)
+    })
+}
+
 /// The metrics an event implies — the one place they are written.
 fn write_implied_metrics(m: &mut MetricsRegistry, event: &TelemetryEvent) {
     match *event {
         TelemetryEvent::Flush {
             reason, buffered, ..
         } => {
-            m.incr(&format!("hbr_flush_total{{reason=\"{reason}\"}}"));
+            labelled("hbr_flush_total", "reason", reason, |name| m.incr(name));
             // An outage-queued batch has not left the relay yet.
             if reason != "outage-queued" {
                 m.observe("hbr_relay_batch_size", SIZE_BUCKETS, buffered as f64);
@@ -945,11 +972,9 @@ fn write_implied_metrics(m: &mut MetricsRegistry, event: &TelemetryEvent) {
             dwell_secs,
             ..
         } => {
-            m.observe(
-                &format!("hbr_rrc_dwell_seconds{{state=\"{from}\"}}"),
-                DWELL_BUCKETS,
-                dwell_secs,
-            );
+            labelled("hbr_rrc_dwell_seconds", "state", from, |name| {
+                m.observe(name, DWELL_BUCKETS, dwell_secs)
+            });
             if to == "idle" {
                 m.incr("hbr_rrc_release_total");
             }
@@ -957,17 +982,23 @@ fn write_implied_metrics(m: &mut MetricsRegistry, event: &TelemetryEvent) {
         TelemetryEvent::RelayMatch { .. } => m.incr("hbr_d2d_link_setup_total"),
         TelemetryEvent::RelayDepart { .. } => m.incr("hbr_d2d_link_teardown_total"),
         TelemetryEvent::Fallback { cause, .. } => {
-            m.incr(&format!("hbr_fallback_total{{cause=\"{cause}\"}}"));
+            labelled("hbr_fallback_total", "cause", cause, |name| m.incr(name));
         }
         TelemetryEvent::Retry { cause, .. } => {
-            m.incr(&format!("hbr_delivery_retry_total{{reason=\"{cause}\"}}"));
+            labelled("hbr_delivery_retry_total", "reason", cause, |name| {
+                m.incr(name)
+            });
         }
         TelemetryEvent::Handover { .. } => m.incr("hbr_delivery_handover_total"),
         TelemetryEvent::FaultInjected { kind, .. } => {
-            m.incr(&format!("hbr_faults_injected_total{{kind=\"{kind}\"}}"));
+            labelled("hbr_faults_injected_total", "kind", kind, |name| {
+                m.incr(name)
+            });
         }
         TelemetryEvent::EnergyPhase { group, uah, .. } => {
-            m.add_gauge(&format!("hbr_energy_uah{{group=\"{group}\"}}"), uah);
+            labelled("hbr_energy_uah", "group", group, |name| {
+                m.add_gauge(name, uah)
+            });
         }
         TelemetryEvent::Migrate { .. } => m.incr("hbr_migration_total"),
         TelemetryEvent::FleetPulse {

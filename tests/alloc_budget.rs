@@ -12,8 +12,10 @@
 //! flush and the sweeps' due lists) live inline or in buffers the
 //! scenario reuses. What still allocates in steady state is the IM
 //! servers' dedup sets and refresh history, which grow with every
-//! delivered heartbeat, plus — with telemetry on — the event log and a
-//! metric series' first key.
+//! delivered heartbeat (all of the window's reallocations), a device's
+//! first use of its own queues (its first forward, its first heartbeat
+//! queued behind a link setup) and, with telemetry on, the event log
+//! and a metric series' first name.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,8 +69,8 @@ fn handled(scenario: &Scenario) -> u64 {
 }
 
 /// Allocations and reallocations per handled event over 1 800–3 600 s
-/// of one benchmark-density cell, and the number of events handled.
-fn per_event(telemetry: bool) -> (f64, f64, u64) {
+/// of one benchmark-density cell.
+fn per_event(telemetry: bool) -> (f64, f64) {
     let hour = SimDuration::from_secs(3_600);
     let mut config = ScenarioConfig::new(hour, 7);
     config.reliable_delivery = true;
@@ -91,17 +93,20 @@ fn per_event(telemetry: bool) -> (f64, f64, u64) {
         events > 1_000,
         "the window must handle real traffic: {events} events"
     );
-    let allocs = (allocs_after - allocs_before) as f64 / events as f64;
-    let reallocs = (reallocs_after - reallocs_before) as f64 / events as f64;
-    println!(
-        "telemetry {telemetry}: {events} events, {allocs:.3} allocs and {reallocs:.3} reallocs per event"
+    let (allocs, reallocs) = (
+        allocs_after - allocs_before,
+        reallocs_after - reallocs_before,
     );
-    (allocs, reallocs, events)
+    println!("telemetry {telemetry}: {events} events, {allocs} allocs, {reallocs} reallocs");
+    (
+        allocs as f64 / events as f64,
+        reallocs as f64 / events as f64,
+    )
 }
 
 #[test]
 fn steady_state_events_stay_within_the_allocation_budget() {
-    let (allocs, reallocs, _) = per_event(false);
+    let (allocs, reallocs) = per_event(false);
     assert!(
         allocs <= ALLOCS_PER_EVENT,
         "{allocs:.3} allocs per event over {ALLOCS_PER_EVENT}"
@@ -114,7 +119,7 @@ fn steady_state_events_stay_within_the_allocation_budget() {
 
 #[test]
 fn labelled_metrics_stay_within_the_allocation_budget() {
-    let (allocs, reallocs, _) = per_event(true);
+    let (allocs, reallocs) = per_event(true);
     assert!(
         allocs <= TELEMETRY_ALLOCS_PER_EVENT,
         "{allocs:.3} allocs per event over {TELEMETRY_ALLOCS_PER_EVENT}"
@@ -125,8 +130,12 @@ fn labelled_metrics_stay_within_the_allocation_budget() {
     );
 }
 
-// Budgets per handled event, telemetry off and on.
-const ALLOCS_PER_EVENT: f64 = 0.75;
-const REALLOCS_PER_EVENT: f64 = 0.15;
-const TELEMETRY_ALLOCS_PER_EVENT: f64 = 1.5;
-const TELEMETRY_REALLOCS_PER_EVENT: f64 = 0.15;
+// Budgets per handled event. Over the window's 2 095 events the cell
+// makes 27 allocations and 133 reallocations with telemetry off, 27 and
+// 134 with it on (5 405 and 1 303 off, 7 667 and 1 304 on while the
+// handlers built their records and lists afresh). Each budget sits
+// about 10–15 % above the measured count.
+const ALLOCS_PER_EVENT: f64 = 0.015;
+const REALLOCS_PER_EVENT: f64 = 0.07;
+const TELEMETRY_ALLOCS_PER_EVENT: f64 = 0.015;
+const TELEMETRY_REALLOCS_PER_EVENT: f64 = 0.07;
