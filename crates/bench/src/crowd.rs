@@ -442,7 +442,11 @@ fn run_crowd_inner(
 
     // Contiguous chunks of cells per worker; the chunk layout only
     // affects which thread runs a cell, never the cell's behaviour.
+    // Rounding the chunk up can leave fewer chunks than shards (9 cells
+    // on 4 shards run as 3 chunks of 3): the chunks are the lanes that
+    // run, and the profile counts those.
     let chunk = cell_count.div_ceil(shards);
+    let lanes = cell_count.div_ceil(chunk.max(1));
     let mut epochs_done = start_epoch;
     let mut truncated = false;
     let reports = thread::scope(|scope| {
@@ -560,8 +564,8 @@ fn run_crowd_inner(
                     let start = profiling.map(|p| p.elapsed_us());
                     let written = write_checkpoint(dir, config, done, &head, &snapshots);
                     if let (Some(p), Some(start)) = (profiling, start) {
-                        // The writer's own lane, one past the last shard's.
-                        p.record_write(epoch as u32, shards, start, p.since(start));
+                        // The writer's own lane, one past the last worker's.
+                        p.record_write(epoch as u32, lanes, start, p.since(start));
                     }
                     written
                 });
@@ -603,7 +607,7 @@ fn run_crowd_inner(
         report: merge_reports(reports, fleet_log),
         epochs_done,
         truncated,
-        profile: profiler.map(|p| p.finish(config.phones, cell_count, shards, EPOCHS)),
+        profile: profiler.map(|p| p.finish(config.phones, cell_count, lanes, EPOCHS)),
     }
 }
 
@@ -1038,6 +1042,7 @@ pub fn resume_crowd(
 mod tests {
     use super::*;
     use hbr_core::world::ChaosMutation;
+    use std::collections::BTreeSet;
     use std::time::{Duration, Instant};
 
     /// The dense two-shard hour the checker first tripped on: 1 600
@@ -1059,6 +1064,34 @@ mod tests {
             shards: Some(2),
             roam: false,
         }
+    }
+
+    /// Four shards asked for nine cells run as three chunks of three: the
+    /// profile reports the three lanes that ran, each with cell time,
+    /// and divides the stall by them.
+    #[test]
+    fn the_profile_counts_the_lanes_that_ran() {
+        let config = CrowdConfig {
+            phones: 900,
+            relays: 90,
+            area_side_m: 300.0,
+            shards: Some(4),
+            ..dense_hour()
+        };
+        let (_, profile) = run_crowd_profiled(&config);
+        assert_eq!(profile.cells, 9, "the 300 m area is a 3×3 grid");
+        assert_eq!(profile.shards, 3);
+        let cell_lanes: BTreeSet<usize> = profile.cell_samples.iter().map(|s| s.shard).collect();
+        let stall_lanes: BTreeSet<usize> = profile.stall_samples.iter().map(|s| s.lane).collect();
+        assert_eq!(cell_lanes, BTreeSet::from([0, 1, 2]));
+        assert_eq!(stall_lanes, cell_lanes);
+        let summary = profile.to_summary_json();
+        assert!(summary.contains("\"shards\":3,"), "{summary}");
+        assert_eq!(summary.matches("\"cell_us\":").count(), 3, "{summary}");
+        assert!(!summary.contains("\"cell_us\":0,"), "{summary}");
+        let stalled: u64 = profile.stall_samples.iter().map(|s| s.wall_us).sum();
+        let expected = stalled as f64 / (profile.total_wall_us * 3) as f64;
+        assert_eq!(profile.stall_fraction(), expected);
     }
 
     /// One panicking cell must end the run with its panic, not leave the

@@ -399,6 +399,21 @@ fn render_run(out: &mut String, entries: &[Entry], query: TimelineQuery, spans: 
     }
 }
 
+/// A span line's `"id"`, read without parsing the line: the integer
+/// after its first `"id":`. Only a key is followed by a colon, and a
+/// span's only `id` key is its own, so this is the id the full parse
+/// reads; `None` when no integer follows, and the caller then parses.
+fn span_id(line: &str) -> Option<u64> {
+    let rest = &line[line.find("\"id\":")? + "\"id\":".len()..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    if !rest[end..].starts_with([',', '}']) {
+        return None;
+    }
+    rest[..end].parse().ok()
+}
+
 /// The `hbr timeline` entry point: reads `file` (and the optional
 /// `--spans` artifact) and prints the report.
 pub fn run(
@@ -432,6 +447,9 @@ pub fn run(
         if !cited.is_empty() {
             for line in reader.lines() {
                 let line = line.map_err(|e| format!("cannot read {path}: {e}"))?;
+                if span_id(&line).is_some_and(|id| !cited.contains(&id)) {
+                    continue; // uncited: not worth a parse
+                }
                 spans.extend(SpanRecord::from_jsonl(&line).filter(|span| cited.contains(&span.id)));
             }
         }
@@ -451,6 +469,22 @@ mod tests {
         spans: &[SpanRecord],
     ) -> Result<String, String> {
         Ok(Timeline::read(text.as_bytes(), query)?.render(spans))
+    }
+
+    #[test]
+    fn a_span_id_is_read_without_parsing_the_line() {
+        assert_eq!(span_id(r#"{"id":42,"device":1}"#), Some(42));
+        assert_eq!(span_id(r#"{"run":"d2d","id":7}"#), Some(7));
+        // A run label that spells the key is escaped, so it never matches.
+        assert_eq!(span_id(r#"{"run":"say \"id\":9","id":3}"#), Some(3));
+        for unreadable in [
+            r#"{"device":1}"#,
+            r#"{"id":"42"}"#,
+            r#"{"id":-1}"#,
+            r#"{"id":4.5}"#,
+        ] {
+            assert_eq!(span_id(unreadable), None, "{unreadable}");
+        }
     }
 
     /// Span-less rendering, as `hbr timeline` without `--spans` runs it.
