@@ -930,7 +930,8 @@ impl Telemetry {
 
 /// Calls `f` with the labelled series name `base{label="value"}`,
 /// composed in a buffer this thread reuses, so recording into a
-/// labelled series allocates only when the series is new.
+/// labelled series allocates only when the series is new. `f` must not
+/// call `labelled` itself: the buffer is borrowed while it runs.
 ///
 /// # Examples
 ///
