@@ -18,11 +18,9 @@
 //! the legacy one-shot behaviour is byte-identical and no retry RNG
 //! draws happen, keeping the golden traces pinned by PR 2/3 untouched.
 
-use std::collections::BTreeMap;
-
 use hbr_apps::{Heartbeat, MessageId};
 use hbr_sim::snapshot::SnapshotError;
-use hbr_sim::{snap_enum, snap_struct, DeviceId, SimDuration, SimRng, SimTime};
+use hbr_sim::{snap_enum, snap_struct, DeviceId, SimDuration, SimRng, SimTime, VecMap};
 
 /// Where an in-flight heartbeat sits in the delivery pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,7 +160,7 @@ pub struct DeliveryStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLedger {
-    entries: BTreeMap<MessageId, DeliveryEntry>,
+    entries: VecMap<MessageId, DeliveryEntry>,
     stats: DeliveryStats,
 }
 

@@ -10,11 +10,9 @@
 //! the relay's `Delivered` notification arrives or its timeout expires
 //! and the heartbeat is handed back for direct transmission.
 
-use std::collections::BTreeMap;
-
 use hbr_apps::{Heartbeat, MessageId};
 use hbr_sim::snapshot::SnapshotError;
-use hbr_sim::{snap_struct, SimDuration, SimTime};
+use hbr_sim::{snap_struct, SimDuration, SimTime, VecMap};
 
 /// One forwarded heartbeat awaiting delivery confirmation.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +39,7 @@ pub struct PendingForward {
 #[derive(Debug, Clone)]
 pub struct FeedbackTracker {
     timeout: SimDuration,
-    pending: BTreeMap<MessageId, PendingForward>,
+    pending: VecMap<MessageId, PendingForward>,
     fallbacks: u64,
 }
 
@@ -60,7 +58,7 @@ impl FeedbackTracker {
         assert!(!timeout.is_zero(), "feedback timeout must be positive");
         FeedbackTracker {
             timeout,
-            pending: BTreeMap::new(),
+            pending: VecMap::new(),
             fallbacks: 0,
         }
     }

@@ -51,6 +51,7 @@ pub mod spans;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
+pub mod vec_map;
 
 pub use engine::{FiredEvent, Simulation};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
@@ -64,3 +65,4 @@ pub use telemetry::{
     EventLog, EventRecord, Histogram, MetricsRegistry, MetricsSnapshot, Telemetry, TelemetryEvent,
 };
 pub use time::{SimDuration, SimTime};
+pub use vec_map::VecMap;

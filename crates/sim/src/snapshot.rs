@@ -17,11 +17,12 @@
 //! * Floats travel as IEEE-754 bit patterns ([`f64::to_bits`]), so a
 //!   round trip is exact — `NaN` payloads included.
 //! * Collections are `u64` length followed by elements. Maps and sets
-//!   — `BTreeMap`, `HashMap` and `HashSet` alike — serialize in sorted
-//!   key order, so identical state always produces identical bytes and
-//!   a hash container writes the same bytes as a `BTreeMap` (or a
-//!   sorted `Vec`) with the same contents. A key that appears twice is
-//!   [`SnapshotError::Corrupt`].
+//!   — `BTreeMap`, [`VecMap`], `HashMap` and `HashSet` alike —
+//!   serialize in sorted key order, so identical state always produces
+//!   identical bytes and a hash container or a `VecMap` writes the same
+//!   bytes as a `BTreeMap` (or a sorted `Vec`) with the same contents.
+//!   A key that appears twice is [`SnapshotError::Corrupt`], and so,
+//!   for a `VecMap`, is a key below the one before it.
 //! * `&'static str` labels (span kinds, event causes)
 //!   serialize as strings and re-intern on read via [`intern`].
 //! * A record whose wire form is its fields (or its variant's fields)
@@ -36,6 +37,7 @@
 //! Every read returns a typed [`SnapshotError`] — a corrupted or
 //! truncated snapshot must never panic or half-apply.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::fs::File;
@@ -46,6 +48,7 @@ use std::sync::{Mutex, OnceLock};
 
 use crate::ids::DeviceId;
 use crate::time::{SimDuration, SimTime};
+use crate::vec_map::VecMap;
 
 /// Version stamped into every snapshot header. Bump on ANY wire-format
 /// change — CI carries a gate that fails when the format fingerprint
@@ -628,6 +631,32 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     }
 }
 
+/// Written as a `BTreeMap` with the same entries. Read back only from
+/// entries whose keys ascend strictly.
+impl<K: Snap + Ord, V: Snap> Snap for VecMap<K, V> {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        w.put_usize(self.len());
+        for (k, v) in self.keys().zip(self.values()) {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let len = take_len(r, "map")?;
+        let mut out = VecMap::new();
+        for i in 0..len {
+            let (k, v) = <(K, V)>::unsnap(r)?;
+            let why = match out.push_above(k, v) {
+                Ok(()) => continue,
+                Err(Ordering::Equal) => "repeats a key",
+                Err(_) => "has a key below the one before it",
+            };
+            return Err(SnapshotError::Corrupt(format!("map entry {i} {why}")));
+        }
+        Ok(out)
+    }
+}
+
 /// Written in key order, as a `BTreeMap` with the same entries.
 impl<K: Snap + Ord + Hash, V: Snap> Snap for HashMap<K, V> {
     fn snap(&self, w: &mut SnapshotWriter) {
@@ -767,11 +796,32 @@ mod tests {
         for err in [
             BTreeMap::<u64, u64>::unsnap(&mut SnapshotReader::new(&two_entries_one_key))
                 .unwrap_err(),
+            VecMap::<u64, u64>::unsnap(&mut SnapshotReader::new(&two_entries_one_key)).unwrap_err(),
             HashMap::<u64, u64>::unsnap(&mut SnapshotReader::new(&two_entries_one_key))
                 .unwrap_err(),
             HashSet::<u64>::unsnap(&mut SnapshotReader::new(&two_elements_one_value)).unwrap_err(),
         ] {
             assert!(matches!(err, SnapshotError::Corrupt(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_vec_map_reads_a_btree_maps_bytes_and_refuses_keys_out_of_order() {
+        let tree: BTreeMap<u64, String> =
+            [(9, "c".into()), (2, "a".into()), (5, "b".into())].into();
+        let bytes = to_bytes(&tree);
+        let map = VecMap::<u64, String>::unsnap(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(map.keys().copied().collect::<Vec<_>>(), [2, 5, 9]);
+        assert_eq!(to_bytes(&map), bytes);
+
+        let repeated = to_bytes(&vec![(2u64, 10u64), (5, 20), (5, 30)]);
+        let descending = to_bytes(&vec![(2u64, 10u64), (5, 20), (3, 30)]);
+        for (bytes, why) in [
+            (repeated, "map entry 2 repeats a key"),
+            (descending, "map entry 2 has a key below the one before it"),
+        ] {
+            let err = VecMap::<u64, u64>::unsnap(&mut SnapshotReader::new(&bytes)).unwrap_err();
+            assert_eq!(err, SnapshotError::Corrupt(why.into()));
         }
     }
 
