@@ -110,7 +110,12 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
     let dir = Path::new("results");
     fs::create_dir_all(dir)?;
-    let mut file = fs::File::create(dir.join(format!("{name}.csv")))?;
+    write_csv_to(&dir.join(format!("{name}.csv")), headers, rows)
+}
+
+/// Writes `headers` and `rows` as CSV to `path`.
+fn write_csv_to(path: &Path, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
+    let mut file = fs::File::create(path)?;
     writeln!(file, "{}", headers.join(","))?;
     for row in rows {
         writeln!(file, "{}", row.join(","))?;
@@ -179,9 +184,10 @@ mod tests {
     #[test]
     fn csv_round_trip() {
         let rows = vec![vec!["1".to_string(), "2".to_string()]];
-        write_csv("unit_test_tmp", &["a", "b"], &rows).unwrap();
-        let text = std::fs::read_to_string("results/unit_test_tmp.csv").unwrap();
+        let path = std::env::temp_dir().join(format!("hbr-bench-csv-{}.csv", std::process::id()));
+        write_csv_to(&path, &["a", "b"], &rows).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
-        let _ = std::fs::remove_file("results/unit_test_tmp.csv");
+        let _ = std::fs::remove_file(&path);
     }
 }
