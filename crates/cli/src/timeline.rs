@@ -10,13 +10,15 @@
 //! lifecycle span instead of the nearest-fault guess. The rendering is
 //! pure string work over the parsed lines, so the same files always
 //! produce the same text. Both files are read a line at a time, and
-//! only what the report can print is kept.
+//! only what the report can print is kept: an event line is parsed only
+//! when the report keeps it, the rest are counted from a scan of their
+//! top-level keys.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 
-use hbr_sim::json::Json;
+use hbr_sim::json::{self, Json};
 use hbr_sim::spans::SpanRecord;
 use hbr_sim::TelemetryEvent;
 
@@ -32,21 +34,55 @@ pub struct TimelineQuery {
 }
 
 impl TimelineQuery {
-    /// Whether the report shows `entry`: inside the window, and naming
-    /// the device.
-    fn shows(&self, entry: &Entry) -> bool {
+    /// Whether the report shows an event at `t_us` naming the devices
+    /// `named`: inside the window, and naming the device.
+    fn shows(&self, t_us: u64, named: impl Iterator<Item = u64>) -> bool {
         let us = |secs: u64| secs.saturating_mul(1_000_000);
         let in_window = self.around_secs.is_none_or(|centre| {
             let lo = us(centre.saturating_sub(self.window_secs));
-            (lo..=us(centre.saturating_add(self.window_secs))).contains(&entry.t_us)
+            (lo..=us(centre.saturating_add(self.window_secs))).contains(&t_us)
         });
         // Device-less events (global faults) always stay; an event
         // naming any device keeps only the timelines it names.
         let for_device = self.device.is_none_or(|want| {
-            let mut named = entry.participants().peekable();
+            let mut named = named.peekable();
             named.peek().is_none() || named.any(|have| have == u64::from(want))
         });
         in_window && for_device
+    }
+}
+
+/// The keys whose values name a device (see [`Entry::participants`]).
+const PARTICIPANTS: [&str; 4] = ["device", "relay", "from_relay", "to_relay"];
+
+/// What the reader needs of an event line to decide whether to keep
+/// it, read by [`json::scan_flat_object`] without parsing the line.
+#[derive(Default)]
+struct Peek<'a> {
+    t_us: Option<u64>,
+    kind: Option<&'a str>,
+    run: Option<&'a str>,
+    named: [Option<u64>; 4],
+}
+
+impl<'a> Peek<'a> {
+    /// `None` when the line is not in the writer's flat form (an
+    /// escaped string, a nested value, whitespace); such a line is
+    /// parsed in full. Each field is the last of its key, as
+    /// [`Json`]'s lookup reads it.
+    fn read(line: &'a str) -> Option<Self> {
+        let mut peek = Peek::default();
+        let flat = json::scan_flat_object(line, |key, value| match key {
+            "t_us" => peek.t_us = value.num(),
+            "event" => peek.kind = value.as_str(),
+            "run" => peek.run = value.as_str(),
+            _ => {
+                if let Some(i) = PARTICIPANTS.iter().position(|k| *k == key) {
+                    peek.named[i] = value.num();
+                }
+            }
+        });
+        flat.then_some(peek)
     }
 }
 
@@ -80,7 +116,7 @@ impl Entry {
     /// a relay's own timeline silently omits the retries/handovers it
     /// participated in.
     fn participants(&self) -> impl Iterator<Item = u64> + '_ {
-        ["device", "relay", "from_relay", "to_relay"]
+        PARTICIPANTS
             .into_iter()
             .filter_map(|key| self.fields[key].num())
     }
@@ -133,26 +169,44 @@ struct Timeline {
 
 impl Timeline {
     /// Reads an events file line by line, dropping what the query does
-    /// not keep. Fails when no line is an event at all (almost certainly
-    /// not an `--events-out` file).
+    /// not keep: a line is parsed only when the query keeps it, when it
+    /// is a fault, or when [`Peek`] cannot read it. Fails when no line is
+    /// an event at all (almost certainly not an `--events-out` file).
     fn read(input: impl BufRead, query: TimelineQuery) -> Result<Self, String> {
         let (mut runs, mut skipped, mut events) = (Vec::<(String, Vec<Entry>)>::new(), 0, 0);
+        // The index of the run `name`, registered on first sight.
+        let run = |runs: &mut Vec<(String, Vec<Entry>)>, name: &str| -> usize {
+            runs.iter()
+                .position(|(have, _)| have == name)
+                .unwrap_or_else(|| {
+                    runs.push((name.to_string(), Vec::new()));
+                    runs.len() - 1
+                })
+        };
         for line in input.lines() {
             let line = line.map_err(|e| format!("cannot read events: {e}"))?;
             if line.trim().is_empty() {
                 continue;
+            }
+            if let Some(peek) = Peek::read(&line) {
+                let (Some(t_us), Some(kind)) = (peek.t_us, peek.kind) else {
+                    skipped += 1;
+                    continue;
+                };
+                if kind != "fault" && !query.shows(t_us, peek.named.into_iter().flatten()) {
+                    events += 1;
+                    run(&mut runs, peek.run.unwrap_or(""));
+                    continue;
+                }
             }
             let Some(entry) = Entry::parse(&line) else {
                 skipped += 1;
                 continue;
             };
             events += 1;
-            if !runs.iter().any(|(name, _)| *name == entry.run) {
-                runs.push((entry.run.clone(), Vec::new()));
-            }
-            if entry.kind == "fault" || query.shows(&entry) {
-                let run = runs.iter_mut().find(|(name, _)| *name == entry.run);
-                run.expect("run registered").1.push(entry);
+            let i = run(&mut runs, &entry.run);
+            if entry.kind == "fault" || query.shows(entry.t_us, entry.participants()) {
+                runs[i].1.push(entry);
             }
         }
         if events == 0 {
@@ -241,7 +295,10 @@ fn render_run(out: &mut String, entries: &[Entry], query: TimelineQuery, spans: 
     let mut flush_reasons: BTreeMap<String, usize> = BTreeMap::new();
     let mut fallback_causes: BTreeMap<String, usize> = BTreeMap::new();
 
-    for entry in entries.iter().filter(|e| query.shows(e)) {
+    for entry in entries
+        .iter()
+        .filter(|e| query.shows(e.t_us, e.participants()))
+    {
         shown += 1;
         let kind = entry.kind.as_str();
         let known = TelemetryEvent::KINDS.contains(&kind);
@@ -710,6 +767,30 @@ mod tests {
         let out = render(nested, q(None, None)).unwrap();
         assert!(out.contains("device 7 matched relay 0"), "{out}");
         assert!(render("{\"deep\":{\"no\":1}}", q(None, None)).is_err());
+    }
+
+    #[test]
+    fn lines_the_query_drops_still_count_and_name_their_run() {
+        // Device 7's query drops the two extra runs' events: the first
+        // without a parse, the second (a run label the peek cannot read,
+        // escaped) after one. Both runs still get a header, and only the
+        // spaced line, which is no event, counts as skipped.
+        let text = format!(
+            "{SAMPLE}{{\"run\":\"other\",\"t_us\":1,\"event\":\"match\",\"device\":3,\"relay\":0}}\n\
+             {{\"run\":\"say \\\"hi\\\"\",\"t_us\":2,\"event\":\"match\",\"device\":3,\"relay\":0}}\n\
+             {{ \"t_us\": 3 }}\n"
+        );
+        let out = render(&text, q(None, Some(7))).unwrap();
+        assert!(
+            out.contains("── run: other ──\n  (no events in this window)"),
+            "{out}"
+        );
+        assert!(
+            out.contains("── run: say \"hi\" ──\n  (no events in this window)"),
+            "{out}"
+        );
+        assert!(out.contains("skipped 1 unparseable line(s)"), "{out}");
+        assert!(out.contains("5 event(s)"), "{out}");
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! events and spans JSONL, the delivery SLO, `MANIFEST.json`, serve's
 //! `pulse.jsonl` and `BENCH_profile.json` — goes through [`object`] and
 //! its [`Fields`] writer, and every one read back (`hbr timeline`,
-//! `hbr spans`) is parsed by [`Json::parse`]. String escaping, the
-//! float rule and the grammar live here and nowhere else.
+//! `hbr spans`) is parsed by [`Json::parse`]; [`scan_flat_object`]
+//! reads the keys of a flat line without building a tree, for the lines
+//! a reader may drop. String escaping, the float rule and the grammar
+//! live here and nowhere else.
 //!
 //! The writer is allocation-free: it appends to the caller's `String`,
 //! and a string with nothing to escape goes in with one `push_str`.
@@ -295,6 +297,100 @@ impl Json {
         let Json::Num(token) = self else { return None };
         token.parse().ok()
     }
+}
+
+/// A member value [`scan_flat_object`] reads: a number's token, a
+/// string with nothing escaped, or `true`, `false` or `null`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Flat<'a> {
+    /// A number, as its token.
+    Num(&'a str),
+    /// A string's text between its quotes.
+    Str(&'a str),
+    /// `true`, `false` or `null`.
+    Literal,
+}
+
+impl<'a> Flat<'a> {
+    /// The value as a string slice, if it is a string.
+    pub fn as_str(self) -> Option<&'a str> {
+        let Flat::Str(s) = self else { return None };
+        Some(s)
+    }
+
+    /// The number's token parsed as `T`, as [`Json::num`] reads it.
+    pub fn num<T: FromStr>(self) -> Option<T> {
+        let Flat::Num(token) = self else { return None };
+        token.parse().ok()
+    }
+}
+
+/// Reads `text` as an object in the form the writer emits an event
+/// line — no whitespace, no escape and no nested value — and hands each
+/// member to `member` in order, without building a tree. Returns
+/// `false` once `text` leaves that form; it may still be JSON, for
+/// [`Json::parse`] to read. On `true`, `Json::parse(text)` reads an
+/// object with the same members.
+///
+/// ```
+/// use hbr_sim::json::{scan_flat_object, Flat};
+///
+/// let mut members = Vec::new();
+/// assert!(scan_flat_object(r#"{"t_us":5,"event":"rrc"}"#, |k, v| members.push((k, v))));
+/// assert_eq!(members, [("t_us", Flat::Num("5")), ("event", Flat::Str("rrc"))]);
+/// assert!(!scan_flat_object(r#"{"t_us": 5}"#, |_, _| {}));
+/// ```
+pub fn scan_flat_object<'a>(text: &'a str, mut member: impl FnMut(&'a str, Flat<'a>)) -> bool {
+    let Some(mut rest) = text.strip_prefix('{').and_then(|t| t.strip_suffix('}')) else {
+        return false;
+    };
+    while !rest.is_empty() {
+        let Some((key, after)) = flat_string(rest) else {
+            return false;
+        };
+        let Some(after) = after.strip_prefix(':') else {
+            return false;
+        };
+        let (value, after) = if after.starts_with('"') {
+            let Some((s, after)) = flat_string(after) else {
+                return false;
+            };
+            (Flat::Str(s), after)
+        } else {
+            let (token, after) = after.split_at(after.find(',').unwrap_or(after.len()));
+            let value = match token {
+                "true" | "false" | "null" => Flat::Literal,
+                _ if is_number(token) => Flat::Num(token),
+                _ => return false,
+            };
+            (value, after)
+        };
+        member(key, value);
+        rest = match after.strip_prefix(',') {
+            Some(next) if !next.is_empty() => next,
+            None if after.is_empty() => after,
+            _ => return false,
+        };
+    }
+    true
+}
+
+/// The text of the string that opens `text` when nothing in it is
+/// escaped or a control character, and the text after its closing
+/// quote.
+fn flat_string(text: &str) -> Option<(&str, &str)> {
+    let body = text.strip_prefix('"')?;
+    let end = body.find(|c: char| c == '"' || c == '\\' || c < ' ')?;
+    (body.as_bytes()[end] == b'"').then(|| (&body[..end], &body[end + 1..]))
+}
+
+/// Whether the parser reads `token`, all of it, as a number.
+fn is_number(token: &str) -> bool {
+    let number_byte = |b: u8| matches!(b, b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E');
+    let leads = token.starts_with(|c: char| c == '-' || c.is_ascii_digit());
+    leads
+        && token.bytes().all(number_byte)
+        && (token.bytes().all(|b| b.is_ascii_digit()) || token.parse::<f64>().is_ok())
 }
 
 struct Parser<'a> {
@@ -623,5 +719,142 @@ pub(crate) mod tests {
         assert_eq!(Json::parse(&deep), None, "too deep");
         let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
         assert!(Json::parse(&ok).is_some(), "deep enough");
+    }
+
+    /// The members [`scan_flat_object`] reads, or `None` when it stops.
+    fn scanned(text: &str) -> Option<Vec<(&str, Flat<'_>)>> {
+        let mut members = Vec::new();
+        scan_flat_object(text, |key, value| members.push((key, value))).then_some(members)
+    }
+
+    /// Whether the scan read exactly the members the parser reads.
+    fn scan_agrees_with_parse(text: &str) -> bool {
+        let (Some(members), Some(Json::Object(parsed))) = (scanned(text), Json::parse(text)) else {
+            return false;
+        };
+        members.len() == parsed.len()
+            && members.iter().zip(&parsed).all(|((k, flat), (key, json))| {
+                *k == key.as_str()
+                    && match (flat, json) {
+                        (Flat::Num(token), Json::Num(have)) => token == have,
+                        (Flat::Str(s), Json::Str(have)) => s == have,
+                        (Flat::Literal, Json::Bool(_) | Json::Null) => true,
+                        _ => false,
+                    }
+            })
+    }
+
+    #[test]
+    fn the_flat_scan_reads_the_writers_lines_as_the_parser_does() {
+        for line in [
+            "{}",
+            r#"{"t_us":5000000,"event":"match","device":7,"relay":0}"#,
+            r#"{"run":"d2d-framework","t_us":1,"event":"rrc","dwell_secs":6.5,"uah":-1.5e3}"#,
+            r#"{"a":true,"b":false,"c":null,"t_us":1,"t_us":"late"}"#,
+            r#"{"name":"héllo ☃","n":0123}"#,
+        ] {
+            assert!(scan_agrees_with_parse(line), "{line}");
+        }
+        // JSON outside the writer's form is left to the parser.
+        for other in [
+            r#" {"a":1}"#,
+            r#"{"a": 1}"#,
+            r#"{"a":"say \"hi\""}"#,
+            r#"{"a":{"b":1}}"#,
+            r#"{"a":[1]}"#,
+            r#"{"\u0041":1}"#,
+        ] {
+            assert!(
+                Json::parse(other).is_some() && scanned(other).is_none(),
+                "{other}"
+            );
+        }
+        // Malformed text never scans.
+        for bad in [
+            "",
+            "{",
+            "{\"a\":1,}",
+            "{,\"a\":1}",
+            "{\"a\":}",
+            "{\"a\":1}}",
+            "{\"a\"1}",
+            "{\"a\":1\"b\":2}",
+            "{\"a\":tru}",
+            "{\"a\":truex}",
+            "{\"a\":.5}",
+            "{\"a\":+1}",
+            "{\"a\":1e}",
+            "{\"a\":-}",
+            "{\"a\":inf}",
+            "{\"a\":\"open}",
+            "{\"raw\":\"tab\there\"}",
+            "{a:1}",
+        ] {
+            assert!(
+                Json::parse(bad).is_none() && scanned(bad).is_none(),
+                "{bad:?}"
+            );
+        }
+    }
+
+    mod flat_scan_properties {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::ProptestConfig;
+
+        const KEYS: [&str; 5] = [
+            r#""t_us""#,
+            r#""event""#,
+            r#""run""#,
+            r#""a\"b""#,
+            r#""x y""#,
+        ];
+        const VALUES: [&str; 16] = [
+            "5",
+            "0123",
+            "-1.5e3",
+            "1e",
+            "+1",
+            ".5",
+            "-",
+            "true",
+            "null",
+            "tru",
+            r#""rrc""#,
+            r#""a\\""#,
+            r#"{"b":1}"#,
+            "[1]",
+            r#""""#,
+            " 5",
+        ];
+        const JUNK: [&str; 8] = ["{", "}", ",", ":", " ", "\"", "\\", "x"];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+            /// On objects of writer-like members, some of them escaped,
+            /// nested or malformed, and some lines with a stray piece
+            /// inserted, the scan reads what the parser reads, and it
+            /// reads every object the parser takes that has no
+            /// whitespace, escape or nested value.
+            #[test]
+            fn the_scan_is_exact_where_it_reads(
+                members in proptest::collection::vec((0usize..KEYS.len(), 0usize..VALUES.len()), 0..6),
+                junk in proptest::collection::vec((0usize..64, 0usize..JUNK.len()), 0..2),
+            ) {
+                let body: Vec<String> =
+                    members.iter().map(|&(k, v)| format!("{}:{}", KEYS[k], VALUES[v])).collect();
+                let mut line = format!("{{{}}}", body.join(","));
+                for &(at, piece) in &junk {
+                    line.insert_str(at % (line.len() + 1), JUNK[piece]);
+                }
+                if scanned(&line).is_some() {
+                    prop_assert!(scan_agrees_with_parse(&line), "{line}");
+                }
+                let flat_form = line.starts_with('{') && !line[1..].contains(['{', '[', ' ', '\\']);
+                if flat_form && matches!(Json::parse(&line), Some(Json::Object(_))) {
+                    prop_assert!(scanned(&line).is_some(), "{line}");
+                }
+            }
+        }
     }
 }
