@@ -8,8 +8,6 @@
 //! search, which is how ascending message ids arrive. Its snapshot is
 //! byte for byte a `BTreeMap`'s with the same entries.
 
-use std::fmt;
-
 /// A map of `K` to `V` stored as `(K, V)` pairs in ascending key order.
 ///
 /// Iteration is in key order, as a `BTreeMap`'s.
@@ -27,7 +25,7 @@ use std::fmt;
 /// assert_eq!(map.remove(&1), Some("a"));
 /// assert_eq!(map.get(&3), Some(&"C"));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VecMap<K, V> {
     // Strictly ascending keys.
     entries: Vec<(K, V)>,
@@ -108,17 +106,17 @@ impl<K, V> VecMap<K, V> {
     }
 
     /// The keys, ascending.
-    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &K> + ExactSizeIterator {
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
     }
 
     /// The values, in key order.
-    pub fn values(&self) -> impl DoubleEndedIterator<Item = &V> + ExactSizeIterator {
+    pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
     }
 
     /// The values, mutably, in key order.
-    pub fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut V> + ExactSizeIterator {
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
         self.entries.iter_mut().map(|(_, v)| v)
     }
 }
@@ -126,15 +124,6 @@ impl<K, V> VecMap<K, V> {
 impl<K: Ord, V> Default for VecMap<K, V> {
     fn default() -> Self {
         VecMap::new()
-    }
-}
-
-/// Formatted as a `BTreeMap` with the same entries.
-impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for VecMap<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map()
-            .entries(self.entries.iter().map(|(k, v)| (k, v)))
-            .finish()
     }
 }
 
@@ -209,17 +198,5 @@ mod tests {
                 .expect("read back");
             prop_assert_eq!(back, map);
         }
-    }
-
-    #[test]
-    fn formats_as_a_btree_map() {
-        let map: VecMap<u32, &str> = {
-            let mut m = VecMap::new();
-            m.insert(2, "b");
-            m.insert(1, "a");
-            m
-        };
-        let tree: BTreeMap<u32, &str> = [(1, "a"), (2, "b")].into();
-        assert_eq!(format!("{map:?}"), format!("{tree:?}"));
     }
 }
