@@ -7,6 +7,9 @@
 //! on, as every crowd cell runs) is warmed up to 1 800 s; two tests then
 //! count the allocator calls per handled event over the second half
 //! hour, and a third bounds the cell's live heap per phone at 1 800 s.
+//! A fourth runs the cell for the hour with metrics, events and spans
+//! on and bounds its live heap per phone at 3 600 s, the observation
+//! records included.
 //!
 //! Handling an event only grows state that outlives it; the records a
 //! step produces (radio and D2D activity, discovery adverts, the relay
@@ -92,11 +95,12 @@ fn live_bytes() -> i64 {
 const PHONES: usize = 100;
 
 /// One benchmark-density cell, built but not yet run.
-fn cell(telemetry: bool) -> Scenario {
+fn cell(telemetry: bool, spans: bool) -> Scenario {
     let hour = SimDuration::from_secs(3_600);
     let mut config = ScenarioConfig::new(hour, 7);
     config.reliable_delivery = true;
     config.telemetry = telemetry;
+    config.spans = spans;
     // The same count whether or not HBR_CHECK_INVARIANTS is set.
     config.check_invariants = Some(false);
     for spec in FleetBuilder::new(PHONES, 10).area_side_m(100.0).build(7) {
@@ -108,7 +112,7 @@ fn cell(telemetry: bool) -> Scenario {
 /// Allocations and reallocations per handled event over 1 800–3 600 s
 /// of one benchmark-density cell.
 fn per_event(telemetry: bool) -> (f64, f64) {
-    let mut scenario = cell(telemetry);
+    let mut scenario = cell(telemetry, false);
     scenario.run_until(SimTime::from_secs(1_800));
 
     let events_before = handled(&scenario);
@@ -164,7 +168,7 @@ fn labelled_metrics_stay_within_the_allocation_budget() {
 #[test]
 fn a_phone_holds_a_bounded_live_heap() {
     let before = live_bytes();
-    let mut scenario = cell(false);
+    let mut scenario = cell(false, false);
     let built = live_bytes() - before;
     scenario.run_until(SimTime::from_secs(1_800));
     let per_phone = (live_bytes() - before) as f64 / PHONES as f64;
@@ -175,6 +179,28 @@ fn a_phone_holds_a_bounded_live_heap() {
     assert!(
         per_phone <= LIVE_BYTES_PER_PHONE,
         "{per_phone:.0} live bytes per phone over {LIVE_BYTES_PER_PHONE}"
+    );
+}
+
+/// Live heap bytes per phone of one benchmark-density cell at 3 600 s
+/// with metrics, events and spans on: the protocol state of
+/// [`a_phone_holds_a_bounded_live_heap`] plus the hour's event log and
+/// span records.
+#[test]
+fn an_observed_phone_holds_a_bounded_live_heap() {
+    let before = live_bytes();
+    let mut scenario = cell(true, true);
+    scenario.run_until(SimTime::from_secs(3_600));
+    let per_phone = (live_bytes() - before) as f64 / PHONES as f64;
+    let report = scenario.complete();
+    println!(
+        "{per_phone:.0} live bytes per phone at 3 600 s, over {} events and {} spans",
+        report.events.len(),
+        report.spans.len()
+    );
+    assert!(
+        per_phone <= OBSERVED_LIVE_BYTES_PER_PHONE,
+        "{per_phone:.0} live bytes per phone over {OBSERVED_LIVE_BYTES_PER_PHONE}"
     );
 }
 
@@ -192,3 +218,8 @@ const TELEMETRY_REALLOCS_PER_EVENT: f64 = 0.07;
 // 3 128 B (1 876 B after build). It was 4 138 B while the ledger and
 // the tracker kept B-tree leaves. The budget sits about 10 % above.
 const LIVE_BYTES_PER_PHONE: f64 = 3_450.0;
+
+// Live heap per phone at 3 600 s with metrics, events and spans on:
+// 15 168 B while every event took 96 B, the merge's records stayed in
+// `Vec`s of their own and every span owned a `Vec` of its annotations.
+const OBSERVED_LIVE_BYTES_PER_PHONE: f64 = 9_000.0;
