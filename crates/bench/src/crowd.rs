@@ -59,7 +59,7 @@ use hbr_sim::snapshot::{
     write_atomic, Snap, SnapshotError, SnapshotReader, SnapshotWriter, CROWD_MAGIC, FORMAT_VERSION,
 };
 use hbr_sim::spans::SpanRecorder;
-use hbr_sim::telemetry::{merge_sorted_runs, Telemetry, TelemetryEvent};
+use hbr_sim::telemetry::{PulseCounters, SortedRuns, Telemetry, TelemetryEvent};
 use hbr_sim::{snap_struct, DeviceId, SimDuration, SimTime};
 
 use crate::profile::{CrowdProfile, Profiler};
@@ -175,18 +175,18 @@ impl Cell {
 
     /// Completes the cell on its worker into its report and the id map
     /// that names the report's rows. Events, trace and spans get
-    /// fleet-global device ids, and the spans are sorted into artifact
-    /// order (events and trace already are in time order), so
-    /// `merge_reports` only merges sorted runs.
+    /// fleet-global device ids, and the spans are put back in artifact
+    /// order over them (events and trace are in time order), so
+    /// `merge_reports` only orders sorted runs.
     fn complete(&mut self) -> (Vec<u32>, ScenarioReport) {
         let mut report = self.scenario.take().expect("cell still running").complete();
         let global_ids = std::mem::take(&mut self.global_ids);
         let global = |local: u32| global_ids[local as usize];
-        for record in report.events.iter_mut().chain(&mut report.trace) {
+        report.events.remap_devices(global);
+        for record in &mut report.trace {
             record.event.remap_devices(global);
         }
         report.spans.remap_devices(global);
-        report.spans.sort();
         (global_ids, report)
     }
 }
@@ -512,14 +512,16 @@ fn run_crowd_inner(
                 TelemetryEvent::FleetPulse {
                     epoch: epoch as u32,
                     cells: cell_count as u32,
-                    forwards: fleet.forwards,
-                    fallbacks: fleet.fallbacks,
-                    outage_queued: fleet.outage_queued,
-                    l3: fleet.l3,
-                    delivered: fleet.delivered,
-                    retries: fleet.retries,
-                    migrations: config.roam.then_some(fleet.migrations),
-                    lte_handovers: config.roam.then_some(fleet.lte_handovers),
+                    counters: Box::new(PulseCounters {
+                        forwards: fleet.forwards,
+                        fallbacks: fleet.fallbacks,
+                        outage_queued: fleet.outage_queued,
+                        l3: fleet.l3,
+                        delivered: fleet.delivered,
+                        retries: fleet.retries,
+                        migrations: config.roam.then_some(fleet.migrations),
+                        lte_handovers: config.roam.then_some(fleet.lte_handovers),
+                    }),
                 },
             );
             let done = epoch as u64 + 1;
@@ -750,18 +752,22 @@ fn merge_reports(
                 }
             }
         }
-        events.push(std::mem::take(&mut report.events));
+        events.extend(std::mem::take(&mut report.events).into_runs());
         traces.push(std::mem::take(&mut report.trace));
-        spans.push(std::mem::take(&mut report.spans));
+        spans.extend(std::mem::take(&mut report.spans).into_runs());
     }
     // Each cell's records arrive remapped and sorted (`Cell::complete`),
-    // so a merge of sorted runs with ties in cell order — the fleet's
+    // so ordering the sorted runs with ties in cell order — the fleet's
     // pulses last — gives exactly the stable time sort of their
     // concatenation: the merged timeline is a pure function of the
-    // scenario. (Devices come out of the BTreeMap sorted by global id.)
+    // scenario. The records stay in their cells' runs; only the order
+    // is new. (Devices come out of the BTreeMap sorted by global id.)
     events.push(fleet_log.events.into_records());
-    merged.events = merge_sorted_runs(events, |r| r.time);
-    merged.trace = merge_sorted_runs(traces, |r| r.time);
+    merged.events = SortedRuns::new(events, |r| r.time);
+    merged.trace = SortedRuns::new(traces, |r| r.time)
+        .iter()
+        .cloned()
+        .collect();
     merged.spans = SpanRecorder::merge(spans);
     merged.devices = rows.into_values().collect();
     // Gauges merge by addition, which suits the additive ones (energy,

@@ -14,7 +14,7 @@ use hbr_core::experiment::{ControlledExperiment, ExperimentConfig};
 use hbr_core::world::{EpochPulse, Mode, ScenarioReport};
 use hbr_sim::json::{self, Fixed};
 use hbr_sim::signal;
-use hbr_sim::telemetry::{EventRecord, Span};
+use hbr_sim::telemetry::{EventRecord, SpanRef};
 
 use crate::args::{self, Command, CrowdArgs, CrowdMode, OutFlags, USAGE};
 
@@ -456,14 +456,15 @@ fn write_telemetry(
         );
     }
     if let Some(path) = events_out {
-        let runs: Vec<(&str, &[EventRecord])> = runs
+        let runs = runs
             .iter()
             .zip(reports)
-            .map(|((name, _), report)| (*name, report.events.as_slice()))
-            .collect();
+            .map(|((name, _), report)| (*name, &report.events));
         ok &= report_write(
-            write_jsonl(path, &runs, EventRecord::write_jsonl)
-                .map(|lines| format!("events   : wrote {path} ({lines} event line(s))")),
+            write_jsonl(path, runs, |record: &&EventRecord, run, out| {
+                record.write_jsonl(run, out)
+            })
+            .map(|lines| format!("events   : wrote {path} ({lines} event line(s))")),
             &format!("events to {path}"),
         );
     }
@@ -527,18 +528,15 @@ fn write_slo(
 /// can `cmp` two runs directly.
 fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Option<&str>) -> bool {
     let Some(path) = spans_out else { return true };
-    let orders: Vec<Vec<&Span>> = reports
+    let runs = runs
         .iter()
-        .map(|r| r.spans.in_artifact_order())
-        .collect();
-    let runs: Vec<(&str, &[&Span])> = runs
-        .iter()
-        .zip(&orders)
-        .map(|((name, _), order)| (*name, order.as_slice()))
-        .collect();
+        .zip(reports)
+        .map(|((name, _), report)| (*name, &report.spans));
     report_write(
-        write_jsonl(path, &runs, |span, run, out| span.write_jsonl(run, out))
-            .map(|lines| format!("spans    : wrote {path} ({lines} span line(s))")),
+        write_jsonl(path, runs, |span: &SpanRef<'_>, run, out| {
+            span.write_jsonl(run, out)
+        })
+        .map(|lines| format!("spans    : wrote {path} ({lines} span line(s))")),
         &format!("spans to {path}"),
     )
 }
@@ -550,30 +548,38 @@ const CHUNK_LINES: usize = 16_384;
 
 /// Streams run-labelled JSONL to `path`: each record of each run becomes
 /// one `line(record, Some(run), buf)` plus a newline, in order. Returns
-/// the line count. Records are serialized in rounds of one
-/// [`CHUNK_LINES`] chunk per [`hbr_bench::sweep_threads`] thread, and
-/// each round is written in chunk order, so the bytes depend on neither.
-fn write_jsonl<T: Sync>(
+/// the line count. Records are gathered in rounds of one [`CHUNK_LINES`]
+/// chunk per [`hbr_bench::sweep_threads`] thread into a reused buffer,
+/// the chunks are serialized in parallel, and each round is written in
+/// chunk order, so the bytes depend on neither.
+fn write_jsonl<'a, I: IntoIterator>(
     path: &str,
-    runs: &[(&str, &[T])],
-    line: impl Fn(&T, Option<&str>, &mut String) + Sync,
-) -> std::io::Result<usize> {
+    runs: impl IntoIterator<Item = (&'a str, I)>,
+    line: impl Fn(&I::Item, Option<&str>, &mut String) + Sync,
+) -> std::io::Result<usize>
+where
+    I::Item: Sync,
+{
     write_jsonl_with(path, runs, line, hbr_bench::sweep_threads(), CHUNK_LINES)
 }
 
 /// [`write_jsonl`] with an explicit thread count and chunk length.
-fn write_jsonl_with<T: Sync>(
+fn write_jsonl_with<'a, I: IntoIterator>(
     path: &str,
-    runs: &[(&str, &[T])],
-    line: impl Fn(&T, Option<&str>, &mut String) + Sync,
+    runs: impl IntoIterator<Item = (&'a str, I)>,
+    line: impl Fn(&I::Item, Option<&str>, &mut String) + Sync,
     threads: usize,
     chunk_lines: usize,
-) -> std::io::Result<usize> {
+) -> std::io::Result<usize>
+where
+    I::Item: Sync,
+{
     let mut file = BufWriter::new(File::create(path)?);
     let mut chunks = vec![String::new(); threads];
+    let mut round = Vec::with_capacity(threads * chunk_lines);
     let mut lines = 0;
-    for &(run, records) in runs {
-        let fill = |chunk: &mut String, records: &[T]| {
+    for (run, records) in runs {
+        let fill = |chunk: &mut String, records: &[I::Item]| {
             chunk.clear();
             for record in records {
                 line(record, Some(run), chunk);
@@ -581,7 +587,13 @@ fn write_jsonl_with<T: Sync>(
             }
         };
         let fill = &fill;
-        for round in records.chunks(chunks.len() * chunk_lines) {
+        let mut records = records.into_iter();
+        loop {
+            round.clear();
+            round.extend(records.by_ref().take(threads * chunk_lines));
+            if round.is_empty() {
+                break;
+            }
             let mut jobs = chunks.iter_mut().zip(round.chunks(chunk_lines));
             let first = jobs.next();
             std::thread::scope(|scope| {
@@ -953,8 +965,8 @@ mod tests {
                 for chunk_lines in [chunk, CHUNK_LINES] {
                     let lines = write_jsonl_with(
                         &path,
-                        &runs,
-                        EventRecord::write_jsonl,
+                        runs,
+                        |record: &&EventRecord, run, out| record.write_jsonl(run, out),
                         threads,
                         chunk_lines,
                     )

@@ -260,8 +260,7 @@ mod tests {
         rec.start(2, 1, 100);
         rec.close(2, 60_000_100, "expired");
         rec.start(3, 2, 200);
-        rec.finalize();
-        rec.to_jsonl()
+        rec.finish().to_jsonl()
     }
 
     fn write_sample() -> std::path::PathBuf {

@@ -37,7 +37,7 @@ use hbr_mobility::{Bounds, Field, Mobility, PathLoss, Position};
 use hbr_sim::fault::{fault_stream_seed, retry_stream_seed, FaultKind, FaultPlan};
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter, SCENARIO_MAGIC};
 use hbr_sim::telemetry::{
-    labelled, EventRecord, MetricsSnapshot, SpanRecorder, Telemetry, TelemetryEvent,
+    labelled, EventRecord, MetricsSnapshot, SortedRuns, SpanRecorder, Telemetry, TelemetryEvent,
     LATENCY_BUCKETS, RETRY_DEPTH_BUCKETS, SIZE_BUCKETS,
 };
 use hbr_sim::{snap_enum, DeviceId, SimDuration, SimRng, SimTime, Simulation};
@@ -404,16 +404,17 @@ pub struct ScenarioReport {
     /// [`ScenarioConfig::telemetry`] was on).
     pub metrics: MetricsSnapshot,
     /// Typed telemetry events, time-sorted (empty unless telemetry was
-    /// on).
-    pub events: Vec<EventRecord>,
+    /// on): one run here, one per cell plus the fleet's pulses in a
+    /// merged crowd report, walked in time order.
+    pub events: SortedRuns<Vec<EventRecord>>,
     /// Reliable-delivery summary ([`None`] unless
     /// [`ScenarioConfig::reliable_delivery`] was on).
     pub delivery: Option<DeliveryReport>,
-    /// Per-heartbeat lifecycle spans (empty unless
-    /// [`ScenarioConfig::spans`] was on). Serialized by
-    /// [`SpanRecorder::to_jsonl`]; merged cell-order by the crowd
-    /// engine like telemetry events.
-    pub spans: SpanRecorder,
+    /// Per-heartbeat lifecycle spans in artifact order (empty unless
+    /// [`ScenarioConfig::spans`] was on): one recorder here, one per
+    /// cell in a merged crowd report, ordered like telemetry events.
+    /// Serialized by [`SortedRuns::to_jsonl`].
+    pub spans: SortedRuns<SpanRecorder>,
     /// Devices that emigrated out of this cell (0 unless roaming).
     pub migrations: u64,
     /// LTE handover signaling bursts counted for emigrations (0 unless
@@ -2884,9 +2885,6 @@ impl Scenario {
         };
         events.sort_by_key(|r| r.time);
         let metrics = self.telemetry.metrics.snapshot();
-        // Spans still open at the horizon are in flight, not lost: mark
-        // them so the artifact distinguishes "never closed" from "bug".
-        self.spans.finalize();
         ScenarioReport {
             devices,
             total_l3: self.bs.total_l3(),
@@ -2901,9 +2899,12 @@ impl Scenario {
             trace,
             trace_dropped,
             metrics,
-            events,
+            events: SortedRuns::from(events),
             delivery,
-            spans: self.spans,
+            // Spans still open at the horizon are in flight, not lost:
+            // `finish` marks them so the artifact distinguishes "never
+            // closed" from "bug", and sorts the spans into artifact order.
+            spans: self.spans.finish(),
             migrations: self.migrations,
             lte_handovers: self.lte_handovers,
         }
@@ -3517,7 +3518,6 @@ mod tests {
         let by = |label: &str| {
             report
                 .spans
-                .spans()
                 .iter()
                 .filter(|s| s.outcome == Some(label))
                 .count() as u64
@@ -3533,9 +3533,8 @@ mod tests {
         assert_eq!(by("in-flight"), d.in_flight);
         let retry_events = report
             .spans
-            .spans()
             .iter()
-            .flat_map(|s| s.events.iter())
+            .flat_map(|s| s.events())
             .filter(|e| e.kind == "retry")
             .count() as u64;
         assert_eq!(retry_events, d.retries);
@@ -3682,7 +3681,8 @@ mod tests {
         assert!(m.gauges.keys().any(|k| k.starts_with("hbr_energy_uah")));
         assert!(m.counter("hbr_engine_steps_total") > 0);
 
-        for w in instrumented.events.windows(2) {
+        let events: Vec<_> = instrumented.events.iter().collect();
+        for w in events.windows(2) {
             assert!(w[0].time <= w[1].time, "events must be time-sorted");
         }
         for kind in ["flush", "match", "rrc", "energy"] {
@@ -3700,7 +3700,7 @@ mod tests {
             instrumented.metrics.to_json(),
             "metrics snapshots are byte-identical run to run"
         );
-        let lines = |evs: &[hbr_sim::telemetry::EventRecord]| {
+        let lines = |evs: &SortedRuns<Vec<EventRecord>>| {
             evs.iter()
                 .map(|e| e.to_jsonl())
                 .collect::<Vec<_>>()

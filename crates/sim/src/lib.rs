@@ -59,10 +59,11 @@ pub use ids::DeviceId;
 pub use inline::InlineVec;
 pub use rng::SimRng;
 pub use snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter, FORMAT_VERSION};
-pub use spans::{Span, SpanEvent, SpanRecord, SpanRecorder};
+pub use spans::{Span, SpanEvent, SpanRecord, SpanRecorder, SpanRef};
 pub use stats::Summary;
 pub use telemetry::{
-    EventLog, EventRecord, Histogram, MetricsRegistry, MetricsSnapshot, Telemetry, TelemetryEvent,
+    EventLog, EventRecord, Histogram, MetricsRegistry, MetricsSnapshot, SortedRuns, Telemetry,
+    TelemetryEvent,
 };
 pub use time::{SimDuration, SimTime};
 pub use vec_map::VecMap;

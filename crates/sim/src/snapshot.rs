@@ -548,7 +548,7 @@ impl Snap for &'static str {
 /// Reads a collection's length prefix, refusing one longer than the
 /// bytes left (every element needs at least one byte), so a corrupt
 /// prefix cannot become an OOM.
-fn take_len(r: &mut SnapshotReader<'_>, what: &str) -> Result<usize, SnapshotError> {
+pub(crate) fn take_len(r: &mut SnapshotReader<'_>, what: &str) -> Result<usize, SnapshotError> {
     let len = r.take_usize()?;
     if len > r.remaining() {
         return Err(SnapshotError::Corrupt(format!(
@@ -575,6 +575,16 @@ fn take_keyed<T: Snap>(
         }
     }
     Ok(())
+}
+
+/// Written as the value it holds.
+impl<T: Snap> Snap for Box<T> {
+    fn snap(&self, w: &mut SnapshotWriter) {
+        (**self).snap(w);
+    }
+    fn unsnap(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        T::unsnap(r).map(Box::new)
+    }
 }
 
 impl<T: Snap> Snap for Vec<T> {

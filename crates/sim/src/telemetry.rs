@@ -55,7 +55,7 @@ use crate::snapshot::{intern_bounds, Snap, SnapshotError, SnapshotReader, Snapsh
 use crate::time::SimTime;
 use crate::{snap_enum, snap_struct};
 
-pub use crate::spans::{Span, SpanEvent, SpanEventRecord, SpanRecord, SpanRecorder};
+pub use crate::spans::{Span, SpanEvent, SpanEventRecord, SpanRecord, SpanRecorder, SpanRef};
 
 /// RRC state-dwell and D2D latency buckets, seconds.
 pub const DWELL_BUCKETS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, 600.0];
@@ -628,27 +628,35 @@ pub enum TelemetryEvent {
         epoch: u32,
         /// Cells that contributed to the fold.
         cells: u32,
-        /// Cumulative D2D forwards across the fleet.
-        forwards: u64,
-        /// Cumulative cellular fallbacks across the fleet.
-        fallbacks: u64,
-        /// Heartbeats queued behind cellular outages at the barrier.
-        outage_queued: u64,
-        /// Cumulative layer-3 messages across every cell.
-        l3: u64,
-        /// Cumulative server-accepted heartbeats (reliable-delivery
-        /// ledger; 0 when the layer is off).
-        delivered: u64,
-        /// Cumulative D2D retransmissions scheduled by the
-        /// reliable-delivery layer.
-        retries: u64,
-        /// Cumulative cross-cell migrations, when roaming is on.
-        /// `None` (and omitted from JSONL) keeps pre-roaming artifacts
-        /// byte-identical.
-        migrations: Option<u64>,
-        /// Cumulative LTE handover signaling bursts, when roaming is on.
-        lte_handovers: Option<u64>,
+        /// The fleet's counters at the barrier, out of line: a run
+        /// records eight pulses, and inline they would widen every event.
+        counters: Box<PulseCounters>,
     },
+}
+
+/// The counters a [`TelemetryEvent::FleetPulse`] carries, written flat
+/// into the pulse's line and snapshot after its `cells`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PulseCounters {
+    /// Cumulative D2D forwards across the fleet.
+    pub forwards: u64,
+    /// Cumulative cellular fallbacks across the fleet.
+    pub fallbacks: u64,
+    /// Heartbeats queued behind cellular outages at the barrier.
+    pub outage_queued: u64,
+    /// Cumulative layer-3 messages across every cell.
+    pub l3: u64,
+    /// Cumulative server-accepted heartbeats (reliable-delivery ledger;
+    /// 0 when the layer is off).
+    pub delivered: u64,
+    /// Cumulative D2D retransmissions scheduled by the reliable-delivery
+    /// layer.
+    pub retries: u64,
+    /// Cumulative cross-cell migrations, when roaming is on. `None` (and
+    /// omitted from JSONL) keeps pre-roaming artifacts byte-identical.
+    pub migrations: Option<u64>,
+    /// Cumulative LTE handover signaling bursts, when roaming is on.
+    pub lte_handovers: Option<u64>,
 }
 
 /// `TelemetryEvent`'s wire format, listed once: each variant's snapshot
@@ -656,10 +664,14 @@ pub enum TelemetryEvent {
 /// snapshot ([`snap_enum!`](crate::snap_enum)), [`TelemetryEvent::kind`]
 /// and the JSONL line are all generated from the one list, so a field
 /// sits in the same place in both formats; an absent optional field is
-/// left out of the line.
+/// left out of the line. A boxed field names its struct and that
+/// struct's fields, which both formats write flat in its place.
 macro_rules! event_wire {
-    ($($tag:literal => $variant:ident $label:literal { $($field:ident),+ $(,)? }),+ $(,)?) => {
+    ($($tag:literal => $variant:ident $label:literal {
+        $($field:ident $(: $boxed:ident { $($inner:ident),+ $(,)? })?),+ $(,)?
+    }),+ $(,)?) => {
         snap_enum!(TelemetryEvent "telemetry event" { $($tag => $variant { $($field),+ }),+ });
+        $($($(snap_struct!($boxed { $($inner),+ });)?)+)+
 
         impl TelemetryEvent {
             /// Every variant's `event` label, in tag order.
@@ -676,11 +688,22 @@ macro_rules! event_wire {
             fn write_fields(&self, o: &mut Fields<'_>) {
                 match self {
                     $(TelemetryEvent::$variant { $($field),+ } => {
-                        $(o.field(stringify!($field), *$field);)+
+                        $(wire_field!(o, $field $(: { $($inner),+ })?);)+
                     })+
                 }
             }
         }
+    };
+}
+
+/// One field of [`event_wire!`]'s line: `"name":value`, or a boxed
+/// struct's fields in its place.
+macro_rules! wire_field {
+    ($o:ident, $field:ident) => {
+        $o.field(stringify!($field), *$field);
+    };
+    ($o:ident, $field:ident: { $($inner:ident),+ }) => {
+        $($o.field(stringify!($inner), $field.$inner);)+
     };
 }
 
@@ -698,14 +721,16 @@ event_wire! {
     10 => FleetPulse "pulse" {
         epoch,
         cells,
-        forwards,
-        fallbacks,
-        outage_queued,
-        l3,
-        delivered,
-        retries,
-        migrations,
-        lte_handovers,
+        counters: PulseCounters {
+            forwards,
+            fallbacks,
+            outage_queued,
+            l3,
+            delivered,
+            retries,
+            migrations,
+            lte_handovers,
+        },
     },
 }
 
@@ -754,6 +779,10 @@ pub struct EventRecord {
     pub event: TelemetryEvent,
 }
 
+// An observed run holds every event it records, so their size is the
+// log's size: 56 B, the time plus the widest inline variant.
+const _: () = assert!(std::mem::size_of::<EventRecord>() <= 56);
+
 impl EventRecord {
     /// Serializes the record as one JSONL line (no trailing newline).
     /// Times are integer microseconds (`t_us`) — exact, and immune to
@@ -781,35 +810,188 @@ impl EventRecord {
     }
 }
 
-/// Merges runs that are each sorted by `key` into one sorted `Vec`:
-/// equal keys keep run order, then their order within the run — exactly
-/// what concatenating the runs and stable-sorting by `key` gives. Only
-/// a compact `(key, run)` index is sorted; each record moves once. How
-/// the sharded crowd engine folds its cells' sorted records.
-///
-/// # Panics
-///
-/// Panics if a run is not sorted by `key`.
-pub fn merge_sorted_runs<T, K: Ord + Copy>(runs: Vec<Vec<T>>, key: impl Fn(&T) -> K) -> Vec<T> {
-    let mut index: Vec<(K, u32)> = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    for (run, records) in runs.iter().enumerate() {
-        let start = index.len();
-        index.extend(records.iter().map(|r| (key(r), run as u32)));
-        assert!(
-            index[start..].windows(2).all(|w| w[0].0 <= w[1].0),
-            "merge_sorted_runs: run {run} is not sorted"
-        );
+/// A run of records that [`SortedRuns`] interleaves without moving
+/// them: a `Vec` of events, or a span recorder's spans.
+pub trait Run {
+    /// A borrowed record.
+    type Record<'a>: Copy
+    where
+        Self: 'a;
+
+    /// Records in the run.
+    fn len(&self) -> usize;
+
+    /// `true` if the run holds no record.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
-    // Stable: equal keys keep run order, and within a run the index
-    // entries keep the records' order, so the `i`-th entry naming a run
-    // is that run's `i`-th record.
-    index.sort_by_key(|&(k, _)| k);
-    let mut runs: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
-    index
-        .into_iter()
-        .map(|(_, run)| runs[run as usize].next().expect("one entry per record"))
-        .collect()
+
+    /// The `index`-th record.
+    fn record(&self, index: usize) -> Self::Record<'_>;
 }
+
+impl<T> Run for Vec<T> {
+    type Record<'a>
+        = &'a T
+    where
+        T: 'a;
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn record(&self, index: usize) -> &T {
+        &self[index]
+    }
+}
+
+/// Runs that are each sorted by a key, held where they are, plus the
+/// order that interleaves them: equal keys keep run order, then their
+/// order within the run — exactly what concatenating the runs and
+/// stable-sorting by the key gives. How the sharded crowd engine folds
+/// its cells' sorted records: each record stays in its cell's run, and
+/// [`SortedRuns::iter`] walks them in artifact order.
+///
+/// # Examples
+///
+/// ```
+/// use hbr_sim::telemetry::SortedRuns;
+///
+/// let runs = SortedRuns::new(vec![vec![(1, 'a'), (3, 'b')], vec![(1, 'c'), (2, 'd')]], |r| r.0);
+/// let walked: String = runs.iter().map(|r| r.1).collect();
+/// assert_eq!(walked, "acdb");
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct SortedRuns<R> {
+    runs: Vec<R>,
+    /// The run of each record, in walk order; empty with at most one run,
+    /// which is walked as it stands.
+    order: Vec<u32>,
+    len: usize,
+}
+
+impl<R: Run> SortedRuns<R> {
+    /// Orders `runs`, each sorted by `key`. Only a compact `(key, run)`
+    /// index is sorted, and only the run numbers are kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run is not sorted by `key`.
+    pub fn new<K: Ord>(runs: Vec<R>, key: impl for<'a> Fn(R::Record<'a>) -> K) -> Self {
+        let len = runs.iter().map(Run::len).sum();
+        let mut index: Vec<(K, u32)> = Vec::with_capacity(len);
+        for (run, records) in runs.iter().enumerate() {
+            let start = index.len();
+            let tag = u32::try_from(run).expect("fewer than 2^32 runs");
+            index.extend((0..records.len()).map(|i| (key(records.record(i)), tag)));
+            assert!(
+                index[start..].windows(2).all(|w| w[0].0 <= w[1].0),
+                "SortedRuns: run {run} is not sorted"
+            );
+        }
+        // Entries with equal keys differ only in their run, so an
+        // unstable sort of the pairs puts ties in run order, and the
+        // `i`-th entry naming a run is that run's `i`-th record: the
+        // stable sort's order.
+        let order = if runs.len() > 1 {
+            index.sort_unstable();
+            index.into_iter().map(|(_, run)| run).collect()
+        } else {
+            Vec::new()
+        };
+        SortedRuns { runs, order, len }
+    }
+
+    /// Records across every run.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if no run holds a record.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records in order.
+    pub fn iter(&self) -> Walk<'_, R> {
+        Walk {
+            runs: &self.runs,
+            order: self.order.iter(),
+            cursors: vec![0; self.runs.len()],
+            left: self.len,
+        }
+    }
+
+    /// The runs, each in its own order.
+    pub fn runs(&self) -> &[R] {
+        &self.runs
+    }
+
+    /// Gives up the order and returns the runs.
+    pub fn into_runs(self) -> Vec<R> {
+        self.runs
+    }
+}
+
+impl<R: Run> From<R> for SortedRuns<R> {
+    /// One run, walked as it stands.
+    fn from(run: R) -> Self {
+        SortedRuns {
+            len: run.len(),
+            runs: vec![run],
+            order: Vec::new(),
+        }
+    }
+}
+
+impl<'a, R: Run> IntoIterator for &'a SortedRuns<R> {
+    type Item = R::Record<'a>;
+    type IntoIter = Walk<'a, R>;
+
+    fn into_iter(self) -> Walk<'a, R> {
+        self.iter()
+    }
+}
+
+impl SortedRuns<Vec<EventRecord>> {
+    /// Rewrites every device index through `map`, as
+    /// [`TelemetryEvent::remap_devices`] does; times, and so the order,
+    /// stay as they are.
+    pub fn remap_devices(&mut self, map: impl Fn(u32) -> u32) {
+        for record in self.runs.iter_mut().flatten() {
+            record.event.remap_devices(&map);
+        }
+    }
+}
+
+/// [`SortedRuns`]' records in order: one cursor per run, advanced in the
+/// run the order names next.
+#[derive(Debug, Clone)]
+pub struct Walk<'a, R> {
+    runs: &'a [R],
+    order: std::slice::Iter<'a, u32>,
+    cursors: Vec<usize>,
+    left: usize,
+}
+
+impl<'a, R: Run> Iterator for Walk<'a, R> {
+    type Item = R::Record<'a>;
+
+    fn next(&mut self) -> Option<R::Record<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        // A lone run has no order, and is walked as it stands.
+        let run = self.order.next().map_or(0, |&run| run as usize);
+        let cursor = &mut self.cursors[run];
+        *cursor += 1;
+        Some(self.runs[run].record(*cursor - 1))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<R: Run> ExactSizeIterator for Walk<'_, R> {}
 
 /// The typed event store. It keeps every record (the telemetry event
 /// stream) or, as a trace-only log, just the newest `trace` records;
@@ -1002,26 +1184,17 @@ fn write_implied_metrics(m: &mut MetricsRegistry, event: &TelemetryEvent) {
             });
         }
         TelemetryEvent::Migrate { .. } => m.incr("hbr_migration_total"),
-        TelemetryEvent::FleetPulse {
-            forwards,
-            fallbacks,
-            outage_queued,
-            l3,
-            delivered,
-            retries,
-            migrations,
-            lte_handovers,
-            ..
-        } => {
+        TelemetryEvent::FleetPulse { ref counters, .. } => {
+            let c = &**counters;
             for (name, value) in [
-                ("hbr_fleet_forwards", Some(forwards)),
-                ("hbr_fleet_fallbacks", Some(fallbacks)),
-                ("hbr_fleet_outage_queued", Some(outage_queued)),
-                ("hbr_fleet_l3", Some(l3)),
-                ("hbr_fleet_delivered", Some(delivered)),
-                ("hbr_fleet_retries", Some(retries)),
-                ("hbr_fleet_migrations", migrations),
-                ("hbr_fleet_lte_handovers", lte_handovers),
+                ("hbr_fleet_forwards", Some(c.forwards)),
+                ("hbr_fleet_fallbacks", Some(c.fallbacks)),
+                ("hbr_fleet_outage_queued", Some(c.outage_queued)),
+                ("hbr_fleet_l3", Some(c.l3)),
+                ("hbr_fleet_delivered", Some(c.delivered)),
+                ("hbr_fleet_retries", Some(c.retries)),
+                ("hbr_fleet_migrations", c.migrations),
+                ("hbr_fleet_lte_handovers", c.lte_handovers),
             ] {
                 if let Some(value) = value {
                     m.set_gauge(name, value as f64);
@@ -1281,14 +1454,16 @@ mod tests {
             TelemetryEvent::FleetPulse {
                 epoch: 1,
                 cells: 4,
-                forwards: 10,
-                fallbacks: 2,
-                outage_queued: 0,
-                l3: 12,
-                delivered: 11,
-                retries: 1,
-                migrations: Some(3),
-                lte_handovers: Some(3),
+                counters: Box::new(PulseCounters {
+                    forwards: 10,
+                    fallbacks: 2,
+                    outage_queued: 0,
+                    l3: 12,
+                    delivered: 11,
+                    retries: 1,
+                    migrations: Some(3),
+                    lte_handovers: Some(3),
+                }),
             },
         ];
         for event in events {
@@ -1315,14 +1490,16 @@ mod tests {
         let pulse = |migrations, lte_handovers| TelemetryEvent::FleetPulse {
             epoch: 1,
             cells: 4,
-            forwards: 10,
-            fallbacks: 2,
-            outage_queued: 0,
-            l3: 12,
-            delivered: 11,
-            retries: 1,
-            migrations,
-            lte_handovers,
+            counters: Box::new(PulseCounters {
+                forwards: 10,
+                fallbacks: 2,
+                outage_queued: 0,
+                l3: 12,
+                delivered: 11,
+                retries: 1,
+                migrations,
+                lte_handovers,
+            }),
         };
         let rrc = |dwell_secs| TelemetryEvent::RrcTransition {
             device: 1,
@@ -1541,14 +1718,12 @@ mod tests {
             TelemetryEvent::FleetPulse {
                 epoch: 0,
                 cells: 1,
-                forwards: 4,
-                fallbacks: 0,
-                outage_queued: 0,
-                l3: 9,
-                delivered: 4,
-                retries: 0,
-                migrations: None,
-                lte_handovers: None,
+                counters: Box::new(PulseCounters {
+                    forwards: 4,
+                    l3: 9,
+                    delivered: 4,
+                    ..PulseCounters::default()
+                }),
             },
         );
         let m = telemetry.metrics.snapshot();
@@ -1577,7 +1752,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "run 1 is not sorted")]
     fn merging_an_unsorted_run_panics() {
-        merge_sorted_runs(vec![vec![1, 2], vec![3, 1]], |&k| k);
+        SortedRuns::new(vec![vec![1, 2], vec![3, 1]], |&k| k);
     }
 
     mod merge_properties {
@@ -1585,7 +1760,7 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Merging sorted runs equals concatenating them in run
+            /// Walking sorted runs equals concatenating them in run
             /// order and stable-sorting. Keys repeat within and across
             /// runs, some runs are empty, and every record carries its
             /// (run, position) tag, so the order of ties is checked.
@@ -1603,7 +1778,11 @@ mod tests {
                     .collect();
                 let mut expected = runs.concat();
                 expected.sort_by_key(|&(k, _, _)| k);
-                prop_assert_eq!(merge_sorted_runs(runs, |&(k, _, _)| k), expected);
+                let sorted = SortedRuns::new(runs, |&(k, _, _)| k);
+                prop_assert_eq!(sorted.len(), expected.len());
+                let walk = sorted.iter();
+                prop_assert_eq!(walk.len(), expected.len());
+                prop_assert_eq!(walk.copied().collect::<Vec<_>>(), expected);
             }
         }
     }

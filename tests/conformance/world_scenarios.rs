@@ -124,18 +124,18 @@ fn departure_requeue_races_link_establishment() {
             // do, with the cause attached: both buffered heartbeats were
             // requeued because their relay departed, and exactly one of
             // them carried the handover to the replacement.
-            let spans = r.spans.spans();
-            let requeued = spans
+            let requeued = r
+                .spans
                 .iter()
                 .filter(|s| {
-                    s.events
-                        .iter()
+                    s.events()
                         .any(|e| e.kind == "requeued" && e.cause == Some("relay-departed"))
                 })
                 .count();
-            let handovers = spans
+            let handovers = r
+                .spans
                 .iter()
-                .flat_map(|s| &s.events)
+                .flat_map(|s| s.events())
                 .filter(|e| e.kind == "handover")
                 .count();
             if requeued == 2 && handovers == 1 {
@@ -256,16 +256,15 @@ fn transfer_failure_indicts_link_not_relay() {
             // The jammed heartbeat's span must carry the full causal
             // chain — transfer-failed (link-failed) then a fallback —
             // and no handover annotation, since no relay was indicted.
-            let Some(span) = r.spans.spans().iter().find(|s| {
-                s.events
-                    .iter()
+            let Some(span) = r.spans.iter().find(|s| {
+                s.events()
                     .any(|e| e.kind == "transfer-failed" && e.cause == Some("link-failed"))
             }) else {
                 return Err(String::from("no span recorded a link-failed transfer"));
             };
-            if span.events.iter().any(|e| e.kind == "handover") {
+            if span.events().any(|e| e.kind == "handover") {
                 Err(format!("span {} indicted a relay (handover)", span.id))
-            } else if span.events.iter().any(|e| e.kind == "fallback") {
+            } else if span.events().any(|e| e.kind == "fallback") {
                 Ok(format!(
                     "span {} shows link-failed → retries → fallback, no handover",
                     span.id
@@ -273,7 +272,8 @@ fn transfer_failure_indicts_link_not_relay() {
             } else {
                 Err(format!(
                     "span {} never fell back: {:?}",
-                    span.id, span.events
+                    span.id,
+                    span.events().collect::<Vec<_>>()
                 ))
             }
         });

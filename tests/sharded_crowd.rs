@@ -219,9 +219,10 @@ fn merged_crowd_records_are_in_artifact_order() {
             roam: true,
         });
         assert!(report.events.len() > 100 && report.spans.len() > 100);
-        assert!(report.events.windows(2).all(|w| w[0].time <= w[1].time));
+        let events: Vec<_> = report.events.iter().collect();
+        assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
         let key = |s: &Span| (s.start_us, s.device, s.id);
-        let spans = report.spans.spans();
+        let spans: Vec<_> = report.spans.iter().collect();
         assert!(spans.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
     }
 }

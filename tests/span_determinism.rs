@@ -128,7 +128,7 @@ proptest! {
     ) {
         let report = crowd(seed, phones, relays, &specs, true, 2);
         let d = report.delivery.as_ref().expect("reliable crowd run");
-        let spans = report.spans.spans();
+        let spans: Vec<_> = report.spans.iter().collect();
         let by = |outcome: &str| {
             spans.iter().filter(|s| s.outcome == Some(outcome)).count() as u64
         };
@@ -139,14 +139,13 @@ proptest! {
         prop_assert_eq!(by("in-flight"), d.in_flight);
         let retries: u64 = spans
             .iter()
-            .flat_map(|s| &s.events)
+            .flat_map(|s| s.events())
             .filter(|e| e.kind == "retry")
             .count() as u64;
         prop_assert_eq!(retries, d.retries);
         for span in spans {
             let confirmed = span
-                .events
-                .iter()
+                .events()
                 .filter(|e| e.kind == "feedback-confirmed")
                 .count();
             prop_assert!(confirmed <= 1, "span {} confirmed twice", span.id);
