@@ -465,12 +465,7 @@ impl SpanRecorder {
     /// no span may still be open.
     pub fn sort(&mut self) {
         assert!(self.open.is_empty(), "sorting a recorder with open spans");
-        if !self.spans.is_sorted_by_key(Span::artifact_key) {
-            self.spans.sort_by_key(Span::artifact_key);
-        }
-        if self.grouped() {
-            return;
-        }
+        self.spans.sort_by_key(Span::artifact_key);
         let mut notes = Vec::with_capacity(self.notes.len());
         for span in &mut self.spans {
             let mut at = span.first;
@@ -490,23 +485,6 @@ impl SpanRecorder {
             notes[span.last as usize].next = NONE;
         }
         self.notes = notes;
-    }
-
-    /// `true` if the buffer holds the spans' annotations front to back,
-    /// in span order.
-    fn grouped(&self) -> bool {
-        let mut expect = 0;
-        for span in &self.spans {
-            let mut at = span.first;
-            while at != NONE {
-                if at != expect {
-                    return false;
-                }
-                expect += 1;
-                at = self.notes[at as usize].next;
-            }
-        }
-        true
     }
 
     /// Finalizes the recorder and puts it in artifact order: the one run

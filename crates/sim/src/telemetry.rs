@@ -922,11 +922,6 @@ impl<R: Run> SortedRuns<R> {
         }
     }
 
-    /// The runs, each in its own order.
-    pub fn runs(&self) -> &[R] {
-        &self.runs
-    }
-
     /// Gives up the order and returns the runs.
     pub fn into_runs(self) -> Vec<R> {
         self.runs
