@@ -1180,16 +1180,15 @@ fn write_implied_metrics(m: &mut MetricsRegistry, event: &TelemetryEvent) {
         }
         TelemetryEvent::Migrate { .. } => m.incr("hbr_migration_total"),
         TelemetryEvent::FleetPulse { ref counters, .. } => {
-            let c = &**counters;
             for (name, value) in [
-                ("hbr_fleet_forwards", Some(c.forwards)),
-                ("hbr_fleet_fallbacks", Some(c.fallbacks)),
-                ("hbr_fleet_outage_queued", Some(c.outage_queued)),
-                ("hbr_fleet_l3", Some(c.l3)),
-                ("hbr_fleet_delivered", Some(c.delivered)),
-                ("hbr_fleet_retries", Some(c.retries)),
-                ("hbr_fleet_migrations", c.migrations),
-                ("hbr_fleet_lte_handovers", c.lte_handovers),
+                ("hbr_fleet_forwards", Some(counters.forwards)),
+                ("hbr_fleet_fallbacks", Some(counters.fallbacks)),
+                ("hbr_fleet_outage_queued", Some(counters.outage_queued)),
+                ("hbr_fleet_l3", Some(counters.l3)),
+                ("hbr_fleet_delivered", Some(counters.delivered)),
+                ("hbr_fleet_retries", Some(counters.retries)),
+                ("hbr_fleet_migrations", counters.migrations),
+                ("hbr_fleet_lte_handovers", counters.lte_handovers),
             ] {
                 if let Some(value) = value {
                     m.set_gauge(name, value as f64);
