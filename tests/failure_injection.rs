@@ -183,6 +183,7 @@ fn degraded_link_is_rescued_by_feedback() {
 #[test]
 fn payload_loss_in_transit_is_rescued_by_feedback() {
     let mut config = base_config(23);
+    config.telemetry = true;
     config.add_device(device(Role::Relay, 0.0, None));
     config.add_device(device(Role::Ue, 1.0, None));
     // The transfer itself succeeds but the payload is corrupt: the UE
@@ -201,6 +202,14 @@ fn payload_loss_in_transit_is_rescued_by_feedback() {
         report.devices[1].fallbacks > 0,
         "lost payloads must surface as feedback fallbacks"
     );
+    // Legacy delivery re-sends a timed-out forward over cellular once,
+    // and the feedback timeout is the only cause that rescues it: each
+    // rescue is one fallback in the report and one in the metric.
+    let ue_fallbacks: u64 = report.devices[1..].iter().map(|d| d.fallbacks).sum();
+    let timeouts = report
+        .metrics
+        .counter("hbr_fallback_total{cause=\"feedback-timeout\"}");
+    assert_eq!(ue_fallbacks, timeouts, "each rescue counts once");
 }
 
 #[test]
