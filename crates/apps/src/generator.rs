@@ -4,9 +4,14 @@ use hbr_sim::snapshot::SnapshotError;
 use hbr_sim::{snap_struct, DeviceId, SimDuration, SimRng, SimTime};
 
 use crate::message::{Heartbeat, MessageIdGen};
-use crate::profile::AppProfile;
+use crate::profile::{AppId, AppProfile};
 
 /// Produces the periodic heartbeat stream of one `(device, app)` pair.
+///
+/// The schedule holds only its own state: which app it runs, its timer
+/// and its sequence counter. The app's period, size and expiration are
+/// the app's facts, and the device is whoever holds the schedule, so
+/// [`HeartbeatSchedule::next_heartbeat`] takes both from the caller.
 ///
 /// Real heartbeat timers drift (Android alarms coalesce, the app may
 /// reset its timer on foreground traffic), so a uniform ±`jitter_frac`
@@ -16,52 +21,46 @@ use crate::profile::AppProfile;
 ///
 /// ```
 /// use hbr_apps::{AppProfile, HeartbeatSchedule, MessageIdGen};
-/// use hbr_sim::{DeviceId, SimDuration, SimRng, SimTime};
+/// use hbr_sim::{DeviceId, SimRng, SimTime};
 ///
-/// let mut schedule = HeartbeatSchedule::new(DeviceId::new(0), AppProfile::wechat(), 0.0);
+/// let wechat = AppProfile::wechat();
+/// let mut schedule = HeartbeatSchedule::new(&wechat, 0.0);
 /// let mut ids = MessageIdGen::new();
 /// let mut rng = SimRng::seed_from(1);
-/// let first = schedule.next_heartbeat(&mut ids, &mut rng);
+/// let first = schedule.next_heartbeat(&wechat, DeviceId::new(0), &mut ids, &mut rng);
 /// assert_eq!(first.created_at, SimTime::from_secs(270));
 /// ```
 #[derive(Debug, Clone)]
 pub struct HeartbeatSchedule {
-    device: DeviceId,
-    app: AppProfile,
+    app: AppId,
     jitter_frac: f64,
     next_at: SimTime,
     seq: u32,
 }
 
 impl HeartbeatSchedule {
-    /// Creates a schedule whose first heartbeat fires one period from
-    /// time zero.
+    /// Creates a schedule for `app` whose first heartbeat fires one
+    /// period from time zero.
     ///
     /// # Panics
     ///
     /// Panics if `jitter_frac` is negative or not finite.
-    pub fn new(device: DeviceId, app: AppProfile, jitter_frac: f64) -> Self {
+    pub fn new(app: &AppProfile, jitter_frac: f64) -> Self {
         assert!(
             jitter_frac.is_finite() && jitter_frac >= 0.0,
             "jitter fraction must be finite and non-negative"
         );
         HeartbeatSchedule {
-            device,
-            next_at: SimTime::ZERO + app.heartbeat_period,
-            app,
+            app: app.id,
             jitter_frac,
+            next_at: SimTime::ZERO + app.heartbeat_period,
             seq: 0,
         }
     }
 
-    /// The device this schedule belongs to.
-    pub fn device(&self) -> DeviceId {
-        self.device
-    }
-
-    /// The application profile driving the schedule.
-    pub fn app(&self) -> &AppProfile {
-        &self.app
+    /// The application this schedule runs.
+    pub fn app(&self) -> AppId {
+        self.app
     }
 
     /// When the next heartbeat will be emitted.
@@ -69,28 +68,31 @@ impl HeartbeatSchedule {
         self.next_at
     }
 
-    /// Re-homes the schedule onto a new device id, keeping the app, the
-    /// sequence counter and the next-due instant. A device migrating
-    /// between cells gets a fresh cell-local id at its destination, but
-    /// its heartbeat stream must continue as one session.
-    pub fn retarget(&mut self, device: DeviceId) {
-        self.device = device;
-    }
-
-    /// Emits the next heartbeat and advances the timer.
-    pub fn next_heartbeat(&mut self, ids: &mut MessageIdGen, rng: &mut SimRng) -> Heartbeat {
+    /// Emits `device`'s next heartbeat of `app` and advances the timer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `app` is not the profile of the app this schedule runs.
+    pub fn next_heartbeat(
+        &mut self,
+        app: &AppProfile,
+        device: DeviceId,
+        ids: &mut MessageIdGen,
+        rng: &mut SimRng,
+    ) -> Heartbeat {
+        assert_eq!(app.id, self.app, "a schedule runs one app");
         let created_at = self.next_at;
         let hb = Heartbeat {
             id: ids.next_id(),
-            app: self.app.id,
-            source: self.device,
+            app: app.id,
+            source: device,
             seq: self.seq,
-            size: self.app.heartbeat_size,
+            size: app.heartbeat_size,
             created_at,
-            expires_at: created_at + self.app.expiration,
+            expires_at: created_at + app.expiration,
         };
         self.seq += 1;
-        let interval = rng.jitter(self.app.heartbeat_period, self.jitter_frac);
+        let interval = rng.jitter(app.heartbeat_period, self.jitter_frac);
         self.next_at = created_at + interval;
         hb
     }
@@ -99,18 +101,20 @@ impl HeartbeatSchedule {
     pub fn heartbeats_until(
         &mut self,
         until: SimTime,
+        app: &AppProfile,
+        device: DeviceId,
         ids: &mut MessageIdGen,
         rng: &mut SimRng,
     ) -> Vec<Heartbeat> {
         let mut out = Vec::new();
         while self.next_at <= until {
-            out.push(self.next_heartbeat(ids, rng));
+            out.push(self.next_heartbeat(app, device, ids, rng));
         }
         out
     }
 }
 
-snap_struct!(HeartbeatSchedule { device, app, jitter_frac, next_at, seq } check check_jitter);
+snap_struct!(HeartbeatSchedule { app, jitter_frac, next_at, seq } check check_jitter);
 
 fn check_jitter(s: &HeartbeatSchedule) -> Result<(), SnapshotError> {
     if !(s.jitter_frac.is_finite() && s.jitter_frac >= 0.0) {
@@ -178,6 +182,8 @@ impl TrafficEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TrafficGenerator {
+    device: DeviceId,
+    app: AppProfile,
     schedule: HeartbeatSchedule,
     ids: MessageIdGen,
     /// Mean foreground payload in bytes (user messages, receipts, sync).
@@ -191,7 +197,9 @@ impl TrafficGenerator {
     /// foreground payloads and ~6-message conversation bursts.
     pub fn new(device: DeviceId, app: AppProfile) -> Self {
         TrafficGenerator {
-            schedule: HeartbeatSchedule::new(device, app, 0.02),
+            device,
+            schedule: HeartbeatSchedule::new(&app, 0.02),
+            app,
             ids: MessageIdGen::new(),
             data_size_mean: 512,
             session_burst_mean: 6.0,
@@ -200,14 +208,14 @@ impl TrafficGenerator {
 
     /// The application being generated.
     pub fn app(&self) -> &AppProfile {
-        self.schedule.app()
+        &self.app
     }
 
     /// Generates the complete, time-sorted trace up to `until`.
     pub fn trace_until(&mut self, until: SimTime, rng: &mut SimRng) -> Vec<TrafficEvent> {
         let mut events: Vec<TrafficEvent> = self
             .schedule
-            .heartbeats_until(until, &mut self.ids, rng)
+            .heartbeats_until(until, &self.app, self.device, &mut self.ids, rng)
             .into_iter()
             .map(TrafficEvent::Heartbeat)
             .collect();
@@ -215,7 +223,7 @@ impl TrafficGenerator {
         // Sessions arrive Poisson; scaling the inter-session mean by the
         // burst size keeps the total message count (and hence the Table I
         // share) unchanged.
-        let per_message_mean = self.schedule.app().foreground_mean_interval();
+        let per_message_mean = self.app.foreground_mean_interval();
         let session_mean = per_message_mean.mul_f64(self.session_burst_mean.max(1.0));
         let mut t = SimTime::ZERO + rng.exp_duration(session_mean);
         while t <= until {
@@ -256,7 +264,7 @@ mod tests {
     #[test]
     fn restore_refuses_a_bad_jitter_fraction() {
         for jitter_frac in [-0.1, f64::NAN, f64::INFINITY] {
-            let mut bad = HeartbeatSchedule::new(DeviceId::new(0), AppProfile::wechat(), 0.0);
+            let mut bad = HeartbeatSchedule::new(&AppProfile::wechat(), 0.0);
             bad.jitter_frac = jitter_frac;
             let mut w = SnapshotWriter::new();
             bad.snap(&mut w);
@@ -272,11 +280,13 @@ mod tests {
 
     #[test]
     fn schedule_without_jitter_is_exact() {
-        let mut s = HeartbeatSchedule::new(DeviceId::new(0), AppProfile::wechat(), 0.0);
+        let wechat = AppProfile::wechat();
+        let mut s = HeartbeatSchedule::new(&wechat, 0.0);
         let mut ids = MessageIdGen::new();
         let mut r = rng();
         for k in 1..=5u64 {
-            let hb = s.next_heartbeat(&mut ids, &mut r);
+            let hb = s.next_heartbeat(&wechat, DeviceId::new(3), &mut ids, &mut r);
+            assert_eq!(hb.source, DeviceId::new(3));
             assert_eq!(hb.created_at, SimTime::from_secs(270 * k));
             assert_eq!(hb.seq as u64, k - 1);
             assert_eq!(
@@ -288,12 +298,13 @@ mod tests {
 
     #[test]
     fn jittered_schedule_stays_in_band() {
-        let mut s = HeartbeatSchedule::new(DeviceId::new(0), AppProfile::wechat(), 0.05);
+        let wechat = AppProfile::wechat();
+        let mut s = HeartbeatSchedule::new(&wechat, 0.05);
         let mut ids = MessageIdGen::new();
         let mut r = rng();
         let mut last = SimTime::ZERO;
         for _ in 0..100 {
-            let hb = s.next_heartbeat(&mut ids, &mut r);
+            let hb = s.next_heartbeat(&wechat, DeviceId::new(0), &mut ids, &mut r);
             let gap = (hb.created_at - last).as_secs_f64();
             assert!((256.0..=284.0).contains(&gap), "gap {gap} outside ±5%");
             last = hb.created_at;
@@ -302,10 +313,29 @@ mod tests {
 
     #[test]
     fn heartbeats_until_is_inclusive() {
-        let mut s = HeartbeatSchedule::new(DeviceId::new(0), AppProfile::wechat(), 0.0);
+        let wechat = AppProfile::wechat();
+        let mut s = HeartbeatSchedule::new(&wechat, 0.0);
         let mut ids = MessageIdGen::new();
-        let hbs = s.heartbeats_until(SimTime::from_secs(810), &mut ids, &mut rng());
+        let hbs = s.heartbeats_until(
+            SimTime::from_secs(810),
+            &wechat,
+            DeviceId::new(0),
+            &mut ids,
+            &mut rng(),
+        );
         assert_eq!(hbs.len(), 3); // 270, 540, 810
+    }
+
+    #[test]
+    #[should_panic(expected = "a schedule runs one app")]
+    fn a_schedule_refuses_another_apps_profile() {
+        let mut s = HeartbeatSchedule::new(&AppProfile::wechat(), 0.0);
+        s.next_heartbeat(
+            &AppProfile::qq(),
+            DeviceId::new(0),
+            &mut MessageIdGen::new(),
+            &mut rng(),
+        );
     }
 
     #[test]

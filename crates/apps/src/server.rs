@@ -10,11 +10,10 @@
 
 use std::collections::BTreeMap;
 
-use hbr_sim::snapshot::SnapshotError;
 use hbr_sim::{snap_struct, DeviceId, SimDuration, SimTime};
 
 use crate::message::Heartbeat;
-use crate::profile::AppId;
+use crate::profile::{AppId, AppProfile};
 
 /// Why one delivery attempt was accepted or swallowed — the dedup
 /// observation point for conformance tests.
@@ -51,17 +50,22 @@ impl std::fmt::Display for DeliveryOutcome {
     }
 }
 
-/// Per-(device, app) presence tracking with expiration timers.
+/// Per-(device, app) presence tracking with expiration timers, for the
+/// sessions of one app.
+///
+/// The server holds its app's [`AppProfile`]: a cell keeps one server
+/// per app, so the profile is held once per cell, and the heartbeat
+/// schedules that drive the sessions read it from here.
 ///
 /// # Examples
 ///
 /// ```
 /// use hbr_apps::{AppProfile, ImServer};
-/// use hbr_sim::{DeviceId, SimDuration, SimTime};
+/// use hbr_sim::{DeviceId, SimTime};
 ///
-/// let mut server = ImServer::new(SimDuration::from_secs(810)); // 3 × WeChat period
+/// let mut server = ImServer::new(AppProfile::wechat()); // expires after 810 s
 /// let device = DeviceId::new(0);
-/// let app = AppProfile::wechat().id;
+/// let app = server.profile().id;
 ///
 /// server.register(device, app, SimTime::ZERO);
 /// assert!(server.is_online(device, app, SimTime::from_secs(800)));
@@ -69,7 +73,7 @@ impl std::fmt::Display for DeliveryOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ImServer {
-    expiration: SimDuration,
+    profile: AppProfile,
     /// Delivery history per session, in arrival order.
     history: BTreeMap<(DeviceId, AppId), Vec<SimTime>>,
     delivered: u64,
@@ -83,16 +87,11 @@ pub struct ImServer {
 }
 
 impl ImServer {
-    /// Creates a server whose sessions expire `expiration` after the last
-    /// heartbeat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `expiration` is zero.
-    pub fn new(expiration: SimDuration) -> Self {
-        assert!(!expiration.is_zero(), "expiration must be positive");
+    /// Creates a server for `profile`'s app, whose sessions expire the
+    /// profile's `expiration` after the last heartbeat.
+    pub fn new(profile: AppProfile) -> Self {
         ImServer {
-            expiration,
+            profile,
             history: BTreeMap::new(),
             delivered: 0,
             rejected_expired: 0,
@@ -102,9 +101,14 @@ impl ImServer {
         }
     }
 
-    /// The configured expiration timeout.
+    /// The profile of the app this server serves.
+    pub fn profile(&self) -> &AppProfile {
+        &self.profile
+    }
+
+    /// The app's expiration timeout.
     pub fn expiration(&self) -> SimDuration {
-        self.expiration
+        self.profile.expiration
     }
 
     /// Registers a session as online starting at `at` (login).
@@ -155,7 +159,7 @@ impl ImServer {
             .iter()
             .rev()
             .find(|&&r| r <= at)
-            .is_some_and(|&last| at - last < self.expiration)
+            .is_some_and(|&last| at - last < self.profile.expiration)
     }
 
     /// Removes and returns one session's refresh history — the presence
@@ -222,7 +226,7 @@ impl ImServer {
                 offline += r - cursor;
                 cursor = r;
             }
-            let covered_until = (r + self.expiration).min(to);
+            let covered_until = (r + self.profile.expiration).min(to);
             if covered_until > cursor {
                 cursor = covered_until;
             }
@@ -235,34 +239,30 @@ impl ImServer {
 }
 
 snap_struct!(ImServer {
-    expiration,
+    profile,
     history,
     delivered,
     rejected_expired,
     duplicates,
     seen,
     seen_seq,
-} check check_expiration);
-
-fn check_expiration(s: &ImServer) -> Result<(), SnapshotError> {
-    if s.expiration.is_zero() {
-        return Err(SnapshotError::Corrupt("zero server expiration".into()));
-    }
-    Ok(())
-}
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::MessageIdGen;
-    use hbr_sim::snapshot::{Snap, SnapshotReader, SnapshotWriter};
+    use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
+
+    /// A WeChat server whose sessions expire `secs` after a refresh.
+    fn wechat_server(secs: u64) -> ImServer {
+        ImServer::new(AppProfile::wechat().with_expiration(SimDuration::from_secs(secs)))
+    }
 
     #[test]
     fn restore_refuses_a_zero_expiration() {
-        let bad = ImServer {
-            expiration: SimDuration::ZERO,
-            ..ImServer::new(SimDuration::from_secs(810))
-        };
+        let mut bad = wechat_server(810);
+        bad.profile.expiration = SimDuration::ZERO;
         let mut w = SnapshotWriter::new();
         bad.snap(&mut w);
         let bytes = w.into_bytes();
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn fresh_heartbeats_keep_session_online() {
-        let mut server = ImServer::new(SimDuration::from_secs(810));
+        let mut server = wechat_server(810);
         let mut ids = MessageIdGen::new();
         server.register(DeviceId::new(0), AppId::new(0), SimTime::ZERO);
         for k in 1..=10u64 {
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn deliver_observed_names_the_dedup_layer() {
-        let mut server = ImServer::new(SimDuration::from_secs(810));
+        let mut server = wechat_server(810);
         let mut ids = MessageIdGen::new();
         let first = hb(&mut ids, 0, 810);
         assert_eq!(
@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn expired_heartbeat_is_rejected() {
-        let mut server = ImServer::new(SimDuration::from_secs(810));
+        let mut server = wechat_server(810);
         let mut ids = MessageIdGen::new();
         let h = hb(&mut ids, 0, 100);
         assert!(!server.deliver(&h, SimTime::from_secs(100)));
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_ignored() {
-        let mut server = ImServer::new(SimDuration::from_secs(810));
+        let mut server = wechat_server(810);
         let mut ids = MessageIdGen::new();
         let h = hb(&mut ids, 0, 1000);
         assert!(server.deliver(&h, SimTime::from_secs(1)));
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn retransmit_under_fresh_id_is_deduped_by_seq() {
-        let mut server = ImServer::new(SimDuration::from_secs(810));
+        let mut server = wechat_server(810);
         let mut ids = MessageIdGen::new();
         let original = hb(&mut ids, 10, 1000);
         assert!(server.deliver(&original, SimTime::from_secs(11)));
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn unknown_session_is_offline() {
-        let server = ImServer::new(SimDuration::from_secs(810));
+        let server = wechat_server(810);
         assert!(!server.is_online(DeviceId::new(9), AppId::new(9), SimTime::from_secs(1)));
         assert_eq!(
             server.offline_time(
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn offline_time_measures_gaps() {
-        let mut server = ImServer::new(SimDuration::from_secs(100));
+        let mut server = wechat_server(100);
         let device = DeviceId::new(0);
         let app = AppId::new(0);
         server.register(device, app, SimTime::ZERO); // covered [0,100)
@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn continuous_refreshes_mean_zero_offline() {
-        let mut server = ImServer::new(SimDuration::from_secs(300));
+        let mut server = wechat_server(300);
         let device = DeviceId::new(0);
         let app = AppId::new(0);
         server.register(device, app, SimTime::ZERO);

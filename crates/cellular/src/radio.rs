@@ -11,6 +11,8 @@
 //! radio self-contained and unit-testable while producing exactly the
 //! same traces an eagerly-timed model would.
 
+use std::sync::Arc;
+
 use hbr_energy::{MilliAmps, Phase, Segment};
 use hbr_sim::snapshot::{Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use hbr_sim::{snap_enum, snap_struct, InlineVec, SimDuration, SimTime};
@@ -204,7 +206,9 @@ snap_struct!(StateOccupancy {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CellularRadio {
-    cfg: RrcConfig,
+    /// Shared by every radio of a cell: the parameters are the
+    /// network's, not the phone's.
+    cfg: Arc<RrcConfig>,
     state: RrcState,
     /// When the current state began. For `CellDch` this is the end of the
     /// last active transfer, i.e. the start of the tail.
@@ -220,10 +224,11 @@ pub struct CellularRadio {
 }
 
 impl CellularRadio {
-    /// Creates an idle radio at time zero.
-    pub fn new(cfg: RrcConfig) -> Self {
+    /// Creates an idle radio at time zero. Pass an `Arc` to share one
+    /// set of RRC parameters among many radios.
+    pub fn new(cfg: impl Into<Arc<RrcConfig>>) -> Self {
         CellularRadio {
-            cfg,
+            cfg: cfg.into(),
             state: RrcState::Idle,
             state_since: SimTime::ZERO,
             entered_at: SimTime::ZERO,
@@ -482,9 +487,12 @@ impl CellularRadio {
 
     /// Rebuilds a radio from `cfg` plus the dynamic state written by
     /// [`CellularRadio::snap_dyn`].
-    pub fn unsnap_dyn(cfg: RrcConfig, r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    pub fn unsnap_dyn(
+        cfg: impl Into<Arc<RrcConfig>>,
+        r: &mut SnapshotReader<'_>,
+    ) -> Result<Self, SnapshotError> {
         Ok(CellularRadio {
-            cfg,
+            cfg: cfg.into(),
             state: RrcState::unsnap(r)?,
             state_since: SimTime::unsnap(r)?,
             entered_at: SimTime::unsnap(r)?,

@@ -16,7 +16,7 @@
 
 use std::collections::HashSet;
 
-use hbr_apps::{AppId, DeliveryOutcome, Heartbeat, ImServer, MessageId, MessageIdGen};
+use hbr_apps::{AppId, AppProfile, DeliveryOutcome, Heartbeat, ImServer, MessageId, MessageIdGen};
 use hbr_core::{
     BackoffPolicy, DeliveryLedger, FeedbackTracker, InvariantChecker, MessageScheduler,
     ScheduleDecision,
@@ -203,8 +203,9 @@ impl StackHarness {
     /// Builds the stack; the UE session registers online at `t = 0`.
     pub fn new(config: StackConfig) -> Self {
         let source = DeviceId::new(0);
-        let app = AppId::new(0);
-        let mut server = ImServer::new(config.expiration);
+        let profile = AppProfile::wechat().with_expiration(config.expiration);
+        let app = profile.id;
+        let mut server = ImServer::new(profile);
         server.register(source, app, SimTime::ZERO);
         let mut checker = InvariantChecker::new(true);
         checker.set_context(config.seed, None);
@@ -212,7 +213,7 @@ impl StackHarness {
             MessageScheduler::new(config.capacity, config.period, config.margin, SimTime::ZERO);
         StackHarness {
             retry_rng: SimRng::seed_from(retry_stream_seed(config.seed)),
-            feedback: FeedbackTracker::new(config.feedback_timeout),
+            feedback: FeedbackTracker::new(),
             scheduler,
             config,
             now: SimTime::ZERO,
@@ -275,7 +276,8 @@ impl StackHarness {
         match self.relay_mode {
             RelayMode::Accepting | RelayMode::LosingPayloads => {
                 self.ledger.d2d_acked(hb.id);
-                let deadline = self.feedback.on_forward(hb, at);
+                let timeout = self.config.feedback_timeout;
+                let deadline = self.feedback.on_forward(hb, at, timeout);
                 self.recorder
                     .log
                     .push(format!("{at} feedback-armed {} deadline={deadline}", hb.id));

@@ -14,7 +14,8 @@
 //!
 //! * The Message Monitor — each device's
 //!   [`HeartbeatSchedule`](hbr_apps::HeartbeatSchedule)s, one per
-//!   participating app, know its period, size and expiration, and each
+//!   participating app, read its period, size and expiration from the
+//!   app's [`AppProfile`](hbr_apps::AppProfile), and each
 //!   [`Heartbeat`](hbr_apps::Heartbeat) carries its `size` and
 //!   `expires_at` to the scheduler.
 //! * [`D2dDetector`] — discovery, distance

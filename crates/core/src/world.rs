@@ -7,10 +7,11 @@
 //! together:
 //!
 //! * devices carry a [`HeartbeatSchedule`] per participating app (the
-//!   paper's Message Monitor: each schedule knows its app's period, size
-//!   and expiration, and each [`Heartbeat`] carries its `size` and
-//!   `expires_at`), a [`CellularRadio`], an [`EnergyMeter`] and
-//!   optionally a finite [`Battery`];
+//!   paper's Message Monitor: each schedule reads its app's period, size
+//!   and expiration from the profile that the cell's [`ImServer`] for
+//!   that app holds, and each [`Heartbeat`] carries its `size` and
+//!   `expires_at`), a [`CellularRadio`] sharing the cell's RRC
+//!   parameters, an [`EnergyMeter`] and optionally a finite [`Battery`];
 //! * UEs discover the relays in range by walking the cell's relay roster
 //!   with live positions from the [`Field`], and match one through the
 //!   [`D2dDetector`];
@@ -24,7 +25,7 @@
 //!   never lapses.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use hbr_apps::{
     AppId, AppProfile, DeliveryOutcome, Heartbeat, HeartbeatSchedule, ImServer, MessageId,
@@ -207,10 +208,10 @@ impl CellTopology {
 ///
 /// It carries everything the destination needs to continue the device
 /// as one uninterrupted session — heartbeat schedules (with live
-/// sequence counters), per-app refresh history for the servers, the
-/// radio with its exact RRC state, the energy meter, the battery, the
-/// device's private RNG stream, a relay's scheduler, the mobility
-/// model, and any still-open fault windows.
+/// sequence counters), its apps' profiles and per-app refresh history
+/// for the servers, the radio with its exact RRC state, the energy
+/// meter, the battery, the device's private RNG stream, a relay's
+/// scheduler, the mobility model, and any still-open fault windows.
 /// Fields are private: the manifest is opaque in transit, cells only
 /// route on [`Migrant::to_cell`].
 #[derive(Debug)]
@@ -220,8 +221,9 @@ pub struct Migrant {
     source_index: u32,
     role: Role,
     schedules: Vec<HeartbeatSchedule>,
-    /// Per-schedule refresh history, parallel to `schedules`.
-    sessions: Vec<Vec<SimTime>>,
+    /// Per-schedule app profile and refresh history, parallel to
+    /// `schedules`: the destination may have no server for an app yet.
+    sessions: Vec<(AppProfile, Vec<SimTime>)>,
     radio: CellularRadio,
     meter: EnergyMeter,
     battery: Option<Battery>,
@@ -312,7 +314,11 @@ pub struct DeviceReport {
     /// Heartbeats this device forwarded over D2D (UE) or collected
     /// (relay).
     pub forwards: u64,
-    /// Cellular fallbacks this device performed.
+    /// Heartbeats this device rescued over cellular after a failed D2D
+    /// delivery: a feedback timeout (the paper's one re-send), an
+    /// exhausted retry budget, or a retry that found the D2D radio down.
+    /// Sends that go direct at emission are not counted here;
+    /// `hbr_fallback_total{cause}` counts every fallback decision.
     pub fallbacks: u64,
     /// Operator credits earned (relays).
     pub rewards: u64,
@@ -335,7 +341,8 @@ pub struct DeviceReport {
 pub struct EpochPulse {
     /// D2D forwards performed so far.
     pub forwards: u64,
-    /// Cellular fallbacks performed so far.
+    /// Heartbeats rescued over cellular after a failed D2D delivery so
+    /// far: the sum of the devices' [`DeviceReport::fallbacks`].
     pub fallbacks: u64,
     /// Heartbeats currently queued behind a cellular outage.
     pub outage_queued: u64,
@@ -573,8 +580,11 @@ enum Event {
     DeliveryRetry { device: usize },
 }
 
+/// One phone's own state. A device holds no copy of a fact its cell
+/// fixes: its id is its index in the cell's device list, its apps'
+/// profiles live in the cell's IM servers, its radio shares the cell's
+/// RRC parameters, and the feedback timeout is the framework's.
 struct Device {
-    id: DeviceId,
     role: Role,
     schedules: Vec<HeartbeatSchedule>,
     radio: CellularRadio,
@@ -671,7 +681,11 @@ pub struct Scenario {
     relays: Vec<usize>,
     field: Field,
     detector: D2dDetector,
+    /// One IM server per app, each holding its app's profile: the one
+    /// copy of the profile in the cell.
     servers: BTreeMap<AppId, ImServer>,
+    /// The cell's RRC parameters, shared by every radio it builds.
+    rrc: Arc<RrcConfig>,
     bs: BaseStation,
     ledger: RewardLedger,
     ids: MessageIdGen,
@@ -751,6 +765,27 @@ fn relay_roster(devices: &[Device]) -> Vec<usize> {
         .collect()
 }
 
+/// The cell's server for `app`, opened on the app's first session. A
+/// cell holds one profile per app, which the server keeps.
+///
+/// # Panics
+///
+/// Panics if the cell's server for `app.id` holds a different profile:
+/// one app cannot have two periods, sizes or expirations.
+fn serve<'a>(servers: &'a mut BTreeMap<AppId, ImServer>, app: &AppProfile) -> &'a mut ImServer {
+    let server = servers
+        .entry(app.id)
+        .or_insert_with(|| ImServer::new(app.clone()));
+    assert_eq!(server.profile(), app, "{} has two profiles", app.id);
+    server
+}
+
+/// The id of the device at `index` in a cell's device list: a device
+/// is its index, so the id is never stored.
+fn device_id(index: usize) -> DeviceId {
+    DeviceId::new(index as u32)
+}
+
 /// Microsecond timestamp of a sim instant, exactly as [`EventRecord`]s
 /// stamp telemetry — spans and events line up in a merged timeline.
 fn span_us(t: SimTime) -> u64 {
@@ -762,8 +797,8 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the config has no devices or an invalid
-    /// [`FrameworkConfig`].
+    /// Panics if the config has no devices, an invalid
+    /// [`FrameworkConfig`], or two different profiles for one [`AppId`].
     pub fn new(config: ScenarioConfig) -> Self {
         assert!(
             !config.devices.is_empty() || config.topology.is_some(),
@@ -773,18 +808,19 @@ impl Scenario {
         let mut rng = SimRng::seed_from(config.seed);
         let mut field = Field::new();
         let mut servers: BTreeMap<AppId, ImServer> = BTreeMap::new();
+        let rrc = Arc::new(config.stack.cellular.clone());
         let mut devices = Vec::with_capacity(config.devices.len());
 
         for (i, spec) in config.devices.iter().enumerate() {
-            let id = DeviceId::new(i as u32);
-            field.insert(id, spec.mobility.clone());
-            let mut schedules = Vec::new();
+            field.insert(device_id(i), spec.mobility.clone());
             for app in &spec.apps {
-                schedules.push(HeartbeatSchedule::new(id, app.clone(), 0.01));
-                servers
-                    .entry(app.id)
-                    .or_insert_with(|| ImServer::new(app.expiration));
+                serve(&mut servers, app);
             }
+            let schedules = spec
+                .apps
+                .iter()
+                .map(|app| HeartbeatSchedule::new(app, 0.01))
+                .collect();
             let relay_period = spec
                 .apps
                 .first()
@@ -806,10 +842,9 @@ impl Scenario {
                 scheduler
             });
             devices.push(Device {
-                id,
                 role: spec.role,
                 schedules,
-                radio: CellularRadio::new(config.stack.cellular.clone()),
+                radio: CellularRadio::new(rrc.clone()),
                 // Aggregate-only: the report consumes totals and
                 // group breakdowns, never raw segments, so the meter
                 // can stay O(1) per device instead of growing with
@@ -826,7 +861,7 @@ impl Scenario {
                 attached_since: None,
                 member_count: 0,
                 group_idle_since: None,
-                feedback: FeedbackTracker::new(config.framework.feedback_timeout),
+                feedback: FeedbackTracker::new(),
                 pending_until_ready: Vec::new(),
                 delivery: DeliveryLedger::new(),
                 forwards: 0,
@@ -850,11 +885,9 @@ impl Scenario {
         let reward = config.framework.reward_per_heartbeat;
         let fault_rng = SimRng::seed_from(fault_stream_seed(config.seed));
         let retry_rng = SimRng::seed_from(retry_stream_seed(config.seed));
-        let max_expiration = config
-            .devices
-            .iter()
-            .flat_map(|spec| spec.apps.iter())
-            .map(|app| app.expiration)
+        let max_expiration = servers
+            .values()
+            .map(ImServer::expiration)
             .max()
             .unwrap_or(SimDuration::from_secs(810));
         let check = config
@@ -878,6 +911,7 @@ impl Scenario {
             field,
             detector,
             servers,
+            rrc,
             // Counters only — the report reads total_l3/rrc, never the
             // per-message capture log (exp_fig14 builds its own).
             bs: BaseStation::compact(),
@@ -912,12 +946,12 @@ impl Scenario {
         // Register sessions as online at t = 0 and schedule first beats.
         for i in 0..world.devices.len() {
             for (app_idx, schedule) in world.devices[i].schedules.iter().enumerate() {
-                let app = schedule.app().id;
+                let app = schedule.app();
                 world
                     .servers
                     .get_mut(&app)
                     .expect("server exists for registered app")
-                    .register(world.devices[i].id, app, SimTime::ZERO);
+                    .register(device_id(i), app, SimTime::ZERO);
                 world.sim.schedule_at(
                     schedule.peek_next(),
                     Event::HeartbeatDue { device: i, app_idx },
@@ -1041,7 +1075,7 @@ impl Scenario {
                 return None;
             }
         }
-        let id = self.devices[i].id;
+        let id = device_id(i);
         let pos = self.field.position(id)?;
         let to_cell = cell_at(topology.area_side_m, topology.grid, pos.x, pos.y);
         if to_cell == topology.cell {
@@ -1137,7 +1171,7 @@ impl Scenario {
         // counters it earned in this cell (per-cell conservation) but
         // owns nothing live. The husk's replacement RNG is never drawn.
         let (schedules, radio, meter, battery, rng, scheduler, role) = {
-            let fresh_radio = CellularRadio::new(self.config.stack.cellular.clone());
+            let fresh_radio = CellularRadio::new(self.rrc.clone());
             let dev = &mut self.devices[i];
             dev.migrated = true;
             (
@@ -1157,11 +1191,13 @@ impl Scenario {
         let sessions = schedules
             .iter()
             .map(|schedule| {
-                let app = schedule.app().id;
-                self.servers
+                let app = schedule.app();
+                let server = self
+                    .servers
                     .get_mut(&app)
-                    .and_then(|server| server.take_session(id, app))
-                    .unwrap_or_default()
+                    .expect("server exists for a scheduled app");
+                let history = server.take_session(id, app).unwrap_or_default();
+                (server.profile().clone(), history)
             })
             .collect();
         let dev = &self.devices[i];
@@ -1197,10 +1233,10 @@ impl Scenario {
 
     fn admit(&mut self, migrant: Migrant, now: SimTime) -> DeviceId {
         let i = self.devices.len();
-        let id = DeviceId::new(i as u32);
+        let id = device_id(i);
         let Migrant {
             role,
-            mut schedules,
+            schedules,
             sessions,
             radio,
             meter,
@@ -1215,17 +1251,12 @@ impl Scenario {
             payload_loss_p,
             ..
         } = migrant;
-        // The heartbeat stream continues as one session: schedules are
-        // re-homed onto the cell-local id and the carried refresh
-        // history is adopted by this cell's servers, so presence never
-        // lapses across the boundary.
-        for (schedule, history) in schedules.iter_mut().zip(sessions) {
-            schedule.retarget(id);
-            let app = schedule.app().clone();
-            self.servers
-                .entry(app.id)
-                .or_insert_with(|| ImServer::new(app.expiration))
-                .adopt_session(id, app.id, history);
+        // The heartbeat stream continues as one session: the schedules
+        // run on under the cell-local id (the device's index here) and
+        // the carried refresh history is adopted by this cell's servers,
+        // so presence never lapses across the boundary.
+        for (app, history) in sessions {
+            serve(&mut self.servers, &app).adopt_session(id, app.id, history);
             self.max_expiration = self.max_expiration.max(app.expiration);
         }
         self.field.insert(id, mobility);
@@ -1233,7 +1264,6 @@ impl Scenario {
             self.relays.push(i);
         }
         self.devices.push(Device {
-            id,
             role,
             schedules,
             radio,
@@ -1249,7 +1279,7 @@ impl Scenario {
             attached_since: None,
             member_count: 0,
             group_idle_since: None,
-            feedback: FeedbackTracker::new(self.config.framework.feedback_timeout),
+            feedback: FeedbackTracker::new(),
             pending_until_ready: Vec::new(),
             delivery: DeliveryLedger::new(),
             forwards: 0,
@@ -1394,14 +1424,14 @@ impl Scenario {
             let probe = {
                 let dev = &self.devices[i];
                 let online = dev.schedules.iter().all(|schedule| {
-                    let app = schedule.app().id;
+                    let app = schedule.app();
                     self.servers
                         .get(&app)
-                        .map(|s| s.is_online(dev.id, app, now))
+                        .map(|s| s.is_online(device_id(i), app, now))
                         .unwrap_or(true)
                 });
                 DeviceProbe {
-                    device: dev.id,
+                    device: device_id(i),
                     alive: dev.is_alive(),
                     buffered: dev.scheduler.as_ref().map(|s| s.collected()).unwrap_or(0),
                     capacity: dev
@@ -1429,7 +1459,7 @@ impl Scenario {
         self.telemetry.record(
             now,
             TelemetryEvent::Fallback {
-                device: self.devices[device].id.index(),
+                device: device as u32,
                 cause,
                 span: self.spans.is_enabled().then(|| id.raw()),
             },
@@ -1466,7 +1496,7 @@ impl Scenario {
                 .metrics
                 .add("hbr_rrc_establish_total", new_connections as u64);
         }
-        let id = self.devices[device].id.index();
+        let id = device as u32;
         for t in &activity.transitions {
             self.telemetry.record(
                 t.at,
@@ -1577,12 +1607,8 @@ impl Scenario {
                 // edge every few minutes). Without a topology the
                 // corridor is anchored at the device's own x, which
                 // still exercises the reflecting walk.
-                let idx = device.index() as usize;
                 self.field.advance_to(now, &mut self.rng);
-                let Some(pos) = self
-                    .field
-                    .position(self.devices[device.index() as usize].id)
-                else {
+                let Some(pos) = self.field.position(device) else {
                     return;
                 };
                 let centre = self
@@ -1597,7 +1623,7 @@ impl Scenario {
                 );
                 let start = Position::new(pos.x.clamp(corridor.min.x, corridor.max.x), pos.y);
                 self.field.insert(
-                    self.devices[idx].id,
+                    device,
                     Mobility::linear_bounded(start, (speed_mps, 0.0), corridor).started_at(now),
                 );
             }
@@ -1631,7 +1657,7 @@ impl Scenario {
                     "requeued",
                     Some(cause),
                     None,
-                    Some(self.devices[relay_idx].id.index()),
+                    Some(relay_idx as u32),
                 );
                 self.recover(now, src, hb, RetryReason::RelayDeparted, Some(relay_idx));
             }
@@ -1712,7 +1738,7 @@ impl Scenario {
                     "feedback-confirmed",
                     None,
                     None,
-                    Some(self.devices[device].id.index()),
+                    Some(device as u32),
                 );
             }
             self.send_cellular(now, device, hb);
@@ -1736,8 +1762,8 @@ impl Scenario {
         self.sim
             .schedule_at(next, Event::PushDue { device, app_idx });
 
-        let app = self.devices[device].schedules[app_idx].app().id;
-        let id = self.devices[device].id;
+        let app = self.devices[device].schedules[app_idx].app();
+        let id = device_id(device);
         let online = self
             .servers
             .get(&app)
@@ -1752,7 +1778,7 @@ impl Scenario {
         self.apply_activity(device, &out.activity.segments);
         self.record_radio(device, &out.activity, out.rrc_connections);
         self.bs
-            .record(self.devices[device].id, &out.activity, out.rrc_connections);
+            .record(device_id(device), &out.activity, out.rrc_connections);
     }
 
     fn on_heartbeat_due(&mut self, now: SimTime, device: usize, app_idx: usize) {
@@ -1764,8 +1790,10 @@ impl Scenario {
         // Generate the heartbeat and schedule the next one.
         let (hb, next_at) = {
             let dev = &mut self.devices[device];
-            let hb = dev.schedules[app_idx].next_heartbeat(&mut self.ids, &mut dev.rng);
-            (hb, dev.schedules[app_idx].peek_next())
+            let schedule = &mut dev.schedules[app_idx];
+            let app = self.servers[&schedule.app()].profile();
+            let hb = schedule.next_heartbeat(app, device_id(device), &mut self.ids, &mut dev.rng);
+            (hb, schedule.peek_next())
         };
         self.sim
             .schedule_at(next_at, Event::HeartbeatDue { device, app_idx });
@@ -1775,8 +1803,7 @@ impl Scenario {
         }
         self.checker.on_emitted(&hb);
         self.generated += 1;
-        self.spans
-            .start(hb.id.raw(), self.devices[device].id.index(), span_us(now));
+        self.spans.start(hb.id.raw(), device as u32, span_us(now));
         if self.reliable() {
             self.devices[device].delivery.track(hb);
         }
@@ -1914,7 +1941,7 @@ impl Scenario {
             return;
         }
         self.field.advance_to(now, &mut self.rng);
-        let Some(ue_pos) = self.field.position(self.devices[device].id) else {
+        let Some(ue_pos) = self.field.position(device_id(device)) else {
             self.send_cellular(now, device, hb);
             return;
         };
@@ -1933,19 +1960,18 @@ impl Scenario {
             .iter()
             .filter(|&&i| i != device && Some(i) != handover_from)
             .filter_map(|&i| {
-                let d = &self.devices[i];
-                let position = self.field.position(d.id)?;
+                let position = self.field.position(device_id(i))?;
                 self.detector
                     .hears(ue_pos, position)
-                    .then_some((d, position))
+                    .then_some((i, &self.devices[i], position))
             })
-            .filter(|(d, _)| d.is_alive() && !d.departed && now >= d.d2d_down_until)
-            .filter_map(|(d, position)| {
+            .filter(|(_, d, _)| d.is_alive() && !d.departed && now >= d.d2d_down_until)
+            .filter_map(|(i, d, position)| {
                 let scheduler = d.scheduler.as_ref()?;
                 Some((
                     scheduler.period(),
                     RelayAdvert {
-                        device: d.id,
+                        device: device_id(i),
                         free_capacity: scheduler.capacity().saturating_sub(scheduler.collected()),
                         go_intent: scheduler.go_intent(),
                         position,
@@ -2008,8 +2034,8 @@ impl Scenario {
                 self.telemetry.record(
                     now,
                     TelemetryEvent::RelayMatch {
-                        device: self.devices[device].id.index(),
-                        relay: self.devices[relay_idx].id.index(),
+                        device: device as u32,
+                        relay: relay_idx as u32,
                     },
                 );
                 if let Some(from) = handover_from {
@@ -2019,14 +2045,14 @@ impl Scenario {
                         "handover",
                         None,
                         None,
-                        Some(self.devices[relay_idx].id.index()),
+                        Some(relay_idx as u32),
                     );
                     self.telemetry.record(
                         now,
                         TelemetryEvent::Handover {
-                            device: self.devices[device].id.index(),
-                            from_relay: self.devices[from].id.index(),
-                            to_relay: self.devices[relay_idx].id.index(),
+                            device: device as u32,
+                            from_relay: from as u32,
+                            to_relay: relay_idx as u32,
                         },
                     );
                 }
@@ -2083,7 +2109,7 @@ impl Scenario {
         self.field.advance_to(now, &mut self.rng);
         let distance = self
             .field
-            .distance(self.devices[device].id, self.devices[relay_idx].id)
+            .distance(device_id(device), device_id(relay_idx))
             .unwrap_or(f64::INFINITY);
         let relay_alive = self.devices[relay_idx].is_alive();
 
@@ -2120,7 +2146,7 @@ impl Scenario {
             }
         }
 
-        let relay_gid = self.devices[relay_idx].id.index();
+        let relay_gid = relay_idx as u32;
         self.spans.annotate(
             hb.id.raw(),
             span_us(now),
@@ -2151,7 +2177,8 @@ impl Scenario {
 
         // Arm the fallback timer regardless of link-layer success: the UE
         // only learns the truth through delivery feedback (§III-A).
-        let deadline = self.devices[device].feedback.on_forward(hb, now);
+        let timeout = self.config.framework.feedback_timeout;
+        let deadline = self.devices[device].feedback.on_forward(hb, now, timeout);
         self.spans.annotate(
             hb.id.raw(),
             span_us(now),
@@ -2297,14 +2324,14 @@ impl Scenario {
             self.telemetry.record(
                 now,
                 TelemetryEvent::Flush {
-                    device: self.devices[device].id.index(),
+                    device: device as u32,
                     reason: "outage-queued",
                     buffered,
                     own,
                     bytes,
                 },
             );
-            let relay_gid = self.devices[device].id.index();
+            let relay_gid = device as u32;
             for &hb in hbs.iter() {
                 self.spans.annotate(
                     hb.id.raw(),
@@ -2321,7 +2348,7 @@ impl Scenario {
         self.telemetry.record(
             now,
             TelemetryEvent::Flush {
-                device: self.devices[device].id.index(),
+                device: device as u32,
                 reason: reason.label(),
                 buffered,
                 own,
@@ -2332,14 +2359,14 @@ impl Scenario {
         self.apply_activity(device, &out.activity.segments);
         self.record_radio(device, &out.activity, out.rrc_connections);
         self.bs
-            .record(self.devices[device].id, &out.activity, out.rrc_connections);
+            .record(device_id(device), &out.activity, out.rrc_connections);
 
         let delivered_at = out.delivered_at;
         self.ledger
-            .credit_forwards(self.devices[device].id, buffered as u64);
+            .credit_forwards(device_id(device), buffered as u64);
 
         // Deliver to the IM servers.
-        let relay_gid = self.devices[device].id.index();
+        let relay_gid = device as u32;
         for hb in hbs.iter() {
             self.spans.annotate(
                 hb.id.raw(),
@@ -2379,11 +2406,11 @@ impl Scenario {
 
     fn on_feedback_sweep(&mut self, now: SimTime, device: usize) {
         let mut due = std::mem::take(&mut self.scratch.expired);
+        self.devices[device].feedback.take_expired(now, &mut due);
         if self.reliable() {
             // A feedback miss means the relay failed us: detach, remember
             // the relay to avoid, and run the backoff/handover path
             // instead of the legacy one-shot cellular rescue.
-            self.devices[device].feedback.take_expired(now, &mut due);
             for pending in due.drain(..) {
                 let failed = self.devices[device].attached_to;
                 if failed.is_some() {
@@ -2398,7 +2425,6 @@ impl Scenario {
                 );
             }
         } else {
-            self.devices[device].feedback.expire_due(now, &mut due);
             for pending in due.drain(..) {
                 self.degrade_to_cellular(now, device, pending.heartbeat, "feedback-timeout");
             }
@@ -2435,7 +2461,7 @@ impl Scenario {
         failed_relay: Option<usize>,
     ) {
         if let Some(relay_idx) = failed_relay {
-            let relay_id = self.devices[relay_idx].id;
+            let relay_id = device_id(relay_idx);
             self.devices[device].delivery.relay_failed(hb.id, relay_id);
         }
         let delivery = &mut self.devices[device].delivery;
@@ -2467,7 +2493,7 @@ impl Scenario {
                 self.telemetry.record(
                     now,
                     TelemetryEvent::Retry {
-                        device: self.devices[device].id.index(),
+                        device: device as u32,
                         cause: reason.label(),
                         attempt: attempt.unwrap_or(0),
                     },
@@ -2581,7 +2607,7 @@ impl Scenario {
         self.apply_activity(device, &out.activity.segments);
         self.record_radio(device, &out.activity, out.rrc_connections);
         self.bs
-            .record(self.devices[device].id, &out.activity, out.rrc_connections);
+            .record(device_id(device), &out.activity, out.rrc_connections);
         self.deliver(&hb, out.delivered_at);
     }
 
@@ -2626,8 +2652,8 @@ impl Scenario {
             self.telemetry.record(
                 now,
                 TelemetryEvent::RelayDepart {
-                    device: self.devices[device].id.index(),
-                    relay: self.devices[r].id.index(),
+                    device: device as u32,
+                    relay: r as u32,
                 },
             );
         }
@@ -2730,7 +2756,7 @@ impl Scenario {
             let tail = self.devices[i]
                 .radio
                 .finalize(end + SimDuration::from_secs(60));
-            let id = self.devices[i].id;
+            let id = device_id(i);
             self.apply_activity(i, &tail.segments);
             self.record_radio(i, &tail, 0);
             self.bs.record(id, &tail, 0);
@@ -2742,7 +2768,7 @@ impl Scenario {
         // popped, each handled exactly once.
         if self.telemetry.is_enabled() {
             for i in 0..self.devices.len() {
-                let id = self.devices[i].id.index();
+                let id = i as u32;
                 for (group, charge) in self.devices[i].meter.group_breakdown() {
                     self.telemetry.record(
                         end,
@@ -2772,16 +2798,17 @@ impl Scenario {
         let per_device_offline: Vec<f64> = self
             .devices
             .iter()
-            .map(|dev| {
+            .enumerate()
+            .map(|(i, dev)| {
                 dev.schedules
                     .iter()
                     .map(|schedule| {
-                        let app = schedule.app().id;
+                        let app = schedule.app();
                         self.servers
                             .get(&app)
                             .map(|server| {
                                 server
-                                    .offline_time(dev.id, app, SimTime::ZERO, end)
+                                    .offline_time(device_id(i), app, SimTime::ZERO, end)
                                     .as_secs_f64()
                             })
                             .unwrap_or(0.0)
@@ -2796,7 +2823,7 @@ impl Scenario {
             .iter()
             .enumerate()
             .map(|(i, d)| DeviceReport {
-                device: d.id,
+                device: device_id(i),
                 role: d.role,
                 energy_uah: d.meter.total().as_micro_amp_hours(),
                 energy_by_group: d
@@ -2811,8 +2838,8 @@ impl Scenario {
                 } else {
                     d.forwards
                 },
-                fallbacks: d.fallbacks + d.feedback.fallbacks(),
-                rewards: self.ledger.balance(d.id),
+                fallbacks: d.fallbacks,
+                rewards: self.ledger.balance(device_id(i)),
                 offline_secs: per_device_offline[i],
                 mean_batch_size: d
                     .scheduler
@@ -2942,10 +2969,9 @@ snap_enum!(Event "event" {
 });
 
 impl Device {
-    /// Serializes the device. The radio config is not written — it
-    /// comes from the scenario config on restore.
+    /// Serializes the device. The id (its index) and the radio config
+    /// are not written: restore takes both from the cell.
     fn snap_dyn(&self, w: &mut SnapshotWriter) {
-        self.id.snap(w);
         self.role.snap(w);
         self.schedules.snap(w);
         self.radio.snap_dyn(w);
@@ -2975,11 +3001,10 @@ impl Device {
         w.put_bool(self.migrated);
     }
 
-    fn unsnap_dyn(cellular: &RrcConfig, r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let id = DeviceId::unsnap(r)?;
+    fn unsnap_dyn(rrc: &Arc<RrcConfig>, r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         let role = Role::unsnap(r)?;
         let schedules = Vec::unsnap(r)?;
-        let radio = CellularRadio::unsnap_dyn(cellular.clone(), r)?;
+        let radio = CellularRadio::unsnap_dyn(rrc.clone(), r)?;
         let meter = EnergyMeter::unsnap(r)?;
         let battery = Option::unsnap(r)?;
         let rng = SimRng::unsnap(r)?;
@@ -3013,7 +3038,6 @@ impl Device {
             }
         }
         Ok(Device {
-            id,
             role,
             schedules,
             radio,
@@ -3189,15 +3213,8 @@ impl Scenario {
             return Err(SnapshotError::Corrupt(format!("device count {n}")));
         }
         let mut devices = Vec::with_capacity(n);
-        for i in 0..n {
-            let dev = Device::unsnap_dyn(&self.config.stack.cellular, r)?;
-            if dev.id != DeviceId::new(i as u32) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "device {i} carries id {}",
-                    dev.id
-                )));
-            }
-            devices.push(dev);
+        for _ in 0..n {
+            devices.push(Device::unsnap_dyn(&self.rrc, r)?);
         }
         self.relays = relay_roster(&devices);
         self.devices = devices;
@@ -3280,12 +3297,56 @@ mod tests {
     #[test]
     fn a_device_holds_one_copy_of_each_fact() {
         // Every phone pays these bytes, a million times in the 1 M hour.
-        // The apps live in the schedules and the D2D profile in the
-        // scenario config; neither is copied into the device.
+        // The apps' profiles live in the cell's IM servers, the RRC
+        // parameters and the D2D profile in the cell, and the feedback
+        // timeout in the framework config; none is copied into the
+        // device, which stores no id either.
         let device = std::mem::size_of::<Device>();
-        assert!(device <= 840, "Device is {device} B");
+        assert!(device <= 712, "Device is {device} B");
+        let schedule = std::mem::size_of::<HeartbeatSchedule>();
+        assert!(schedule <= 24, "HeartbeatSchedule is {schedule} B");
+        let radio = std::mem::size_of::<CellularRadio>();
+        assert!(radio <= 80, "CellularRadio is {radio} B");
+        let feedback = std::mem::size_of::<FeedbackTracker>();
+        assert!(feedback <= 24, "FeedbackTracker is {feedback} B");
         let link = std::mem::size_of::<Option<D2dLink>>();
         assert!(link <= 24, "Option<D2dLink> is {link} B");
+    }
+
+    #[test]
+    #[should_panic(expected = "app#0 has two profiles")]
+    fn one_app_cannot_have_two_profiles() {
+        let mut config = basic_config(Mode::D2dFramework);
+        config.add_device(DeviceSpec {
+            apps: vec![AppProfile::wechat().with_expiration(SimDuration::from_secs(600))],
+            ..spec(Role::Ue, 3.0)
+        });
+        Scenario::new(config);
+    }
+
+    #[test]
+    #[should_panic(expected = "app#0 has two profiles")]
+    fn a_migrant_cannot_bring_a_second_profile() {
+        let cell = |cell, apps| {
+            let mut config = ScenarioConfig::new(SimDuration::from_secs(3600), 1);
+            config.topology = Some(CellTopology {
+                area_side_m: 200.0,
+                grid: 2,
+                cell,
+            });
+            // Inside cell 1's tile: a device of cell 0 departs at once.
+            config.add_device(DeviceSpec {
+                role: Role::Ue,
+                apps,
+                mobility: Mobility::stationary(Position::new(150.0, 50.0)),
+                battery_mah: None,
+            });
+            Scenario::new(config)
+        };
+        let short_wechat = AppProfile::wechat().with_expiration(SimDuration::from_secs(600));
+        let migrants = cell(0, vec![AppProfile::wechat()]).emigrate(SimTime::ZERO);
+        assert_eq!(migrants.len(), 1);
+        cell(1, vec![short_wechat]).immigrate(migrants, SimTime::ZERO);
     }
 
     #[test]

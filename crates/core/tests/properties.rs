@@ -115,12 +115,12 @@ proptest! {
         n in 1usize..50,
         confirm_mask in proptest::collection::vec(any::<bool>(), 1..50),
     ) {
-        let mut tracker = FeedbackTracker::new(SimDuration::from_secs(300));
+        let mut tracker = FeedbackTracker::new();
         let mut ids = MessageIdGen::new();
         let mut all = Vec::new();
         for i in 0..n {
             let h = hb(&mut ids, i as u64, 900);
-            tracker.on_forward(h, SimTime::from_secs(i as u64));
+            tracker.on_forward(h, SimTime::from_secs(i as u64), SimDuration::from_secs(300));
             all.push(h.id);
         }
         let confirmed: Vec<_> = all
@@ -133,7 +133,7 @@ proptest! {
         prop_assert_eq!(hits, confirmed.len());
 
         let mut rescued = Vec::new();
-        tracker.expire_due(SimTime::from_secs(100_000), &mut rescued);
+        tracker.take_expired(SimTime::from_secs(100_000), &mut rescued);
         prop_assert_eq!(rescued.len() + confirmed.len(), n);
         for r in &rescued {
             prop_assert!(!confirmed.contains(&r.heartbeat.id));

@@ -553,12 +553,17 @@ pub enum TelemetryEvent {
         /// The relay it was attached to.
         relay: u32,
     },
-    /// A heartbeat took the cellular fallback path.
+    /// A heartbeat took the cellular fallback path: one event per
+    /// fallback decision, made at emission (no relay in range, a
+    /// discovery blackout, a D2D radio that is down) or after a failed
+    /// D2D delivery. `hbr_fallback_total{cause}` counts these events.
     Fallback {
         /// The rescuing device.
         device: u32,
-        /// Why (`"feedback-timeout"`, `"d2d-down"`, `"blackout"`,
-        /// `"no-relay"`, `"relay-rejected"`).
+        /// Why: at emission `"no-relay"`, `"blackout"` or `"d2d-down"`;
+        /// after a failed D2D delivery `"feedback-timeout"`,
+        /// `"retry-exhausted"` or `"d2d-down"` (a retry that found the
+        /// D2D radio down).
         cause: &'static str,
         /// Root span id of the rescued heartbeat, when lifecycle spans
         /// are enabled — lets `hbr timeline` hand off to
@@ -640,7 +645,8 @@ pub enum TelemetryEvent {
 pub struct PulseCounters {
     /// Cumulative D2D forwards across the fleet.
     pub forwards: u64,
-    /// Cumulative cellular fallbacks across the fleet.
+    /// Cumulative heartbeats rescued over cellular after a failed D2D
+    /// delivery, across the fleet (the sum of the cells' pulses).
     pub fallbacks: u64,
     /// Heartbeats queued behind cellular outages at the barrier.
     pub outage_queued: u64,

@@ -215,12 +215,15 @@ const TELEMETRY_ALLOCS_PER_EVENT: f64 = 0.015;
 const TELEMETRY_REALLOCS_PER_EVENT: f64 = 0.07;
 
 // Live heap per phone at 1 800 s, the cell's configuration included:
-// 3 128 B (1 876 B after build). It was 4 138 B while the ledger and
-// the tracker kept B-tree leaves. The budget sits about 10 % above.
-const LIVE_BYTES_PER_PHONE: f64 = 3_450.0;
+// 2 712 B (1 460 B after build). It was 4 138 B while the ledger and
+// the tracker kept B-tree leaves, and 3 128 B (1 876 B after build)
+// while every heartbeat schedule held its app's profile and every radio
+// its cell's RRC parameters. The budget sits about 10 % above.
+const LIVE_BYTES_PER_PHONE: f64 = 2_990.0;
 
 // Live heap per phone at 3 600 s with metrics, events and spans on,
-// over the hour's 4 082 events and 1 731 spans: 9 227 B. It was
+// over the hour's 4 082 events and 1 731 spans: 8 811 B. It was
 // 15 168 B while an event took 96 B and every span owned a `Vec` of its
-// 56 B annotations. The budget sits about 10 % above.
-const OBSERVED_LIVE_BYTES_PER_PHONE: f64 = 10_150.0;
+// 56 B annotations, and 9 227 B while the schedules and radios held
+// their copies. The budget sits about 10 % above.
+const OBSERVED_LIVE_BYTES_PER_PHONE: f64 = 9_700.0;
