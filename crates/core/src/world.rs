@@ -3220,6 +3220,19 @@ impl Scenario {
         self.devices = devices;
         self.field = Field::unsnap(r, n)?;
         self.servers = BTreeMap::unsnap(r)?;
+        // Each schedule reads its app's profile from the cell's server.
+        for app in self
+            .devices
+            .iter()
+            .flat_map(|d| &d.schedules)
+            .map(HeartbeatSchedule::app)
+        {
+            if self.servers.get(&app).map(|s| s.profile().id) != Some(app) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "no server holds {app}'s profile"
+                )));
+            }
+        }
         self.bs = BaseStation::unsnap(r)?;
         self.ledger = RewardLedger::unsnap(r)?;
         self.ids = MessageIdGen::unsnap(r)?;
@@ -3446,6 +3459,19 @@ mod tests {
             Scenario::restore(config.clone(), &bad),
             Err(SnapshotError::Corrupt(_))
         ));
+
+        // A schedule whose app no server holds, or whose server holds
+        // another app's profile, is Corrupt, not a world that panics at
+        // the schedule's next heartbeat.
+        let qq_as_wechat = BTreeMap::from([(AppId::new(0), ImServer::new(AppProfile::qq()))]);
+        for servers in [BTreeMap::new(), qq_as_wechat] {
+            let mut tampered = Scenario::new(config.clone());
+            tampered.servers = servers;
+            assert!(matches!(
+                Scenario::restore(config.clone(), &tampered.snapshot()),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
 
         // Wrong magic is BadMagic, stale version is BadVersion.
         let mut bad = snap.clone();
