@@ -94,10 +94,11 @@ fn live_bytes() -> i64 {
 /// Phones in the cell [`cell`] builds.
 const PHONES: usize = 100;
 
-/// One benchmark-density cell, built but not yet run.
-fn cell(telemetry: bool, spans: bool) -> Scenario {
-    let hour = SimDuration::from_secs(3_600);
-    let mut config = ScenarioConfig::new(hour, 7);
+/// One benchmark-density cell with an `hours`-long horizon, built but
+/// not yet run.
+fn cell(hours: u64, telemetry: bool, spans: bool) -> Scenario {
+    let horizon = SimDuration::from_secs(3_600 * hours);
+    let mut config = ScenarioConfig::new(horizon, 7);
     config.reliable_delivery = true;
     config.telemetry = telemetry;
     config.spans = spans;
@@ -112,7 +113,7 @@ fn cell(telemetry: bool, spans: bool) -> Scenario {
 /// Allocations and reallocations per handled event over 1 800–3 600 s
 /// of one benchmark-density cell.
 fn per_event(telemetry: bool) -> (f64, f64) {
-    let mut scenario = cell(telemetry, false);
+    let mut scenario = cell(1, telemetry, false);
     scenario.run_until(SimTime::from_secs(1_800));
 
     let events_before = handled(&scenario);
@@ -168,7 +169,7 @@ fn labelled_metrics_stay_within_the_allocation_budget() {
 #[test]
 fn a_phone_holds_a_bounded_live_heap() {
     let before = live_bytes();
-    let mut scenario = cell(false, false);
+    let mut scenario = cell(1, false, false);
     let built = live_bytes() - before;
     scenario.run_until(SimTime::from_secs(1_800));
     let per_phone = (live_bytes() - before) as f64 / PHONES as f64;
@@ -182,6 +183,31 @@ fn a_phone_holds_a_bounded_live_heap() {
     );
 }
 
+/// Live heap bytes per phone of one benchmark-density cell stay flat in
+/// simulated time: stepped to a four-hour horizon in 450 s steps, as
+/// the crowd engine steps its cells, the cell holds at most
+/// [`FLAT_GROWTH`] times as much per phone at 14 400 s as at 3 600 s.
+#[test]
+fn a_phone_holds_a_live_heap_flat_in_simulated_time() {
+    let before = live_bytes();
+    let mut scenario = cell(4, false, false);
+    let per_phone = || (live_bytes() - before) as f64 / PHONES as f64;
+    let mut one_hour = 0.0;
+    for step in 1..=32 {
+        scenario.run_until(SimTime::from_secs(450 * step));
+        if step == 8 {
+            one_hour = per_phone();
+        }
+    }
+    let four_hours = per_phone();
+    println!("{one_hour:.0} live bytes per phone at 3 600 s, {four_hours:.0} at 14 400 s");
+    assert!(
+        four_hours <= one_hour * FLAT_GROWTH,
+        "{four_hours:.0} live bytes per phone at 14 400 s, over {FLAT_GROWTH} \
+         times the {one_hour:.0} at 3 600 s"
+    );
+}
+
 /// Live heap bytes per phone of one benchmark-density cell at 3 600 s
 /// with metrics, events and spans on: the protocol state of
 /// [`a_phone_holds_a_bounded_live_heap`] plus the hour's event log and
@@ -189,7 +215,7 @@ fn a_phone_holds_a_bounded_live_heap() {
 #[test]
 fn an_observed_phone_holds_a_bounded_live_heap() {
     let before = live_bytes();
-    let mut scenario = cell(true, true);
+    let mut scenario = cell(1, true, true);
     scenario.run_until(SimTime::from_secs(3_600));
     let per_phone = (live_bytes() - before) as f64 / PHONES as f64;
     let report = scenario.complete();
@@ -227,3 +253,8 @@ const LIVE_BYTES_PER_PHONE: f64 = 2_990.0;
 // 56 B annotations, and 9 227 B while the schedules and radios held
 // their copies. The budget sits about 10 % above.
 const OBSERVED_LIVE_BYTES_PER_PHONE: f64 = 9_700.0;
+
+// Live heap per phone at 14 400 s against 3 600 s, stepped as the crowd
+// steps a cell. A cell's state may grow with its fleet but not with the
+// simulated time it has run.
+const FLAT_GROWTH: f64 = 1.05;
