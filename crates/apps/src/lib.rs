@@ -35,4 +35,4 @@ pub mod server;
 pub use generator::{HeartbeatSchedule, TrafficEvent, TrafficGenerator};
 pub use message::{Heartbeat, MessageId, MessageIdGen};
 pub use profile::{AppId, AppProfile};
-pub use server::{DeliveryOutcome, ImServer};
+pub use server::{DeliveryOutcome, ImServer, Session};

@@ -46,6 +46,12 @@ impl MessageIdGen {
         MessageIdGen::default()
     }
 
+    /// The id [`MessageIdGen::next_id`] returns next: every id handed
+    /// out so far is smaller.
+    pub fn peek(&self) -> MessageId {
+        MessageId(self.next)
+    }
+
     /// Returns a fresh unique id.
     pub fn next_id(&mut self) -> MessageId {
         let id = MessageId(self.next);

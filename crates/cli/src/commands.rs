@@ -541,17 +541,20 @@ fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Opt
     )
 }
 
-/// Lines per chunk of [`write_jsonl`]: big enough that a thread spawn is
-/// noise next to serializing it, small enough that a round's buffers
-/// stay a few MiB per thread.
-const CHUNK_LINES: usize = 16_384;
+/// Bytes a chunk of [`write_jsonl`] holds, about: big enough that a
+/// thread spawn is noise next to serializing it, small enough that the
+/// writer's buffers stay near 1 MiB per thread whatever the line length
+/// (an event line is ~160 B, a span line ~300 B).
+const CHUNK_BYTES: usize = 1 << 20;
 
 /// Streams run-labelled JSONL to `path`: each record of each run becomes
 /// one `line(record, Some(run), buf)` plus a newline, in order. Returns
-/// the line count. Records are gathered in rounds of one [`CHUNK_LINES`]
-/// chunk per [`hbr_bench::sweep_threads`] thread into a reused buffer,
-/// the chunks are serialized in parallel, and each round is written in
-/// chunk order, so the bytes depend on neither.
+/// the line count. Records are gathered in rounds of one chunk per
+/// [`hbr_bench::sweep_threads`] thread into a reused buffer, the chunks
+/// are serialized in parallel, and each round is written in chunk
+/// order, so the bytes depend on neither. A chunk takes as many lines
+/// as fit in [`CHUNK_BYTES`] at the mean length of the lines written so
+/// far (one line until there are any).
 fn write_jsonl<'a, I: IntoIterator>(
     path: &str,
     runs: impl IntoIterator<Item = (&'a str, I)>,
@@ -560,24 +563,24 @@ fn write_jsonl<'a, I: IntoIterator>(
 where
     I::Item: Sync,
 {
-    write_jsonl_with(path, runs, line, hbr_bench::sweep_threads(), CHUNK_LINES)
+    write_jsonl_with(path, runs, line, hbr_bench::sweep_threads(), CHUNK_BYTES)
 }
 
-/// [`write_jsonl`] with an explicit thread count and chunk length.
+/// [`write_jsonl`] with an explicit thread count and chunk size.
 fn write_jsonl_with<'a, I: IntoIterator>(
     path: &str,
     runs: impl IntoIterator<Item = (&'a str, I)>,
     line: impl Fn(&I::Item, Option<&str>, &mut String) + Sync,
     threads: usize,
-    chunk_lines: usize,
+    chunk_bytes: usize,
 ) -> std::io::Result<usize>
 where
     I::Item: Sync,
 {
     let mut file = BufWriter::new(File::create(path)?);
     let mut chunks = vec![String::new(); threads];
-    let mut round = Vec::with_capacity(threads * chunk_lines);
-    let mut lines = 0;
+    let mut round = Vec::new();
+    let (mut lines, mut bytes) = (0, 0);
     for (run, records) in runs {
         let fill = |chunk: &mut String, records: &[I::Item]| {
             chunk.clear();
@@ -589,6 +592,10 @@ where
         let fill = &fill;
         let mut records = records.into_iter();
         loop {
+            let chunk_lines = match bytes / lines.max(1) {
+                0 => 1,
+                mean => (chunk_bytes / mean).max(1),
+            };
             round.clear();
             round.extend(records.by_ref().take(threads * chunk_lines));
             if round.is_empty() {
@@ -606,6 +613,7 @@ where
             });
             for chunk in &chunks[..round.len().div_ceil(chunk_lines)] {
                 file.write_all(chunk.as_bytes())?;
+                bytes += chunk.len();
             }
             lines += round.len();
         }
@@ -962,20 +970,21 @@ mod tests {
                             .map(move |r| format!("{{\"run\":\"{run}\",{}\n", &r.to_jsonl()[1..]))
                     })
                     .collect();
-                for chunk_lines in [chunk, CHUNK_LINES] {
+                // About one, four and every line per chunk.
+                for chunk_bytes in [1, 400, CHUNK_BYTES] {
                     let lines = write_jsonl_with(
                         &path,
                         runs,
                         |record: &&EventRecord, run, out| record.write_jsonl(run, out),
                         threads,
-                        chunk_lines,
+                        chunk_bytes,
                     )
                     .unwrap();
                     assert_eq!(lines, len / 2 + len);
                     let written = std::fs::read_to_string(&path).unwrap();
                     assert!(
                         written == expected,
-                        "{threads} threads, {len} lines, chunk {chunk_lines}"
+                        "{threads} threads, {len} lines, chunk {chunk_bytes} B"
                     );
                 }
             }

@@ -555,7 +555,7 @@ impl System for StackHarness {
             retry_violations,
             offline_secs: self
                 .server
-                .offline_time(self.source, self.app, SimTime::ZERO, self.now)
+                .offline_until(self.source, self.app, self.now)
                 .as_secs_f64(),
         }
     }

@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 
 use hbr_apps::{
     AppId, AppProfile, DeliveryOutcome, Heartbeat, HeartbeatSchedule, ImServer, MessageId,
-    MessageIdGen,
+    MessageIdGen, Session,
 };
 use hbr_cellular::{BaseStation, CellularRadio, L3Message, RadioActivity, RrcConfig, RrcState};
 use hbr_d2d::D2dLink;
@@ -208,7 +208,7 @@ impl CellTopology {
 ///
 /// It carries everything the destination needs to continue the device
 /// as one uninterrupted session — heartbeat schedules (with live
-/// sequence counters), its apps' profiles and per-app refresh history
+/// sequence counters), its apps' profiles and per-app session timers
 /// for the servers, the radio with its exact RRC state, the energy
 /// meter, the battery, the device's private RNG stream, a relay's
 /// scheduler, the mobility model, and any still-open fault windows.
@@ -221,9 +221,9 @@ pub struct Migrant {
     source_index: u32,
     role: Role,
     schedules: Vec<HeartbeatSchedule>,
-    /// Per-schedule app profile and refresh history, parallel to
+    /// Per-schedule app profile and folded session, parallel to
     /// `schedules`: the destination may have no server for an app yet.
-    sessions: Vec<(AppProfile, Vec<SimTime>)>,
+    sessions: Vec<(AppProfile, Session)>,
     radio: CellularRadio,
     meter: EnergyMeter,
     battery: Option<Battery>,
@@ -684,6 +684,9 @@ pub struct Scenario {
     /// One IM server per app, each holding its app's profile: the one
     /// copy of the profile in the cell.
     servers: BTreeMap<AppId, ImServer>,
+    /// The first [`SETTLE_EVERY`] boundary the servers have not been
+    /// settled at.
+    next_settle: SimTime,
     /// The cell's RRC parameters, shared by every radio it builds.
     rrc: Arc<RrcConfig>,
     bs: BaseStation,
@@ -757,6 +760,11 @@ struct Scratch {
     /// Heartbeats whose backoff expired, for one retry sweep.
     due: Vec<Heartbeat>,
 }
+
+/// How much simulated time passes between two settles of a cell's IM
+/// servers (see `Scenario::settle`). A session's pending refreshes and
+/// a server's dedup sets hold about this much traffic.
+const SETTLE_EVERY: SimDuration = SimDuration::from_secs(300);
 
 /// The indices of the relays among `devices`, ascending.
 fn relay_roster(devices: &[Device]) -> Vec<usize> {
@@ -911,6 +919,7 @@ impl Scenario {
             field,
             detector,
             servers,
+            next_settle: SimTime::ZERO + SETTLE_EVERY,
             rrc,
             // Counters only — the report reads total_l3/rrc, never the
             // per-message capture log (exp_fig14 builds its own).
@@ -981,11 +990,61 @@ impl Scenario {
     /// relies on this to step its cells in epoch lockstep.
     pub fn run_until(&mut self, until: SimTime) {
         while let Some(fired) = self.sim.pop_until(until) {
+            if fired.time >= self.next_settle {
+                self.settle(fired.time);
+            }
             self.handle(fired.time, fired.event);
             if self.checker.enabled() {
                 self.check_invariants(fired.time);
             }
         }
+    }
+
+    /// Folds the servers' sessions up to `now` and forgets their dedup
+    /// entries below the cell's floor, before the first event at or
+    /// past each [`SETTLE_EVERY`] boundary. The settle instants depend
+    /// only on the event stream, never on how a caller steps the
+    /// scenario, so a cell's state and its snapshots do not either.
+    fn settle(&mut self, now: SimTime) {
+        let floor = self.floor();
+        for server in self.servers.values_mut() {
+            server.settle(now, floor);
+        }
+        let boundaries = now.saturating_since(SimTime::ZERO) / SETTLE_EVERY;
+        self.next_settle = SimTime::ZERO + SETTLE_EVERY * (boundaries + 1);
+    }
+
+    /// The smallest message id a copy the cell still holds carries, or
+    /// the next id it mints when it holds none. The cell mints ids in
+    /// increasing order, one per `(source, app, seq)`, and a copy only
+    /// ever comes from another copy, so no message below the floor can
+    /// reach a server again.
+    fn floor(&self) -> MessageId {
+        self.held_copies().min().unwrap_or_else(|| self.ids.peek())
+    }
+
+    /// The ids of every heartbeat copy the cell holds between events, in
+    /// the six places one can wait: a relay's scheduler buffer, a
+    /// relay's own un-flushed heartbeats, a UE's queue behind a link
+    /// setup, a UE's feedback tracker, a delivery ledger (entries
+    /// awaiting a backoff timer live nowhere else) and the outage
+    /// queue. Events carry device indices, not heartbeats; the scratch
+    /// buffers are empty between events; a migrating device takes none
+    /// along. An id can appear more than once.
+    fn held_copies(&self) -> impl Iterator<Item = MessageId> + '_ {
+        self.devices
+            .iter()
+            .flat_map(|dev| {
+                dev.scheduler
+                    .iter()
+                    .flat_map(MessageScheduler::buffered)
+                    .chain(&dev.own_pending)
+                    .chain(&dev.pending_until_ready)
+                    .map(|hb| hb.id)
+                    .chain(dev.feedback.pending_ids())
+                    .chain(dev.delivery.in_flight_ids())
+            })
+            .chain(self.outage_queue.iter().map(|(_, hb)| hb.id))
     }
 
     /// Closes out a scenario previously stepped via
@@ -1196,8 +1255,8 @@ impl Scenario {
                     .servers
                     .get_mut(&app)
                     .expect("server exists for a scheduled app");
-                let history = server.take_session(id, app).unwrap_or_default();
-                (server.profile().clone(), history)
+                let session = server.take_session(id, app).unwrap_or_default();
+                (server.profile().clone(), session)
             })
             .collect();
         let dev = &self.devices[i];
@@ -1253,10 +1312,10 @@ impl Scenario {
         } = migrant;
         // The heartbeat stream continues as one session: the schedules
         // run on under the cell-local id (the device's index here) and
-        // the carried refresh history is adopted by this cell's servers,
+        // the carried session timer is adopted by this cell's servers,
         // so presence never lapses across the boundary.
-        for (app, history) in sessions {
-            serve(&mut self.servers, &app).adopt_session(id, app.id, history);
+        for (app, session) in sessions {
+            serve(&mut self.servers, &app).adopt_session(id, app.id, session);
             self.max_expiration = self.max_expiration.max(app.expiration);
         }
         self.field.insert(id, mobility);
@@ -1331,12 +1390,6 @@ impl Scenario {
     pub fn inject_fault(&mut self, at: SimTime, kind: FaultKind) {
         let index = self.config.faults.append(at, kind);
         self.sim.schedule_at(at, Event::FaultDue { index });
-    }
-
-    /// Read-only view of one app's IM server — presence, refresh
-    /// history and dedup counters for mid-run `expect` conditions.
-    pub fn server(&self, app: AppId) -> Option<&ImServer> {
-        self.servers.get(&app)
     }
 
     /// The typed telemetry events recorded so far: the whole stream
@@ -2715,19 +2768,7 @@ impl Scenario {
         // horizon — anything else was silently lost. It runs before the
         // books close below, so a failure reports the run's own trace.
         if self.checker.enabled() {
-            let mut surviving: HashSet<MessageId> = HashSet::new();
-            for dev in &self.devices {
-                if let Some(scheduler) = dev.scheduler.as_ref() {
-                    surviving.extend(scheduler.buffered().map(|hb| hb.id));
-                }
-                surviving.extend(dev.own_pending.iter().map(|hb| hb.id));
-                surviving.extend(dev.pending_until_ready.iter().map(|hb| hb.id));
-                surviving.extend(dev.feedback.pending_ids());
-                // Ledger entries awaiting a backoff timer live in no
-                // other buffer — they are legitimately parked too.
-                surviving.extend(dev.delivery.in_flight_ids());
-            }
-            surviving.extend(self.outage_queue.iter().map(|(_, hb)| hb.id));
+            let surviving: HashSet<MessageId> = self.held_copies().collect();
             self.checker
                 .on_finish(&surviving, self.telemetry.events.trace());
         }
@@ -2807,9 +2848,7 @@ impl Scenario {
                         self.servers
                             .get(&app)
                             .map(|server| {
-                                server
-                                    .offline_time(device_id(i), app, SimTime::ZERO, end)
-                                    .as_secs_f64()
+                                server.offline_until(device_id(i), app, end).as_secs_f64()
                             })
                             .unwrap_or(0.0)
                     })
@@ -3178,6 +3217,7 @@ impl Scenario {
         }
         self.field.snap(w);
         self.servers.snap(w);
+        self.next_settle.snap(w);
         self.bs.snap(w);
         self.ledger.snap(w);
         self.ids.snap(w);
@@ -3233,6 +3273,7 @@ impl Scenario {
                 )));
             }
         }
+        self.next_settle = SimTime::unsnap(r)?;
         self.bs = BaseStation::unsnap(r)?;
         self.ledger = RewardLedger::unsnap(r)?;
         self.ids = MessageIdGen::unsnap(r)?;
@@ -3472,6 +3513,68 @@ mod tests {
                 Err(SnapshotError::Corrupt(_))
             ));
         }
+
+        // A server whose dedup window keeps an id below its floor, or
+        // whose session fold no sweep reaches, is Corrupt. The floor is
+        // spliced in from the same server settled one id higher.
+        let wechat = AppProfile::wechat();
+        let mut ids = MessageIdGen::new();
+        let hb = Heartbeat {
+            id: ids.next_id(),
+            app: wechat.id,
+            source: DeviceId::new(0),
+            seq: 1,
+            size: 74,
+            created_at: SimTime::ZERO,
+            expires_at: SimTime::from_secs(810),
+        };
+        let mut kept = ImServer::new(wechat.clone());
+        kept.deliver(&hb, SimTime::from_secs(1));
+        let mut trimmed = kept.clone();
+        trimmed.settle(SimTime::ZERO, ids.peek());
+        let (mut kept_bytes, mut trimmed_bytes) = (SnapshotWriter::new(), SnapshotWriter::new());
+        kept.snap(&mut kept_bytes);
+        trimmed.snap(&mut trimmed_bytes);
+        let (kept_bytes, trimmed_bytes) = (kept_bytes.into_bytes(), trimmed_bytes.into_bytes());
+        let floor_at = kept_bytes
+            .iter()
+            .zip(&trimmed_bytes)
+            .position(|(a, b)| a != b)
+            .expect("the floors differ");
+        let mut tampered = Scenario::new(config.clone());
+        tampered.servers = BTreeMap::from([(wechat.id, kept)]);
+        let mut bad = tampered.snapshot();
+        let at = bad
+            .windows(kept_bytes.len())
+            .position(|w| w == kept_bytes)
+            .expect("the server's bytes are in the snapshot");
+        bad[at + floor_at..at + floor_at + 8]
+            .copy_from_slice(&trimmed_bytes[floor_at..floor_at + 8]);
+        assert!(matches!(
+            Scenario::restore(config.clone(), &bad),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        // A folded session whose cursor lies before its last refresh.
+        let mut server = ImServer::new(wechat.clone());
+        server.register(DeviceId::new(0), wechat.id, SimTime::ZERO);
+        server.settle(SimTime::from_secs(1), MessageId::default());
+        let session = server
+            .take_session(DeviceId::new(0), wechat.id)
+            .expect("registered");
+        let mut w = SnapshotWriter::new();
+        session.snap(&mut w);
+        let mut bytes = w.into_bytes();
+        // Offline time, cursor, then the last folded refresh.
+        let after_cursor = SimTime::from_secs(1_000).as_micros();
+        bytes[16..24].copy_from_slice(&after_cursor.to_le_bytes());
+        let session = Session::unsnap(&mut SnapshotReader::new(&bytes)).expect("a session");
+        server.adopt_session(DeviceId::new(0), wechat.id, session);
+        let mut tampered = Scenario::new(config.clone());
+        tampered.servers = BTreeMap::from([(wechat.id, server)]);
+        assert!(matches!(
+            Scenario::restore(config.clone(), &tampered.snapshot()),
+            Err(SnapshotError::Corrupt(_))
+        ));
 
         // Wrong magic is BadMagic, stale version is BadVersion.
         let mut bad = snap.clone();

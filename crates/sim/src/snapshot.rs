@@ -53,7 +53,7 @@ use crate::vec_map::VecMap;
 /// Version stamped into every snapshot header. Bump on ANY wire-format
 /// change — CI carries a gate that fails when the format fingerprint
 /// changes without a bump (see `tests/snapshot_format.rs`).
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Magic prefix of a per-scenario snapshot.
 pub const SCENARIO_MAGIC: [u8; 8] = *b"HBRSNAP\0";

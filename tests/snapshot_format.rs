@@ -102,7 +102,7 @@ fn checkpoint_format_is_pinned_to_the_declared_version() {
     // crates/sim/src/snapshot.rs and update BOTH pins below — never
     // just the hash.
     assert_eq!(
-        FORMAT_VERSION, 5,
+        FORMAT_VERSION, 6,
         "FORMAT_VERSION bumped: update the pinned hash below to the new format's hash"
     );
     let hash = fnv1a(&bytes);
@@ -111,7 +111,7 @@ fn checkpoint_format_is_pinned_to_the_declared_version() {
         bytes.len()
     );
     assert_eq!(
-        hash, 0x64c2_48b6_fe40_1ee9,
+        hash, 0xe055_e29e_8f65_a3c2,
         "checkpoint bytes changed while FORMAT_VERSION stayed {FORMAT_VERSION}: \
          bump FORMAT_VERSION in crates/sim/src/snapshot.rs and re-pin this hash"
     );
@@ -248,7 +248,7 @@ fn scenario_snapshot_format_is_pinned() {
     // Same rule as the crowd pin: a hash change needs a FORMAT_VERSION
     // bump and both pins re-set.
     assert_eq!(
-        FORMAT_VERSION, 5,
+        FORMAT_VERSION, 6,
         "FORMAT_VERSION bumped: update the pinned hash below to the new format's hash"
     );
     let hash = fnv1a(&bytes);
@@ -258,7 +258,7 @@ fn scenario_snapshot_format_is_pinned() {
     );
     assert_eq!(
         (hash, bytes.len()),
-        (0x43e1_c3a8_e735_d359, 51_903),
+        (0x7e5d_ae7c_759d_21e9, 47_859),
         "scenario snapshot bytes changed while FORMAT_VERSION stayed {FORMAT_VERSION}: \
          bump FORMAT_VERSION in crates/sim/src/snapshot.rs and re-pin this hash"
     );
