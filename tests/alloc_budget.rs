@@ -202,7 +202,6 @@ fn a_phone_holds_a_live_heap_flat_in_simulated_time() {
         }
     }
     let four_hours = per_phone();
-
     println!("{one_hour:.0} live bytes per phone at 3 600 s, {four_hours:.0} at 14 400 s");
     assert!(
         four_hours <= one_hour * FLAT_GROWTH,
