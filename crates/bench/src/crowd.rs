@@ -757,17 +757,15 @@ fn merge_reports(
         spans.extend(std::mem::take(&mut report.spans).into_runs());
     }
     // Each cell's records arrive remapped and sorted (`Cell::complete`),
-    // so ordering the sorted runs with ties in cell order — the fleet's
+    // so merging the sorted runs with ties in cell order — the fleet's
     // pulses last — gives exactly the stable time sort of their
     // concatenation: the merged timeline is a pure function of the
-    // scenario. The records stay in their cells' runs; only the order
-    // is new. (Devices come out of the BTreeMap sorted by global id.)
+    // scenario. The records stay in their cells' runs, merged as the
+    // writers walk them. (Devices come out of the BTreeMap sorted by
+    // global id.)
     events.push(fleet_log.events.into_records());
-    merged.events = SortedRuns::new(events, |r| r.time);
-    merged.trace = SortedRuns::new(traces, |r| r.time)
-        .iter()
-        .cloned()
-        .collect();
+    merged.events = SortedRuns::new(events);
+    merged.trace = SortedRuns::new(traces).iter().cloned().collect();
     merged.spans = SpanRecorder::merge(spans);
     merged.devices = rows.into_values().collect();
     // Gauges merge by addition, which suits the additive ones (energy,

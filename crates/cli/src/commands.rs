@@ -387,23 +387,50 @@ fn pulse_emitter(dir: PathBuf) -> impl Fn(u64, &EpochPulse) + Sync {
 
 /// Writes every deterministic artifact `out` asks for, each even if an
 /// earlier one failed; `false` if any write failed (it printed
-/// `error:`).
+/// `error:`). The events and spans files, the large ones, are written
+/// each on a thread of its own while this thread writes the rest; the
+/// outcomes are printed once all are done, in a fixed order (metrics,
+/// events, SLO, spans, render), so stdout does not depend on which
+/// finished first.
 fn write_artifacts(
     runs: &[(&str, Mode)],
     reports: &[ScenarioReport],
     out: &OutFlags,
     truncated: bool,
 ) -> bool {
-    let telemetry = write_telemetry(
-        runs,
-        reports,
-        out.metrics_out.as_deref(),
-        out.events_out.as_deref(),
-    );
-    let slo = write_slo(runs, reports, out.slo_out.as_deref(), truncated);
-    let spans = write_spans(runs, reports, out.spans_out.as_deref());
-    let render = write_render(runs, reports, out.render_out.as_deref(), truncated);
-    telemetry && slo && spans && render
+    let outcomes = std::thread::scope(|scope| {
+        let events = out
+            .events_out
+            .as_deref()
+            .map(|path| scope.spawn(move || write_events(runs, reports, path)));
+        let spans = out
+            .spans_out
+            .as_deref()
+            .map(|path| scope.spawn(move || write_spans(runs, reports, path)));
+        let metrics = out
+            .metrics_out
+            .as_deref()
+            .map(|path| write_metrics(reports, path));
+        let slo = out
+            .slo_out
+            .as_deref()
+            .map(|path| write_slo(runs, reports, path, truncated));
+        let render = out
+            .render_out
+            .as_deref()
+            .map(|path| write_render(runs, reports, path, truncated));
+        let join = |writer: std::thread::ScopedJoinHandle<'_, Outcome>| {
+            writer
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        };
+        [metrics, events.map(join), slo, spans.map(join), render]
+    });
+    let mut ok = true;
+    for outcome in outcomes.into_iter().flatten() {
+        ok &= report(outcome);
+    }
+    ok
 }
 
 /// Writes the rendered operator console to a file so CI can cmp-gate
@@ -412,10 +439,9 @@ fn write_artifacts(
 fn write_render(
     runs: &[(&str, Mode)],
     reports: &[ScenarioReport],
-    render_out: Option<&str>,
+    path: &str,
     truncated: bool,
-) -> bool {
-    let Some(path) = render_out else { return true };
+) -> Outcome {
     let mut text = String::new();
     for ((name, _), report) in runs.iter().zip(reports) {
         text.push_str(&format!("── {name} ──\n"));
@@ -425,50 +451,44 @@ fn write_render(
     if truncated {
         text.push_str("truncated: true\n");
     }
-    report_write(
+    outcome(
         std::fs::write(path, text).map(|()| format!("render   : wrote {path}")),
         &format!("render to {path}"),
     )
 }
 
-/// Writes the telemetry files a `crowd` run was asked for: the merged
-/// metrics snapshot as JSON (plus a `.prom` sibling in Prometheus text)
-/// and the run-labelled event stream as JSONL. Reports arrive in run
-/// order from the sweep, so both files are byte-identical across thread
-/// counts and reruns.
-fn write_telemetry(
-    runs: &[(&str, Mode)],
-    reports: &[ScenarioReport],
-    metrics_out: Option<&str>,
-    events_out: Option<&str>,
-) -> bool {
-    let mut ok = true;
-    if let Some(path) = metrics_out {
-        let merged = hbr_bench::merge_snapshots(reports.iter().map(|r| &r.metrics));
-        let prom_path = std::path::Path::new(path).with_extension("prom");
-        let mut json = merged.to_json();
-        json.push('\n');
-        ok &= report_write(
-            std::fs::write(path, json)
-                .and_then(|()| std::fs::write(&prom_path, merged.to_prometheus()))
-                .map(|()| format!("metrics  : wrote {path} and {}", prom_path.display())),
-            &format!("metrics to {path}"),
-        );
-    }
-    if let Some(path) = events_out {
-        let runs = runs
-            .iter()
-            .zip(reports)
-            .map(|((name, _), report)| (*name, &report.events));
-        ok &= report_write(
-            write_jsonl(path, runs, |record: &&EventRecord, run, out| {
-                record.write_jsonl(run, out)
-            })
-            .map(|lines| format!("events   : wrote {path} ({lines} event line(s))")),
-            &format!("events to {path}"),
-        );
-    }
-    ok
+/// Writes the merged metrics snapshot of a `crowd` run as JSON, plus a
+/// `.prom` sibling in Prometheus text. Reports arrive in run order from
+/// the sweep, so both files are byte-identical across thread counts and
+/// reruns.
+fn write_metrics(reports: &[ScenarioReport], path: &str) -> Outcome {
+    let merged = hbr_bench::merge_snapshots(reports.iter().map(|r| &r.metrics));
+    let prom_path = std::path::Path::new(path).with_extension("prom");
+    let mut json = merged.to_json();
+    json.push('\n');
+    outcome(
+        std::fs::write(path, json)
+            .and_then(|()| std::fs::write(&prom_path, merged.to_prometheus()))
+            .map(|()| format!("metrics  : wrote {path} and {}", prom_path.display())),
+        &format!("metrics to {path}"),
+    )
+}
+
+/// Writes the run-labelled event stream of a `crowd` run as JSONL, in
+/// run order, so the file is byte-identical across thread counts and
+/// reruns.
+fn write_events(runs: &[(&str, Mode)], reports: &[ScenarioReport], path: &str) -> Outcome {
+    let runs = runs
+        .iter()
+        .zip(reports)
+        .map(|((name, _), report)| (*name, &report.events));
+    outcome(
+        write_jsonl(path, runs, |record: &EventRecord, run, out| {
+            record.write_jsonl(run, out)
+        })
+        .map(|lines| format!("events   : wrote {path} ({lines} event line(s))")),
+        &format!("events to {path}"),
+    )
 }
 
 /// Writes the delivery-SLO report of the d2d run as one line of
@@ -480,21 +500,20 @@ fn write_telemetry(
 fn write_slo(
     runs: &[(&str, Mode)],
     reports: &[ScenarioReport],
-    slo_out: Option<&str>,
+    path: &str,
     truncated: bool,
-) -> bool {
-    let Some(path) = slo_out else { return true };
+) -> Outcome {
     let Some((_, report)) = runs
         .iter()
         .zip(reports)
         .find(|((_, m), _)| *m == Mode::D2dFramework)
     else {
-        eprintln!("error: --slo-out needs a d2d run, but only the original baseline ran");
-        return false;
+        return Err("--slo-out needs a d2d run, but only the original baseline ran".into());
     };
     let Some(d) = &report.delivery else {
-        eprintln!("error: the d2d run carried no delivery ledger; cannot write {path}");
-        return false;
+        return Err(format!(
+            "the d2d run carried no delivery ledger; cannot write {path}"
+        ));
     };
     // A run stopped early carries an explicit marker; complete runs
     // keep the historical byte layout so existing cmp gates still hold.
@@ -516,7 +535,7 @@ fn write_slo(
             .field("truncated", truncated.then_some(true));
     });
     slo.push('\n');
-    report_write(
+    outcome(
         std::fs::write(path, slo).map(|()| format!("slo      : wrote {path}")),
         &format!("SLO report to {path}"),
     )
@@ -526,14 +545,13 @@ fn write_slo(
 /// exactly like the event stream: spans ride the simulation clock, so
 /// the file is byte-identical across thread and shard counts and CI
 /// can `cmp` two runs directly.
-fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Option<&str>) -> bool {
-    let Some(path) = spans_out else { return true };
+fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], path: &str) -> Outcome {
     let runs = runs
         .iter()
         .zip(reports)
         .map(|((name, _), report)| (*name, &report.spans));
-    report_write(
-        write_jsonl(path, runs, |span: &SpanRef<'_>, run, out| {
+    outcome(
+        write_jsonl(path, runs, |span: SpanRef<'_>, run, out| {
             span.write_jsonl(run, out)
         })
         .map(|lines| format!("spans    : wrote {path} ({lines} span line(s))")),
@@ -541,83 +559,41 @@ fn write_spans(runs: &[(&str, Mode)], reports: &[ScenarioReport], spans_out: Opt
     )
 }
 
-/// Bytes a chunk of [`write_jsonl`] holds, about: big enough that a
-/// thread spawn is noise next to serializing it, small enough that the
-/// writer's buffers stay near 1 MiB per thread whatever the line length
-/// (an event line is ~160 B, a span line ~300 B).
-const CHUNK_BYTES: usize = 1 << 20;
+/// Bytes of lines [`write_jsonl`] gathers before it hands them to the
+/// file.
+const BATCH_BYTES: usize = 1 << 16;
 
 /// Streams run-labelled JSONL to `path`: each record of each run becomes
-/// one `line(record, Some(run), buf)` plus a newline, in order. Returns
-/// the line count. Records are gathered in rounds of one chunk per
-/// [`hbr_bench::sweep_threads`] thread into a reused buffer, the chunks
-/// are serialized in parallel, and each round is written in chunk
-/// order, so the bytes depend on neither. A chunk takes as many lines
-/// as fit in [`CHUNK_BYTES`] at the mean length of the lines written so
-/// far (one line until there are any).
+/// one `line(record, Some(run), buf)` plus a newline, in order, appended
+/// to a buffer of this call's own and written through one `BufWriter`.
+/// Returns the line count.
+///
+/// [`write_artifacts`] runs one call per file, each on its own thread.
+/// No thread may write a cache line another thread writes: every push
+/// updates its `String`'s length, so two threads filling `String`s whose
+/// headers share a line (adjacent in a `Vec`) move that line between
+/// their cores on every push, and an earlier writer that did so spent
+/// twice one thread's time per line on two threads.
 fn write_jsonl<'a, I: IntoIterator>(
     path: &str,
     runs: impl IntoIterator<Item = (&'a str, I)>,
-    line: impl Fn(&I::Item, Option<&str>, &mut String) + Sync,
-) -> std::io::Result<usize>
-where
-    I::Item: Sync,
-{
-    write_jsonl_with(path, runs, line, hbr_bench::sweep_threads(), CHUNK_BYTES)
-}
-
-/// [`write_jsonl`] with an explicit thread count and chunk size.
-fn write_jsonl_with<'a, I: IntoIterator>(
-    path: &str,
-    runs: impl IntoIterator<Item = (&'a str, I)>,
-    line: impl Fn(&I::Item, Option<&str>, &mut String) + Sync,
-    threads: usize,
-    chunk_bytes: usize,
-) -> std::io::Result<usize>
-where
-    I::Item: Sync,
-{
+    line: impl Fn(I::Item, Option<&str>, &mut String),
+) -> std::io::Result<usize> {
     let mut file = BufWriter::new(File::create(path)?);
-    let mut chunks = vec![String::new(); threads];
-    let mut round = Vec::new();
-    let (mut lines, mut bytes) = (0, 0);
+    let mut batch = String::with_capacity(2 * BATCH_BYTES);
+    let mut lines = 0;
     for (run, records) in runs {
-        let fill = |chunk: &mut String, records: &[I::Item]| {
-            chunk.clear();
-            for record in records {
-                line(record, Some(run), chunk);
-                chunk.push('\n');
+        for record in records {
+            line(record, Some(run), &mut batch);
+            batch.push('\n');
+            lines += 1;
+            if batch.len() >= BATCH_BYTES {
+                file.write_all(batch.as_bytes())?;
+                batch.clear();
             }
-        };
-        let fill = &fill;
-        let mut records = records.into_iter();
-        loop {
-            let chunk_lines = match bytes / lines.max(1) {
-                0 => 1,
-                mean => (chunk_bytes / mean).max(1),
-            };
-            round.clear();
-            round.extend(records.by_ref().take(threads * chunk_lines));
-            if round.is_empty() {
-                break;
-            }
-            let mut jobs = chunks.iter_mut().zip(round.chunks(chunk_lines));
-            let first = jobs.next();
-            std::thread::scope(|scope| {
-                for (chunk, part) in jobs {
-                    scope.spawn(move || fill(chunk, part));
-                }
-                if let Some((chunk, part)) = first {
-                    fill(chunk, part);
-                }
-            });
-            for chunk in &chunks[..round.len().div_ceil(chunk_lines)] {
-                file.write_all(chunk.as_bytes())?;
-                bytes += chunk.len();
-            }
-            lines += round.len();
         }
     }
+    file.write_all(batch.as_bytes())?;
     file.flush()?;
     Ok(lines)
 }
@@ -637,7 +613,7 @@ fn write_profile(profile: Option<&hbr_bench::CrowdProfile>, profile_out: Option<
         .unwrap_or_else(|| std::path::PathBuf::from("BENCH_profile.json"));
     let mut summary = profile.to_summary_json();
     summary.push('\n');
-    report_write(
+    report(outcome(
         std::fs::write(path, profile.to_chrome_trace())
             .and_then(|()| std::fs::write(&summary_path, summary))
             .map(|()| {
@@ -647,19 +623,28 @@ fn write_profile(profile: Option<&hbr_bench::CrowdProfile>, profile_out: Option<
                 )
             }),
         &format!("profile to {path}"),
-    )
+    ))
 }
 
-/// Prints the outcome of one artifact write — its success line, or an
-/// `error:` naming `what` — and returns whether it succeeded.
-fn report_write(written: std::io::Result<String>, what: &str) -> bool {
-    match written {
+/// What one artifact write prints: its success line, or the message of
+/// its `error:` line.
+type Outcome = Result<String, String>;
+
+/// The outcome of an artifact write, a failure naming `what`.
+fn outcome(written: std::io::Result<String>, what: &str) -> Outcome {
+    written.map_err(|e| format!("cannot write {what}: {e}"))
+}
+
+/// Prints an artifact write's outcome — its success line, or `error:`
+/// and its message — and returns whether it succeeded.
+fn report(outcome: Outcome) -> bool {
+    match outcome {
         Ok(line) => {
             println!("{line}");
             true
         }
-        Err(e) => {
-            eprintln!("error: cannot write {what}: {e}");
+        Err(message) => {
+            eprintln!("error: {message}");
             false
         }
     }
@@ -936,16 +921,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The writer's bytes depend on neither its thread count nor its
-    /// chunk length, and each line is the record's own line behind the
-    /// run label: inputs shorter than one chunk, exactly one round, and
-    /// several rounds with a short last chunk.
+    /// Each line of the file is the record's own line behind its run
+    /// label, in run order: for an empty run, for one run, and for two
+    /// runs in one file as `--mode both` writes them, long enough that
+    /// the lines reach the file in several batches.
     #[test]
-    fn jsonl_writer_bytes_do_not_depend_on_threads_or_chunks() {
+    fn jsonl_writer_puts_each_record_line_behind_its_run_label() {
         let path =
             std::env::temp_dir().join(format!("hbr_cli_writer_{}.jsonl", std::process::id()));
         let path = path.to_string_lossy().into_owned();
-        let records: Vec<EventRecord> = (0..200u64)
+        let records: Vec<EventRecord> = (0..2_000u64)
             .map(|i| EventRecord {
                 time: hbr_sim::SimTime::from_micros(i * 1_001),
                 event: hbr_sim::telemetry::TelemetryEvent::Fallback {
@@ -955,39 +940,29 @@ mod tests {
                 },
             })
             .collect();
-        let chunk = 4;
-        for threads in [1, 2, 3, 8] {
-            for len in [chunk - 1, threads * chunk, 3 * threads * chunk + 1] {
-                let runs = [
-                    ("original", &records[..len / 2]),
-                    ("d2d-framework", &records[..len]),
-                ];
-                let expected: String = runs
-                    .iter()
-                    .flat_map(|(run, records)| {
-                        records
-                            .iter()
-                            .map(move |r| format!("{{\"run\":\"{run}\",{}\n", &r.to_jsonl()[1..]))
-                    })
-                    .collect();
-                // About one, four and every line per chunk.
-                for chunk_bytes in [1, 400, CHUNK_BYTES] {
-                    let lines = write_jsonl_with(
-                        &path,
-                        runs,
-                        |record: &&EventRecord, run, out| record.write_jsonl(run, out),
-                        threads,
-                        chunk_bytes,
-                    )
-                    .unwrap();
-                    assert_eq!(lines, len / 2 + len);
-                    let written = std::fs::read_to_string(&path).unwrap();
-                    assert!(
-                        written == expected,
-                        "{threads} threads, {len} lines, chunk {chunk_bytes} B"
-                    );
-                }
-            }
+        let labelled = |run: &str, records: &[EventRecord]| -> String {
+            records
+                .iter()
+                .map(|r| format!("{{\"run\":\"{run}\",{}\n", &r.to_jsonl()[1..]))
+                .collect()
+        };
+        assert!(labelled("original", &records).len() > 2 * BATCH_BYTES);
+        let cases: [&[(&str, &[EventRecord])]; 3] = [
+            &[("d2d-framework", &[])],
+            &[("d2d-framework", &records)],
+            &[("original", &records[..1_000]), ("d2d-framework", &records)],
+        ];
+        for runs in cases {
+            let expected: String = runs.iter().map(|(run, r)| labelled(run, r)).collect();
+            let lines = write_jsonl(
+                &path,
+                runs.iter().copied(),
+                |record: &EventRecord, run, out| record.write_jsonl(run, out),
+            )
+            .unwrap();
+            assert_eq!(lines, runs.iter().map(|(_, r)| r.len()).sum::<usize>());
+            let written = std::fs::read_to_string(&path).unwrap();
+            assert!(written == expected, "{lines} lines");
         }
         let _ = std::fs::remove_file(&path);
     }

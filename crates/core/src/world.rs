@@ -3973,6 +3973,111 @@ mod tests {
         assert_eq!(d.false_dead_secs, 0.0);
     }
 
+    /// Each holder [`Scenario::held_copies`] walks, with the ids it
+    /// holds, named.
+    fn holders(s: &Scenario) -> Vec<(&'static str, usize, u64)> {
+        let mut held = Vec::new();
+        for (i, dev) in s.devices.iter().enumerate() {
+            let ids = |name, ids: &mut dyn Iterator<Item = MessageId>| {
+                ids.map(|id| (name, i, id.raw())).collect::<Vec<_>>()
+            };
+            held.extend(ids(
+                "relay buffer",
+                &mut dev
+                    .scheduler
+                    .iter()
+                    .flat_map(MessageScheduler::buffered)
+                    .map(|hb| hb.id),
+            ));
+            held.extend(ids(
+                "own pending",
+                &mut dev.own_pending.iter().map(|hb| hb.id),
+            ));
+            held.extend(ids(
+                "pending until ready",
+                &mut dev.pending_until_ready.iter().map(|hb| hb.id),
+            ));
+            held.extend(ids("feedback", &mut dev.feedback.pending_ids()));
+            held.extend(ids("ledger", &mut dev.delivery.in_flight_ids()));
+        }
+        held.extend(
+            s.outage_queue
+                .iter()
+                .map(|(_, hb)| ("outage", 0, hb.id.raw())),
+        );
+        held
+    }
+
+    /// A device of `role` at `x` whose one app beats every `period`
+    /// seconds, first at `period`: QQ's profile for a relay, WhatsApp's
+    /// for a UE, so the two keep distinct apps.
+    fn beating_every(role: Role, x: f64, period: u64) -> DeviceSpec {
+        let app = match role {
+            Role::Relay => AppProfile::qq(),
+            Role::Ue => AppProfile::whatsapp(),
+        };
+        DeviceSpec {
+            apps: vec![AppProfile {
+                heartbeat_period: SimDuration::from_secs(period),
+                ..app
+            }],
+            ..spec(role, x)
+        }
+    }
+
+    /// Steps `s` to the instant before the settle at `boundary` seconds,
+    /// so the next event settles with what is held now.
+    fn run_to_settle(s: &mut Scenario, boundary: u64) {
+        s.run_until(SimTime::from_micros(boundary * 1_000_000 - 1));
+        assert_eq!(s.next_settle, SimTime::from_secs(boundary));
+    }
+
+    /// Legacy feedback cut to 10 s: the UE's msg#4 (804 s) times out and
+    /// goes cellular at ~821 s, while the relay keeps its copy until its
+    /// period ends at ~1 080 s. At the 900 s settle that copy waits only
+    /// in the relay's buffer, below every other held id, so the floor
+    /// must count the buffer: the copy's late arrival is then a
+    /// duplicate the server still knows, not a message below its floor.
+    #[test]
+    fn a_copy_held_only_in_a_relay_buffer_holds_the_floor_across_a_settle() {
+        let mut config = ScenarioConfig::new(SimDuration::from_secs(1_200), 42);
+        config.mode = Mode::D2dFramework;
+        config.framework.feedback_timeout = SimDuration::from_secs(10);
+        config.add_device(spec(Role::Relay, 0.0));
+        config.add_device(beating_every(Role::Ue, 1.0, 268));
+        let mut s = Scenario::new(config);
+        run_to_settle(&mut s, 900);
+        assert_eq!(holders(&s), [("relay buffer", 0, 4), ("own pending", 0, 5)]);
+        s.run_until(SimTime::from_secs(1_200));
+        let report = s.complete();
+        assert_eq!(report.devices[1].fallbacks, 2);
+        assert_eq!(report.duplicates, 1, "the relay's late copy of msg#4");
+    }
+
+    /// The UE's msg#2 (~596 s) waits behind a link setup to the relay
+    /// that ends after 600 s, while the relay flushed its own msg#1 at
+    /// 598 s. At the 600 s settle that copy waits only behind the setup,
+    /// below every other held id, so the floor must count the queue: the
+    /// copy then reaches the relay and, at ~898 s, the server.
+    #[test]
+    fn a_copy_held_only_behind_a_link_setup_holds_the_floor_across_a_settle() {
+        let mut config = ScenarioConfig::new(SimDuration::from_secs(1_200), 42);
+        config.mode = Mode::D2dFramework;
+        config.add_device(beating_every(Role::Relay, 0.0, 299));
+        config.add_device(beating_every(Role::Ue, 1.0, 298));
+        let mut s = Scenario::new(config);
+        run_to_settle(&mut s, 600);
+        assert_eq!(
+            holders(&s),
+            [("own pending", 0, 3), ("pending until ready", 1, 2)]
+        );
+        s.run_until(SimTime::from_secs(601));
+        assert!(holders(&s).contains(&("relay buffer", 0, 2)));
+        s.run_until(SimTime::from_secs(1_200));
+        let report = s.complete();
+        assert_eq!((report.devices[1].fallbacks, report.duplicates), (0, 0));
+    }
+
     #[test]
     fn baseline_mode_never_uses_d2d() {
         let report = Scenario::new(basic_config(Mode::OriginalCellular)).run();

@@ -32,7 +32,7 @@
 //! assert_eq!(parsed["span"], Json::Null);
 //! ```
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::ops::Index;
 use std::str::FromStr;
 
@@ -48,21 +48,29 @@ pub trait ToJson {
     }
 }
 
-macro_rules! display_json {
+macro_rules! integer_json {
     ($($t:ty),+) => {$(
         impl ToJson for $t {
+            #[inline(always)]
             fn write_json(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
+                push_u64(out, *self as u64);
             }
         }
     )+};
 }
 
-display_json!(u32, u64, usize, bool);
+integer_json!(u32, u64, usize);
+
+impl ToJson for bool {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+}
 
 impl ToJson for f64 {
+    #[inline(always)]
     fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{}", Float(*self));
+        push_f64(out, *self);
     }
 }
 
@@ -97,21 +105,89 @@ impl<T: ToJson> ToJson for &[T] {
     }
 }
 
-/// The float rule of every artifact: Rust's shortest round-trip `{}`
-/// notation, deterministic across platforms, except that an integral
-/// value below 1e15 keeps its `.0` (`3.0`, so a float never reads like
-/// a counter). The Prometheus exposition formats its floats with it too.
-pub(crate) struct Float(pub f64);
+/// `00`, `01`, …, `99`: the two digits of each pair, so [`push_u64`]
+/// divides once per two digits.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut n = 0;
+    while n < 100 {
+        pairs[2 * n] = b'0' + (n / 10) as u8;
+        pairs[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    pairs
+};
 
-impl fmt::Display for Float {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let v = self.0;
-        if v == v.trunc() && v.abs() < 1e15 {
-            write!(f, "{v:.1}")
-        } else {
-            write!(f, "{v}")
+/// Appends `n` in decimal, the bytes of `n.to_string()`, without the
+/// `core::fmt` machinery that every number of every event and span line
+/// would otherwise go through.
+pub(crate) fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0; 20];
+    let mut at = digits.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + n as u8;
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Appends `v` by the float rule of every artifact: Rust's shortest
+/// round-trip `{}` notation, deterministic across platforms, except that
+/// an integral value below 1e15 keeps its `.0` (`3.0`, so a float never
+/// reads like a counter). The Prometheus exposition formats its floats
+/// with it too.
+///
+/// Two common forms skip `core::fmt` and write the same bytes. An
+/// integral value below 1e15 is its sign, its digits and `.0`. A value
+/// below 2³² that a decimal with at most six fractional digits rounds to
+/// is that decimal, trailing zeros dropped: below 2³² one ulp is under
+/// 10⁻⁶, so no other such decimal rounds to `v`, and no shorter one
+/// does, which makes it the shortest round-trip form `{}` writes.
+pub(crate) fn push_f64(out: &mut String, v: f64) {
+    let abs = v.abs();
+    if v == v.trunc() && abs < 1e15 {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        push_u64(out, abs as u64);
+        out.push_str(".0");
+        return;
+    }
+    if abs < 4_294_967_296.0 {
+        let micros = (abs * 1e6).round();
+        if micros / 1e6 == abs {
+            let micros = micros as u64;
+            if v.is_sign_negative() {
+                out.push('-');
+            }
+            push_u64(out, micros / 1_000_000);
+            out.push('.');
+            let mut fraction = micros % 1_000_000;
+            let mut digits = [0; 6];
+            for digit in digits.iter_mut().rev() {
+                *digit = b'0' + (fraction % 10) as u8;
+                fraction /= 10;
+            }
+            // `v` is not integral, so some digit is not zero.
+            let kept = digits
+                .iter()
+                .rposition(|&d| d != b'0')
+                .map_or(0, |last| last + 1);
+            out.push_str(std::str::from_utf8(&digits[..kept]).expect("decimal digits are ASCII"));
+            return;
         }
     }
+    let _ = write!(out, "{v}");
 }
 
 /// A float written with a fixed number of decimals (`Fixed(v, 6)` is
@@ -567,14 +643,26 @@ pub(crate) mod tests {
         out
     }
 
+    fn float_text(v: f64) -> String {
+        let mut out = String::new();
+        push_f64(&mut out, v);
+        out
+    }
+
     #[test]
     fn float_rule_keeps_integral_values_marked() {
-        let text = |v: f64| Float(v).to_string();
+        let text = float_text;
         assert_eq!(text(3.0), "3.0");
         assert_eq!(text(3.25), "3.25");
         assert_eq!(text(0.1), "0.1");
         assert_eq!(text(-2.0), "-2.0");
+        assert_eq!(text(-0.0), "-0.0");
+        assert_eq!(text(2.5), "2.5");
+        assert_eq!(text(0.000001), "0.000001");
+        assert_eq!(text(0.0000001), "0.0000001");
         assert_eq!(text(1.5e15), "1500000000000000");
+        assert_eq!(text(f64::NAN), "NaN");
+        assert_eq!(text(f64::NEG_INFINITY), "-inf");
         assert_eq!(
             written(|o| {
                 o.field("x", Fixed(0.5, 3));
@@ -789,6 +877,70 @@ pub(crate) mod tests {
                 Json::parse(bad).is_none() && scanned(bad).is_none(),
                 "{bad:?}"
             );
+        }
+    }
+
+    mod number_properties {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::ProptestConfig;
+
+        /// The float rule as `core::fmt` writes it, which the writer
+        /// must match byte for byte.
+        fn reference(v: f64) -> String {
+            if v == v.trunc() && v.abs() < 1e15 {
+                format!("{v:.1}")
+            } else {
+                format!("{v}")
+            }
+        }
+
+        /// A value of the `kind`-th family, from 64 random bits.
+        fn family(kind: u8, bits: u64) -> f64 {
+            const MICROS_BELOW_2_32: u64 = (1 << 32) * 1_000_000;
+            match kind {
+                // Integral, up to 2⁵³ and down to a few digits.
+                0 => (bits >> (bits % 64)) as f64,
+                // Multiples of 10⁻⁶ below 2³², where the short path runs.
+                1 => (bits % MICROS_BELOW_2_32) as f64 / 1e6,
+                // Small multiples of 10⁻⁶ and of 10⁻¹, like dwell times.
+                2 => (bits % 100_000_000) as f64 / 1e6,
+                3 => (bits % 1_000) as f64 / 10.0,
+                // Multiples of 10⁻⁶ just above 2³², where it does not.
+                4 => (MICROS_BELOW_2_32 + bits % 1_000_000_000_000) as f64 / 1e6,
+                // Around 1e15, integral and halves.
+                5 => 1e15 + (bits % 4_001) as f64 / 2.0 - 1_000.0,
+                // Subnormals.
+                6 => f64::from_bits(bits % (1 << 52)),
+                // Seven fractional digits, which the short path refuses.
+                7 => (bits % 10_000_000_000) as f64 / 1e7,
+                // ±0.0.
+                8 => 0.0,
+                // Any bit pattern: huge, tiny, infinite and NaN too.
+                _ => f64::from_bits(bits),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(20_000))]
+            /// The integer writer writes `n.to_string()` and the float
+            /// writer the float rule, for every family of values the
+            /// artifacts hold and for arbitrary bits, either sign.
+            #[test]
+            fn number_writers_match_core_fmt(
+                bits in any::<u64>(),
+                shift in 0u32..64,
+                kind in 0u8..10,
+                negative in any::<bool>(),
+            ) {
+                let n = bits >> shift;
+                let mut out = String::new();
+                push_u64(&mut out, n);
+                prop_assert_eq!(&out, &n.to_string());
+                let v = family(kind, bits);
+                let v = if negative { -v } else { v };
+                prop_assert_eq!(float_text(v), reference(v), "{:?} (bits {:#x})", v, v.to_bits());
+            }
         }
     }
 

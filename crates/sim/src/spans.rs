@@ -501,7 +501,7 @@ impl SpanRecorder {
     /// gives the same artifact at any shard count. No span moves: each
     /// stays in its recorder.
     pub fn merge(recorders: Vec<SpanRecorder>) -> SortedRuns<SpanRecorder> {
-        SortedRuns::new(recorders, |span| span.artifact_key())
+        SortedRuns::new(recorders)
     }
 }
 
@@ -519,9 +519,14 @@ impl fmt::Debug for SpanRecorder {
 
 impl Run for SpanRecorder {
     type Record<'a> = SpanRef<'a>;
+    type Key = (u64, u32, u64);
 
     fn len(&self) -> usize {
         self.spans.len()
+    }
+
+    fn key(&self, index: usize) -> (u64, u32, u64) {
+        self.spans[index].artifact_key()
     }
 
     fn record(&self, index: usize) -> SpanRef<'_> {

@@ -47,10 +47,12 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
 
-use crate::json::{self, Fields, Float};
+use crate::json::{self, Fields};
 use crate::snapshot::{intern_bounds, Snap, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::SimTime;
 use crate::{snap_enum, snap_struct};
@@ -440,7 +442,9 @@ impl MetricsSnapshot {
         for (name, v) in &self.gauges {
             let (base, _) = split_labels(name);
             family_header(&mut out, &mut family, base, "gauge");
-            let _ = writeln!(out, "{name} {}", Float(*v));
+            let _ = write!(out, "{name} ");
+            json::push_f64(&mut out, *v);
+            out.push('\n');
         }
         family = None;
         for (name, h) in &self.histograms {
@@ -449,12 +453,9 @@ impl MetricsSnapshot {
             let mut cumulative = 0u64;
             for (bound, count) in h.bounds.iter().zip(&h.counts) {
                 cumulative += count;
-                let le = Float(*bound);
-                let _ = writeln!(
-                    out,
-                    "{base}_bucket{{{}le=\"{le}\"}} {cumulative}",
-                    prefix_labels(labels)
-                );
+                let _ = write!(out, "{base}_bucket{{{}le=\"", prefix_labels(labels));
+                json::push_f64(&mut out, *bound);
+                let _ = writeln!(out, "\"}} {cumulative}");
             }
             cumulative += h.counts.last().copied().unwrap_or(0);
             let _ = writeln!(
@@ -468,7 +469,9 @@ impl MetricsSnapshot {
                 format!("{{{labels}}}")
             };
             let _ = writeln!(out, "{base}_count{suffix} {}", h.count);
-            let _ = writeln!(out, "{base}_sum{suffix} {}", Float(h.sum));
+            let _ = write!(out, "{base}_sum{suffix} ");
+            json::push_f64(&mut out, h.sum);
+            out.push('\n');
         }
         out
     }
@@ -817,12 +820,16 @@ impl EventRecord {
 }
 
 /// A run of records that [`SortedRuns`] interleaves without moving
-/// them: a `Vec` of events, or a span recorder's spans.
+/// them, sorted by a key: a `Vec` of events by time, or a span
+/// recorder's spans in artifact order.
 pub trait Run {
     /// A borrowed record.
     type Record<'a>: Copy
     where
         Self: 'a;
+
+    /// What the run is sorted by.
+    type Key: Ord;
 
     /// Records in the run.
     fn len(&self) -> usize;
@@ -834,78 +841,84 @@ pub trait Run {
 
     /// The `index`-th record.
     fn record(&self, index: usize) -> Self::Record<'_>;
+
+    /// The `index`-th record's key.
+    fn key(&self, index: usize) -> Self::Key;
 }
 
-impl<T> Run for Vec<T> {
-    type Record<'a>
-        = &'a T
-    where
-        T: 'a;
+impl Run for Vec<EventRecord> {
+    type Record<'a> = &'a EventRecord;
+    type Key = SimTime;
 
     fn len(&self) -> usize {
         self.as_slice().len()
     }
 
-    fn record(&self, index: usize) -> &T {
+    fn record(&self, index: usize) -> &EventRecord {
         &self[index]
+    }
+
+    fn key(&self, index: usize) -> SimTime {
+        self[index].time
     }
 }
 
-/// Runs that are each sorted by a key, held where they are, plus the
-/// order that interleaves them: equal keys keep run order, then their
-/// order within the run — exactly what concatenating the runs and
+/// Runs that are each sorted by their key, held where they are and
+/// walked in merged order: equal keys keep run order, then their order
+/// within the run — exactly what concatenating the runs and
 /// stable-sorting by the key gives. How the sharded crowd engine folds
 /// its cells' sorted records: each record stays in its cell's run, and
-/// [`SortedRuns::iter`] walks them in artifact order.
+/// [`SortedRuns::iter`] merges the runs as it walks them, so the fold
+/// builds no index.
 ///
 /// # Examples
 ///
 /// ```
-/// use hbr_sim::telemetry::SortedRuns;
+/// use hbr_sim::telemetry::{EventRecord, SortedRuns, TelemetryEvent};
+/// use hbr_sim::SimTime;
 ///
-/// let runs = SortedRuns::new(vec![vec![(1, 'a'), (3, 'b')], vec![(1, 'c'), (2, 'd')]], |r| r.0);
-/// let walked: String = runs.iter().map(|r| r.1).collect();
-/// assert_eq!(walked, "acdb");
+/// // UE 0 matching relay `relay` at each of `secs`: one run per relay.
+/// let run = |relay: u32, secs: &[u64]| -> Vec<EventRecord> {
+///     secs.iter()
+///         .map(|&s| EventRecord {
+///             time: SimTime::from_secs(s),
+///             event: TelemetryEvent::RelayMatch { device: 0, relay },
+///         })
+///         .collect()
+/// };
+/// let runs = SortedRuns::new(vec![run(0, &[1, 3]), run(1, &[1, 2])]);
+/// let walked: Vec<(u64, u32)> = runs
+///     .iter()
+///     .map(|r| match r.event {
+///         TelemetryEvent::RelayMatch { relay, .. } => (r.time.as_secs(), relay),
+///         _ => unreachable!(),
+///     })
+///     .collect();
+/// assert_eq!(walked, [(1, 0), (1, 1), (2, 1), (3, 0)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SortedRuns<R> {
     runs: Vec<R>,
-    /// The run of each record, in walk order; empty with at most one run,
-    /// which is walked as it stands.
-    order: Vec<u32>,
     len: usize,
 }
 
 impl<R: Run> SortedRuns<R> {
-    /// Orders `runs`, each sorted by `key`. Only a compact `(key, run)`
-    /// index is sorted, and only the run numbers are kept.
+    /// Holds `runs`, each sorted by its key, for a merged walk.
     ///
     /// # Panics
     ///
-    /// Panics if a run is not sorted by `key`.
-    pub fn new<K: Ord>(runs: Vec<R>, key: impl for<'a> Fn(R::Record<'a>) -> K) -> Self {
-        let len = runs.iter().map(Run::len).sum();
-        let mut index: Vec<(K, u32)> = Vec::with_capacity(len);
+    /// Panics if a run is not sorted by its key.
+    pub fn new(runs: Vec<R>) -> Self {
         for (run, records) in runs.iter().enumerate() {
-            let start = index.len();
-            let tag = u32::try_from(run).expect("fewer than 2^32 runs");
-            index.extend((0..records.len()).map(|i| (key(records.record(i)), tag)));
             assert!(
-                index[start..].windows(2).all(|w| w[0].0 <= w[1].0),
+                (1..records.len()).all(|i| records.key(i - 1) <= records.key(i)),
                 "SortedRuns: run {run} is not sorted"
             );
         }
-        // Entries with equal keys differ only in their run, so an
-        // unstable sort of the pairs puts ties in run order, and the
-        // `i`-th entry naming a run is that run's `i`-th record: the
-        // stable sort's order.
-        let order = if runs.len() > 1 {
-            index.sort_unstable();
-            index.into_iter().map(|(_, run)| run).collect()
-        } else {
-            Vec::new()
-        };
-        SortedRuns { runs, order, len }
+        SortedRuns {
+            len: runs.iter().map(Run::len).sum(),
+            runs,
+        }
     }
 
     /// Records across every run.
@@ -920,15 +933,25 @@ impl<R: Run> SortedRuns<R> {
 
     /// The records in order.
     pub fn iter(&self) -> Walk<'_, R> {
+        let heads = self
+            .runs
+            .iter()
+            .enumerate()
+            .filter(|(_, records)| !records.is_empty())
+            .map(|(run, records)| Head {
+                key: records.key(0),
+                run,
+                at: 0,
+            })
+            .collect();
         Walk {
             runs: &self.runs,
-            order: self.order.iter(),
-            cursors: vec![0; self.runs.len()],
+            heads,
             left: self.len,
         }
     }
 
-    /// Gives up the order and returns the runs.
+    /// Returns the runs.
     pub fn into_runs(self) -> Vec<R> {
         self.runs
     }
@@ -940,7 +963,6 @@ impl<R: Run> From<R> for SortedRuns<R> {
         SortedRuns {
             len: run.len(),
             runs: vec![run],
-            order: Vec::new(),
         }
     }
 }
@@ -965,13 +987,40 @@ impl SortedRuns<Vec<EventRecord>> {
     }
 }
 
-/// [`SortedRuns`]' records in order: one cursor per run, advanced in the
-/// run the order names next.
-#[derive(Debug, Clone)]
-pub struct Walk<'a, R> {
+/// The next record of one run in a [`Walk`]: its key, its run and its
+/// place there. Heads order by `(key, run)` reversed, so the heap's top
+/// is the smallest key, the first run on a tie.
+struct Head<K> {
+    key: K,
+    run: usize,
+    at: usize,
+}
+
+impl<K: Ord> Ord for Head<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (&other.key, other.run).cmp(&(&self.key, self.run))
+    }
+}
+
+impl<K: Ord> PartialOrd for Head<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K: Ord> PartialEq for Head<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<K: Ord> Eq for Head<K> {}
+
+/// [`SortedRuns`]' records in order: a k-way merge of the runs, one
+/// head per run not yet walked out in a min-heap.
+pub struct Walk<'a, R: Run> {
     runs: &'a [R],
-    order: std::slice::Iter<'a, u32>,
-    cursors: Vec<usize>,
+    heads: BinaryHeap<Head<R::Key>>,
     left: usize,
 }
 
@@ -979,12 +1028,17 @@ impl<'a, R: Run> Iterator for Walk<'a, R> {
     type Item = R::Record<'a>;
 
     fn next(&mut self) -> Option<R::Record<'a>> {
-        self.left = self.left.checked_sub(1)?;
-        // A lone run has no order, and is walked as it stands.
-        let run = self.order.next().map_or(0, |&run| run as usize);
-        let cursor = &mut self.cursors[run];
-        *cursor += 1;
-        Some(self.runs[run].record(*cursor - 1))
+        let mut head = self.heads.peek_mut()?;
+        let (records, at) = (&self.runs[head.run], head.at);
+        if at + 1 < records.len() {
+            // Dropping the head sifts it down to its new key's place.
+            head.key = records.key(at + 1);
+            head.at = at + 1;
+        } else {
+            PeekMut::pop(head);
+        }
+        self.left -= 1;
+        Some(records.record(at))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1749,10 +1803,32 @@ mod tests {
         assert_eq!(telemetry.events.records().len(), 6);
     }
 
+    /// A test run of `(key, run, position)` tags, keyed by the first.
+    #[derive(Debug, Clone)]
+    struct Tags(Vec<(u8, usize, usize)>);
+
+    impl Run for Tags {
+        type Record<'a> = (u8, usize, usize);
+        type Key = u8;
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn record(&self, index: usize) -> (u8, usize, usize) {
+            self.0[index]
+        }
+
+        fn key(&self, index: usize) -> u8 {
+            self.0[index].0
+        }
+    }
+
     #[test]
     #[should_panic(expected = "run 1 is not sorted")]
     fn merging_an_unsorted_run_panics() {
-        SortedRuns::new(vec![vec![1, 2], vec![3, 1]], |&k| k);
+        let run = |keys: [u8; 2]| Tags(keys.iter().map(|&k| (k, 0, 0)).collect());
+        SortedRuns::new(vec![run([1, 2]), run([3, 1])]);
     }
 
     mod merge_properties {
@@ -1760,6 +1836,7 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
+            #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
             /// Walking sorted runs equals concatenating them in run
             /// order and stable-sorting. Keys repeat within and across
             /// runs, some runs are empty, and every record carries its
@@ -1778,11 +1855,11 @@ mod tests {
                     .collect();
                 let mut expected = runs.concat();
                 expected.sort_by_key(|&(k, _, _)| k);
-                let sorted = SortedRuns::new(runs, |&(k, _, _)| k);
+                let sorted = SortedRuns::new(runs.into_iter().map(Tags).collect());
                 prop_assert_eq!(sorted.len(), expected.len());
                 let walk = sorted.iter();
                 prop_assert_eq!(walk.len(), expected.len());
-                prop_assert_eq!(walk.copied().collect::<Vec<_>>(), expected);
+                prop_assert_eq!(walk.collect::<Vec<_>>(), expected);
             }
         }
     }
