@@ -47,7 +47,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt::Write as _;
@@ -938,15 +938,12 @@ impl<R: Run> SortedRuns<R> {
             .iter()
             .enumerate()
             .filter(|(_, records)| !records.is_empty())
-            .map(|(run, records)| Head {
-                key: records.key(0),
-                run,
-                at: 0,
-            })
+            .map(|(run, records)| Reverse((records.key(0), run)))
             .collect();
         Walk {
             runs: &self.runs,
             heads,
+            cursors: vec![0; self.runs.len()],
             left: self.len,
         }
     }
@@ -987,40 +984,14 @@ impl SortedRuns<Vec<EventRecord>> {
     }
 }
 
-/// The next record of one run in a [`Walk`]: its key, its run and its
-/// place there. Heads order by `(key, run)` reversed, so the heap's top
-/// is the smallest key, the first run on a tie.
-struct Head<K> {
-    key: K,
-    run: usize,
-    at: usize,
-}
-
-impl<K: Ord> Ord for Head<K> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (&other.key, other.run).cmp(&(&self.key, self.run))
-    }
-}
-
-impl<K: Ord> PartialOrd for Head<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<K: Ord> PartialEq for Head<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl<K: Ord> Eq for Head<K> {}
-
-/// [`SortedRuns`]' records in order: a k-way merge of the runs, one
-/// head per run not yet walked out in a min-heap.
+/// [`SortedRuns`]' records in order: a k-way merge of the runs. Each
+/// unfinished run has one head in a min-heap, `(key, run)` of its next
+/// record, so the top is the smallest key, the first run on a tie.
 pub struct Walk<'a, R: Run> {
     runs: &'a [R],
-    heads: BinaryHeap<Head<R::Key>>,
+    heads: BinaryHeap<Reverse<(R::Key, usize)>>,
+    /// Each run's next record.
+    cursors: Vec<usize>,
     left: usize,
 }
 
@@ -1029,11 +1000,12 @@ impl<'a, R: Run> Iterator for Walk<'a, R> {
 
     fn next(&mut self) -> Option<R::Record<'a>> {
         let mut head = self.heads.peek_mut()?;
-        let (records, at) = (&self.runs[head.run], head.at);
+        let run = head.0 .1;
+        let (records, at) = (&self.runs[run], self.cursors[run]);
+        self.cursors[run] = at + 1;
         if at + 1 < records.len() {
             // Dropping the head sifts it down to its new key's place.
-            head.key = records.key(at + 1);
-            head.at = at + 1;
+            head.0 .0 = records.key(at + 1);
         } else {
             PeekMut::pop(head);
         }
